@@ -42,7 +42,6 @@ from .model import (
     CostParams,
     Metrics,
     Node,
-    RoundOutcome,
     Scenario,
     StrategyProfile,
     group_ratio_sums,
@@ -53,6 +52,6 @@ from .model import (
     scenario_to_dict,
     validate_scenario,
 )
-from .simulate import NEVER, SimConfig, run_round, run_simulation, sample_exponential
+from .simulate import NEVER, SimConfig, run_simulation
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NonpositiveObservationError, StallError
 from .model import Metrics, Scenario, StrategyProfile, require_valid
-from .simulate import RoundEngine
+from .simulate import RoundEngine, in_order_sum
 
 logger = logging.getLogger(__name__)
 
@@ -186,7 +186,6 @@ class EpochRecord:
     observed_inv_that_a: float
     observed_inv_that_b: float
     throughput: float
-    mean_round_duration: float
     node_states: tuple[tuple[int, float, float], ...]  # (node, That_guess, rate)
 
 
@@ -212,7 +211,8 @@ def run_adaptive_simulation(s: Scenario, cfg: AdaptConfig, seed: int = 0) -> Ada
     Runs updates + 1 epochs of epoch_rounds rounds each.  Within an epoch
     the rates are fixed; the winning backoff of each phase is averaged over
     the epoch and fed into the next update.  One RNG stream (seeded once)
-    spans the whole run.
+    spans the whole run: each epoch's engine continues where the previous
+    one left the generator, and the epoch sums are added in round order.
     """
     cfg.validate()
     state = init_state(s, cfg)
@@ -223,20 +223,12 @@ def run_adaptive_simulation(s: Scenario, cfg: AdaptConfig, seed: int = 0) -> Ada
     for epoch in range(cfg.updates + 1):
         delta = cfg.delta(epoch) if epoch >= 1 else 0.0
         engine = RoundEngine(s, state.profile(s), coded=False)
-        init_sum = 0.0
-        resp_sum = 0.0
-        elapsed = 0.0
-        for _ in range(cfg.epoch_rounds):
-            i0, j0, t_init, t_resp = engine.play(rng)
-            metrics.downloads += engine.downloads_for(i0, j0)
-            metrics.uploads[i0] += 1
-            metrics.uploads[j0] += 1
-            duration = t_init + t_resp + 2.0
-            metrics.elapsed += duration
-            metrics.rounds += 1
-            init_sum += t_init
-            resp_sum += t_resp
-            elapsed += duration
+        init_sum = resp_sum = elapsed = 0.0
+        for chunk in engine.run(rng, cfg.epoch_rounds):
+            engine.account(metrics, chunk)
+            init_sum = in_order_sum(init_sum, chunk.t_init)
+            resp_sum = in_order_sum(resp_sum, chunk.t_resp)
+            elapsed = in_order_sum(elapsed, chunk.duration)
         resp_mean = resp_sum / cfg.epoch_rounds
         init_mean = init_sum / cfg.epoch_rounds
         records.append(
@@ -246,7 +238,6 @@ def run_adaptive_simulation(s: Scenario, cfg: AdaptConfig, seed: int = 0) -> Ada
                 observed_inv_that_a=1.0 / resp_mean,
                 observed_inv_that_b=1.0 / init_mean,
                 throughput=cfg.epoch_rounds / elapsed,
-                mean_round_duration=elapsed / cfg.epoch_rounds,
                 node_states=_node_states(state),
             )
         )

@@ -29,6 +29,7 @@ from .model import (
     CostParams,
     Node,
     Scenario,
+    atomic_open,
     load_scenario,
     require_valid,
     scenario_to_dict,
@@ -40,7 +41,7 @@ def fmt(x: float) -> str:
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -65,28 +66,24 @@ def gen_rng(seed: int, purpose: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, purpose])))
 
 
-def gen_two_file(
-    size_a: int, size_b: int, w_lo: float, w_hi: float, g: float, rng: np.random.Generator
-) -> Scenario:
-    """Two groups with g fixed and w drawn uniformly from [w_lo, w_hi]."""
-    if not 0 < w_lo <= w_hi:
-        raise ValueError("need 0 < w_lo <= w_hi")
-    nodes = [Node(CostParams(w=float(rng.uniform(w_lo, w_hi)), g=g), needs=0) for _ in range(size_a)]
-    nodes += [Node(CostParams(w=float(rng.uniform(w_lo, w_hi)), g=g), needs=1) for _ in range(size_b)]
-    return Scenario(files=2, nodes=tuple(nodes))
-
-
-def gen_coded(
-    files: int, group_size: int, w_lo: float, w_hi: float, g: float, rng: np.random.Generator
-) -> Scenario:
+def gen_groups(sizes: list[int], w_lo: float, w_hi: float, g: float, rng: np.random.Generator) -> Scenario:
+    """sizes[f] nodes needing file f, with g fixed and w drawn uniformly from
+    [w_lo, w_hi], file by file."""
     if not 0 < w_lo <= w_hi:
         raise ValueError("need 0 < w_lo <= w_hi")
     nodes = [
         Node(CostParams(w=float(rng.uniform(w_lo, w_hi)), g=g), needs=f)
-        for f in range(files)
-        for _ in range(group_size)
+        for f, size in enumerate(sizes)
+        for _ in range(size)
     ]
-    return Scenario(files=files, nodes=tuple(nodes))
+    return Scenario(files=len(sizes), nodes=tuple(nodes))
+
+
+def gen_two_file(
+    size_a: int, size_b: int, w_lo: float, w_hi: float, g: float, rng: np.random.Generator
+) -> Scenario:
+    """Two groups with g fixed and w drawn uniformly from [w_lo, w_hi]."""
+    return gen_groups([size_a, size_b], w_lo, w_hi, g, rng)
 
 
 def dump_scenarios(out: str, scenarios: dict[str, Scenario]) -> None:
@@ -188,6 +185,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def adapt_config(args) -> adapt.AdaptConfig:
+    return adapt.AdaptConfig(
+        epoch_rounds=args.epoch_rounds, epsilon=args.epsilon, guess_factor=args.guess_factor, updates=args.updates
+    )
+
+
 ADAPT_HEADER = ["seed", "epoch", "delta", "observed_inv_that_a", "observed_inv_that_b", "throughput"]
 ADAPT_NODE_HEADER = ["seed", "epoch", "node", "that_guess", "rate"]
 
@@ -195,12 +198,7 @@ ADAPT_NODE_HEADER = ["seed", "epoch", "node", "that_guess", "rate"]
 def cmd_adapt(args) -> int:
     s, cfg_seed = load_scenario(args.config)
     require_valid(s)
-    cfg = adapt.AdaptConfig(
-        epoch_rounds=args.epoch_rounds,
-        epsilon=args.epsilon,
-        guess_factor=args.guess_factor,
-        updates=args.updates,
-    )
+    cfg = adapt_config(args)
     seeds = parse_seeds(args.seeds) if args.seeds else [cfg_seed if cfg_seed is not None else 0]
     rows: list[list[str]] = []
     node_rows: list[list[str]] = []
@@ -227,12 +225,7 @@ FIG2_HEADER = ["epoch", "throughput_mean", "throughput_std", "ne_throughput"]
 
 def cmd_fig2(args) -> int:
     seeds = parse_seeds(args.seeds)
-    cfg = adapt.AdaptConfig(
-        epoch_rounds=args.epoch_rounds,
-        epsilon=args.epsilon,
-        guess_factor=args.guess_factor,
-        updates=args.updates,
-    )
+    cfg = adapt_config(args)
     trajectories: list[list[float]] = []
     ne_values: list[float] = []
     scenarios: dict[str, Scenario] = {}
@@ -262,7 +255,7 @@ def cmd_fig3(args) -> int:
     rows: list[list[str]] = []
     scenarios: dict[str, Scenario] = {}
     for f in file_counts:
-        s = gen_coded(f, args.group_size, args.w_lo, args.w_hi, args.g, gen_rng(args.seed, f))
+        s = gen_groups([args.group_size] * f, args.w_lo, args.w_hi, args.g, gen_rng(args.seed, f))
         scenarios[f"files_{f}"] = s
         require_valid(s)
         # Throughput only needs the per-file aggregates, which exist even

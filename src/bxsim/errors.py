@@ -83,5 +83,6 @@ class NonpositiveObservationError(BxsimError):
 # Violation codes used by scenario validation.
 GROUP_TOO_SMALL = "GROUP_TOO_SMALL"
 NONPOSITIVE_COST = "NONPOSITIVE_COST"
+NONFINITE_COST = "NONFINITE_COST"
 TOO_FEW_FILES = "TOO_FEW_FILES"
 BAD_FILE_ID = "BAD_FILE_ID"

@@ -1,4 +1,4 @@
-"""Core domain types: scenarios, strategy profiles, round outcomes, metrics.
+"""Core domain types: scenarios, strategy profiles, metrics.
 
 Conventions used throughout the package:
 
@@ -13,16 +13,18 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import (
     BAD_FILE_ID,
     GROUP_TOO_SMALL,
+    NONFINITE_COST,
     NONPOSITIVE_COST,
     TOO_FEW_FILES,
     ScenarioError,
@@ -80,11 +82,6 @@ class Scenario:
         """needs[n] = file node n wants, as an int array."""
         return np.array([nd.needs for nd in self.nodes], dtype=np.int64)
 
-    @cached_property
-    def ratios(self) -> np.ndarray:
-        """ratios[n] = w_n / g_n."""
-        return np.array([nd.costs.ratio() for nd in self.nodes])
-
     def group(self, file: FileId) -> tuple[NodeId, ...]:
         """Node ids that need ``file``, in ascending id order."""
         return tuple(n for n, nd in enumerate(self.nodes) if nd.needs == file)
@@ -105,10 +102,11 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     """Check all scenario invariants; return the complete violation list.
 
     An empty list means the scenario is valid.  The checks mirror what the
-    closed forms require: at least 2 files, positive costs, and every file
-    group of size >= 2 (group sums are divided by size minus one).
+    closed forms require: at least 2 files, finite positive costs, and every
+    file group of size >= 2 (group sums are divided by size minus one).
     """
     out: list[Violation] = []
+    inf = float("inf")
     if s.files < 2:
         out.append(Violation(TOO_FEW_FILES, f"need at least 2 files, got {s.files}"))
     for n, nd in enumerate(s.nodes):
@@ -116,10 +114,10 @@ def validate_scenario(s: Scenario) -> list[Violation]:
             out.append(
                 Violation(BAD_FILE_ID, f"node {n} needs file {nd.needs}, valid range is 0..{s.files - 1}")
             )
-        if not (nd.costs.w > 0 and nd.costs.g > 0):
-            out.append(
-                Violation(NONPOSITIVE_COST, f"node {n} has w={nd.costs.w}, g={nd.costs.g}; both must be > 0")
-            )
+        w, g = nd.costs.w, nd.costs.g
+        if not (0 < w < inf and 0 < g < inf):
+            code = NONPOSITIVE_COST if w <= 0 or g <= 0 else NONFINITE_COST
+            out.append(Violation(code, f"node {n} has w={w}, g={g}; both must be finite and > 0"))
     for f, size in enumerate(s.group_sizes()):
         if size < 2:
             out.append(Violation(GROUP_TOO_SMALL, f"file {f} is needed by {size} node(s); need at least 2"))
@@ -167,27 +165,6 @@ class StrategyProfile:
         return self.lam.get((n, context), 0.0)
 
 
-@dataclass(frozen=True, eq=False)
-class RoundOutcome:
-    """One protocol round.
-
-    Durations are in data-packet times; total_duration adds the 2 units
-    spent transmitting the two data packets.  downloads[n] and uploads[n]
-    are per-node packet counts for this round.
-    """
-
-    initiator: NodeId
-    responder: NodeId
-    initiation_duration: float
-    response_duration: float
-    downloads: np.ndarray
-    uploads: np.ndarray
-
-    @property
-    def total_duration(self) -> float:
-        return self.initiation_duration + self.response_duration + 2.0
-
-
 class Metrics:
     """Cumulative per-node accounting for a simulation run.
 
@@ -203,21 +180,12 @@ class Metrics:
         self.elapsed = 0.0
         self.rounds = 0
 
-    def add_round(self, outcome: RoundOutcome) -> None:
-        self.downloads += outcome.downloads
-        self.uploads += outcome.uploads
-        self.elapsed += outcome.total_duration
-        self.rounds += 1
-
     def avg_total_cost(self, n: NodeId) -> float:
         """(uploads * g + elapsed * w) / downloads for node n."""
         d = self.downloads[n]
         if d == 0:
             return float("inf")
         return (self.uploads[n] * self.scenario.g(n) + self.elapsed * self.scenario.w(n)) / d
-
-    def avg_total_costs(self) -> np.ndarray:
-        return np.array([self.avg_total_cost(n) for n in range(self.scenario.n_nodes)])
 
     def per_node_throughput(self) -> float:
         """Mean over nodes of downloads/elapsed."""
@@ -253,6 +221,37 @@ def scenario_to_dict(s: Scenario, seed: int | None = None) -> dict:
     if seed is not None:
         data["seed"] = seed
     return data
+
+
+@contextmanager
+def atomic_open(path: str | Path) -> Iterator[IO[str]]:
+    """Open ``path`` for writing text.
+
+    A missing or regular file (symlinks followed) is written to a temporary
+    file beside it, which takes its place and mode only when the block
+    completes, so an exception leaves no truncated output.  Other targets
+    (/dev/stdout, a FIFO), and files in a directory where no new file may be
+    made, are written in place.
+    """
+    path, fh = Path(path), None
+    if path.is_file() or not path.exists():
+        path = path.resolve()
+        tmp = path.with_name(f".{path.name}.partial")
+        with suppress(PermissionError):
+            fh = open(tmp, "w", newline="")
+    if fh is None:
+        with open(path, "w", newline="") as fh:
+            yield fh
+        return
+    try:
+        with fh:
+            if path.exists():
+                tmp.chmod(path.stat().st_mode & 0o7777)
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    tmp.replace(path)
 
 
 def load_scenario(path: str | Path) -> tuple[Scenario, int | None]:

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from bxsim.errors import StallError
 from bxsim.model import CostParams, Node, Scenario
+from bxsim.simulate import NEVER
 
 
 def two_file(ratios_a, ratios_b, g: float = 1.0) -> Scenario:
@@ -42,3 +46,30 @@ def sym_10_10() -> Scenario:
 @pytest.fixture
 def sym_2_2() -> Scenario:
     return symmetric(2, 2)
+
+
+def reference_timers(rates: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One round phase's timers as the per-round engine drew them."""
+    u = rng.random(rates.shape[0])
+    with np.errstate(divide="ignore"):
+        return np.where(rates > 0.0, -np.log1p(-u) / np.where(rates > 0.0, rates, 1.0), NEVER)
+
+
+def reference_play(s: Scenario, profile, rng: np.random.Generator, rounds: int) -> list[tuple]:
+    """Round-by-round play, one numpy draw per phase: the oracle for the
+    batched engine.  Returns (initiator, responder, t_init, t_resp) rows."""
+    gamma = np.array(profile.gamma, dtype=float)
+    out = []
+    for _ in range(rounds):
+        t = reference_timers(gamma, rng)
+        i0 = int(np.argmin(t))
+        if not math.isfinite(t[i0]):
+            raise StallError("no node can initiate")
+        x = int(s.needs[i0])
+        ids = np.flatnonzero(s.needs != x)
+        th = reference_timers(np.array([profile.response_rate(int(m), x) for m in ids]), rng)
+        j = int(np.argmin(th))
+        if not math.isfinite(th[j]):
+            raise StallError(f"no responder for file {x}")
+        out.append((i0, int(ids[j]), float(t[i0]), float(th[j])))
+    return out

@@ -15,7 +15,7 @@ from bxsim.adapt import (
 from bxsim.equilibrium import expected_response_cost_under_rate, throughput_at_ne
 from bxsim.errors import NonpositiveObservationError, StallError
 
-from conftest import symmetric, two_file
+from conftest import reference_play, symmetric, two_file
 
 
 def mech_cfg(**kw):
@@ -242,3 +242,27 @@ class TestAdaptiveSimulation:
             assert en == gn
             assert gg == pytest.approx(eg, abs=1e-12)
             assert gr == pytest.approx(er, abs=1e-12)
+
+    def test_matches_round_by_round_loop(self):
+        # Epochs of 3000 rounds span two engine chunks; the per-round epoch
+        # loop on the reference player must be reproduced bit for bit.
+        s = two_file([1.0, 1.2, 1.4], [1.1, 1.3, 1.5, 1.6, 1.7])
+        cfg = mech_cfg(updates=3, epoch_rounds=3000)
+        result = run_adaptive_simulation(s, cfg, seed=4)
+        gen = np.random.Generator(np.random.PCG64(4))
+        state = init_state(s, cfg)
+        total = 0.0
+        for rec in result.epochs:
+            init_sum = resp_sum = elapsed = 0.0
+            for _, _, t_init, t_resp in reference_play(s, state.profile(s), gen, cfg.epoch_rounds):
+                duration = t_init + t_resp + 2.0
+                total += duration
+                init_sum += t_init
+                resp_sum += t_resp
+                elapsed += duration
+            resp_mean, init_mean = resp_sum / cfg.epoch_rounds, init_sum / cfg.epoch_rounds
+            assert (rec.observed_inv_that_a, rec.observed_inv_that_b) == (1.0 / resp_mean, 1.0 / init_mean)
+            assert rec.throughput == cfg.epoch_rounds / elapsed
+            if rec.epoch < cfg.updates:
+                state = observe_and_update(state, resp_mean, init_mean, rec.epoch + 1, cfg)
+        assert result.metrics.elapsed == total

@@ -73,6 +73,20 @@ class TestNe:
         err = capsys.readouterr().err
         assert "GROUP_TOO_SMALL" in err
 
+    @pytest.mark.parametrize("command", [["ne"], ["poa"], ["simulate", "--rounds", "100"]])
+    @pytest.mark.parametrize("field,value", [("w", float("inf")), ("g", float("inf")), ("w", float("nan"))])
+    def test_non_finite_cost_exits_2(self, tmp_path, capsys, command, field, value):
+        # json reads Infinity and NaN; validation must reject them by name
+        data = scenario_to_dict(symmetric(2, 3))
+        data["nodes"][4][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        assert main([command[0], "--config", str(path), *command[1:], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "NONFINITE_COST" in err and "node 4" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_nonexistent_equilibrium_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, two_file([1.0, 1.0, 5.0], [1.0, 1.0]))
         assert main(["ne", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
@@ -172,6 +186,21 @@ class TestAdapt:
         )
         assert code == 4
         assert "stall" in capsys.readouterr().err.lower()
+
+    def test_stall_in_long_epoch_leaves_no_output(self, tmp_path, capsys):
+        # epochs longer than one engine chunk; the update after epoch 0
+        # floors every rate, so epoch 1 stalls before any CSV is written
+        cfg = write_config(tmp_path, symmetric(2, 10))
+        out, nodes_out = tmp_path / "x.csv", tmp_path / "nodes.csv"
+        code = main(
+            [
+                "adapt", "--config", cfg, "--updates", "2", "--epoch-rounds", "5000",
+                "--epsilon", "5", "--guess-factor", "0.2", "--per-node-out", str(nodes_out), "--out", str(out),
+            ]
+        )
+        assert code == 4
+        assert "stall" in capsys.readouterr().err.lower()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
 
 class TestFig2:

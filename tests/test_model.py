@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import threading
 
+import bxsim.model
 import numpy as np
 import pytest
 
 from bxsim.errors import (
     BAD_FILE_ID,
     GROUP_TOO_SMALL,
+    NONFINITE_COST,
     NONPOSITIVE_COST,
     TOO_FEW_FILES,
     ScenarioError,
@@ -17,6 +21,7 @@ from bxsim.model import (
     Metrics,
     Node,
     Scenario,
+    atomic_open,
     group_ratio_sums,
     load_scenario,
     require_valid,
@@ -51,6 +56,11 @@ class TestValidation:
             ),
         )
         assert codes(validate_scenario(s)) == [NONPOSITIVE_COST]
+
+    @pytest.mark.parametrize("w,g", [(float("inf"), 1.0), (1.0, float("inf")), (float("nan"), 1.0)])
+    def test_non_finite_cost(self, w, g):
+        s = Scenario(files=2, nodes=(Node(CostParams(w, g), 0),) + symmetric(2, 2).nodes)
+        assert codes(validate_scenario(s)) == [NONFINITE_COST]
 
     def test_single_file(self):
         s = Scenario(files=1, nodes=(Node(CostParams(1, 1), 0), Node(CostParams(1, 1), 0)))
@@ -145,3 +155,70 @@ class TestMetrics:
 
     def test_ratio(self):
         assert CostParams(w=3.0, g=2.0).ratio() == pytest.approx(1.5)
+
+
+class TestAtomicOpen:
+    def test_replaces_on_success(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        with atomic_open(path) as fh:
+            fh.write("new\r\n")
+            assert path.read_text() == "old\n"
+        assert path.read_bytes() == b"new\r\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_error_keeps_old_file_and_removes_partial(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_open(path) as fh:
+                fh.write("partial")
+                raise RuntimeError("stalled")
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_keeps_mode_of_existing_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        with atomic_open(path) as fh:
+            fh.write("new\n")
+        assert (path.stat().st_mode & 0o777, path.read_text()) == (0o640, "new\n")
+
+    def test_writes_through_symlink(self, tmp_path):
+        target = tmp_path / "real" / "out.csv"
+        target.parent.mkdir()
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        with atomic_open(link) as fh:
+            fh.write("new\n")
+        assert link.is_symlink() and target.read_text() == "new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real"]
+        assert list(target.parent.iterdir()) == [target]
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        with atomic_open(fifo) as fh:
+            fh.write("row\n")
+        reader.join(timeout=10)
+        assert got == ["row\n"]
+        assert fifo.is_fifo() and list(tmp_path.iterdir()) == [fifo]
+
+    def test_no_new_file_allowed_beside_target(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+
+        def no_partial(file, *args, **kwargs):
+            if str(file).endswith(".partial"):
+                raise PermissionError(13, "Permission denied", str(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(bxsim.model, "open", no_partial, raising=False)
+        with atomic_open(path) as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n" and list(tmp_path.iterdir()) == [path]
