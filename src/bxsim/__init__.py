@@ -19,8 +19,7 @@ from .equilibrium import (
     expected_response_cost,
     expected_response_cost_under_rate,
     ne_round_duration,
-    node_cost_at_ne,
-    poa_node,
+    node_costs_at_ne,
     poa_system,
     response_equilibrium,
     response_phase_mean,
@@ -44,7 +43,6 @@ from .model import (
     Node,
     Scenario,
     StrategyProfile,
-    group_ratio_sums,
     load_scenario,
     make_two_file,
     require_valid,

@@ -107,7 +107,7 @@ def init_state(s: Scenario, cfg: AdaptConfig) -> AdaptState:
 
     def group_state(file: int) -> GroupAdaptState:
         nodes = s.group(file)
-        ratios = np.array([s.ratio(n) for n in nodes])
+        ratios = s.ratios[s.needs == file]
         assumed = cfg.guess_factor * len(nodes)
         if assumed <= 1:
             raise ValueError("guess_factor * group size must exceed 1")

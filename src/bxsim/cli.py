@@ -40,6 +40,11 @@ def fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def node_columns(s: Scenario) -> list[list[str]]:
+    """Per node, its w, g and needs columns as written to CSV."""
+    return [[fmt(w), fmt(g), str(x)] for w, g, x in zip(s.w.tolist(), s.g.tolist(), s.needs.tolist())]
+
+
 def write_csv(path: str | Path, header: list[str], rows: list[list[str]]) -> None:
     with atomic_open(path) as fh:
         writer = csv.writer(fh)
@@ -90,7 +95,9 @@ def dump_scenarios(out: str, scenarios: dict[str, Scenario]) -> None:
     """Write the generated scenarios next to the results for reproducibility."""
     path = Path(out).with_suffix(Path(out).suffix + ".scenarios.json")
     data = {key: scenario_to_dict(s) for key, s in scenarios.items()}
-    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    with atomic_open(path) as fh:
+        json.dump(data, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 NE_HEADER = ["kind", "node", "context", "w", "g", "needs", "value"]
@@ -108,14 +115,11 @@ def cmd_ne(args) -> int:
         rows.append(["degenerate", "", "", "", "", "", str(int(eq.degenerate))])
     else:
         profile = equilibrium.two_file_equilibrium(s, alpha=args.alpha).profile
-    for n in range(s.n_nodes):
-        rows.append(
-            ["gamma", str(n), "", fmt(s.w(n)), fmt(s.g(n)), str(s.nodes[n].needs), fmt(profile.gamma[n])]
-        )
+    columns = node_columns(s)
+    for n, gamma in enumerate(profile.gamma):
+        rows.append(["gamma", str(n), "", *columns[n], fmt(gamma)])
     for (n, x) in sorted(profile.lam):
-        rows.append(
-            ["lambda", str(n), str(x), fmt(s.w(n)), fmt(s.g(n)), str(s.nodes[n].needs), fmt(profile.lam[(n, x)])]
-        )
+        rows.append(["lambda", str(n), str(x), *columns[n], fmt(profile.lam[(n, x)])])
     write_csv(args.out, NE_HEADER, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -136,14 +140,9 @@ def cmd_poa(args) -> int:
             fmt(duration.total),
         ]
     ]
-    for n in range(s.n_nodes):
-        nc = equilibrium.node_cost_at_ne(n, s)
-        rows.append(
-            [
-                "node", str(n), fmt(s.w(n)), fmt(s.g(n)), str(s.nodes[n].needs),
-                fmt(nc.avg_cost), fmt(nc.transmit_prob), fmt(equilibrium.poa_node(n, s)), "", "",
-            ]
-        )
+    costs = np.column_stack(equilibrium.node_costs_at_ne(s)).tolist()  # avg_cost, transmit_prob, poa
+    for n, (columns, values) in enumerate(zip(node_columns(s), costs)):
+        rows.append(["node", str(n), *columns, *map(fmt, values), "", ""])
     write_csv(args.out, POA_HEADER, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -168,13 +167,14 @@ def cmd_simulate(args) -> int:
         print("--trace requires a single seed", file=sys.stderr)
         return 2
     rows: list[list[str]] = []
+    columns = node_columns(s)
     for seed in seeds:
         cfg = simulate.SimConfig(scenario=s, profile=profile, rounds=args.rounds, seed=seed, coded=args.coded)
         metrics = simulate.run_simulation(cfg, trace_path=args.trace or None)
         for n in range(s.n_nodes):
             rows.append(
                 [
-                    str(seed), "node", str(n), fmt(s.w(n)), fmt(s.g(n)), str(s.nodes[n].needs),
+                    str(seed), "node", str(n), *columns[n],
                     str(int(metrics.downloads[n])), str(int(metrics.uploads[n])),
                     fmt(metrics.avg_total_cost(n)), "",
                 ]

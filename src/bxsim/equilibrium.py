@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linsolve
 from .errors import DegenerateProfileError, NegativeRateError, SingularSystemError
-from .model import FileId, NodeId, Scenario, StrategyProfile, require_valid
+from .model import NodeId, Scenario, StrategyProfile, require_valid
 
 
 def response_equilibrium(ratios, allow_negative: bool = False) -> np.ndarray:
@@ -118,8 +120,8 @@ def expected_initiation_cost(
     require_valid(s)
     if s.files != 2:
         raise ValueError("initiation-cost closed form is defined for two-file scenarios")
-    w, g = s.w(node), s.g(node)
-    needed = s.nodes[node].needs
+    w, g = float(s.w[node]), float(s.g[node])
+    needed = int(s.needs[node])
     own = s.group(needed)
     other = s.group(1 - needed)
 
@@ -175,31 +177,23 @@ def two_file_equilibrium(
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
 
-    group_a, group_b = s.group(0), s.group(1)
-    ra = np.array([s.ratio(n) for n in group_a])
-    rb = np.array([s.ratio(n) for n in group_b])
+    ra, rb = s.ratios[s.needs == 0], s.ratios[s.needs == 1]
     lam_a = response_equilibrium(ra, allow_negative=allow_negative)
     lam_b = response_equilibrium(rb, allow_negative=allow_negative)
-    base_a = np.sum(ra) / (ra.size - 1) - ra  # same formula as lam_a
-    base_b = np.sum(rb) / (rb.size - 1) - rb
-    gam_a = alpha * base_a
-    gam_b = (1.0 - alpha) * base_b
-
-    gamma = [0.0] * s.n_nodes
-    lam: dict[tuple[NodeId, FileId], float] = {}
+    gamma = np.empty(s.n_nodes)
+    gamma[s.needs == 0] = alpha * lam_a
+    gamma[s.needs == 1] = (1.0 - alpha) * lam_b
     # Group 0 possesses file 1 and responds to its announcements, which only
     # happen when group 1 initiates (weight 1 - alpha); mirrored for group 1.
     # At a boundary alpha the never-announced context gets rate 0.
-    for i, n in enumerate(group_a):
-        gamma[n] = float(gam_a[i])
-        lam[(n, 1)] = float(lam_a[i]) if alpha < 1.0 else 0.0
-    for j, n in enumerate(group_b):
-        gamma[n] = float(gam_b[j])
-        lam[(n, 0)] = float(lam_b[j]) if alpha > 0.0 else 0.0
+    resp_a = lam_a if alpha < 1.0 else np.zeros_like(lam_a)
+    resp_b = lam_b if alpha > 0.0 else np.zeros_like(lam_b)
+    lam = dict(zip(zip(s.group(0), repeat(1)), resp_a.tolist()))
+    lam.update(zip(zip(s.group(1), repeat(0)), resp_b.tolist()))
 
     return TwoFileEquilibrium(
         alpha=alpha,
-        profile=StrategyProfile(gamma=tuple(gamma), lam=lam),
+        profile=StrategyProfile(gamma=tuple(gamma.tolist()), lam=lam),
         that_a=response_phase_mean(ra),
         that_b=response_phase_mean(rb),
     )
@@ -222,8 +216,10 @@ def ne_round_duration(s: Scenario, alpha: float = 0.5) -> RoundDuration:
     require_valid(s)
     if s.files != 2:
         raise ValueError("ne_round_duration requires exactly 2 files")
-    that_a = response_phase_mean([s.ratio(n) for n in s.group(0)])
-    that_b = response_phase_mean([s.ratio(n) for n in s.group(1)])
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    that_a = response_phase_mean(s.ratios[s.needs == 0])
+    that_b = response_phase_mean(s.ratios[s.needs == 1])
     rate = (alpha / that_a if alpha > 0 else 0.0) + ((1 - alpha) / that_b if alpha < 1 else 0.0)
     return RoundDuration(
         t_init=1.0 / rate,
@@ -238,45 +234,35 @@ def throughput_at_ne(s: Scenario) -> float:
     return 1.0 / ne_round_duration(s).total
 
 
-@dataclass(frozen=True)
-class NodeEquilibriumCost:
-    avg_cost: float
-    transmit_prob: float
+class NodeCosts(NamedTuple):
+    """Per-node equilibrium quantities of a two-file scenario, indexed by
+    node id."""
+
+    avg_cost: np.ndarray  # average total cost per downloaded packet
+    transmit_prob: np.ndarray  # per-round probability that the node transmits
+    poa: np.ndarray  # node-cost price of anarchy bound
 
 
-def node_cost_at_ne(node: NodeId, s: Scenario) -> NodeEquilibriumCost:
-    """Average total cost per downloaded packet, and the per-round
-    probability that the node transmits, at equilibrium.
+def node_costs_at_ne(s: Scenario) -> NodeCosts:
+    """Every node's average total cost per downloaded packet, per-round
+    transmit probability and node-cost price of anarchy at equilibrium.
 
     avg_cost = g + w * (response duration of the other group) + 2w, the same
     for every alpha.  transmit_prob = 1 - ratio * (own group's response
-    duration); within a group these probabilities sum to 1.
+    duration); within a group these probabilities sum to 1.  poa is an upper
+    bound on the node-cost price of anarchy: avg_cost over the 2w floor (a
+    node cannot download faster than once per 2 time units).
     """
-    require_valid(s)
-    if s.files != 2:
-        raise ValueError("node_cost_at_ne requires exactly 2 files")
-    needed = s.nodes[node].needs
-    own_ratios = [s.ratio(n) for n in s.group(needed)]
-    other_ratios = [s.ratio(n) for n in s.group(1 - needed)]
-    that_own = response_phase_mean(own_ratios)
-    that_other = response_phase_mean(other_ratios)
-    w, g = s.w(node), s.g(node)
-    return NodeEquilibriumCost(
-        avg_cost=g + w * that_other + 2.0 * w,
-        transmit_prob=1.0 - s.ratio(node) * that_own,
-    )
+    duration = ne_round_duration(s)
+    that = np.array([duration.that_a, duration.that_b])
+    avg_cost = s.g + s.w * that[1 - s.needs] + 2.0 * s.w
+    return NodeCosts(avg_cost, 1.0 - s.ratios * that[s.needs], avg_cost / (2.0 * s.w))
 
 
 def poa_system(s: Scenario) -> float:
     """Price of anarchy on system throughput: best-possible 0.5 packets per
     node per unit time divided by the equilibrium throughput."""
     return ne_round_duration(s).total / 2.0
-
-
-def poa_node(node: NodeId, s: Scenario) -> float:
-    """Upper bound on the node-cost price of anarchy: equilibrium cost over
-    the 2w floor (a node cannot download faster than once per 2 time units)."""
-    return node_cost_at_ne(node, s).avg_cost / (2.0 * s.w(node))
 
 
 @dataclass(frozen=True)
@@ -305,10 +291,10 @@ def coded_system(s: Scenario) -> linsolve.DenseSystem:
     """
     require_valid(s)
     f = s.files
-    sums = {x: float(np.sum([s.ratio(n) for n in s.group(x)])) for x in range(f)}
+    sums = [float(np.sum(s.ratios[s.needs == x])) for x in range(f)]
     sizes = s.group_sizes()
     total_nodes = s.n_nodes
-    total_ratio = sum(sums.values())
+    total_ratio = sum(sums)
     a = np.zeros((f, f))
     for x in range(f):
         c_x = (sizes[x] - 1) / sums[x]
@@ -318,8 +304,9 @@ def coded_system(s: Scenario) -> linsolve.DenseSystem:
     return linsolve.DenseSystem(a=a, b=np.ones(f))
 
 
-def _complement_duration(s: Scenario, x: FileId) -> float:
-    return response_phase_mean([s.ratio(m) for m in s.complement(x)])
+def _complement_durations(s: Scenario) -> np.ndarray:
+    """Per file X, the response duration of the nodes that hold X."""
+    return np.array([response_phase_mean(s.ratios[s.needs != x]) for x in range(s.files)])
 
 
 def coded_equilibrium(s: Scenario, allow_negative: bool = False) -> CodedEquilibrium:
@@ -354,31 +341,24 @@ def coded_equilibrium(s: Scenario, allow_negative: bool = False) -> CodedEquilib
 
     big_gamma = sol.x
     total_gamma = float(np.sum(big_gamma))
-    gamma = [0.0] * s.n_nodes
-    for n in range(s.n_nodes):
-        x = s.nodes[n].needs
-        d_x = _complement_duration(s, x)
-        gamma[n] = float(big_gamma[x] - s.ratio(n) * (1.0 - d_x * (total_gamma - big_gamma[x])))
+    own, d = big_gamma[s.needs], _complement_durations(s)[s.needs]
+    gamma = own - s.ratios * (1.0 - d * (total_gamma - own))
     if not allow_negative:
-        bad = [n for n in range(s.n_nodes) if gamma[n] < 0]
+        bad = np.flatnonzero(gamma < 0).tolist()
         if bad:
             raise NegativeRateError(
                 f"nodes {bad} get negative initiation rates; "
                 "no nonnegative coded equilibrium exists"
             )
 
-    lam: dict[tuple[NodeId, FileId], float] = {}
+    lam = {}
     for x in range(s.files):
-        members = s.complement(x)
-        rates = response_equilibrium(
-            [s.ratio(m) for m in members], allow_negative=allow_negative
-        )
-        for m, rate in zip(members, rates):
-            lam[(m, x)] = float(rate)
+        rates = response_equilibrium(s.ratios[s.needs != x], allow_negative=allow_negative)
+        lam.update(zip(zip(s.complement(x), repeat(x)), rates.tolist()))
 
     return CodedEquilibrium(
-        gamma_by_file=tuple(float(v) for v in big_gamma),
-        profile=StrategyProfile(gamma=tuple(gamma), lam=lam),
+        gamma_by_file=tuple(big_gamma.tolist()),
+        profile=StrategyProfile(gamma=tuple(gamma.tolist()), lam=lam),
         degenerate=False,
     )
 
@@ -401,8 +381,7 @@ def coded_round_duration(s: Scenario, eq: CodedEquilibrium | None = None) -> Cod
         eq = coded_equilibrium(s, allow_negative=True)
     big_gamma = np.asarray(eq.gamma_by_file)
     total = float(np.sum(big_gamma))
-    durations = np.array([_complement_duration(s, x) for x in range(s.files)])
-    resp_mean = float(np.sum(big_gamma / total * durations))
+    resp_mean = float(np.sum(big_gamma / total * _complement_durations(s)))
     return CodedRoundDuration(
         t_init=1.0 / total,
         response_mean=resp_mean,

@@ -80,7 +80,8 @@ class NonpositiveObservationError(BxsimError):
     code = "NONPOSITIVE_OBSERVATION"
 
 
-# Violation codes used by scenario validation.
+# Violation codes used by scenario loading and validation.
+BAD_CONFIG = "BAD_CONFIG"
 GROUP_TOO_SMALL = "GROUP_TOO_SMALL"
 NONPOSITIVE_COST = "NONPOSITIVE_COST"
 NONFINITE_COST = "NONFINITE_COST"

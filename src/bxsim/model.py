@@ -13,6 +13,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import os
+import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,6 +24,7 @@ from typing import IO, Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import (
+    BAD_CONFIG,
     BAD_FILE_ID,
     GROUP_TOO_SMALL,
     NONFINITE_COST,
@@ -59,7 +62,11 @@ class Node:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A node population with per-node costs and needed-file assignment."""
+    """A node population with per-node costs and needed-file assignment.
+
+    The per-node data is also kept as arrays indexed by node id (``w``,
+    ``g``, ``ratios`` and ``needs``), built once on first use.
+    """
 
     files: int
     nodes: tuple[Node, ...]
@@ -68,27 +75,40 @@ class Scenario:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def w(self, n: NodeId) -> float:
-        return self.nodes[n].costs.w
+    @cached_property
+    def w(self) -> np.ndarray:
+        return np.array([nd.costs.w for nd in self.nodes], dtype=float)
 
-    def g(self, n: NodeId) -> float:
-        return self.nodes[n].costs.g
+    @cached_property
+    def g(self) -> np.ndarray:
+        return np.array([nd.costs.g for nd in self.nodes], dtype=float)
 
-    def ratio(self, n: NodeId) -> float:
-        return self.nodes[n].costs.ratio()
+    @cached_property
+    def ratios(self) -> np.ndarray:
+        """w/g per node; inf where the division overflows (validation rejects it)."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return self.w / self.g
 
     @cached_property
     def needs(self) -> np.ndarray:
         """needs[n] = file node n wants, as an int array."""
         return np.array([nd.needs for nd in self.nodes], dtype=np.int64)
 
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """validate_scenario(self), checked once: a scenario never changes."""
+        return tuple(validate_scenario(self))
+
+    def ratio(self, n: NodeId) -> float:
+        return float(self.ratios[n])
+
     def group(self, file: FileId) -> tuple[NodeId, ...]:
         """Node ids that need ``file``, in ascending id order."""
-        return tuple(n for n, nd in enumerate(self.nodes) if nd.needs == file)
+        return tuple(np.flatnonzero(self.needs == file).tolist())
 
     def complement(self, file: FileId) -> tuple[NodeId, ...]:
         """Node ids that possess ``file`` (i.e. need something else)."""
-        return tuple(n for n, nd in enumerate(self.nodes) if nd.needs != file)
+        return tuple(np.flatnonzero(self.needs != file).tolist())
 
     def group_sizes(self) -> list[int]:
         sizes = [0] * self.files
@@ -102,22 +122,25 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     """Check all scenario invariants; return the complete violation list.
 
     An empty list means the scenario is valid.  The checks mirror what the
-    closed forms require: at least 2 files, finite positive costs, and every
-    file group of size >= 2 (group sums are divided by size minus one).
+    closed forms require: at least 2 files, finite positive costs whose
+    ratio w/g is finite, and every file group of size >= 2 (group sums are
+    divided by size minus one).
     """
     out: list[Violation] = []
     inf = float("inf")
     if s.files < 2:
         out.append(Violation(TOO_FEW_FILES, f"need at least 2 files, got {s.files}"))
-    for n, nd in enumerate(s.nodes):
+    costs_ok = ((0 < s.w) & (s.w < inf) & (0 < s.g) & (s.g < inf) & (s.ratios < inf)).tolist()
+    for n, (nd, cost_ok) in enumerate(zip(s.nodes, costs_ok)):
         if not (0 <= nd.needs < s.files):
             out.append(
                 Violation(BAD_FILE_ID, f"node {n} needs file {nd.needs}, valid range is 0..{s.files - 1}")
             )
-        w, g = nd.costs.w, nd.costs.g
-        if not (0 < w < inf and 0 < g < inf):
+        if not cost_ok:
+            w, g = nd.costs.w, nd.costs.g
             code = NONPOSITIVE_COST if w <= 0 or g <= 0 else NONFINITE_COST
-            out.append(Violation(code, f"node {n} has w={w}, g={g}; both must be finite and > 0"))
+            why = "w/g overflows" if 0 < w < inf and 0 < g < inf else "both must be finite and > 0"
+            out.append(Violation(code, f"node {n} has w={w}, g={g}; {why}"))
     for f, size in enumerate(s.group_sizes()):
         if size < 2:
             out.append(Violation(GROUP_TOO_SMALL, f"file {f} is needed by {size} node(s); need at least 2"))
@@ -126,22 +149,9 @@ def validate_scenario(s: Scenario) -> list[Violation]:
 
 def require_valid(s: Scenario) -> Scenario:
     """Return ``s`` unchanged, or raise ScenarioError with all violations."""
-    violations = validate_scenario(s)
-    if violations:
-        raise ScenarioError(violations)
+    if s.violations:
+        raise ScenarioError(list(s.violations))
     return s
-
-
-def group_ratio_sums(s: Scenario) -> dict[FileId, tuple[int, float]]:
-    """Per file: (group size I_X, sum of w/g over the nodes needing X).
-
-    Complement sums follow by subtracting from the global total.
-    """
-    out: dict[FileId, tuple[int, float]] = {}
-    for f in range(s.files):
-        members = s.group(f)
-        out[f] = (len(members), float(sum(s.ratio(n) for n in members)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -185,7 +195,7 @@ class Metrics:
         d = self.downloads[n]
         if d == 0:
             return float("inf")
-        return (self.uploads[n] * self.scenario.g(n) + self.elapsed * self.scenario.w(n)) / d
+        return (self.uploads[n] * self.scenario.g[n] + self.elapsed * self.scenario.w[n]) / d
 
     def per_node_throughput(self) -> float:
         """Mean over nodes of downloads/elapsed."""
@@ -194,23 +204,59 @@ class Metrics:
         return float(np.mean(self.downloads / self.elapsed))
 
 
+def _json_number(value, integral: bool) -> int | float | None:
+    """``value`` as an int (``integral``) or a float, or None when it is not
+    a JSON number of that kind: a bool, a string, a non-integral value where
+    an integer is due, or an integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    if integral:
+        return int(value) if isinstance(value, int) or value.is_integer() else None
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
 def scenario_from_dict(data: dict) -> tuple[Scenario, int | None]:
     """Build a scenario from the JSON config schema.
 
     Schema: {"files": int, "nodes": [{"w": float, "g": float, "needs": int},
-    ...], "seed": optional int}.  Returns (scenario, seed or None).  The
-    scenario is not validated here; call require_valid for that.
+    ...], "seed": optional int}.  Returns (scenario, seed or None).  Fields
+    are never coerced: a missing field, a bool or string where a number is
+    due, or a non-integral ``files``, ``needs`` or ``seed`` is a BAD_CONFIG
+    violation, and all of them are reported together.  The values are not
+    validated here; call require_valid for that.
     """
-    try:
-        files = int(data["files"])
-        nodes = tuple(
-            Node(CostParams(w=float(nd["w"]), g=float(nd["g"])), needs=int(nd["needs"]))
-            for nd in data["nodes"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError([Violation("BAD_CONFIG", f"malformed scenario config: {exc!r}")]) from exc
-    seed = data.get("seed")
-    return Scenario(files=files, nodes=nodes), (int(seed) if seed is not None else None)
+    problems: list[str] = []
+
+    def number(obj: dict, key: str, where: str, integral: bool = False):
+        if key not in obj:
+            problems.append(f"{where} has no {key!r}")
+            return None
+        value = _json_number(obj[key], integral)
+        if value is None:
+            kind = "an integer" if integral else "a number"
+            problems.append(f"{where} has {key}={obj[key]!r}; it must be {kind}")
+        return value
+
+    files = number(data, "files", "config", integral=True)
+    entries = data.get("nodes")
+    if not isinstance(entries, (list, tuple)):
+        problems.append("config has no 'nodes' list")
+        entries = []
+    nodes = []
+    for n, nd in enumerate(entries):
+        if not isinstance(nd, dict):
+            problems.append(f"node {n} is {nd!r}, not an object")
+            continue
+        where = f"node {n}"
+        w, g = number(nd, "w", where), number(nd, "g", where)
+        nodes.append(Node(CostParams(w=w, g=g), needs=number(nd, "needs", where, integral=True)))
+    seed = number(data, "seed", "config", integral=True) if data.get("seed") is not None else None
+    if problems:
+        raise ScenarioError([Violation(BAD_CONFIG, f"malformed scenario config: {p}") for p in problems])
+    return Scenario(files=files, nodes=tuple(nodes)), seed
 
 
 def scenario_to_dict(s: Scenario, seed: int | None = None) -> dict:
@@ -223,17 +269,39 @@ def scenario_to_dict(s: Scenario, seed: int | None = None) -> dict:
     return data
 
 
+def _std_stream_fd(path: Path) -> int | None:
+    """1 or 2 when ``path`` is the file open as stdout or stderr, else None."""
+    with suppress(OSError):
+        st = path.stat()
+        for fd in (1, 2):
+            with suppress(OSError):
+                if os.path.samestat(st, os.fstat(fd)):
+                    return fd
+    return None
+
+
 @contextmanager
 def atomic_open(path: str | Path) -> Iterator[IO[str]]:
     """Open ``path`` for writing text.
 
     A missing or regular file (symlinks followed) is written to a temporary
     file beside it, which takes its place and mode only when the block
-    completes, so an exception leaves no truncated output.  Other targets
-    (/dev/stdout, a FIFO), and files in a directory where no new file may be
-    made, are written in place.
+    completes, so an exception leaves no truncated output.  The file open
+    as stdout or stderr (``/dev/stdout``, or a file that stdout is
+    redirected to) is written through that stream at its current position,
+    so the program's later messages follow the data.  Other targets (a
+    FIFO), and files in a directory where no new file may be made, are
+    written in place.
     """
     path, fh = Path(path), None
+    std = _std_stream_fd(path)
+    if std is not None:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+        with open(os.dup(std), "w", newline="") as fh:
+            yield fh
+        return
     if path.is_file() or not path.exists():
         path = path.resolve()
         tmp = path.with_name(f".{path.name}.partial")
@@ -259,9 +327,9 @@ def load_scenario(path: str | Path) -> tuple[Scenario, int | None]:
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioError([Violation("BAD_CONFIG", f"cannot read scenario config {path}: {exc}")]) from exc
+        raise ScenarioError([Violation(BAD_CONFIG, f"cannot read scenario config {path}: {exc}")]) from exc
     if not isinstance(data, dict):
-        raise ScenarioError([Violation("BAD_CONFIG", "scenario config must be a JSON object")])
+        raise ScenarioError([Violation(BAD_CONFIG, "scenario config must be a JSON object")])
     return scenario_from_dict(data)
 
 

@@ -22,7 +22,7 @@ from bxsim.equilibrium import (
     expected_response_cost,
     expected_response_cost_under_rate,
     ne_round_duration,
-    poa_node,
+    node_costs_at_ne,
     poa_system,
     response_equilibrium,
     response_phase_mean,
@@ -68,8 +68,8 @@ def test_01_indifference_suite():
                 total = float(np.sum(lam))
                 for i, n in enumerate(members):
                     for t in T_GRID:
-                        cost = expected_response_cost(t, s.w(n), s.g(n), total - lam[i])
-                        assert abs(cost - s.g(n)) <= 1e-9
+                        cost = expected_response_cost(t, s.w[n], s.g[n], total - lam[i])
+                        assert abs(cost - s.g[n]) <= 1e-9
         assert time.perf_counter() - start < 5.0
 
 
@@ -220,8 +220,7 @@ def test_09_poa_bounds():
                 d = ne_round_duration(s)
                 assert poa_system(s) == pytest.approx((d.that_a + d.that_b + 2) / 2, abs=1e-12)
                 assert poa_system(s) <= 1.0 + g_over_w
-                for n in range(s.n_nodes):
-                    assert poa_node(n, s) <= 1.0 + g_over_w
+                assert all(node_costs_at_ne(s).poa <= 1.0 + g_over_w)
 
 
 def test_10_determinism_regression(tmp_path):

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import bxsim
+import bxsim.cli
+import numpy as np
 import pytest
 
-from bxsim.cli import main, parse_seeds
+from bxsim.cli import dump_scenarios, main, parse_seeds
 from bxsim.equilibrium import coded_throughput
 from bxsim.model import scenario_to_dict
 
@@ -87,6 +95,31 @@ class TestNe:
         assert "NONFINITE_COST" in err and "node 4" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["ne"], ["poa"], ["simulate", "--rounds", "100"]])
+    def test_overflowing_cost_ratio_exits_2(self, tmp_path, capsys, command):
+        # w and g are finite and positive, but w/g overflows to inf
+        data = scenario_to_dict(symmetric(2, 3))
+        data["nodes"][4]["g"] = 1e-320
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        assert main([command[0], "--config", str(path), *command[1:], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "NONFINITE_COST" in err and "node 4" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,value", [("needs", 0.7), ("w", True)])
+    def test_coerced_field_exits_2(self, tmp_path, capsys, field, value):
+        data = scenario_to_dict(symmetric(2, 3))
+        data["nodes"][4][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        assert main(["ne", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "BAD_CONFIG" in err and "node 4" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_nonexistent_equilibrium_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, two_file([1.0, 1.0, 5.0], [1.0, 1.0]))
         assert main(["ne", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
@@ -142,6 +175,23 @@ class TestSimulate:
         rows = read_csv(trace)
         assert rows[0] == ["round", "initiator", "responder", "t_init", "t_resp", "duration"]
         assert len(rows) == 51
+
+    def test_trace_to_redirected_stdout(self, tmp_path):
+        # stdout is redirected to a file and the trace goes to /dev/stdout:
+        # the file holds the trace, then the summary line
+        cfg = write_config(tmp_path, symmetric(2, 4))
+        args = ["simulate", "--config", cfg, "--rounds", "50", "--seeds", "3", "--out", str(tmp_path / "sim.csv")]
+        assert main([*args, "--trace", str(tmp_path / "trace.csv")]) == 0
+        src = str(Path(bxsim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        with open(tmp_path / "t.txt", "w") as stdout:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bxsim.cli", *args, "--trace", "/dev/stdout"],
+                stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            )
+        assert proc.returncode == 0, proc.stderr
+        summary = f"wrote 9 rows to {tmp_path / 'sim.csv'}\n".encode()
+        assert (tmp_path / "t.txt").read_bytes() == (tmp_path / "trace.csv").read_bytes() + summary
 
     def test_plain_multifile_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, symmetric(3, 4))
@@ -227,6 +277,18 @@ class TestFig2:
         main(["fig2", "--seeds", "0", "--updates", "0", "--epoch-rounds", "30", "--out", str(out)])
         assert len(read_csv(out)) == 2
 
+    def test_failing_dump_leaves_no_partial_json(self, tmp_path, monkeypatch):
+        # the second scenario cannot be serialized, so the dump fails after
+        # the first one has been written out
+        path = tmp_path / "fig2.csv.scenarios.json"
+        path.write_text("old\n")
+        broken = symmetric(2, 3)
+        real = bxsim.cli.scenario_to_dict
+        monkeypatch.setattr(bxsim.cli, "scenario_to_dict", lambda s: {"nodes": [object()]} if s is broken else real(s))
+        with pytest.raises(TypeError):
+            dump_scenarios(str(tmp_path / "fig2.csv"), {"seed_0": symmetric(2, 2), "seed_1": broken})
+        assert path.read_text() == "old\n" and list(tmp_path.iterdir()) == [path]
+
 
 class TestFig3:
     def test_analytic_columns(self, tmp_path):
@@ -256,3 +318,64 @@ class TestFig3:
         assert main(["fig3", "--files", "3,4", "--w-hi", "2.0", "--out", str(out)]) == 0
         rows = read_csv(out)
         assert all(0 < float(r[1]) < 0.5 for r in rows[1:])
+
+
+def shuffled_config(groups: list[int], w_range: tuple, g_range: tuple) -> dict:
+    """A config with groups[f] nodes needing file f, w and g drawn uniformly,
+    in shuffled node order, from a fixed numpy stream."""
+    rng = np.random.default_rng(20261018)
+    needs = np.repeat(np.arange(len(groups)), groups)
+    w, g = rng.uniform(*w_range, needs.size), rng.uniform(*g_range, needs.size)
+    order = rng.permutation(needs.size)
+    nodes = [{"w": float(w[i]), "g": float(g[i]), "needs": int(needs[i])} for i in order]
+    return {"files": len(groups), "nodes": nodes}
+
+
+class TestPinnedOutputs:
+    """SHA-256 of the equilibrium CSVs on two fixed shuffled scenarios with
+    unequal groups and heterogeneous w and g.  The digests were taken from
+    the per-node implementation the array forms replaced."""
+
+    CONFIGS = {  # name: (shuffled_config arguments, SHA-256 of the config file)
+        "two.json": (
+            ([7, 5], (1.0, 1.3), (0.8, 1.2)),
+            "75c29446b8621534bb1bac98e8f81cd8f471f38aa6cd3d068641fa438841b9d1",
+        ),
+        "coded.json": (
+            ([5, 6, 7, 8], (1.0, 1.02), (0.99, 1.01)),
+            "ad71eff60f075299a2b26b2be005bcc7900883b5329ccd35436392660019d9fd",
+        ),
+    }
+    RUNS = {
+        "ne": (
+            "ne --config two.json",
+            "b291d9ceca9cec9718a25f1cb90cc08f1a1b960f28dbe4a6fae1821597249ebf",
+        ),
+        "ne-alpha": (
+            "ne --alpha 0.3 --config two.json",
+            "02d63b2f65c9b18a65304bd373603a258e1aafdbb1d54077f74883cecd05477e",
+        ),
+        "ne-coded-2": (
+            "ne --coded --config two.json",
+            "dc39ba680af15251bb1639661adb083cb8e42f307ef7e6f20fb3134d94b8d3b7",
+        ),
+        "ne-coded-4": (
+            "ne --coded --config coded.json",
+            "088820807b30b51bfcb02fa39160e5c404b212552ac50490cbea2d65d0950012",
+        ),
+        "poa": (
+            "poa --config two.json",
+            "8503bdef51f62ead628c36e3f63f60ac7293e88e8c0106d5c7aa1c99afaa7abd",
+        ),
+    }
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_csv_digest(self, tmp_path, run):
+        for name, (shape, config_digest) in self.CONFIGS.items():
+            (tmp_path / name).write_text(json.dumps(shuffled_config(*shape)))
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == config_digest
+        command, digest = self.RUNS[run]
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in command.split()]
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from bxsim import linsolve
@@ -16,8 +18,7 @@ from bxsim.equilibrium import (
     expected_response_cost,
     expected_response_cost_under_rate,
     ne_round_duration,
-    node_cost_at_ne,
-    poa_node,
+    node_costs_at_ne,
     poa_system,
     response_equilibrium,
     response_phase_mean,
@@ -25,8 +26,20 @@ from bxsim.equilibrium import (
     two_file_equilibrium,
 )
 from bxsim.errors import DegenerateProfileError, NegativeRateError, SingularSystemError
+from bxsim.model import CostParams, Node, Scenario
 
-from conftest import random_coded, random_two_file, symmetric, two_file
+from conftest import (
+    random_coded,
+    random_two_file,
+    ref_complement,
+    ref_ratio,
+    reference_coded,
+    reference_node_cost,
+    reference_round_duration,
+    reference_two_file,
+    symmetric,
+    two_file,
+)
 
 T_GRID = [0.0, 0.1, 1.0, 5.0, 20.0]
 
@@ -209,7 +222,7 @@ class TestExpectedInitiationCost:
             p_own = sum(eq.profile.gamma[m] for m in own) / rest
             that = 1 / sum(eq.profile.lam[(m, needed)] for m in other)
             for t in (0.0, 0.7, 3.0):
-                oracle = initiation_cost_quadrature(t, s.w(node), s.g(node), rest, p_own, that)
+                oracle = initiation_cost_quadrature(t, s.w[node], s.g[node], rest, p_own, that)
                 assert expected_initiation_cost(t, node, eq.profile, s) == pytest.approx(oracle, abs=1e-8)
 
     def test_degenerate_when_others_silent(self, sym_2_2):
@@ -279,6 +292,11 @@ class TestRoundDurationAndThroughput:
         d = ne_round_duration(s)
         assert d.total == pytest.approx(1 / 3 + 0.9 + 2, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [2.0, -1.0, math.nan])
+    def test_alpha_out_of_range(self, sym_2_2, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            ne_round_duration(sym_2_2, alpha=alpha)
+
     def test_alpha_invariance(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
@@ -294,15 +312,15 @@ class TestRoundDurationAndThroughput:
 
 class TestNodeCost:
     def test_symmetric_ten(self, sym_10_10):
-        nc = node_cost_at_ne(0, sym_10_10)
-        assert nc.avg_cost == pytest.approx(3.9)
-        assert nc.transmit_prob == pytest.approx(0.1)
+        nc = node_costs_at_ne(sym_10_10)
+        assert nc.avg_cost[0] == pytest.approx(3.9)
+        assert nc.transmit_prob[0] == pytest.approx(0.1)
 
     def test_matches_initiation_cost_constant(self, sym_2_2):
-        nc = node_cost_at_ne(0, sym_2_2)
-        assert nc.avg_cost == pytest.approx(3.5)
+        avg_cost = node_costs_at_ne(sym_2_2).avg_cost[0]
+        assert avg_cost == pytest.approx(3.5)
         eq = two_file_equilibrium(sym_2_2, alpha=0.5)
-        assert nc.avg_cost == pytest.approx(expected_initiation_cost(1.0, 0, eq.profile, sym_2_2))
+        assert avg_cost == pytest.approx(expected_initiation_cost(1.0, 0, eq.profile, sym_2_2))
 
     def test_cross_oracle_any_scenario(self):
         # equilibrium per-round cost equals the long-run average cost formula
@@ -312,7 +330,7 @@ class TestNodeCost:
             alpha = float(rng.uniform(0.1, 0.9))
             eq = two_file_equilibrium(s, alpha=alpha, allow_negative=True)
             for node in (0, s.n_nodes - 1):
-                expected = node_cost_at_ne(node, s).avg_cost
+                expected = node_costs_at_ne(s).avg_cost[node]
                 for t in T_GRID:
                     assert expected_initiation_cost(t, node, eq.profile, s) == pytest.approx(
                         expected, abs=1e-9
@@ -320,8 +338,7 @@ class TestNodeCost:
 
     def test_transmit_probabilities(self):
         s = two_file([1.0, 2.0], [1.0, 1.0])
-        p0 = node_cost_at_ne(0, s).transmit_prob
-        p1 = node_cost_at_ne(1, s).transmit_prob
+        p0, p1 = node_costs_at_ne(s).transmit_prob[:2]
         assert (p0, p1) == pytest.approx((2 / 3, 1 / 3))
 
     def test_probability_closure(self):
@@ -329,21 +346,21 @@ class TestNodeCost:
         for _ in range(10):
             s = random_two_file(rng, max_group=12)
             for f in (0, 1):
-                total = sum(node_cost_at_ne(n, s).transmit_prob for n in s.group(f))
+                total = sum(node_costs_at_ne(s).transmit_prob[n] for n in s.group(f))
                 assert total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPoA:
     def test_symmetric_values(self, sym_10_10, sym_2_2):
         assert poa_system(sym_10_10) == pytest.approx(1.9)
-        assert poa_node(0, sym_10_10) == pytest.approx(1.95)
+        assert node_costs_at_ne(sym_10_10).poa[0] == pytest.approx(1.95)
         assert poa_system(sym_2_2) == pytest.approx(1.5)
 
     @pytest.mark.parametrize("g_over_w", [0.5, 1.0, 2.0, 5.0])
     def test_symmetric_bound(self, g_over_w):
         s = symmetric(2, 10, w=1.0, g=g_over_w)
         assert poa_system(s) <= 1 + g_over_w
-        assert all(poa_node(n, s) <= 1 + g_over_w for n in range(s.n_nodes))
+        assert all(node_costs_at_ne(s).poa <= 1 + g_over_w)
 
 
 class TestCodedEquilibrium:
@@ -416,3 +433,73 @@ class TestCodedEquilibrium:
                     assert (n, x) in eq.profile.lam
                 else:
                     assert (n, x) not in eq.profile.lam
+
+
+@st.composite
+def shuffled_scenarios(draw, files):
+    """Unequal groups of 2-7 nodes in shuffled order, w and g drawn apart."""
+    f = draw(files)
+    sizes = draw(st.lists(st.integers(2, 7), min_size=f, max_size=f))
+    needs = draw(st.permutations(np.repeat(np.arange(f), sizes).tolist()))
+    cost = st.floats(0.05, 20.0)
+    return Scenario(files=f, nodes=tuple(Node(CostParams(w=draw(cost), g=draw(cost)), needs=x) for x in needs))
+
+
+def bits(values) -> list[str]:
+    """Each value's exact binary form (tells -0.0 from 0.0)."""
+    return [float(v).hex() for v in values]
+
+
+def assert_same_lam(lam, expected):
+    assert list(lam) == list(expected)
+    assert bits(lam.values()) == bits(expected.values())
+
+
+BIT_EXACT = settings(derandomize=True, max_examples=200, deadline=None)
+ALPHA = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestArrayFormsMatchScalarReferences:
+    """The vectorised closed forms against the per-node scalar formulas
+    (conftest's references), with == on every bit, not a tolerance."""
+
+    @BIT_EXACT
+    @given(s=shuffled_scenarios(st.just(2)))
+    def test_node_costs(self, s):
+        costs = node_costs_at_ne(s)
+        got = list(zip(*(bits(values) for values in costs)))
+        assert got == [tuple(bits(reference_node_cost(n, s))) for n in range(s.n_nodes)]
+
+    @BIT_EXACT
+    @given(s=shuffled_scenarios(st.just(2)), alpha=ALPHA)
+    def test_two_file_equilibrium(self, s, alpha):
+        eq = two_file_equilibrium(s, alpha=alpha, allow_negative=True)
+        gamma, lam, that_a, that_b = reference_two_file(s, alpha)
+        assert bits(eq.profile.gamma) == bits(gamma)
+        assert_same_lam(eq.profile.lam, lam)
+        assert bits([eq.that_a, eq.that_b]) == bits([that_a, that_b])
+
+    @BIT_EXACT
+    @given(s=shuffled_scenarios(st.just(2)), alpha=ALPHA)
+    def test_ne_round_duration(self, s, alpha):
+        d = ne_round_duration(s, alpha=alpha)
+        assert bits([d.t_init, d.that_a, d.that_b, d.total]) == bits(reference_round_duration(s, alpha))
+
+    @BIT_EXACT
+    @given(s=shuffled_scenarios(st.integers(2, 6)))
+    def test_coded_equilibrium(self, s):
+        eq = coded_equilibrium(s, allow_negative=True)
+        if s.files == 2:  # the degenerate family's alpha = 0.5 representative
+            gamma, lam, that_a, that_b = reference_two_file(s, 0.5)
+            big = (0.5 / that_a, 0.5 / that_b)
+        else:
+            big, gamma, lam = reference_coded(s)
+        assert bits(eq.gamma_by_file) == bits(big)
+        assert bits(eq.profile.gamma) == bits(gamma)
+        assert_same_lam(eq.profile.lam, lam)
+        durations = np.array(
+            [response_phase_mean([ref_ratio(s, m) for m in ref_complement(s, x)]) for x in range(s.files)]
+        )
+        total = float(np.sum(eq.gamma_by_file))
+        resp_mean = float(np.sum(np.asarray(eq.gamma_by_file) / total * durations))
+        assert bits([coded_round_duration(s, eq).response_mean]) == bits([resp_mean])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bxsim.errors import (
+    BAD_CONFIG,
     BAD_FILE_ID,
     GROUP_TOO_SMALL,
     NONFINITE_COST,
@@ -22,7 +23,6 @@ from bxsim.model import (
     Node,
     Scenario,
     atomic_open,
-    group_ratio_sums,
     load_scenario,
     require_valid,
     scenario_from_dict,
@@ -62,6 +62,13 @@ class TestValidation:
         s = Scenario(files=2, nodes=(Node(CostParams(w, g), 0),) + symmetric(2, 2).nodes)
         assert codes(validate_scenario(s)) == [NONFINITE_COST]
 
+    def test_overflowing_ratio(self):
+        # w and g are finite and positive, but w/g overflows to inf
+        s = Scenario(files=2, nodes=(Node(CostParams(1.0, 1e-320), 0),) + symmetric(2, 2).nodes)
+        violations = validate_scenario(s)
+        assert codes(violations) == [NONFINITE_COST]
+        assert "node 0" in violations[0].message and "overflows" in violations[0].message
+
     def test_single_file(self):
         s = Scenario(files=1, nodes=(Node(CostParams(1, 1), 0), Node(CostParams(1, 1), 0)))
         assert TOO_FEW_FILES in codes(validate_scenario(s))
@@ -93,23 +100,81 @@ class TestValidation:
         assert require_valid(sym_10_10) is sym_10_10
 
 
+def group_ratio_sum(s: Scenario, f: int) -> tuple[int, float]:
+    """(group size, sum of w/g over the nodes needing f) from the arrays."""
+    ratios = s.ratios[s.needs == f]
+    return ratios.size, float(np.sum(ratios))
+
+
 class TestGroupRatioSums:
     def test_symmetric_group(self, sym_10_10):
-        assert group_ratio_sums(sym_10_10)[0] == (10, 10.0)
+        assert group_ratio_sum(sym_10_10, 0) == (10, 10.0)
 
     def test_heterogeneous_sum(self):
         s = two_file([1.0, 2.0], [1.0, 1.0])
-        assert group_ratio_sums(s)[0] == (2, 3.0)
+        assert group_ratio_sum(s, 0) == (2, 3.0)
 
     def test_complement_by_subtraction(self):
         s = symmetric(3, 10)
-        sums = group_ratio_sums(s)
-        total = sum(v for _, v in sums.values())
+        sums = [group_ratio_sum(s, f)[1] for f in range(3)]
         for f in range(3):
-            assert total - sums[f][1] == pytest.approx(20.0, abs=1e-12)
+            assert sum(sums) - sums[f] == pytest.approx(20.0, abs=1e-12)
+
+
+class TestArrays:
+    def test_per_node_arrays(self):
+        s = Scenario(files=2, nodes=(Node(CostParams(3.0, 2.0), 1), Node(CostParams(1.0, 4.0), 0)))
+        assert s.w.tolist() == [3.0, 1.0] and s.g.tolist() == [2.0, 4.0]
+        assert s.ratios.tolist() == [1.5, 0.25] and s.needs.tolist() == [1, 0]
+        assert (s.ratio(0), s.group(0), s.complement(0)) == (1.5, (1,), (0,))
+
+    def test_groups_keep_ascending_ids(self):
+        s = Scenario(files=3, nodes=tuple(Node(CostParams(1.0, 1.0), x) for x in [2, 0, 2, 1, 0, 2]))
+        assert [s.group(x) for x in range(3)] == [(1, 4), (3,), (0, 2, 5)]
+        assert s.complement(2) == (1, 3, 4)
+        assert all(type(n) is int for n in s.group(2))
+
+
+def node_config(**fields) -> dict:
+    """A valid 2+2 config whose node 1 has ``fields`` replaced."""
+    data = scenario_to_dict(symmetric(2, 2))
+    data["nodes"][1].update(fields)
+    return data
 
 
 class TestConfig:
+    @pytest.mark.parametrize(
+        "fields",
+        [{"needs": 0.7}, {"needs": True}, {"needs": "1"}, {"w": True}, {"g": False}, {"w": "1.0"}, {"w": 10**400}],
+    )
+    def test_field_is_never_coerced(self, fields):
+        with pytest.raises(ScenarioError) as exc_info:
+            scenario_from_dict(node_config(**fields))
+        (violation,) = exc_info.value.violations
+        assert violation.code == BAD_CONFIG and "node 1" in violation.message
+
+    @pytest.mark.parametrize("files", [2.5, True, "2", None])
+    def test_files_must_be_an_integer(self, files):
+        with pytest.raises(ScenarioError) as exc_info:
+            scenario_from_dict({**node_config(), "files": files})
+        assert codes(exc_info.value.violations) == [BAD_CONFIG]
+
+    def test_bad_fields_reported_together(self):
+        data = node_config(needs=0.7, w=True)
+        data["nodes"][3] = {"w": 1.0, "g": 1.0}
+        data["seed"] = 1.5
+        with pytest.raises(ScenarioError) as exc_info:
+            scenario_from_dict(data)
+        assert codes(exc_info.value.violations) == [BAD_CONFIG] * 4
+        expected = ["node 1 has w=True", "node 1 has needs=0.7", "node 3 has no 'needs'", "config has seed=1.5"]
+        assert all(part in v.message for part, v in zip(expected, exc_info.value.violations))
+
+    def test_integral_numbers_are_kept(self):
+        s, seed = scenario_from_dict({**node_config(needs=1.0, w=2), "files": 2.0, "seed": 7.0})
+        assert (s.files, s.nodes[1].needs, seed) == (2, 1, 7)
+        assert type(s.nodes[1].needs) is int and type(s.nodes[1].costs.w) is float
+
+
     def test_round_trip(self, tmp_path, sym_2_2):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario_to_dict(sym_2_2, seed=42)))

@@ -16,7 +16,7 @@ from bxsim.equilibrium import (
     coded_equilibrium,
     coded_throughput,
     ne_round_duration,
-    node_cost_at_ne,
+    node_costs_at_ne,
     throughput_at_ne,
     two_file_equilibrium,
 )
@@ -300,7 +300,7 @@ class TestRunSimulation:
         cfg = SimConfig(scenario=sym_10_10, profile=profile, rounds=30_000, seed=12)
         m = run_simulation(cfg)
         assert m.per_node_throughput() == pytest.approx(throughput_at_ne(sym_10_10), rel=0.02)
-        expected = node_cost_at_ne(0, sym_10_10).avg_cost
+        expected = node_costs_at_ne(sym_10_10).avg_cost[0]
         for n in range(20):
             assert m.avg_total_cost(n) == pytest.approx(expected, rel=0.02)
 
@@ -316,7 +316,7 @@ class TestRunSimulation:
         profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
         m = run_simulation(SimConfig(scenario=sym_10_10, profile=profile, rounds=1000, seed=3))
         assert m.per_node_throughput() <= 0.5
-        assert all(m.avg_total_cost(n) >= 2 * sym_10_10.w(n) for n in range(20))
+        assert all(m.avg_total_cost(n) >= 2 * sym_10_10.w[n] for n in range(20))
 
     def test_trace_csv(self, tmp_path, sym_2_2):
         profile = two_file_equilibrium(sym_2_2, alpha=0.5).profile
