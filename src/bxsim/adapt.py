@@ -80,16 +80,11 @@ class AdaptState:
     epoch: int = 0
 
     def profile(self, scenario: Scenario) -> StrategyProfile:
-        gamma = [0.0] * scenario.n_nodes
-        lam: dict[tuple[int, int], float] = {}
-        resp_rates = self.responders.rates
-        init_rates = self.initiators.rates
-        for i, n in enumerate(self.responders.nodes):
-            lam[(n, 1)] = float(resp_rates[i])
-        for j, n in enumerate(self.initiators.nodes):
-            gamma[n] = float(init_rates[j])
-            lam[(n, 0)] = 0.0
-        return StrategyProfile(gamma=tuple(gamma), lam=lam)
+        """Initiators initiate, responders answer file 1; every other rate is 0."""
+        gamma, lam = np.zeros(scenario.n_nodes), np.zeros((scenario.n_nodes, 2))
+        gamma[list(self.initiators.nodes)] = self.initiators.rates
+        lam[list(self.responders.nodes), 1] = self.responders.rates
+        return StrategyProfile(gamma=gamma, lam=lam)
 
 
 def init_state(s: Scenario, cfg: AdaptConfig) -> AdaptState:
@@ -197,12 +192,8 @@ class AdaptiveRunResult:
 
 
 def _node_states(state: AdaptState) -> tuple[tuple[int, float, float], ...]:
-    out: list[tuple[int, float, float]] = []
-    for grp in (state.responders, state.initiators):
-        rates = grp.rates
-        for i, n in enumerate(grp.nodes):
-            out.append((n, float(1.0 / grp.inv_guess[i]), float(rates[i])))
-    return tuple(sorted(out))
+    groups = (state.responders, state.initiators)
+    return tuple(sorted(row for g in groups for row in zip(g.nodes, (1.0 / g.inv_guess).tolist(), g.rates.tolist())))
 
 
 def run_adaptive_simulation(s: Scenario, cfg: AdaptConfig, seed: int = 0) -> AdaptiveRunResult:

@@ -4,13 +4,14 @@ and the two experiment reproductions, all emitting plot-ready CSV.
 Exit codes: 0 success, 2 invalid scenario/arguments, 3 equilibrium
 nonexistence (negative rates or an unexpectedly singular system), 4 runtime
 stall.  Every command is deterministic given its config and seeds; reruns
-produce byte-identical CSV.  Floats are written with 9 significant digits.
+produce byte-identical CSV in the csv module's default dialect (comma,
+``\r\n``, no field ever quoted): one ``%`` template per row kind (the
+``*_ROW`` constants), floats at ``%.9g``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -36,20 +37,24 @@ from .model import (
 )
 
 
-def fmt(x: float) -> str:
-    return f"{x:.9g}"
+NODE_COLUMNS = "%.9g,%.9g,%d"  # w, g, needs
 
 
-def node_columns(s: Scenario) -> list[list[str]]:
-    """Per node, its w, g and needs columns as written to CSV."""
-    return [[fmt(w), fmt(g), str(x)] for w, g, x in zip(s.w.tolist(), s.g.tolist(), s.needs.tolist())]
+def node_columns(s: Scenario) -> list[str]:
+    """Per node, its w, g and needs columns as one CSV string."""
+    return format_rows(NODE_COLUMNS, s.w.tolist(), s.g.tolist(), s.needs.tolist())
 
 
-def write_csv(path: str | Path, header: list[str], rows: list[list[str]]) -> None:
+def format_rows(template: str, *columns) -> list[str]:
+    """``template`` filled from each position of the ``columns`` in turn."""
+    return [template % row for row in zip(*columns)]
+
+
+def write_csv(path: str | Path, header: list[str], lines: list[str]) -> None:
+    """Write the header and the preformatted ``lines`` to ``path``."""
     with atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join(lines))
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -101,54 +106,53 @@ def dump_scenarios(out: str, scenarios: dict[str, Scenario]) -> None:
 
 
 NE_HEADER = ["kind", "node", "context", "w", "g", "needs", "value"]
+NE_AGGREGATE_ROW = "Gamma,,%d,,,,%.9g\r\n"
+NE_DEGENERATE_ROW = "degenerate,,,,,,%d\r\n"
+NE_GAMMA_ROW = "gamma,%d,,%s,%.9g\r\n"
+NE_LAMBDA_ROW = "lambda,%d,%d,%s,%.9g\r\n"
 
 
 def cmd_ne(args) -> int:
     s, _ = load_scenario(args.config)
     require_valid(s)
-    rows: list[list[str]] = []
+    lines: list[str] = []
     if args.coded:
         eq = equilibrium.coded_equilibrium(s)
         profile = eq.profile
-        for x, gx in enumerate(eq.gamma_by_file):
-            rows.append(["Gamma", "", str(x), "", "", "", fmt(gx)])
-        rows.append(["degenerate", "", "", "", "", "", str(int(eq.degenerate))])
+        lines += format_rows(NE_AGGREGATE_ROW, range(s.files), eq.gamma_by_file)
+        lines.append(NE_DEGENERATE_ROW % eq.degenerate)
     else:
         profile = equilibrium.two_file_equilibrium(s, alpha=args.alpha).profile
     columns = node_columns(s)
-    for n, gamma in enumerate(profile.gamma):
-        rows.append(["gamma", str(n), "", *columns[n], fmt(gamma)])
-    for (n, x) in sorted(profile.lam):
-        rows.append(["lambda", str(n), str(x), *columns[n], fmt(profile.lam[(n, x)])])
-    write_csv(args.out, NE_HEADER, rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    lines += format_rows(NE_GAMMA_ROW, range(s.n_nodes), columns, profile.gamma.tolist())
+    nodes, files = np.nonzero(np.arange(s.files) != s.needs[:, None])  # sorted (node, held file) pairs
+    values, nodes = profile.lam[nodes, files].tolist(), nodes.tolist()
+    lines += format_rows(NE_LAMBDA_ROW, nodes, files.tolist(), [columns[n] for n in nodes], values)
+    write_csv(args.out, NE_HEADER, lines)
+    print(f"wrote {len(lines)} rows to {args.out}")
     return 0
 
 
 POA_HEADER = ["kind", "node", "w", "g", "needs", "avg_cost", "transmit_prob", "poa", "throughput", "total_duration"]
+POA_SYSTEM_ROW = "system,,,,,,,%.9g,%.9g,%.9g\r\n"
+POA_NODE_ROW = "node,%d,%s,%.9g,%.9g,%.9g,,\r\n"
 
 
 def cmd_poa(args) -> int:
     s, _ = load_scenario(args.config)
     require_valid(s)
-    duration = equilibrium.ne_round_duration(s)
-    rows = [
-        [
-            "system", "", "", "", "", "", "",
-            fmt(equilibrium.poa_system(s)),
-            fmt(equilibrium.throughput_at_ne(s)),
-            fmt(duration.total),
-        ]
-    ]
-    costs = np.column_stack(equilibrium.node_costs_at_ne(s)).tolist()  # avg_cost, transmit_prob, poa
-    for n, (columns, values) in enumerate(zip(node_columns(s), costs)):
-        rows.append(["node", str(n), *columns, *map(fmt, values), "", ""])
-    write_csv(args.out, POA_HEADER, rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    system = (equilibrium.poa_system(s), equilibrium.throughput_at_ne(s), equilibrium.ne_round_duration(s).total)
+    costs = equilibrium.node_costs_at_ne(s)  # avg_cost, transmit_prob, poa
+    lines = [POA_SYSTEM_ROW % system]
+    lines += format_rows(POA_NODE_ROW, range(s.n_nodes), node_columns(s), *(c.tolist() for c in costs))
+    write_csv(args.out, POA_HEADER, lines)
+    print(f"wrote {len(lines)} rows to {args.out}")
     return 0
 
 
 SIM_HEADER = ["seed", "kind", "node", "w", "g", "needs", "downloads", "uploads", "avg_cost", "throughput"]
+SIM_NODE_ROW = "%d,node,%d,%s,%d,%d,%.9g,\r\n"
+SIM_SYSTEM_ROW = "%d,system,,,,,,,,%.9g\r\n"
 
 
 def cmd_simulate(args) -> int:
@@ -166,22 +170,17 @@ def cmd_simulate(args) -> int:
     if args.trace and len(seeds) > 1:
         print("--trace requires a single seed", file=sys.stderr)
         return 2
-    rows: list[list[str]] = []
+    lines: list[str] = []
     columns = node_columns(s)
     for seed in seeds:
         cfg = simulate.SimConfig(scenario=s, profile=profile, rounds=args.rounds, seed=seed, coded=args.coded)
         metrics = simulate.run_simulation(cfg, trace_path=args.trace or None)
-        for n in range(s.n_nodes):
-            rows.append(
-                [
-                    str(seed), "node", str(n), *columns[n],
-                    str(int(metrics.downloads[n])), str(int(metrics.uploads[n])),
-                    fmt(metrics.avg_total_cost(n)), "",
-                ]
-            )
-        rows.append([str(seed), "system", "", "", "", "", "", "", "", fmt(metrics.per_node_throughput())])
-    write_csv(args.out, SIM_HEADER, rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
+        costs = [metrics.avg_total_cost(n) for n in range(s.n_nodes)]
+        downloads, uploads = metrics.downloads.tolist(), metrics.uploads.tolist()
+        lines += format_rows(SIM_NODE_ROW, [seed] * s.n_nodes, range(s.n_nodes), columns, downloads, uploads, costs)
+        lines.append(SIM_SYSTEM_ROW % (seed, metrics.per_node_throughput()))
+    write_csv(args.out, SIM_HEADER, lines)
+    print(f"wrote {len(lines)} rows to {args.out}")
     return 0
 
 
@@ -192,7 +191,9 @@ def adapt_config(args) -> adapt.AdaptConfig:
 
 
 ADAPT_HEADER = ["seed", "epoch", "delta", "observed_inv_that_a", "observed_inv_that_b", "throughput"]
+ADAPT_ROW = "%d,%d,%.9g,%.9g,%.9g,%.9g\r\n"
 ADAPT_NODE_HEADER = ["seed", "epoch", "node", "that_guess", "rate"]
+ADAPT_NODE_ROW = "%d,%d,%d,%.9g,%.9g\r\n"
 
 
 def cmd_adapt(args) -> int:
@@ -200,27 +201,21 @@ def cmd_adapt(args) -> int:
     require_valid(s)
     cfg = adapt_config(args)
     seeds = parse_seeds(args.seeds) if args.seeds else [cfg_seed if cfg_seed is not None else 0]
-    rows: list[list[str]] = []
-    node_rows: list[list[str]] = []
+    lines, node_lines = [], []
     for seed in seeds:
-        result = adapt.run_adaptive_simulation(s, cfg, seed=seed)
-        for rec in result.epochs:
-            rows.append(
-                [
-                    str(seed), str(rec.epoch), fmt(rec.delta),
-                    fmt(rec.observed_inv_that_a), fmt(rec.observed_inv_that_b), fmt(rec.throughput),
-                ]
-            )
-            for node, guess, rate in rec.node_states:
-                node_rows.append([str(seed), str(rec.epoch), str(node), fmt(guess), fmt(rate)])
-    write_csv(args.out, ADAPT_HEADER, rows)
+        for rec in adapt.run_adaptive_simulation(s, cfg, seed=seed).epochs:
+            observed = (rec.delta, rec.observed_inv_that_a, rec.observed_inv_that_b, rec.throughput)
+            lines.append(ADAPT_ROW % (seed, rec.epoch, *observed))
+            node_lines += [ADAPT_NODE_ROW % (seed, rec.epoch, *state) for state in rec.node_states]
+    write_csv(args.out, ADAPT_HEADER, lines)
     if args.per_node_out:
-        write_csv(args.per_node_out, ADAPT_NODE_HEADER, node_rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
+        write_csv(args.per_node_out, ADAPT_NODE_HEADER, node_lines)
+    print(f"wrote {len(lines)} rows to {args.out}")
     return 0
 
 
 FIG2_HEADER = ["epoch", "throughput_mean", "throughput_std", "ne_throughput"]
+FIG2_ROW = "%d,%.9g,%.9g,%.9g\r\n"
 
 
 def cmd_fig2(args) -> int:
@@ -237,22 +232,24 @@ def cmd_fig2(args) -> int:
         ne_values.append(equilibrium.throughput_at_ne(s))
     data = np.array(trajectories)
     ne_mean = float(np.mean(ne_values))
-    rows = [
-        [str(epoch), fmt(float(np.mean(data[:, epoch]))), fmt(float(np.std(data[:, epoch]))), fmt(ne_mean)]
+    lines = [
+        FIG2_ROW % (epoch, np.mean(data[:, epoch]), np.std(data[:, epoch]), ne_mean)
         for epoch in range(cfg.updates + 1)
     ]
-    write_csv(args.out, FIG2_HEADER, rows)
+    write_csv(args.out, FIG2_HEADER, lines)
     dump_scenarios(args.out, scenarios)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {len(lines)} rows to {args.out}")
     return 0
 
 
 FIG3_HEADER = ["num_files", "coded_throughput", "baseline_throughput", "simulated_throughput"]
+FIG3_ROW = "%d,%.9g,%.9g,%.9g\r\n"
+FIG3_ANALYTIC_ROW = "%d,%.9g,%.9g,\r\n"  # without --simulate
 
 
 def cmd_fig3(args) -> int:
     file_counts = [int(x) for x in args.files.split(",")]
-    rows: list[list[str]] = []
+    lines: list[str] = []
     scenarios: dict[str, Scenario] = {}
     for f in file_counts:
         s = gen_groups([args.group_size] * f, args.w_lo, args.w_hi, args.g, gen_rng(args.seed, f))
@@ -262,16 +259,16 @@ def cmd_fig3(args) -> int:
         # when the per-node split would go negative.
         eq = equilibrium.coded_equilibrium(s, allow_negative=True)
         analytic = equilibrium.coded_throughput(s, eq)
-        simulated = ""
         if args.simulate:
             profile = equilibrium.coded_equilibrium(s).profile
             cfg = simulate.SimConfig(scenario=s, profile=profile, rounds=args.rounds, seed=args.seed, coded=True)
             metrics = simulate.run_simulation(cfg)
-            simulated = fmt(metrics.per_node_throughput())
-        rows.append([str(f), fmt(analytic), fmt(1.0 / f), simulated])
-    write_csv(args.out, FIG3_HEADER, rows)
+            lines.append(FIG3_ROW % (f, analytic, 1.0 / f, metrics.per_node_throughput()))
+        else:
+            lines.append(FIG3_ANALYTIC_ROW % (f, analytic, 1.0 / f))
+    write_csv(args.out, FIG3_HEADER, lines)
     dump_scenarios(args.out, scenarios)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {len(lines)} rows to {args.out}")
     return 0
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -122,18 +121,18 @@ def expected_initiation_cost(
         raise ValueError("initiation-cost closed form is defined for two-file scenarios")
     w, g = float(s.w[node]), float(s.g[node])
     needed = int(s.needs[node])
-    own = s.group(needed)
-    other = s.group(1 - needed)
+    own, other = (s.needs == needed) & (np.arange(s.n_nodes) != node), s.needs != needed
+    gamma = np.asarray(profile.gamma, dtype=float)
 
-    gamma_own_others = sum(profile.gamma[m] for m in own if m != node)
-    gamma_other = sum(profile.gamma[m] for m in other)
+    gamma_own_others = float(np.sum(gamma[own]))
+    gamma_other = float(np.sum(gamma[other]))
     gamma_rest = gamma_own_others + gamma_other
     if gamma_rest <= 0:
         raise DegenerateProfileError("all other initiation rates are zero")
 
     # Response duration the node waits for after its group's announcement:
     # the other group responds, at its profile rates.
-    lam_other_group = sum(profile.response_rate(m, needed) for m in other)
+    lam_other_group = float(np.sum(np.asarray(profile.lam)[other, needed]))
     if lam_other_group <= 0:
         raise DegenerateProfileError("the responding group never fires")
     that_resp = 1.0 / lam_other_group
@@ -186,14 +185,13 @@ def two_file_equilibrium(
     # Group 0 possesses file 1 and responds to its announcements, which only
     # happen when group 1 initiates (weight 1 - alpha); mirrored for group 1.
     # At a boundary alpha the never-announced context gets rate 0.
-    resp_a = lam_a if alpha < 1.0 else np.zeros_like(lam_a)
-    resp_b = lam_b if alpha > 0.0 else np.zeros_like(lam_b)
-    lam = dict(zip(zip(s.group(0), repeat(1)), resp_a.tolist()))
-    lam.update(zip(zip(s.group(1), repeat(0)), resp_b.tolist()))
+    lam = np.zeros((s.n_nodes, 2))
+    lam[s.needs == 0, 1] = lam_a if alpha < 1.0 else 0.0
+    lam[s.needs == 1, 0] = lam_b if alpha > 0.0 else 0.0
 
     return TwoFileEquilibrium(
         alpha=alpha,
-        profile=StrategyProfile(gamma=tuple(gamma.tolist()), lam=lam),
+        profile=StrategyProfile(gamma=gamma, lam=lam),
         that_a=response_phase_mean(ra),
         that_b=response_phase_mean(rb),
     )
@@ -292,7 +290,7 @@ def coded_system(s: Scenario) -> linsolve.DenseSystem:
     require_valid(s)
     f = s.files
     sums = [float(np.sum(s.ratios[s.needs == x])) for x in range(f)]
-    sizes = s.group_sizes()
+    sizes = s.group_sizes().tolist()
     total_nodes = s.n_nodes
     total_ratio = sum(sums)
     a = np.zeros((f, f))
@@ -313,9 +311,9 @@ def coded_equilibrium(s: Scenario, allow_negative: bool = False) -> CodedEquilib
     """Solve the network-coded game.
 
     Builds and solves the aggregate-rate system, recovers per-node
-    initiation rates, and computes context-dependent response rates for
-    every (node, announced file) pair via response_equilibrium over the
-    file's complement group.
+    initiation rates, and fills the response rates of every node holding
+    each announced file via response_equilibrium over the file's
+    complement group.
     """
     require_valid(s)
     sys = coded_system(s)
@@ -351,14 +349,14 @@ def coded_equilibrium(s: Scenario, allow_negative: bool = False) -> CodedEquilib
                 "no nonnegative coded equilibrium exists"
             )
 
-    lam = {}
+    lam = np.zeros((s.n_nodes, s.files))
     for x in range(s.files):
-        rates = response_equilibrium(s.ratios[s.needs != x], allow_negative=allow_negative)
-        lam.update(zip(zip(s.complement(x), repeat(x)), rates.tolist()))
+        holders = s.needs != x
+        lam[holders, x] = response_equilibrium(s.ratios[holders], allow_negative=allow_negative)
 
     return CodedEquilibrium(
         gamma_by_file=tuple(big_gamma.tolist()),
-        profile=StrategyProfile(gamma=tuple(gamma.tolist()), lam=lam),
+        profile=StrategyProfile(gamma=gamma, lam=lam),
         degenerate=False,
     )
 

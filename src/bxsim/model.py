@@ -18,8 +18,9 @@ import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -110,12 +111,10 @@ class Scenario:
         """Node ids that possess ``file`` (i.e. need something else)."""
         return tuple(np.flatnonzero(self.needs != file).tolist())
 
-    def group_sizes(self) -> list[int]:
-        sizes = [0] * self.files
-        for nd in self.nodes:
-            if 0 <= nd.needs < self.files:
-                sizes[nd.needs] += 1
-        return sizes
+    def group_sizes(self) -> np.ndarray:
+        """Nodes needing each file; a ``needs`` outside 0..files-1 is not counted."""
+        valid = [nd.needs for nd in self.nodes if 0 <= nd.needs < self.files]
+        return np.bincount(np.array(valid, dtype=np.int64), minlength=self.files)
 
 
 def validate_scenario(s: Scenario) -> list[Violation]:
@@ -123,8 +122,10 @@ def validate_scenario(s: Scenario) -> list[Violation]:
 
     An empty list means the scenario is valid.  The checks mirror what the
     closed forms require: at least 2 files, finite positive costs whose
-    ratio w/g is finite, and every file group of size >= 2 (group sums are
-    divided by size minus one).
+    ratio w/g is finite, every file group of size >= 2 (group sums are
+    divided by size minus one), and a finite response duration for every
+    group and complement.  More files than nodes is a single violation, so
+    no check does per-file work beyond the node count.
     """
     out: list[Violation] = []
     inf = float("inf")
@@ -141,9 +142,23 @@ def validate_scenario(s: Scenario) -> list[Violation]:
             code = NONPOSITIVE_COST if w <= 0 or g <= 0 else NONFINITE_COST
             why = "w/g overflows" if 0 < w < inf and 0 < g < inf else "both must be finite and > 0"
             out.append(Violation(code, f"node {n} has w={w}, g={g}; {why}"))
-    for f, size in enumerate(s.group_sizes()):
-        if size < 2:
-            out.append(Violation(GROUP_TOO_SMALL, f"file {f} is needed by {size} node(s); need at least 2"))
+    if s.files > s.n_nodes:
+        out.append(Violation(GROUP_TOO_SMALL, f"{s.files} files need 2 nodes each; the scenario has {s.n_nodes}"))
+    elif s.files > 0:
+        for f, size in enumerate(s.group_sizes().tolist()):
+            if size < 2:
+                out.append(Violation(GROUP_TOO_SMALL, f"file {f} is needed by {size} node(s); need at least 2"))
+    if out:
+        return out
+    # Every response duration (count - 1) / sum(w/g) must be finite; with two
+    # files the nodes that hold one file are the group that needs the other.
+    for x, kind in product(range(s.files), ("need", "hold") if s.files > 2 else ("need",)):
+        ratios = s.ratios[s.needs == x if kind == "need" else s.needs != x]
+        with np.errstate(over="ignore"):
+            total = float(np.sum(ratios))
+        if not (0 < total < inf and (ratios.size - 1) / total < inf):
+            why = f"the {ratios.size} nodes that {kind} file {x} have sum(w/g) = {total}"
+            out.append(Violation(NONFINITE_COST, f"{why}; (count - 1) / sum(w/g) must be finite and > 0"))
     return out
 
 
@@ -156,23 +171,21 @@ def require_valid(s: Scenario) -> Scenario:
 
 @dataclass(frozen=True)
 class StrategyProfile:
-    """Exponential-timer rates for every node.
+    """Exponential-timer rates for every node, as arrays indexed by node id.
 
-    gamma[n] is node n's initiation rate.  lam[(n, X)] is node n's response
-    rate when file X has been announced; it is defined only for files the
-    node possesses (X != needs[n]).  A missing (n, X) key means the node
-    never responds in that context, the same as an explicit 0.
+    gamma, shape (n_nodes,): gamma[n] is node n's initiation rate.
+    lam, shape (n_nodes, files): lam[n, X] is node n's response rate when
+    file X has been announced.  Only the files a node possesses are ever
+    read; the entry of its own needed file is 0.  A rate of 0 means the
+    node never fires in that context.
 
     Rates must be nonnegative to be simulated.  Equilibrium constructors can
     be asked (``allow_negative=True``) to return sign-invalid profiles for
     algebraic identity checking only; the simulator rejects those.
     """
 
-    gamma: tuple[float, ...]
-    lam: Mapping[tuple[NodeId, FileId], float]
-
-    def response_rate(self, n: NodeId, context: FileId) -> float:
-        return self.lam.get((n, context), 0.0)
+    gamma: np.ndarray
+    lam: np.ndarray
 
 
 class Metrics:

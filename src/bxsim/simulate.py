@@ -87,9 +87,9 @@ class RoundEngine:
         self.scenario = scenario
         self.coded = coded
         n, files, needs = scenario.n_nodes, scenario.files, scenario.needs
-        self.gamma = np.array(profile.gamma, dtype=float)
-        if self.gamma.shape != (n,):
-            raise ValueError("profile gamma length must match the node count")
+        self.gamma, lam = np.array(profile.gamma, dtype=float), np.asarray(profile.lam, dtype=float)
+        if self.gamma.shape != (n,) or lam.shape != (n, files):
+            raise ValueError("profile gamma must have shape (nodes,) and lam (nodes, files)")
         self.initiators = np.flatnonzero(self.gamma > 0)
         # Per file X, the positive-rate nodes that possess X (ascending ids),
         # padded with rate 0: their ids, their positions among the round's
@@ -100,7 +100,7 @@ class RoundEngine:
         self.resp_rate = np.zeros(shape)
         for x in range(files):
             ids = np.flatnonzero(needs != x)
-            rates = np.array([profile.response_rate(int(m), x) for m in ids], dtype=float)
+            rates = lam[ids, x]
             cols = np.flatnonzero(rates)
             k = cols.size
             self.resp_id[x, :k], self.resp_col[x, :k], self.resp_rate[x, :k] = ids[cols], cols, rates[cols]

@@ -8,7 +8,7 @@ import pytest
 from bxsim import linsolve
 from bxsim.equilibrium import response_equilibrium, response_phase_mean
 from bxsim.errors import StallError
-from bxsim.model import CostParams, Node, Scenario, make_two_file
+from bxsim.model import CostParams, Node, Scenario, StrategyProfile, make_two_file
 from bxsim.simulate import NEVER
 
 two_file = make_two_file
@@ -34,6 +34,15 @@ def random_coded(rng: np.random.Generator, files: int, group_size: int = 10) -> 
         for _ in range(group_size)
     ]
     return Scenario(files=files, nodes=tuple(nodes))
+
+
+def dense_profile(gamma, lam: dict, files: int = 2) -> StrategyProfile:
+    """A StrategyProfile from initiation rates and a sparse {(node, file): rate}
+    dict of response rates; every pair the dict leaves out gets rate 0."""
+    dense = np.zeros((len(gamma), files))
+    for (n, x), rate in lam.items():
+        dense[n, x] = rate
+    return StrategyProfile(gamma=np.array(gamma, dtype=float), lam=dense)
 
 
 @pytest.fixture
@@ -65,7 +74,7 @@ def reference_play(s: Scenario, profile, rng: np.random.Generator, rounds: int) 
             raise StallError("no node can initiate")
         x = int(s.needs[i0])
         ids = np.flatnonzero(s.needs != x)
-        th = reference_timers(np.array([profile.response_rate(int(m), x) for m in ids]), rng)
+        th = reference_timers(np.array([float(profile.lam[m, x]) for m in ids]), rng)
         j = int(np.argmin(th))
         if not math.isfinite(th[j]):
             raise StallError(f"no responder for file {x}")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -12,8 +13,11 @@ import bxsim
 import bxsim.cli
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bxsim.cli import dump_scenarios, main, parse_seeds
+from bxsim import simulate
+from bxsim.cli import dump_scenarios, main, parse_seeds, write_csv
 from bxsim.equilibrium import coded_throughput
 from bxsim.model import scenario_to_dict
 
@@ -106,6 +110,31 @@ class TestNe:
         assert main([command[0], "--config", str(path), *command[1:], "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "NONFINITE_COST" in err and "node 4" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["ne"], ["poa"], ["simulate", "--rounds", "100"]])
+    def test_overflowing_response_duration_exits_2(self, tmp_path, capsys, command):
+        # every w/g is finite, but group 0's (2 - 1) / sum(w/g) overflows
+        data = scenario_to_dict(symmetric(2, 2))
+        for node in data["nodes"][:2]:
+            node["w"] = 1e-320
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        assert main([command[0], "--config", str(path), *command[1:], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "NONFINITE_COST" in err and "need file 0" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_more_files_than_nodes_exits_2(self, tmp_path, capsys):
+        data = {**scenario_to_dict(symmetric(2, 2)), "files": 10**9}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        assert main(["ne", "--config", str(path), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == "invalid scenario:" and len(lines) == 2
+        assert "GROUP_TOO_SMALL" in lines[1] and "1000000000" in lines[1] and "4" in lines[1]
         assert not out.exists()
 
     @pytest.mark.parametrize("field,value", [("needs", 0.7), ("w", True)])
@@ -332,9 +361,11 @@ def shuffled_config(groups: list[int], w_range: tuple, g_range: tuple) -> dict:
 
 
 class TestPinnedOutputs:
-    """SHA-256 of the equilibrium CSVs on two fixed shuffled scenarios with
-    unequal groups and heterogeneous w and g.  The digests were taken from
-    the per-node implementation the array forms replaced."""
+    """SHA-256 of every output of fixed runs on two shuffled scenarios with
+    unequal groups and heterogeneous w and g, and of generated-scenario runs.
+    The equilibrium digests were taken from the per-node implementation the
+    array forms replaced, the others from the csv-module writer that the row
+    templates replaced."""
 
     CONFIGS = {  # name: (shuffled_config arguments, SHA-256 of the config file)
         "two.json": (
@@ -346,26 +377,63 @@ class TestPinnedOutputs:
             "ad71eff60f075299a2b26b2be005bcc7900883b5329ccd35436392660019d9fd",
         ),
     }
-    RUNS = {
+    RUNS = {  # name: (arguments, {output file: SHA-256})
         "ne": (
-            "ne --config two.json",
-            "b291d9ceca9cec9718a25f1cb90cc08f1a1b960f28dbe4a6fae1821597249ebf",
+            "ne --config two.json --out out.csv",
+            {"out.csv": "b291d9ceca9cec9718a25f1cb90cc08f1a1b960f28dbe4a6fae1821597249ebf"},
         ),
         "ne-alpha": (
-            "ne --alpha 0.3 --config two.json",
-            "02d63b2f65c9b18a65304bd373603a258e1aafdbb1d54077f74883cecd05477e",
+            "ne --alpha 0.3 --config two.json --out out.csv",
+            {"out.csv": "02d63b2f65c9b18a65304bd373603a258e1aafdbb1d54077f74883cecd05477e"},
         ),
         "ne-coded-2": (
-            "ne --coded --config two.json",
-            "dc39ba680af15251bb1639661adb083cb8e42f307ef7e6f20fb3134d94b8d3b7",
+            "ne --coded --config two.json --out out.csv",
+            {"out.csv": "dc39ba680af15251bb1639661adb083cb8e42f307ef7e6f20fb3134d94b8d3b7"},
         ),
         "ne-coded-4": (
-            "ne --coded --config coded.json",
-            "088820807b30b51bfcb02fa39160e5c404b212552ac50490cbea2d65d0950012",
+            "ne --coded --config coded.json --out out.csv",
+            {"out.csv": "088820807b30b51bfcb02fa39160e5c404b212552ac50490cbea2d65d0950012"},
         ),
         "poa": (
-            "poa --config two.json",
-            "8503bdef51f62ead628c36e3f63f60ac7293e88e8c0106d5c7aa1c99afaa7abd",
+            "poa --config two.json --out out.csv",
+            {"out.csv": "8503bdef51f62ead628c36e3f63f60ac7293e88e8c0106d5c7aa1c99afaa7abd"},
+        ),
+        "simulate-seeds": (
+            "simulate --seeds 3,4 --rounds 3000 --config two.json --out out.csv",
+            {"out.csv": "81a8f919282bffdf1da8a322b95b98d87e802dc839cb7e41fe6015f054e18bed"},
+        ),
+        "simulate-trace": (
+            "simulate --seeds 5 --rounds 2000 --config two.json --trace trace.csv --out out.csv",
+            {
+                "out.csv": "a1b8aaf84ade8493fd6b5b1f8f83a593ece3d0d964e0592eba3aa82ade364bc8",
+                "trace.csv": "23795736bf2bcc417a1fa211dc98185a4e6443bbc65a1a69eb65e55e019447ed",
+            },
+        ),
+        "simulate-coded": (
+            "simulate --coded --seeds 1 --rounds 2000 --config coded.json --out out.csv",
+            {"out.csv": "979018a903a11c833116ff1df8e7ebf669f1b0baa5c4d81df02d02e249821296"},
+        ),
+        "adapt": (
+            "adapt --updates 3 --epoch-rounds 200 --seeds 0,1 --config two.json "
+            "--per-node-out nodes.csv --out out.csv",
+            {
+                "out.csv": "e185bd8e008ae4493c76655707ea63bd09e4d1621b3c36b715b25e2643426493",
+                "nodes.csv": "906bcf3030fda96c6a1aa353c4d9fc2a57ed4652afbb63f4c8548d1854d7197d",
+            },
+        ),
+        "fig2": (
+            "fig2 --seeds 0-2 --out out.csv",
+            {
+                "out.csv": "e6b34c5ba182dfba9e7cb400ab1e52dfe98f9d011df09db936ab4f1b7497b65c",
+                "out.csv.scenarios.json": "2b4d6998e84a68d575846072d1c642541ee13f297f7f18b0012aebc7abb44883",
+            },
+        ),
+        "fig3": (
+            "fig3 --simulate --files 3,4 --rounds 2000 --out out.csv",
+            {
+                "out.csv": "06f87274f09dfb33507ed9e4890a870962ca54410941d8c80d7b120caf615445",
+                "out.csv.scenarios.json": "c7f6bcf96cd41c32ce2b7c56c334da875cb042908b25f02f1c71d11a89af50a2",
+            },
         ),
     }
 
@@ -374,8 +442,82 @@ class TestPinnedOutputs:
         for name, (shape, config_digest) in self.CONFIGS.items():
             (tmp_path / name).write_text(json.dumps(shuffled_config(*shape)))
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == config_digest
-        command, digest = self.RUNS[run]
-        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in command.split()]
-        out = tmp_path / "out.csv"
-        assert main([*argv, "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        command, digests = self.RUNS[run]
+        argv = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in command.split()]
+        assert main(argv) == 0
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests}
+        assert got == digests
+
+
+def csv_line(fields: list[str]) -> str:
+    """One row as the csv module's default writer writes it."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()
+
+
+# Every row template the program writes, with the header of its file.
+ROW_TEMPLATES = {
+    **{
+        name: (getattr(bxsim.cli, name), getattr(bxsim.cli, header))
+        for name, header in [
+            ("NE_AGGREGATE_ROW", "NE_HEADER"),
+            ("NE_DEGENERATE_ROW", "NE_HEADER"),
+            ("NE_GAMMA_ROW", "NE_HEADER"),
+            ("NE_LAMBDA_ROW", "NE_HEADER"),
+            ("POA_SYSTEM_ROW", "POA_HEADER"),
+            ("POA_NODE_ROW", "POA_HEADER"),
+            ("SIM_NODE_ROW", "SIM_HEADER"),
+            ("SIM_SYSTEM_ROW", "SIM_HEADER"),
+            ("ADAPT_ROW", "ADAPT_HEADER"),
+            ("ADAPT_NODE_ROW", "ADAPT_NODE_HEADER"),
+            ("FIG2_ROW", "FIG2_HEADER"),
+            ("FIG3_ROW", "FIG3_HEADER"),
+            ("FIG3_ANALYTIC_ROW", "FIG3_HEADER"),
+        ]
+    },
+    "TRACE_ROW": (simulate.TRACE_ROW, simulate.TRACE_HEADER),
+}
+FLOATS = st.one_of(
+    st.floats(),  # nan, inf and subnormals included
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1e300, 1e-9, 123456789.5]),
+)
+INTS = st.integers(-(2**70), 2**70)
+
+
+class TestRowTemplates:
+    """The row templates write the bytes the csv module's writer wrote for
+    the same cells (floats as f"{x:.9g}", integers as str), with as many
+    fields as the file's header."""
+
+    def test_every_template_is_listed(self):
+        assert {name for name in vars(bxsim.cli) if name.endswith("_ROW")} | {"TRACE_ROW"} == set(ROW_TEMPLATES)
+
+    @pytest.mark.parametrize("name", ROW_TEMPLATES)
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_row_matches_csv_writer(self, name, data):
+        template, header = ROW_TEMPLATES[name]
+        assert template.endswith("\r\n")
+        values, fields = [], []
+        for token in template[:-2].split(","):
+            if token == "%d":
+                values.append(data.draw(INTS))
+                fields.append(str(values[-1]))
+            elif token == "%.9g":
+                values.append(data.draw(FLOATS))
+                fields.append(f"{values[-1]:.9g}")
+            elif token == "%s":  # a node's w, g and needs columns
+                w, g, needs = data.draw(FLOATS), data.draw(FLOATS), data.draw(INTS)
+                values.append(bxsim.cli.NODE_COLUMNS % (w, g, needs))
+                fields += [f"{w:.9g}", f"{g:.9g}", str(needs)]
+            else:
+                fields.append(token)
+        assert template % tuple(values) == csv_line(fields)
+        assert len(fields) == len(header)
+
+    def test_write_csv_matches_csv_writer(self, tmp_path):
+        rows = [["0", "1.5", "", "inf"], ["-3", "nan", "-0", "5e-324"]]
+        write_csv(tmp_path / "out.csv", ["a", "b", "c", "d"], [",".join(r) + "\r\n" for r in rows])
+        want = "".join(csv_line(r) for r in [["a", "b", "c", "d"], *rows])
+        assert (tmp_path / "out.csv").read_bytes() == want.encode()

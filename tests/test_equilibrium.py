@@ -29,6 +29,7 @@ from bxsim.errors import DegenerateProfileError, NegativeRateError, SingularSyst
 from bxsim.model import CostParams, Node, Scenario
 
 from conftest import (
+    dense_profile,
     random_coded,
     random_two_file,
     ref_complement,
@@ -192,7 +193,7 @@ class TestExpectedInitiationCost:
         eq = two_file_equilibrium(sym_2_2, alpha=0.5)
         gamma = list(eq.profile.gamma)
         gamma[1] = 1.0  # second node of group 0
-        profile = type(eq.profile)(gamma=tuple(gamma), lam=eq.profile.lam)
+        profile = type(eq.profile)(gamma=np.array(gamma), lam=eq.profile.lam)
         v0 = expected_initiation_cost(0.0, 0, profile, sym_2_2)
         v1 = expected_initiation_cost(1.0, 0, profile, sym_2_2)
         assert abs(v0 - v1) > 1e-3
@@ -201,7 +202,7 @@ class TestExpectedInitiationCost:
         eq = two_file_equilibrium(sym_2_2, alpha=0.5)
         gamma = list(eq.profile.gamma)
         gamma[1] = 1.0
-        profile = type(eq.profile)(gamma=tuple(gamma), lam=eq.profile.lam)
+        profile = type(eq.profile)(gamma=np.array(gamma), lam=eq.profile.lam)
         # free-rider-forever branch: w/rest + p_own*w*That + p_other*g + 2w
         rest = 1.0 + 0.5 + 0.5
         p_own = 1.0 / rest
@@ -227,7 +228,7 @@ class TestExpectedInitiationCost:
 
     def test_degenerate_when_others_silent(self, sym_2_2):
         profile = two_file_equilibrium(sym_2_2, alpha=0.5).profile
-        silent = type(profile)(gamma=(0.5, 0.0, 0.0, 0.0), lam=profile.lam)
+        silent = type(profile)(gamma=np.array([0.5, 0.0, 0.0, 0.0]), lam=profile.lam)
         with pytest.raises(DegenerateProfileError):
             expected_initiation_cost(1.0, 0, silent, sym_2_2)
 
@@ -425,14 +426,16 @@ class TestCodedEquilibrium:
         assert coded_throughput(s) == pytest.approx(0.2575107296, abs=1e-9)
 
     def test_response_rates_cover_all_contexts(self):
+        # every node answers every file it holds; its own file's entry is 0
         s = symmetric(3, 4)
         eq = coded_equilibrium(s)
+        assert eq.profile.lam.shape == (s.n_nodes, s.files)
         for n in range(s.n_nodes):
             for x in range(s.files):
                 if s.nodes[n].needs != x:
-                    assert (n, x) in eq.profile.lam
+                    assert eq.profile.lam[n, x] > 0
                 else:
-                    assert (n, x) not in eq.profile.lam
+                    assert eq.profile.lam[n, x] == 0
 
 
 @st.composite
@@ -450,9 +453,12 @@ def bits(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
-def assert_same_lam(lam, expected):
-    assert list(lam) == list(expected)
-    assert bits(lam.values()) == bits(expected.values())
+def assert_same_lam(lam, expected: dict, files: int):
+    """The dense ``lam`` against a reference's sparse {(node, file): rate},
+    entry by entry; a pair the reference leaves out must be +0.0."""
+    want = dense_profile(np.zeros(lam.shape[0]), expected, files).lam
+    assert lam.shape == want.shape
+    assert bits(lam.ravel()) == bits(want.ravel())
 
 
 BIT_EXACT = settings(derandomize=True, max_examples=200, deadline=None)
@@ -476,7 +482,7 @@ class TestArrayFormsMatchScalarReferences:
         eq = two_file_equilibrium(s, alpha=alpha, allow_negative=True)
         gamma, lam, that_a, that_b = reference_two_file(s, alpha)
         assert bits(eq.profile.gamma) == bits(gamma)
-        assert_same_lam(eq.profile.lam, lam)
+        assert_same_lam(eq.profile.lam, lam, 2)
         assert bits([eq.that_a, eq.that_b]) == bits([that_a, that_b])
 
     @BIT_EXACT
@@ -496,7 +502,7 @@ class TestArrayFormsMatchScalarReferences:
             big, gamma, lam = reference_coded(s)
         assert bits(eq.gamma_by_file) == bits(big)
         assert bits(eq.profile.gamma) == bits(gamma)
-        assert_same_lam(eq.profile.lam, lam)
+        assert_same_lam(eq.profile.lam, lam, s.files)
         durations = np.array(
             [response_phase_mean([ref_ratio(s, m) for m in ref_complement(s, x)]) for x in range(s.files)]
         )

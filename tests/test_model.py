@@ -99,6 +99,39 @@ class TestValidation:
     def test_require_valid_passthrough(self, sym_10_10):
         assert require_valid(sym_10_10) is sym_10_10
 
+    def test_more_files_than_nodes_is_one_violation(self):
+        # no per-file work: a billion files on 4 nodes is one violation
+        s = Scenario(files=10**9, nodes=symmetric(2, 2).nodes)
+        violations = validate_scenario(s)
+        assert codes(violations) == [GROUP_TOO_SMALL]
+        assert "1000000000 files" in violations[0].message and "has 4" in violations[0].message
+
+    def test_group_sizes_skip_invalid_needs(self):
+        s = Scenario(files=3, nodes=tuple(Node(CostParams(1, 1), x) for x in [2, -1, 0, 10**30, 2]))
+        assert s.group_sizes().tolist() == [1, 0, 2]
+
+    def test_overflowing_group_response_duration(self):
+        # finite w/g, but (2 - 1) / (2e-320) overflows: the group never answers in finite time
+        s = two_file([1e-320, 1e-320], [1.0, 1.0])
+        violations = validate_scenario(s)
+        assert codes(violations) == [NONFINITE_COST]
+        assert "2 nodes that need file 0" in violations[0].message and "2e-320" in violations[0].message
+
+    def test_overflowing_complement_response_duration(self):
+        # groups 1 and 2 each have a finite duration 1 / (2r), but the four
+        # nodes holding file 0 have 3 / (4r) > the largest float
+        r = 3.5e-309
+        nodes = symmetric(3, 2).nodes
+        s = Scenario(files=3, nodes=nodes[:2] + tuple(Node(CostParams(r, 1.0), x) for x in (1, 1, 2, 2)))
+        violations = validate_scenario(s)
+        assert codes(violations) == [NONFINITE_COST]
+        assert "the 4 nodes that hold file 0" in violations[0].message
+
+    def test_overflowing_ratio_sum(self):
+        # each w/g is finite, their sum is not: the duration would be 0
+        s = two_file([1e308, 1e308], [1.0, 1.0])
+        assert codes(validate_scenario(s)) == [NONFINITE_COST]
+
 
 def group_ratio_sum(s: Scenario, f: int) -> tuple[int, float]:
     """(group size, sum of w/g over the nodes needing f) from the arrays."""

@@ -24,7 +24,7 @@ from bxsim.errors import NegativeRateError, StallError
 from bxsim.model import CostParams, Metrics, Node, Scenario, StrategyProfile
 from bxsim.simulate import CHUNK_DOUBLES, RoundEngine, Rounds, SimConfig, run_simulation
 
-from conftest import reference_play, symmetric, two_file
+from conftest import dense_profile, reference_play, symmetric, two_file
 
 
 def rng(seed=0):
@@ -94,7 +94,7 @@ class TestSampling:
 
     def test_zero_rate_is_never(self, sym_2_2):
         # zero-rate nodes never fire, in either phase
-        profile = StrategyProfile(
+        profile = dense_profile(
             gamma=(0.0, 1.0, 1.0, 0.0), lam={(0, 1): 1.0, (1, 1): 0.0, (2, 0): 0.0, (3, 0): 2.0}
         )
         out = play(sym_2_2, profile, 2000)
@@ -103,7 +103,7 @@ class TestSampling:
 
     def test_inverse_cdf_identity(self, sym_2_2):
         # the only initiator reads the third uniform: its timer is -log(1 - u) / rate
-        profile = StrategyProfile(gamma=(0.0, 0.0, 2.0, 0.0), lam={(0, 1): 1.0, (1, 1): 1.0})
+        profile = dense_profile(gamma=(0.0, 0.0, 2.0, 0.0), lam={(0, 1): 1.0, (1, 1): 1.0})
         out = play(sym_2_2, profile, 1)
         u = rng().random(4)[2]
         assert out.t_init[0] == -np.log1p(-u) / 2.0
@@ -112,21 +112,21 @@ class TestSampling:
     def test_negative_rate(self, sym_2_2):
         lam = {(0, 1): 1.0, (1, 1): 1.0, (2, 0): 1.0, (3, 0): 1.0}
         with pytest.raises(NegativeRateError):
-            RoundEngine(sym_2_2, StrategyProfile(gamma=(1.0, -1.0, 1.0, 1.0), lam=lam), coded=False)
+            RoundEngine(sym_2_2, dense_profile(gamma=(1.0, -1.0, 1.0, 1.0), lam=lam), coded=False)
         with pytest.raises(NegativeRateError):
-            RoundEngine(sym_2_2, StrategyProfile(gamma=(1.0,) * 4, lam={**lam, (3, 0): -0.5}), coded=False)
+            RoundEngine(sym_2_2, dense_profile(gamma=(1.0,) * 4, lam={**lam, (3, 0): -0.5}), coded=False)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_rate(self, sym_2_2, bad):
         lam = {(0, 1): 1.0, (1, 1): 1.0, (2, 0): 1.0, (3, 0): 1.0}
         with pytest.raises(NegativeRateError):
-            RoundEngine(sym_2_2, StrategyProfile(gamma=(1.0, bad, 1.0, 1.0), lam=lam), coded=False)
+            RoundEngine(sym_2_2, dense_profile(gamma=(1.0, bad, 1.0, 1.0), lam=lam), coded=False)
         with pytest.raises(NegativeRateError):
-            RoundEngine(sym_2_2, StrategyProfile(gamma=(1.0,) * 4, lam={**lam, (2, 0): bad}), coded=False)
+            RoundEngine(sym_2_2, dense_profile(gamma=(1.0,) * 4, lam={**lam, (2, 0): bad}), coded=False)
 
     def test_zero_rate_consumes_one_uniform(self, sym_2_2):
         # 4 initiation + 2 response uniforms per round, zero rates included
-        profile = StrategyProfile(gamma=(0.0, 1.0, 0.0, 1.0), lam={(0, 1): 1.0, (2, 0): 1.0})
+        profile = dense_profile(gamma=(0.0, 1.0, 0.0, 1.0), lam={(0, 1): 1.0, (2, 0): 1.0})
         gen = rng(5)
         list(RoundEngine(sym_2_2, profile, coded=False).run(gen, 1000))
         ref = rng(5)
@@ -135,7 +135,7 @@ class TestSampling:
 
     def test_empirical_mean(self, sym_2_2):
         # a lone initiator at rate 4 draws plain exponential timers
-        profile = StrategyProfile(gamma=(4.0, 0.0, 0.0, 0.0), lam={(2, 0): 1.0, (3, 0): 1.0})
+        profile = dense_profile(gamma=(4.0, 0.0, 0.0, 0.0), lam={(2, 0): 1.0, (3, 0): 1.0})
         out = play(sym_2_2, profile, 1_000_000, seed=8)
         assert out.t_init.mean() == pytest.approx(0.25, abs=0.001)
 
@@ -145,7 +145,7 @@ class TestSampling:
         s = two_file([1.0] * groups[0], [1.0] * groups[1])
         n = s.n_nodes
         lam = {(m, x): 1.0 for m in range(n) for x in range(2) if x != s.needs[m]}
-        profile = StrategyProfile(gamma=(0.0,) + (1.0,) * (n - 1), lam=lam)
+        profile = dense_profile(gamma=(0.0,) + (1.0,) * (n - 1), lam=lam)
         stub = SimpleNamespace(
             random=lambda k: np.full(k, 0.5), bit_generator=SimpleNamespace(state=None, advance=lambda k: None)
         )
@@ -158,7 +158,7 @@ class TestSampling:
         # u = 0 makes e = 0, and 0 / 0 would be NaN, which argmin picks first;
         # a zero rate must still lose, in both phases and in the offset walk
         s = two_file([1.0] * 3, [1.0] * 2)
-        profile = StrategyProfile(
+        profile = dense_profile(
             gamma=(1.0, 1.0, 1.0, 1.0, 0.0), lam={(0, 1): 0.0, (1, 1): 1.0, (2, 1): 1.0, (3, 0): 1.0, (4, 0): 1.0}
         )
         got, want = ZeroStream(), ZeroStream()
@@ -168,7 +168,7 @@ class TestSampling:
         assert got.state == want.state
 
     def test_vector_matches_scalar_stream(self, sym_2_2):
-        profile = StrategyProfile(gamma=(0.0, 2.0, 1.5, 0.5), lam={(0, 1): 1.0, (1, 1): 0.5, (3, 0): 2.0})
+        profile = dense_profile(gamma=(0.0, 2.0, 1.5, 0.5), lam={(0, 1): 1.0, (1, 1): 0.5, (3, 0): 2.0})
         assert_same_rounds(play(sym_2_2, profile, 300, seed=3), reference_play(sym_2_2, profile, rng(3), 300))
 
 
@@ -179,7 +179,7 @@ class TestRunRound:
         profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
         gamma = [0.0] * 20
         gamma[13] = 1.0
-        lopsided = StrategyProfile(gamma=tuple(gamma), lam=profile.lam)
+        lopsided = StrategyProfile(gamma=np.array(gamma), lam=profile.lam)
         for seed in range(5):
             assert play(sym_10_10, lopsided, 1, seed=seed).initiator[0] == 13
 
@@ -225,19 +225,19 @@ class TestRunRound:
         np.testing.assert_array_equal(m.downloads, expect)
 
     def test_stall_no_initiator(self, sym_2_2):
-        profile = StrategyProfile(gamma=(0.0,) * 4, lam={(0, 1): 1.0, (1, 1): 1.0})
+        profile = dense_profile(gamma=(0.0,) * 4, lam={(0, 1): 1.0, (1, 1): 1.0})
         with pytest.raises(StallError):
             play(sym_2_2, profile, 1)
 
     def test_stall_no_responder(self, sym_2_2):
-        profile = StrategyProfile(gamma=(1.0, 1.0, 1.0, 1.0), lam={})
+        profile = dense_profile(gamma=(1.0, 1.0, 1.0, 1.0), lam={})
         with pytest.raises(StallError):
             play(sym_2_2, profile, 1)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_stall_when_every_timer_overflows(self, sym_2_2):
         # a positive but subnormal rate turns every timer into inf
-        profile = StrategyProfile(gamma=(1e-320, 0.0, 0.0, 0.0), lam={(2, 0): 1.0, (3, 0): 1.0})
+        profile = dense_profile(gamma=(1e-320, 0.0, 0.0, 0.0), lam={(2, 0): 1.0, (3, 0): 1.0})
         with pytest.raises(StallError, match="infinite"):
             play(sym_2_2, profile, 1)
         with pytest.raises(StallError):
@@ -279,7 +279,7 @@ class TestRunSimulation:
     def test_winner_distribution(self, sym_2_2):
         gamma = (0.5, 1.0, 1.5, 2.0)
         lam = {(0, 1): 1.0, (1, 1): 1.0, (2, 0): 1.0, (3, 0): 1.0}
-        profile = StrategyProfile(gamma=gamma, lam=lam)
+        profile = dense_profile(gamma=gamma, lam=lam)
         rounds = 100_000
         counts = np.bincount(play(sym_2_2, profile, rounds, seed=4).initiator, minlength=4)
         total_rate = sum(gamma)
@@ -347,7 +347,7 @@ class TestStallAcrossChunks:
     """Stalls in runs longer than one chunk: StallError, and no trace file."""
 
     def test_no_initiator(self, tmp_path, sym_2_2):
-        profile = StrategyProfile(gamma=(0.0,) * 4, lam={(0, 1): 1.0, (1, 1): 1.0})
+        profile = dense_profile(gamma=(0.0,) * 4, lam={(0, 1): 1.0, (1, 1): 1.0})
         cfg = SimConfig(scenario=sym_2_2, profile=profile, rounds=10 * CHUNK_DOUBLES, seed=0)
         with pytest.raises(StallError, match="initiate"):
             run_simulation(cfg, trace_path=tmp_path / "trace.csv")
@@ -356,7 +356,7 @@ class TestStallAcrossChunks:
     def test_no_responder_in_a_later_chunk(self, tmp_path, sym_2_2):
         # nodes 0 and 1 initiate about once in 10^4 rounds, and nobody
         # answers their file: the first such round stalls the run
-        profile = StrategyProfile(gamma=(1e-4, 1e-4, 1.0, 1.0), lam={(0, 1): 1.0, (1, 1): 1.0})
+        profile = dense_profile(gamma=(1e-4, 1e-4, 1.0, 1.0), lam={(0, 1): 1.0, (1, 1): 1.0})
         engine = RoundEngine(sym_2_2, profile, coded=False)
         played = []
         with pytest.raises(StallError, match="file 0"):
@@ -385,7 +385,7 @@ def engine_cases(draw):
     if kind == "random":
         gamma = tuple(draw(rate) for _ in needs)
         lam = {(n, x): draw(rate) for n in range(len(needs)) for x in range(files) if x != needs[n]}
-        profile = StrategyProfile(gamma=gamma, lam=lam)
+        profile = dense_profile(gamma=gamma, lam=lam, files=files)
     elif kind == "adapt":
         profile = init_state(s, AdaptConfig(guess_factor=draw(st.floats(1.0, 10.0)))).profile(s)
     elif files == 2:
