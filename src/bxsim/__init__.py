@@ -38,9 +38,7 @@ from .errors import (
     Violation,
 )
 from .model import (
-    CostParams,
     Metrics,
-    Node,
     Scenario,
     StrategyProfile,
     load_scenario,

@@ -49,8 +49,10 @@ class AdaptConfig:
     def validate(self) -> None:
         if self.epoch_rounds < 1:
             raise ValueError("epoch_rounds must be >= 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < float("inf"):
+            raise ValueError("epsilon must be finite and positive")
+        if not np.isfinite(self.guess_factor):
+            raise ValueError("guess_factor must be finite")
         if self.updates < 0:
             raise ValueError("updates must be >= 0")
 

@@ -26,15 +26,7 @@ from .errors import (
     SingularSystemError,
     StallError,
 )
-from .model import (
-    CostParams,
-    Node,
-    Scenario,
-    atomic_open,
-    load_scenario,
-    require_valid,
-    scenario_to_dict,
-)
+from .model import Scenario, atomic_open, load_scenario, require_valid
 
 
 NODE_COLUMNS = "%.9g,%.9g,%d"  # w, g, needs
@@ -79,14 +71,10 @@ def gen_rng(seed: int, purpose: int) -> np.random.Generator:
 def gen_groups(sizes: list[int], w_lo: float, w_hi: float, g: float, rng: np.random.Generator) -> Scenario:
     """sizes[f] nodes needing file f, with g fixed and w drawn uniformly from
     [w_lo, w_hi], file by file."""
-    if not 0 < w_lo <= w_hi:
-        raise ValueError("need 0 < w_lo <= w_hi")
-    nodes = [
-        Node(CostParams(w=float(rng.uniform(w_lo, w_hi)), g=g), needs=f)
-        for f, size in enumerate(sizes)
-        for _ in range(size)
-    ]
-    return Scenario(files=len(sizes), nodes=tuple(nodes))
+    if min(sizes, default=0) < 0 or not 0 < w_lo <= w_hi < float("inf"):
+        raise ValueError("need group sizes >= 0 and finite 0 < w_lo <= w_hi")
+    w = rng.uniform(w_lo, w_hi, size=sum(sizes))
+    return Scenario(files=len(sizes), w=w, g=np.full(w.size, g), needs=np.repeat(np.arange(len(sizes)), sizes))
 
 
 def gen_two_file(
@@ -96,13 +84,22 @@ def gen_two_file(
     return gen_groups([size_a, size_b], w_lo, w_hi, g, rng)
 
 
+SCENARIO_JSON = '%s\n  %s: {\n    "files": %d,\n    "nodes": [%s\n    ]\n  }'  # separator, key, files, nodes
+NODE_JSON = '\n      {\n        "g": %r,\n        "needs": %d,\n        "w": %r\n      }'  # g, needs, w
+
+
 def dump_scenarios(out: str, scenarios: dict[str, Scenario]) -> None:
-    """Write the generated scenarios next to the results for reproducibility."""
+    """Write the generated scenarios next to the results for reproducibility: the bytes of
+    ``json.dump(..., sort_keys=True, indent=2)`` on their ``scenario_to_dict`` forms, as long as
+    each has a node and finite costs, which every dumped scenario has (``%r`` is json's float form)."""
     path = Path(out).with_suffix(Path(out).suffix + ".scenarios.json")
-    data = {key: scenario_to_dict(s) for key, s in scenarios.items()}
     with atomic_open(path) as fh:
-        json.dump(data, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write("{")
+        for i, key in enumerate(sorted(scenarios)):
+            s = scenarios[key]
+            nodes = ",".join(format_rows(NODE_JSON, s.g.tolist(), s.needs.tolist(), s.w.tolist()))
+            fh.write(SCENARIO_JSON % ("," if i else "", json.dumps(key), s.files, nodes))
+        fh.write("\n}\n")
 
 
 NE_HEADER = ["kind", "node", "context", "w", "g", "needs", "value"]

@@ -39,61 +39,50 @@ FileId = int
 NodeId = int
 
 
-@dataclass(frozen=True)
-class CostParams:
-    """Per-node cost parameters.
-
-    w: waiting cost per unit time while the protocol runs.
-    g: transmission cost per data packet sent.
-    """
-
-    w: float
-    g: float
-
-    def ratio(self) -> float:
-        """w/g, the quantity all equilibrium formulas are built from."""
-        return self.w / self.g
-
-
-@dataclass(frozen=True)
-class Node:
-    costs: CostParams
-    needs: FileId
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """A node population with per-node costs and needed-file assignment.
+    """A node population: per node id, its waiting cost ``w`` (per unit time
+    while the protocol runs), its transmission cost ``g`` (per data packet
+    sent) and the file it ``needs``.
 
-    The per-node data is also kept as arrays indexed by node id (``w``,
-    ``g``, ``ratios`` and ``needs``), built once on first use.
+    The columns are stored as read-only float64 (``w``, ``g``) and int64
+    (``needs``) arrays.  A ``needs`` beyond int64 is kept exactly, in an
+    object array, so that validation can name it.  Scenarios are equal when
+    their file counts and columns are.
     """
 
     files: int
-    nodes: tuple[Node, ...]
+    w: np.ndarray
+    g: np.ndarray
+    needs: np.ndarray
+
+    def __post_init__(self):
+        try:
+            needs = np.array(self.needs, dtype=np.int64)
+        except OverflowError:
+            needs = np.array(self.needs, dtype=object)
+        columns = {"w": np.array(self.w, dtype=float), "g": np.array(self.g, dtype=float), "needs": needs}
+        if not columns["w"].shape == columns["g"].shape == needs.shape == (needs.size,):
+            raise ValueError("w, g and needs must be 1-d columns of one length")
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __eq__(self, other):
+        if not isinstance(other, Scenario):
+            return NotImplemented
+        columns = zip((self.w, self.g, self.needs), (other.w, other.g, other.needs))
+        return self.files == other.files and all(np.array_equal(a, b) for a, b in columns)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
-
-    @cached_property
-    def w(self) -> np.ndarray:
-        return np.array([nd.costs.w for nd in self.nodes], dtype=float)
-
-    @cached_property
-    def g(self) -> np.ndarray:
-        return np.array([nd.costs.g for nd in self.nodes], dtype=float)
+        return self.needs.size
 
     @cached_property
     def ratios(self) -> np.ndarray:
         """w/g per node; inf where the division overflows (validation rejects it)."""
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return self.w / self.g
-
-    @cached_property
-    def needs(self) -> np.ndarray:
-        """needs[n] = file node n wants, as an int array."""
-        return np.array([nd.needs for nd in self.nodes], dtype=np.int64)
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -113,8 +102,8 @@ class Scenario:
 
     def group_sizes(self) -> np.ndarray:
         """Nodes needing each file; a ``needs`` outside 0..files-1 is not counted."""
-        valid = [nd.needs for nd in self.nodes if 0 <= nd.needs < self.files]
-        return np.bincount(np.array(valid, dtype=np.int64), minlength=self.files)
+        valid = self.needs[(0 <= self.needs) & (self.needs < self.files)]
+        return np.bincount(valid.astype(np.int64), minlength=self.files)
 
 
 def validate_scenario(s: Scenario) -> list[Violation]:
@@ -131,14 +120,14 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     inf = float("inf")
     if s.files < 2:
         out.append(Violation(TOO_FEW_FILES, f"need at least 2 files, got {s.files}"))
-    costs_ok = ((0 < s.w) & (s.w < inf) & (0 < s.g) & (s.g < inf) & (s.ratios < inf)).tolist()
-    for n, (nd, cost_ok) in enumerate(zip(s.nodes, costs_ok)):
-        if not (0 <= nd.needs < s.files):
-            out.append(
-                Violation(BAD_FILE_ID, f"node {n} needs file {nd.needs}, valid range is 0..{s.files - 1}")
-            )
+    needs_ok = (0 <= s.needs) & (s.needs < s.files)
+    costs_ok = (0 < s.w) & (s.w < inf) & (0 < s.g) & (s.g < inf) & (s.ratios < inf)
+    bad = np.flatnonzero(~(needs_ok & costs_ok))
+    columns = (s.needs, s.w, s.g, needs_ok, costs_ok)
+    for n, needs, w, g, need_ok, cost_ok in zip(bad.tolist(), *(c[bad].tolist() for c in columns)):
+        if not need_ok:
+            out.append(Violation(BAD_FILE_ID, f"node {n} needs file {needs}, valid range is 0..{s.files - 1}"))
         if not cost_ok:
-            w, g = nd.costs.w, nd.costs.g
             code = NONPOSITIVE_COST if w <= 0 or g <= 0 else NONFINITE_COST
             why = "w/g overflows" if 0 < w < inf and 0 < g < inf else "both must be finite and > 0"
             out.append(Violation(code, f"node {n} has w={w}, g={g}; {why}"))
@@ -258,25 +247,39 @@ def scenario_from_dict(data: dict) -> tuple[Scenario, int | None]:
     if not isinstance(entries, (list, tuple)):
         problems.append("config has no 'nodes' list")
         entries = []
-    nodes = []
-    for n, nd in enumerate(entries):
-        if not isinstance(nd, dict):
-            problems.append(f"node {n} is {nd!r}, not an object")
-            continue
-        where = f"node {n}"
-        w, g = number(nd, "w", where), number(nd, "g", where)
-        nodes.append(Node(CostParams(w=w, g=g), needs=number(nd, "needs", where, integral=True)))
+    columns = _node_columns(entries)
+    if columns is None:  # some node fails a check: walk the nodes to name each failure
+        columns = [], [], []
+        for n, nd in enumerate(entries):
+            if not isinstance(nd, dict):
+                problems.append(f"node {n} is {nd!r}, not an object")
+                continue
+            for column, key in zip(columns, ("w", "g", "needs")):
+                column.append(number(nd, key, f"node {n}", integral=key == "needs"))
     seed = number(data, "seed", "config", integral=True) if data.get("seed") is not None else None
     if problems:
         raise ScenarioError([Violation(BAD_CONFIG, f"malformed scenario config: {p}") for p in problems])
-    return Scenario(files=files, nodes=tuple(nodes)), seed
+    return Scenario(files, *columns), seed
+
+
+def _node_columns(entries) -> tuple | None:
+    """The nodes' (w, g, needs) columns when every node is an object with
+    int or float ``w`` and ``g`` that fit in a float and an int ``needs``;
+    None when any node fails one of these checks."""
+    if not {*map(type, entries)} <= {dict}:
+        return None
+    try:
+        w, g, needs = ([nd[key] for nd in entries] for key in ("w", "g", "needs"))
+        if not {*map(type, w), *map(type, g)} <= {int, float} or not set(map(type, needs)) <= {int}:
+            return None
+        return np.array(w, dtype=float), np.array(g, dtype=float), needs
+    except (KeyError, OverflowError):  # a missing field, or an int too large for a float
+        return None
 
 
 def scenario_to_dict(s: Scenario, seed: int | None = None) -> dict:
-    data: dict = {
-        "files": s.files,
-        "nodes": [{"w": nd.costs.w, "g": nd.costs.g, "needs": nd.needs} for nd in s.nodes],
-    }
+    columns = zip(s.w.tolist(), s.g.tolist(), s.needs.tolist())
+    data: dict = {"files": s.files, "nodes": [{"w": w, "g": g, "needs": x} for w, g, x in columns]}
     if seed is not None:
         data["seed"] = seed
     return data
@@ -350,6 +353,6 @@ def make_two_file(
     ratios_a: Iterable[float], ratios_b: Iterable[float], g: float = 1.0
 ) -> Scenario:
     """Two-file scenario from w/g ratios (g fixed): group 0 needs file 0."""
-    nodes = [Node(CostParams(w=r * g, g=g), needs=0) for r in ratios_a]
-    nodes += [Node(CostParams(w=r * g, g=g), needs=1) for r in ratios_b]
-    return Scenario(files=2, nodes=tuple(nodes))
+    a, b = list(ratios_a), list(ratios_b)
+    needs = [0] * len(a) + [1] * len(b)
+    return Scenario(files=2, w=np.array(a + b, dtype=float) * g, g=np.full(len(needs), g), needs=needs)

@@ -1,24 +1,34 @@
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from bxsim import linsolve
+from bxsim.cli import gen_groups
 from bxsim.equilibrium import response_equilibrium, response_phase_mean
-from bxsim.errors import StallError
-from bxsim.model import CostParams, Node, Scenario, StrategyProfile, make_two_file
+from bxsim.errors import (
+    BAD_CONFIG,
+    BAD_FILE_ID,
+    GROUP_TOO_SMALL,
+    NONFINITE_COST,
+    NONPOSITIVE_COST,
+    TOO_FEW_FILES,
+    ScenarioError,
+    StallError,
+    Violation,
+)
+from bxsim.model import Scenario, StrategyProfile, make_two_file
 from bxsim.simulate import NEVER
 
 two_file = make_two_file
 
 
 def symmetric(files: int, group_size: int, w: float = 1.0, g: float = 1.0) -> Scenario:
-    nodes = [
-        Node(CostParams(w=w, g=g), needs=f) for f in range(files) for _ in range(group_size)
-    ]
-    return Scenario(files=files, nodes=tuple(nodes))
+    n = files * group_size
+    return Scenario(files=files, w=np.full(n, w), g=np.full(n, g), needs=np.repeat(np.arange(files), group_size))
 
 
 def random_two_file(rng: np.random.Generator, max_group: int = 20) -> Scenario:
@@ -28,12 +38,7 @@ def random_two_file(rng: np.random.Generator, max_group: int = 20) -> Scenario:
 
 
 def random_coded(rng: np.random.Generator, files: int, group_size: int = 10) -> Scenario:
-    nodes = [
-        Node(CostParams(w=float(rng.uniform(1.0, 2.0)), g=1.0), needs=f)
-        for f in range(files)
-        for _ in range(group_size)
-    ]
-    return Scenario(files=files, nodes=tuple(nodes))
+    return gen_groups([group_size] * files, 1.0, 2.0, 1.0, rng)
 
 
 def dense_profile(gamma, lam: dict, files: int = 2) -> StrategyProfile:
@@ -83,20 +88,20 @@ def reference_play(s: Scenario, profile, rng: np.random.Generator, rounds: int) 
 
 
 # Scalar references: the per-node equilibrium formulas as they were written
-# before the scenario kept its data in arrays, reading every value from
-# ``s.nodes`` one node at a time.  The array forms must match them bit for bit.
+# before the scenario kept its data in arrays, reading every value one node
+# at a time as a Python scalar.  The array forms must match them bit for bit.
 
 
 def ref_ratio(s: Scenario, n: int) -> float:
-    return s.nodes[n].costs.w / s.nodes[n].costs.g
+    return float(s.w[n]) / float(s.g[n])
 
 
 def ref_group(s: Scenario, x: int) -> tuple[int, ...]:
-    return tuple(n for n, nd in enumerate(s.nodes) if nd.needs == x)
+    return tuple(n for n, needs in enumerate(s.needs.tolist()) if needs == x)
 
 
 def ref_complement(s: Scenario, x: int) -> tuple[int, ...]:
-    return tuple(n for n, nd in enumerate(s.nodes) if nd.needs != x)
+    return tuple(n for n, needs in enumerate(s.needs.tolist()) if needs != x)
 
 
 def reference_two_file(s: Scenario, alpha: float) -> tuple:
@@ -129,10 +134,10 @@ def reference_round_duration(s: Scenario, alpha: float) -> tuple:
 
 def reference_node_cost(node: int, s: Scenario) -> tuple[float, float, float]:
     """(avg_cost, transmit_prob, poa) of one node at the two-file equilibrium."""
-    needed = s.nodes[node].needs
+    needed = int(s.needs[node])
     that_own = response_phase_mean([ref_ratio(s, n) for n in ref_group(s, needed)])
     that_other = response_phase_mean([ref_ratio(s, n) for n in ref_group(s, 1 - needed)])
-    w, g = s.nodes[node].costs.w, s.nodes[node].costs.g
+    w, g = float(s.w[node]), float(s.g[node])
     avg_cost = g + w * that_other + 2.0 * w
     return avg_cost, 1.0 - ref_ratio(s, node) * that_own, avg_cost / (2.0 * w)
 
@@ -151,7 +156,7 @@ def reference_coded(s: Scenario) -> tuple:
     total_gamma = float(np.sum(big_gamma))
     gamma = [0.0] * s.n_nodes
     for n in range(s.n_nodes):
-        x = s.nodes[n].needs
+        x = int(s.needs[n])
         d_x = response_phase_mean([ref_ratio(s, m) for m in ref_complement(s, x)])
         gamma[n] = float(big_gamma[x] - ref_ratio(s, n) * (1.0 - d_x * (total_gamma - big_gamma[x])))
     lam = {}
@@ -161,3 +166,87 @@ def reference_coded(s: Scenario) -> tuple:
         for m, rate in zip(members, rates):
             lam[(m, x)] = float(rate)
     return tuple(float(v) for v in big_gamma), tuple(gamma), lam
+
+
+# The config reader and validation as they were before scenarios became
+# columns: one node at a time, one Python call per field.  The column reader
+# must give the same columns, or the same violations in the same order.
+
+
+def reference_scenario_from_dict(data: dict) -> tuple:
+    """(files, w, g, needs, seed) as Python values, or ScenarioError with every
+    BAD_CONFIG problem in config order."""
+    problems: list[str] = []
+
+    def number(obj: dict, key: str, where: str, integral: bool = False):
+        if key not in obj:
+            problems.append(f"{where} has no {key!r}")
+            return None
+        value = obj[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            value = None
+        elif integral:
+            value = int(value) if isinstance(value, int) or value.is_integer() else None
+        else:
+            try:
+                value = float(value)
+            except OverflowError:
+                value = None
+        if value is None:
+            kind = "an integer" if integral else "a number"
+            problems.append(f"{where} has {key}={obj[key]!r}; it must be {kind}")
+        return value
+
+    files = number(data, "files", "config", integral=True)
+    entries = data.get("nodes")
+    if not isinstance(entries, (list, tuple)):
+        problems.append("config has no 'nodes' list")
+        entries = []
+    w, g, needs = [], [], []
+    for n, nd in enumerate(entries):
+        if not isinstance(nd, dict):
+            problems.append(f"node {n} is {nd!r}, not an object")
+            continue
+        where = f"node {n}"
+        w.append(number(nd, "w", where))
+        g.append(number(nd, "g", where))
+        needs.append(number(nd, "needs", where, integral=True))
+    seed = number(data, "seed", "config", integral=True) if data.get("seed") is not None else None
+    if problems:
+        raise ScenarioError([Violation(BAD_CONFIG, f"malformed scenario config: {p}") for p in problems])
+    return files, w, g, needs, seed
+
+
+def reference_violations(files: int, w: list, g: list, needs: list) -> list[Violation]:
+    """validate_scenario as it was, checking each node's fields in turn."""
+    out: list[Violation] = []
+    inf = float("inf")
+    if files < 2:
+        out.append(Violation(TOO_FEW_FILES, f"need at least 2 files, got {files}"))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratios = np.array(w, dtype=float) / np.array(g, dtype=float)
+    for n, (wn, gn, needed, ratio) in enumerate(zip(w, g, needs, ratios.tolist())):
+        if not (0 <= needed < files):
+            out.append(Violation(BAD_FILE_ID, f"node {n} needs file {needed}, valid range is 0..{files - 1}"))
+        if not (0 < wn < inf and 0 < gn < inf and ratio < inf):
+            code = NONPOSITIVE_COST if wn <= 0 or gn <= 0 else NONFINITE_COST
+            why = "w/g overflows" if 0 < wn < inf and 0 < gn < inf else "both must be finite and > 0"
+            out.append(Violation(code, f"node {n} has w={wn}, g={gn}; {why}"))
+    if files > len(needs):
+        out.append(Violation(GROUP_TOO_SMALL, f"{files} files need 2 nodes each; the scenario has {len(needs)}"))
+    elif files > 0:
+        sizes = np.bincount(np.array([x for x in needs if 0 <= x < files], dtype=np.int64), minlength=files)
+        for f, size in enumerate(sizes.tolist()):
+            if size < 2:
+                out.append(Violation(GROUP_TOO_SMALL, f"file {f} is needed by {size} node(s); need at least 2"))
+    if out:
+        return out
+    needs_arr = np.array(needs)
+    for x, kind in product(range(files), ("need", "hold") if files > 2 else ("need",)):
+        members = ratios[needs_arr == x if kind == "need" else needs_arr != x]
+        with np.errstate(over="ignore"):
+            total = float(np.sum(members))
+        if not (0 < total < inf and (members.size - 1) / total < inf):
+            why = f"the {members.size} nodes that {kind} file {x} have sum(w/g) = {total}"
+            out.append(Violation(NONFINITE_COST, f"{why}; (count - 1) / sum(w/g) must be finite and > 0"))
+    return out

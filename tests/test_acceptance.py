@@ -86,7 +86,7 @@ def test_02_closed_form_residuals():
                 assert np.max(np.abs(sys.a @ big - sys.b)) < 1e-9
                 total = float(np.sum(big))
                 for n in range(s.n_nodes):
-                    x = s.nodes[n].needs
+                    x = int(s.needs[n])
                     d_x = response_phase_mean([s.ratio(m) for m in s.complement(x)])
                     # per-node ratio identity at the recovered gamma
                     implied = (big[x] - eq.profile.gamma[n]) / (1.0 - (total - big[x]) * d_x)

@@ -7,6 +7,8 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import bxsim
@@ -17,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bxsim import simulate
-from bxsim.cli import dump_scenarios, main, parse_seeds, write_csv
+from bxsim.cli import dump_scenarios, gen_groups, gen_rng, main, parse_seeds, write_csv
 from bxsim.equilibrium import coded_throughput
-from bxsim.model import scenario_to_dict
+from bxsim.model import Scenario, scenario_to_dict
 
 from conftest import symmetric, two_file
 
@@ -282,6 +284,26 @@ class TestAdapt:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
 
+    @pytest.mark.parametrize("command", ["adapt", "fig2"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_epsilon_exits_2(self, tmp_path, capsys, command, value):
+        self.assert_invalid_argument(tmp_path, capsys, command, f"--epsilon={value}", "epsilon must be finite")
+
+    @pytest.mark.parametrize("command", ["adapt", "fig2"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_guess_factor_exits_2(self, tmp_path, capsys, command, value):
+        self.assert_invalid_argument(tmp_path, capsys, command, f"--guess-factor={value}", "guess_factor must be finite")
+
+    @staticmethod
+    def assert_invalid_argument(tmp_path, capsys, command, flag, message):
+        config = ["--config", write_config(tmp_path, symmetric(2, 10))] if command == "adapt" else ["--seeds", "0"]
+        out = tmp_path / "x.csv"
+        assert main([command, *config, flag, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid arguments: {message}" in err and "Traceback" not in err and "Warning" not in err
+        assert not out.exists() and not (tmp_path / "x.csv.scenarios.json").exists()
+
+
 class TestFig2:
     def test_smoke(self, tmp_path):
         out = tmp_path / "fig2.csv"
@@ -306,14 +328,12 @@ class TestFig2:
         main(["fig2", "--seeds", "0", "--updates", "0", "--epoch-rounds", "30", "--out", str(out)])
         assert len(read_csv(out)) == 2
 
-    def test_failing_dump_leaves_no_partial_json(self, tmp_path, monkeypatch):
-        # the second scenario cannot be serialized, so the dump fails after
-        # the first one has been written out
+    def test_failing_dump_leaves_no_partial_json(self, tmp_path):
+        # the second scenario cannot be serialized (its file count is not a
+        # number), so the dump fails after the first one has been written out
         path = tmp_path / "fig2.csv.scenarios.json"
         path.write_text("old\n")
-        broken = symmetric(2, 3)
-        real = bxsim.cli.scenario_to_dict
-        monkeypatch.setattr(bxsim.cli, "scenario_to_dict", lambda s: {"nodes": [object()]} if s is broken else real(s))
+        broken = replace(symmetric(2, 3), files=None)
         with pytest.raises(TypeError):
             dump_scenarios(str(tmp_path / "fig2.csv"), {"seed_0": symmetric(2, 2), "seed_1": broken})
         assert path.read_text() == "old\n" and list(tmp_path.iterdir()) == [path]
@@ -347,6 +367,57 @@ class TestFig3:
         assert main(["fig3", "--files", "3,4", "--w-hi", "2.0", "--out", str(out)]) == 0
         rows = read_csv(out)
         assert all(0 < float(r[1]) < 0.5 for r in rows[1:])
+
+
+class TestGeneratedScenarios:
+    @pytest.mark.parametrize(
+        "argv",
+        [["fig2", "--w-lo", "1", "--w-hi", "inf"], ["fig3", "--w-hi", "inf"], ["fig2", "--w-lo", "nan"],
+         ["fig3", "--w-lo", "0", "--w-hi", "1"], ["fig2", "--w-lo", "2", "--w-hi", "1"], ["fig2", "--group-size", "-1"]],
+    )
+    def test_generator_arguments_are_checked(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid arguments: need group sizes >= 0 and finite 0 < w_lo <= w_hi" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_files_is_an_invalid_scenario(self, tmp_path, capsys):
+        assert main(["fig3", "--files", "0", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "TOO_FEW_FILES: need at least 2 files, got 0" in capsys.readouterr().err
+
+    def test_gen_groups_draws_as_scalar_draws(self):
+        # one vector draw gives the floats and leaves the generator where
+        # one scalar draw per node, file by file, does
+        for seed in range(200):
+            sizes = [2 + seed % 5, 3, 2 + seed % 3]
+            scalar, vector = gen_rng(seed, 1), gen_rng(seed, 1)
+            w = [float(scalar.uniform(1.0, 2.0)) for f, size in enumerate(sizes) for _ in range(size)]
+            s = gen_groups(sizes, 1.0, 2.0, 0.5, vector)
+            assert [v.hex() for v in s.w.tolist()] == [v.hex() for v in w]
+            assert s.g.tolist() == [0.5] * len(w) and s.needs.tolist() == [f for f, k in enumerate(sizes) for _ in range(k)]
+            assert scalar.bit_generator.state == vector.bit_generator.state
+
+    @given(
+        st.dictionaries(
+            st.text(min_size=1, max_size=6),
+            st.tuples(
+                st.integers(2, 4),
+                st.lists(st.tuples(st.floats(5e-324, 1e308), st.floats(5e-324, 1e308), st.integers(0, 10**6)),
+                         min_size=1, max_size=6),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_dump_matches_json_dump(self, specs):
+        scenarios = {key: Scenario(files, *zip(*nodes)) for key, (files, nodes) in specs.items()}
+        with tempfile.TemporaryDirectory() as tmp:
+            dump_scenarios(str(Path(tmp) / "out.csv"), scenarios)
+            got = (Path(tmp) / "out.csv.scenarios.json").read_text()
+        data = {key: scenario_to_dict(s) for key, s in scenarios.items()}
+        assert got == json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def shuffled_config(groups: list[int], w_range: tuple, g_range: tuple) -> dict:

@@ -26,7 +26,7 @@ from bxsim.equilibrium import (
     two_file_equilibrium,
 )
 from bxsim.errors import DegenerateProfileError, NegativeRateError, SingularSystemError
-from bxsim.model import CostParams, Node, Scenario
+from bxsim.model import Scenario
 
 from conftest import (
     dense_profile,
@@ -216,7 +216,7 @@ class TestExpectedInitiationCost:
             alpha = float(rng.uniform(0.2, 0.8))
             eq = two_file_equilibrium(s, alpha=alpha, allow_negative=True)
             node = int(rng.integers(0, s.n_nodes))
-            needed = s.nodes[node].needs
+            needed = int(s.needs[node])
             own = [m for m in s.group(needed) if m != node]
             other = s.group(1 - needed)
             rest = sum(eq.profile.gamma[m] for m in own) + sum(eq.profile.gamma[m] for m in other)
@@ -432,7 +432,7 @@ class TestCodedEquilibrium:
         assert eq.profile.lam.shape == (s.n_nodes, s.files)
         for n in range(s.n_nodes):
             for x in range(s.files):
-                if s.nodes[n].needs != x:
+                if s.needs[n] != x:
                     assert eq.profile.lam[n, x] > 0
                 else:
                     assert eq.profile.lam[n, x] == 0
@@ -445,7 +445,8 @@ def shuffled_scenarios(draw, files):
     sizes = draw(st.lists(st.integers(2, 7), min_size=f, max_size=f))
     needs = draw(st.permutations(np.repeat(np.arange(f), sizes).tolist()))
     cost = st.floats(0.05, 20.0)
-    return Scenario(files=f, nodes=tuple(Node(CostParams(w=draw(cost), g=draw(cost)), needs=x) for x in needs))
+    w, g = zip(*((draw(cost), draw(cost)) for _ in needs))
+    return Scenario(files=f, w=w, g=g, needs=needs)
 
 
 def bits(values) -> list[str]:

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import io
 import json
 import os
+import tempfile
 import threading
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
+from pathlib import Path
 
 import bxsim.model
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bxsim.errors import (
     BAD_CONFIG,
@@ -18,9 +25,7 @@ from bxsim.errors import (
     ScenarioError,
 )
 from bxsim.model import (
-    CostParams,
     Metrics,
-    Node,
     Scenario,
     atomic_open,
     load_scenario,
@@ -30,11 +35,17 @@ from bxsim.model import (
     validate_scenario,
 )
 
-from conftest import symmetric, two_file
+from bxsim.cli import main
+from conftest import reference_scenario_from_dict, reference_violations, symmetric, two_file
 
 
 def codes(violations):
     return [v.code for v in violations]
+
+
+def with_first_node(w, g, needs, s: Scenario) -> Scenario:
+    """``s`` with one more node, (w, g, needs), in front of its others."""
+    return Scenario(files=s.files, w=[w, *s.w], g=[g, *s.g], needs=[needs, *s.needs])
 
 
 class TestValidation:
@@ -46,48 +57,37 @@ class TestValidation:
         assert codes(validate_scenario(s)) == [GROUP_TOO_SMALL]
 
     def test_zero_transmission_cost(self):
-        s = Scenario(
-            files=2,
-            nodes=(
-                Node(CostParams(1.0, 0.0), 0),
-                Node(CostParams(1.0, 1.0), 0),
-                Node(CostParams(1.0, 1.0), 1),
-                Node(CostParams(1.0, 1.0), 1),
-            ),
-        )
+        s = Scenario(files=2, w=[1.0, 1.0, 1.0, 1.0], g=[0.0, 1.0, 1.0, 1.0], needs=[0, 0, 1, 1])
         assert codes(validate_scenario(s)) == [NONPOSITIVE_COST]
 
     @pytest.mark.parametrize("w,g", [(float("inf"), 1.0), (1.0, float("inf")), (float("nan"), 1.0)])
     def test_non_finite_cost(self, w, g):
-        s = Scenario(files=2, nodes=(Node(CostParams(w, g), 0),) + symmetric(2, 2).nodes)
+        s = with_first_node(w, g, 0, symmetric(2, 2))
         assert codes(validate_scenario(s)) == [NONFINITE_COST]
 
     def test_overflowing_ratio(self):
         # w and g are finite and positive, but w/g overflows to inf
-        s = Scenario(files=2, nodes=(Node(CostParams(1.0, 1e-320), 0),) + symmetric(2, 2).nodes)
+        s = with_first_node(1.0, 1e-320, 0, symmetric(2, 2))
         violations = validate_scenario(s)
         assert codes(violations) == [NONFINITE_COST]
         assert "node 0" in violations[0].message and "overflows" in violations[0].message
 
     def test_single_file(self):
-        s = Scenario(files=1, nodes=(Node(CostParams(1, 1), 0), Node(CostParams(1, 1), 0)))
+        s = Scenario(files=1, w=[1, 1], g=[1, 1], needs=[0, 0])
         assert TOO_FEW_FILES in codes(validate_scenario(s))
 
     def test_needs_out_of_range(self):
-        s = Scenario(files=2, nodes=(Node(CostParams(1, 1), 5),) + symmetric(2, 2).nodes)
+        s = with_first_node(1, 1, 5, symmetric(2, 2))
         assert BAD_FILE_ID in codes(validate_scenario(s))
 
     def test_all_violations_reported_together(self):
-        s = Scenario(
-            files=1,
-            nodes=(Node(CostParams(-1.0, 1.0), 0), Node(CostParams(1.0, 1.0), 0)),
-        )
+        s = Scenario(files=1, w=[-1.0, 1.0], g=[1.0, 1.0], needs=[0, 0])
         got = codes(validate_scenario(s))
         assert TOO_FEW_FILES in got and NONPOSITIVE_COST in got
 
     def test_empty_group(self):
         # file 2 exists but nobody needs it
-        s = Scenario(files=3, nodes=symmetric(2, 2).nodes)
+        s = replace(symmetric(2, 2), files=3)
         assert codes(validate_scenario(s)) == [GROUP_TOO_SMALL]
 
     def test_require_valid_raises_with_all_violations(self):
@@ -101,13 +101,13 @@ class TestValidation:
 
     def test_more_files_than_nodes_is_one_violation(self):
         # no per-file work: a billion files on 4 nodes is one violation
-        s = Scenario(files=10**9, nodes=symmetric(2, 2).nodes)
+        s = replace(symmetric(2, 2), files=10**9)
         violations = validate_scenario(s)
         assert codes(violations) == [GROUP_TOO_SMALL]
         assert "1000000000 files" in violations[0].message and "has 4" in violations[0].message
 
     def test_group_sizes_skip_invalid_needs(self):
-        s = Scenario(files=3, nodes=tuple(Node(CostParams(1, 1), x) for x in [2, -1, 0, 10**30, 2]))
+        s = Scenario(files=3, w=[1] * 5, g=[1] * 5, needs=[2, -1, 0, 10**30, 2])
         assert s.group_sizes().tolist() == [1, 0, 2]
 
     def test_overflowing_group_response_duration(self):
@@ -121,8 +121,7 @@ class TestValidation:
         # groups 1 and 2 each have a finite duration 1 / (2r), but the four
         # nodes holding file 0 have 3 / (4r) > the largest float
         r = 3.5e-309
-        nodes = symmetric(3, 2).nodes
-        s = Scenario(files=3, nodes=nodes[:2] + tuple(Node(CostParams(r, 1.0), x) for x in (1, 1, 2, 2)))
+        s = Scenario(files=3, w=[1.0, 1.0, r, r, r, r], g=[1.0] * 6, needs=[0, 0, 1, 1, 2, 2])
         violations = validate_scenario(s)
         assert codes(violations) == [NONFINITE_COST]
         assert "the 4 nodes that hold file 0" in violations[0].message
@@ -156,16 +155,48 @@ class TestGroupRatioSums:
 
 class TestArrays:
     def test_per_node_arrays(self):
-        s = Scenario(files=2, nodes=(Node(CostParams(3.0, 2.0), 1), Node(CostParams(1.0, 4.0), 0)))
+        s = Scenario(files=2, w=[3.0, 1.0], g=[2.0, 4.0], needs=[1, 0])
         assert s.w.tolist() == [3.0, 1.0] and s.g.tolist() == [2.0, 4.0]
         assert s.ratios.tolist() == [1.5, 0.25] and s.needs.tolist() == [1, 0]
         assert (s.ratio(0), s.group(0), s.complement(0)) == (1.5, (1,), (0,))
 
     def test_groups_keep_ascending_ids(self):
-        s = Scenario(files=3, nodes=tuple(Node(CostParams(1.0, 1.0), x) for x in [2, 0, 2, 1, 0, 2]))
+        s = Scenario(files=3, w=[1.0] * 6, g=[1.0] * 6, needs=[2, 0, 2, 1, 0, 2])
         assert [s.group(x) for x in range(3)] == [(1, 4), (3,), (0, 2, 5)]
         assert s.complement(2) == (1, 3, 4)
         assert all(type(n) is int for n in s.group(2))
+
+    def test_columns_are_read_only_copies(self):
+        w = np.array([1.0, 2.0, 1.0, 2.0])
+        s = Scenario(files=2, w=w, g=[1, 1, 1, 1], needs=[0, 0, 1, 1])
+        w[0] = 5.0
+        assert s.w[0] == 1.0 and (s.w.dtype, s.g.dtype, s.needs.dtype) == (np.float64, np.float64, np.int64)
+        for column in (s.w, s.g, s.needs):
+            with pytest.raises(ValueError):
+                column[0] = 3
+
+    def test_equality_is_on_files_and_columns(self):
+        s = symmetric(2, 2)
+        assert s == Scenario(files=2, w=[1, 1, 1, 1], g=[1.0] * 4, needs=np.array([0, 0, 1, 1]))
+        assert s != replace(s, files=3) and s != replace(s, w=[1.0, 1.0, 1.0, 2.0]) and s != symmetric(2, 3)
+        assert s != replace(s, needs=[0, 1, 0, 1]) and s != "scenario"
+
+    def test_columns_must_have_one_length(self):
+        with pytest.raises(ValueError):
+            Scenario(files=2, w=[1.0, 1.0], g=[1.0], needs=[0, 1])
+
+    def test_needs_beyond_int64_is_kept_exactly(self):
+        s = with_first_node(1.0, 1.0, 10**30, symmetric(2, 2))
+        assert s.needs.tolist()[0] == 10**30
+        (violation,) = validate_scenario(s)
+        assert str(violation) == f"{BAD_FILE_ID}: node 0 needs file {10**30}, valid range is 0..1"
+
+    def test_messages_carry_python_numbers(self):
+        s = with_first_node(float("nan"), 2.5, 7, symmetric(2, 2))
+        assert [v.message for v in validate_scenario(s)] == [
+            "node 0 needs file 7, valid range is 0..1",
+            "node 0 has w=nan, g=2.5; both must be finite and > 0",
+        ]
 
 
 def node_config(**fields) -> dict:
@@ -204,8 +235,8 @@ class TestConfig:
 
     def test_integral_numbers_are_kept(self):
         s, seed = scenario_from_dict({**node_config(needs=1.0, w=2), "files": 2.0, "seed": 7.0})
-        assert (s.files, s.nodes[1].needs, seed) == (2, 1, 7)
-        assert type(s.nodes[1].needs) is int and type(s.nodes[1].costs.w) is float
+        assert (s.files, s.needs[1], seed) == (2, 1, 7)
+        assert s.needs.dtype == np.int64 and s.w.dtype == np.float64 and type(s.files) is type(seed) is int
 
 
     def test_round_trip(self, tmp_path, sym_2_2):
@@ -230,6 +261,117 @@ class TestConfig:
         assert seed is None and s == sym_2_2
 
 
+# Values that no field accepts, and values that some field accepts but
+# validation may reject; together with missing fields and nodes that are not
+# objects they cover every BAD_CONFIG path of the reader.
+WRONG_TYPES = [True, False, None, "1", [1], {}, 10**400, 2**1024 - 1, 2**1023 + 2**970]
+BAD_NUMBERS = [float("inf"), 5, 0, -1, 1e-320, float("nan"), 2.0, 10**30, -0.5, 0.7, 3.5e-309, 1e30, -(10**400),
+               float("-inf")]
+NOT_OBJECTS = [3, 1.5, "node", [1.0, 1.0, 0], None, True]
+
+
+@st.composite
+def config_node(draw, n: int, files: int, bad_share: int, kinds: list[str]):
+    """Node ``n``: w, g in [0.5, 2] and needs n % files; about ``bad_share``
+    in 10 nodes instead lose a field, get a bad value (one of ``kinds``), or
+    are not objects."""
+    node = {"w": draw(st.floats(0.5, 2.0)), "g": draw(st.floats(0.5, 2.0)), "needs": n % files}
+    if draw(st.integers(0, 9)) >= bad_share:
+        return node
+    kind, key = draw(st.sampled_from(kinds)), draw(st.sampled_from(["g", "needs", "w"]))
+    if kind == "object":
+        return draw(st.sampled_from(NOT_OBJECTS))
+    if kind == "missing":
+        del node[key]
+    else:
+        node[key] = draw(st.sampled_from(WRONG_TYPES if kind == "type" else BAD_NUMBERS))
+    return node
+
+
+@st.composite
+def malformed_configs(draw) -> dict:
+    """Configs that mix valid nodes with bad fields, at every level; in about
+    half of them every field is a number, so validation sees them."""
+    numbers_only = draw(st.booleans())
+    kinds = ["number"] if numbers_only else ["number", "type", "missing", "object"]
+    files, bad_share = draw(st.integers(2, 3)), draw(st.sampled_from([0, 1, 3, 6]))
+    size = draw(st.integers(2 * files, 12) if draw(st.integers(0, 4)) else st.integers(0, 2 * files))
+    data = {"files": files, "nodes": [draw(config_node(n, files, bad_share, kinds)) for n in range(size)]}
+    if draw(st.integers(0, 5)) == 0:
+        data["files"] = draw(st.sampled_from(BAD_NUMBERS + [1e300] + ([] if numbers_only else WRONG_TYPES)))
+    if draw(st.integers(0, 3)) == 0:
+        data["seed"] = draw(st.sampled_from([None, 7, 7.0] if numbers_only else [1.5, True, "7", 10**400]))
+    if not numbers_only and draw(st.integers(0, 9)) == 0:
+        data["nodes"] = draw(st.sampled_from([{}, "nodes", 4, None]))
+    for key in ("files", "nodes"):
+        if not numbers_only and draw(st.integers(0, 9)) == 0:
+            del data[key]
+    return data
+
+
+def float_bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def read_and_validate(data: dict) -> tuple:
+    """(violations, columns) from the column reader; columns is None when
+    the config itself is malformed."""
+    try:
+        s, seed = scenario_from_dict(data)
+    except ScenarioError as exc:
+        return exc.violations, None
+    return validate_scenario(s), (s.files, float_bits(s.w), float_bits(s.g), s.needs.tolist(), seed)
+
+
+def reference_read_and_validate(data: dict) -> tuple:
+    try:
+        files, w, g, needs, seed = reference_scenario_from_dict(data)
+    except ScenarioError as exc:
+        return exc.violations, None
+    return reference_violations(files, w, g, needs), (files, float_bits(w), float_bits(g), needs, seed)
+
+
+class TestMalformedConfigs:
+    @given(malformed_configs())
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_reader_matches_per_node_reference(self, data):
+        violations, columns = read_and_validate(data)
+        ref_violations, ref_columns = reference_read_and_validate(data)
+        assert violations == ref_violations
+        assert columns == ref_columns
+        if columns is not None:
+            assert type(columns[0]) is int and type(columns[4]) in (int, type(None))
+
+    def test_generator_covers_every_outcome(self):
+        # the suite above must see clean configs and each kind of violation
+        seen = set()
+
+        @given(malformed_configs())
+        @settings(max_examples=400, derandomize=True, deadline=None)
+        def collect(data):
+            violations, _ = read_and_validate(data)
+            seen.update(codes(violations) or ["valid"])
+
+        collect()
+        assert seen >= {"valid", BAD_CONFIG, BAD_FILE_ID, NONPOSITIVE_COST, NONFINITE_COST, GROUP_TOO_SMALL}
+
+    @given(malformed_configs())
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_ne_exits_2_listing_every_violation(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            config, out = Path(tmp) / "config.json", Path(tmp) / "out.csv"
+            config.write_text(json.dumps(data))
+            violations, _ = read_and_validate(json.loads(config.read_text()))
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                code = main(["ne", "--config", str(config), "--out", str(out)])
+            if violations:
+                assert code == 2 and not out.exists()
+                assert err.getvalue().splitlines() == ["invalid scenario:"] + [f"  {v}" for v in violations]
+            else:
+                assert code in (0, 2, 3)
+
+
 class TestMetrics:
     def test_avg_cost_formula(self, sym_2_2):
         m = Metrics(sym_2_2)
@@ -252,7 +394,7 @@ class TestMetrics:
         assert m.avg_total_cost(0) == float("inf")
 
     def test_ratio(self):
-        assert CostParams(w=3.0, g=2.0).ratio() == pytest.approx(1.5)
+        assert Scenario(files=2, w=[3.0], g=[2.0], needs=[0]).ratio(0) == pytest.approx(1.5)
 
 
 class TestAtomicOpen:

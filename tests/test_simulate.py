@@ -21,7 +21,7 @@ from bxsim.equilibrium import (
     two_file_equilibrium,
 )
 from bxsim.errors import NegativeRateError, StallError
-from bxsim.model import CostParams, Metrics, Node, Scenario, StrategyProfile
+from bxsim.model import Metrics, Scenario, StrategyProfile
 from bxsim.simulate import CHUNK_DOUBLES, RoundEngine, Rounds, SimConfig, run_simulation
 
 from conftest import dense_profile, reference_play, symmetric, two_file
@@ -187,8 +187,8 @@ class TestRunRound:
         profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
         for seed in range(10):
             out = play(sym_10_10, profile, 1, seed=seed)
-            needed = sym_10_10.nodes[out.initiator[0]].needs
-            assert sym_10_10.nodes[out.responder[0]].needs != needed
+            needed = sym_10_10.needs[out.initiator[0]]
+            assert sym_10_10.needs[out.responder[0]] != needed
             assert out.initiator[0] != out.responder[0]
 
     def test_round_accounting(self, sym_10_10):
@@ -219,9 +219,9 @@ class TestRunRound:
         out = next(engine.run(rng(1), 1))
         m = Metrics(s)
         engine.account(m, out)
-        x = s.nodes[out.initiator[0]].needs
-        y = s.nodes[out.responder[0]].needs
-        expect = np.array([1 if nd.needs in (x, y) else 0 for nd in s.nodes])
+        x = s.needs[out.initiator[0]]
+        y = s.needs[out.responder[0]]
+        expect = np.array([1 if needs in (x, y) else 0 for needs in s.needs])
         np.testing.assert_array_equal(m.downloads, expect)
 
     def test_stall_no_initiator(self, sym_2_2):
@@ -380,7 +380,7 @@ def engine_cases(draw):
     needs = draw(st.permutations(np.repeat(np.arange(files), sizes).tolist()))
     kind = draw(st.sampled_from(["random", "equilibrium", "adapt"] if files == 2 else ["random", "equilibrium"]))
     w = 1.0 if kind == "equilibrium" else draw(st.floats(1.0, 1.5))
-    s = Scenario(files=files, nodes=tuple(Node(CostParams(w=w, g=1.0), needs=int(x)) for x in needs))
+    s = Scenario(files=files, w=np.full(len(needs), w), g=np.ones(len(needs)), needs=needs)
     rate = st.tuples(st.floats(0.01, 5.0), st.integers(0, 3)).map(lambda r: 0.0 if r[1] == 0 else r[0])
     if kind == "random":
         gamma = tuple(draw(rate) for _ in needs)
