@@ -48,6 +48,6 @@ from .model import (
     scenario_to_dict,
     validate_scenario,
 )
-from .simulate import NEVER, SimConfig, run_simulation
+from .simulate import NEVER, run_simulation
 
 __version__ = "0.1.0"

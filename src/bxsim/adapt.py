@@ -8,7 +8,10 @@ backoff of its phase with a diminishing step delta_k = epsilon / k.
 
 Two modes are provided: an analytic iteration that feeds the exact expected
 backoff (1 over the current aggregate rate) back into the update, and a
-simulation-coupled run that feeds the empirical epoch averages.
+simulation-coupled run that feeds the empirical epoch averages.  The state
+is one array per quantity over all nodes, in id order, with the role groups
+taken from ``needs``; the simulation-coupled run builds one round engine and
+re-rates it after every update.
 """
 
 from __future__ import annotations
@@ -18,11 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveObservationError, StallError
+from .errors import DivergenceError, NonpositiveObservationError, StallError
 from .model import Metrics, Scenario, StrategyProfile, require_valid
 from .simulate import RoundEngine, in_order_sum
 
 logger = logging.getLogger(__name__)
+
+ROLES = ("response", "initiation")  # the phase each role group adapts, by the file it needs
 
 
 @dataclass(frozen=True)
@@ -58,11 +63,13 @@ class AdaptConfig:
 
 
 @dataclass(frozen=True)
-class GroupAdaptState:
-    """Adaptation state of one role group (responders or initiators)."""
+class AdaptState:
+    """Adaptation state of every node, in id order.  The needers of file 0
+    adapt their response rates to file 1; the others, the initiators, adapt
+    their initiation rates."""
 
-    nodes: tuple[int, ...]
-    ratios: np.ndarray
+    ratios: np.ndarray  # w/g per node
+    initiates: np.ndarray  # True for the needers of file 1
     inv_guess: np.ndarray  # 1 / That_{n,k} per node
 
     @property
@@ -71,22 +78,17 @@ class GroupAdaptState:
         return np.maximum(0.0, self.inv_guess - self.ratios)
 
     @property
-    def aggregate_rate(self) -> float:
-        return float(np.sum(self.rates))
+    def aggregate_rates(self) -> tuple[float, float]:
+        """Rate sums of the responders and of the initiators."""
+        rates = self.rates
+        return float(np.sum(rates[~self.initiates])), float(np.sum(rates[self.initiates]))
 
-
-@dataclass(frozen=True)
-class AdaptState:
-    responders: GroupAdaptState  # needers of file 0, adapt response rates
-    initiators: GroupAdaptState  # needers of file 1, adapt initiation rates
-    epoch: int = 0
-
-    def profile(self, scenario: Scenario) -> StrategyProfile:
+    def profile(self) -> StrategyProfile:
         """Initiators initiate, responders answer file 1; every other rate is 0."""
-        gamma, lam = np.zeros(scenario.n_nodes), np.zeros((scenario.n_nodes, 2))
-        gamma[list(self.initiators.nodes)] = self.initiators.rates
-        lam[list(self.responders.nodes), 1] = self.responders.rates
-        return StrategyProfile(gamma=gamma, lam=lam)
+        rates = self.rates
+        lam = np.zeros((rates.size, 2))
+        lam[:, 1] = np.where(self.initiates, 0.0, rates)
+        return StrategyProfile(gamma=np.where(self.initiates, rates, 0.0), lam=lam)
 
 
 def init_state(s: Scenario, cfg: AdaptConfig) -> AdaptState:
@@ -101,31 +103,10 @@ def init_state(s: Scenario, cfg: AdaptConfig) -> AdaptState:
     cfg.validate()
     if s.files != 2:
         raise ValueError("the adaptation mechanism is defined for two-file scenarios")
-
-    def group_state(file: int) -> GroupAdaptState:
-        nodes = s.group(file)
-        ratios = s.ratios[s.needs == file]
-        assumed = cfg.guess_factor * len(nodes)
-        if assumed <= 1:
-            raise ValueError("guess_factor * group size must exceed 1")
-        inv_guess = assumed * ratios / (assumed - 1.0)
-        return GroupAdaptState(nodes=nodes, ratios=ratios, inv_guess=inv_guess)
-
-    return AdaptState(responders=group_state(0), initiators=group_state(1), epoch=0)
-
-
-def _update_group(
-    group: GroupAdaptState, observed_mean: float, delta: float, label: str
-) -> GroupAdaptState:
-    if observed_mean <= 0:
-        raise NonpositiveObservationError(
-            f"observed mean {label} backoff must be positive, got {observed_mean}"
-        )
-    new_inv = (1.0 + delta) * group.inv_guess - delta / observed_mean
-    floored = int(np.sum(new_inv < group.ratios))
-    if floored:
-        logger.warning("%s update floored %d rate(s) at zero", label, floored)
-    return GroupAdaptState(nodes=group.nodes, ratios=group.ratios, inv_guess=new_inv)
+    assumed = cfg.guess_factor * s.group_sizes()[s.needs]
+    if np.any(assumed <= 1):
+        raise ValueError("guess_factor * group size must exceed 1")
+    return AdaptState(ratios=s.ratios, initiates=s.needs == 1, inv_guess=assumed * s.ratios / (assumed - 1.0))
 
 
 def observe_and_update(
@@ -138,15 +119,24 @@ def observe_and_update(
     """Apply the k-th synchronized update to both role groups.
 
     Each node's new inverse guess is (1 + delta_k) / That_{n,k-1} -
-    delta_k / observed; its rate is the inverse guess minus its own w/g,
-    floored at zero (with a logged warning).
+    delta_k / observed, with its own group's observed mean; its rate is the
+    inverse guess minus its own w/g, floored at zero (with a logged warning
+    per group).  Raises DivergenceError when an inverse guess is not finite.
     """
     delta = cfg.delta(k)
-    return AdaptState(
-        responders=_update_group(state.responders, observed_response_mean, delta, "response"),
-        initiators=_update_group(state.initiators, observed_initiation_mean, delta, "initiation"),
-        epoch=k,
-    )
+    for label, mean in zip(ROLES, (observed_response_mean, observed_initiation_mean)):
+        if mean <= 0:
+            raise NonpositiveObservationError(f"observed mean {label} backoff must be positive, got {mean}")
+    observed = np.where(state.initiates, observed_initiation_mean, observed_response_mean)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv_guess = (1.0 + delta) * state.inv_guess - delta / observed
+    if not np.isfinite(inv_guess).all():
+        raise DivergenceError(f"the update to epoch {k} diverged: an inverse guess is not finite")
+    floored = np.bincount(state.initiates[inv_guess < state.ratios], minlength=2)
+    for label, count in zip(ROLES, floored.tolist()):
+        if count:
+            logger.warning("%s update floored %d rate(s) at zero", label, count)
+    return AdaptState(state.ratios, state.initiates, inv_guess)
 
 
 def analytic_iterate(s: Scenario, cfg: AdaptConfig) -> list[tuple[int, float, float]]:
@@ -157,14 +147,13 @@ def analytic_iterate(s: Scenario, cfg: AdaptConfig) -> list[tuple[int, float, fl
     k = 0..updates, where the aggregates are the group rate sums.
     """
     state = init_state(s, cfg)
-    rows = [(0, state.responders.aggregate_rate, state.initiators.aggregate_rate)]
+    rows = [(0, *state.aggregate_rates)]
     for k in range(1, cfg.updates + 1):
-        resp_rate = state.responders.aggregate_rate
-        init_rate = state.initiators.aggregate_rate
+        resp_rate, init_rate = state.aggregate_rates
         if resp_rate <= 0 or init_rate <= 0:
             raise StallError("a whole role group hit the zero-rate floor")
         state = observe_and_update(state, 1.0 / resp_rate, 1.0 / init_rate, k, cfg)
-        rows.append((k, state.responders.aggregate_rate, state.initiators.aggregate_rate))
+        rows.append((k, *state.aggregate_rates))
     return rows
 
 
@@ -183,7 +172,7 @@ class EpochRecord:
     observed_inv_that_a: float
     observed_inv_that_b: float
     throughput: float
-    node_states: tuple[tuple[int, float, float], ...]  # (node, That_guess, rate)
+    node_states: np.ndarray  # (nodes, 2): That_guess and rate of each node, in id order
 
 
 @dataclass(frozen=True)
@@ -193,48 +182,46 @@ class AdaptiveRunResult:
     state: AdaptState
 
 
-def _node_states(state: AdaptState) -> tuple[tuple[int, float, float], ...]:
-    groups = (state.responders, state.initiators)
-    return tuple(sorted(row for g in groups for row in zip(g.nodes, (1.0 / g.inv_guess).tolist(), g.rates.tolist())))
-
-
 def run_adaptive_simulation(s: Scenario, cfg: AdaptConfig, seed: int = 0) -> AdaptiveRunResult:
     """Couple the simulator with the update mechanism.
 
     Runs updates + 1 epochs of epoch_rounds rounds each.  Within an epoch
     the rates are fixed; the winning backoff of each phase is averaged over
-    the epoch and fed into the next update.  One RNG stream (seeded once)
-    spans the whole run: each epoch's engine continues where the previous
-    one left the generator, and the epoch sums are added in round order.
+    the epoch and fed into the next update.  One round engine and one RNG
+    stream (seeded once) span the whole run: each update re-rates the engine,
+    whose next epoch continues where the previous one left the generator,
+    and the epoch sums are added in round order.
     """
     cfg.validate()
     state = init_state(s, cfg)
+    engine = RoundEngine(s, state.profile(), coded=False)
     rng = np.random.Generator(np.random.PCG64(seed))
     metrics = Metrics(s)
     records: list[EpochRecord] = []
 
     for epoch in range(cfg.updates + 1):
-        delta = cfg.delta(epoch) if epoch >= 1 else 0.0
-        engine = RoundEngine(s, state.profile(s), coded=False)
-        init_sum = resp_sum = elapsed = 0.0
+        sums = np.zeros(3)
         for chunk in engine.run(rng, cfg.epoch_rounds):
             engine.account(metrics, chunk)
-            init_sum = in_order_sum(init_sum, chunk.t_init)
-            resp_sum = in_order_sum(resp_sum, chunk.t_resp)
-            elapsed = in_order_sum(elapsed, chunk.duration)
+            sums = in_order_sum(sums, (chunk.t_init, chunk.t_resp, chunk.duration))
+        init_sum, resp_sum, elapsed = sums.tolist()
         resp_mean = resp_sum / cfg.epoch_rounds
         init_mean = init_sum / cfg.epoch_rounds
         records.append(
             EpochRecord(
                 epoch=epoch,
-                delta=delta,
+                delta=cfg.delta(epoch) if epoch >= 1 else 0.0,
                 observed_inv_that_a=1.0 / resp_mean,
                 observed_inv_that_b=1.0 / init_mean,
                 throughput=cfg.epoch_rounds / elapsed,
-                node_states=_node_states(state),
+                node_states=np.array((1.0 / state.inv_guess, state.rates)).T,
             )
         )
         if epoch < cfg.updates:
-            state = observe_and_update(state, resp_mean, init_mean, epoch + 1, cfg)
+            try:
+                state = observe_and_update(state, resp_mean, init_mean, epoch + 1, cfg)
+            except DivergenceError as exc:
+                raise DivergenceError(f"seed {seed}: {exc}") from None
+            engine.set_profile(state.profile())
 
     return AdaptiveRunResult(epochs=records, metrics=metrics, state=state)

@@ -3,7 +3,8 @@ and the two experiment reproductions, all emitting plot-ready CSV.
 
 Exit codes: 0 success, 2 invalid scenario/arguments, 3 equilibrium
 nonexistence (negative rates or an unexpectedly singular system), 4 runtime
-stall.  Every command is deterministic given its config and seeds; reruns
+stall or diverging adaptation.  Every output is opened before any work, and
+a failed command leaves none of them.  Every command is deterministic given its config and seeds; reruns
 produce byte-identical CSV in the csv module's default dialect (comma,
 ``\r\n``, no field ever quoted): one ``%`` template per row kind (the
 ``*_ROW`` constants), floats at ``%.9g``.
@@ -14,6 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +29,7 @@ from .errors import (
     SingularSystemError,
     StallError,
 )
-from .model import Scenario, atomic_open, load_scenario, require_valid
+from .model import Scenario, as_output, atomic_open, load_scenario, require_valid
 
 
 NODE_COLUMNS = "%.9g,%.9g,%d"  # w, g, needs
@@ -42,25 +45,28 @@ def format_rows(template: str, *columns) -> list[str]:
     return [template % row for row in zip(*columns)]
 
 
-def write_csv(path: str | Path, header: list[str], lines: list[str]) -> None:
+def write_csv(path: str | Path | atomic_open, header: list[str], lines: list[str]) -> None:
     """Write the header and the preformatted ``lines`` to ``path``."""
-    with atomic_open(path) as fh:
+    with as_output(path) as fh:
         fh.write(",".join(header) + "\r\n")
         fh.write("".join(lines))
 
 
 def parse_seeds(text: str) -> list[int]:
-    """Comma-separated seeds; 'a-b' expands to the inclusive range."""
+    """Comma-separated seeds; 'a-b' expands to the inclusive range.  An empty
+    range, or a seed given twice, is an error."""
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if "-" in part[1:]:
             lo, hi = part.split("-", 1)
+            if int(hi) < int(lo):
+                raise ValueError(f"empty seed range {part}")
             out.extend(range(int(lo), int(hi) + 1))
         else:
             out.append(int(part))
-    if not out:
-        raise ValueError("empty seed list")
+    if len(set(out)) < len(out):
+        raise ValueError(f"seed list {text} names a seed twice")
     return out
 
 
@@ -88,12 +94,11 @@ SCENARIO_JSON = '%s\n  %s: {\n    "files": %d,\n    "nodes": [%s\n    ]\n  }'  #
 NODE_JSON = '\n      {\n        "g": %r,\n        "needs": %d,\n        "w": %r\n      }'  # g, needs, w
 
 
-def dump_scenarios(out: str, scenarios: dict[str, Scenario]) -> None:
-    """Write the generated scenarios next to the results for reproducibility: the bytes of
+def dump_scenarios(path: str | Path | atomic_open, scenarios: dict[str, Scenario]) -> None:
+    """Write the generated scenarios to ``path`` for reproducibility: the bytes of
     ``json.dump(..., sort_keys=True, indent=2)`` on their ``scenario_to_dict`` forms, as long as
     each has a node and finite costs, which every dumped scenario has (``%r`` is json's float form)."""
-    path = Path(out).with_suffix(Path(out).suffix + ".scenarios.json")
-    with atomic_open(path) as fh:
+    with as_output(path) as fh:
         fh.write("{")
         for i, key in enumerate(sorted(scenarios)):
             s = scenarios[key]
@@ -170,8 +175,7 @@ def cmd_simulate(args) -> int:
     lines: list[str] = []
     columns = node_columns(s)
     for seed in seeds:
-        cfg = simulate.SimConfig(scenario=s, profile=profile, rounds=args.rounds, seed=seed, coded=args.coded)
-        metrics = simulate.run_simulation(cfg, trace_path=args.trace or None)
+        metrics = simulate.run_simulation(s, profile, args.rounds, seed, args.coded, args.trace or None)
         costs = [metrics.avg_total_cost(n) for n in range(s.n_nodes)]
         downloads, uploads = metrics.downloads.tolist(), metrics.uploads.tolist()
         lines += format_rows(SIM_NODE_ROW, [seed] * s.n_nodes, range(s.n_nodes), columns, downloads, uploads, costs)
@@ -198,14 +202,16 @@ def cmd_adapt(args) -> int:
     require_valid(s)
     cfg = adapt_config(args)
     seeds = parse_seeds(args.seeds) if args.seeds else [cfg_seed if cfg_seed is not None else 0]
-    lines, node_lines = [], []
+    lines, states = [], []
     for seed in seeds:
         for rec in adapt.run_adaptive_simulation(s, cfg, seed=seed).epochs:
             observed = (rec.delta, rec.observed_inv_that_a, rec.observed_inv_that_b, rec.throughput)
             lines.append(ADAPT_ROW % (seed, rec.epoch, *observed))
-            node_lines += [ADAPT_NODE_ROW % (seed, rec.epoch, *state) for state in rec.node_states]
+            states.append(rec.node_states)
     write_csv(args.out, ADAPT_HEADER, lines)
     if args.per_node_out:
+        keys = zip(*product(seeds, range(cfg.updates + 1), range(s.n_nodes)))  # seed, epoch, node
+        node_lines = format_rows(ADAPT_NODE_ROW, *keys, *np.concatenate(states).T.tolist())
         write_csv(args.per_node_out, ADAPT_NODE_HEADER, node_lines)
     print(f"wrote {len(lines)} rows to {args.out}")
     return 0
@@ -234,7 +240,7 @@ def cmd_fig2(args) -> int:
         for epoch in range(cfg.updates + 1)
     ]
     write_csv(args.out, FIG2_HEADER, lines)
-    dump_scenarios(args.out, scenarios)
+    dump_scenarios(args.scenarios_out, scenarios)
     print(f"wrote {len(lines)} rows to {args.out}")
     return 0
 
@@ -246,6 +252,8 @@ FIG3_ANALYTIC_ROW = "%d,%.9g,%.9g,\r\n"  # without --simulate
 
 def cmd_fig3(args) -> int:
     file_counts = [int(x) for x in args.files.split(",")]
+    if len(set(file_counts)) < len(file_counts):  # one scenario dump entry per file count
+        raise ValueError(f"file count list {args.files} names a file count twice")
     lines: list[str] = []
     scenarios: dict[str, Scenario] = {}
     for f in file_counts:
@@ -258,13 +266,12 @@ def cmd_fig3(args) -> int:
         analytic = equilibrium.coded_throughput(s, eq)
         if args.simulate:
             profile = equilibrium.coded_equilibrium(s).profile
-            cfg = simulate.SimConfig(scenario=s, profile=profile, rounds=args.rounds, seed=args.seed, coded=True)
-            metrics = simulate.run_simulation(cfg)
+            metrics = simulate.run_simulation(s, profile, args.rounds, seed=args.seed, coded=True)
             lines.append(FIG3_ROW % (f, analytic, 1.0 / f, metrics.per_node_throughput()))
         else:
             lines.append(FIG3_ANALYTIC_ROW % (f, analytic, 1.0 / f))
     write_csv(args.out, FIG3_HEADER, lines)
-    dump_scenarios(args.out, scenarios)
+    dump_scenarios(args.scenarios_out, scenarios)
     print(f"wrote {len(lines)} rows to {args.out}")
     return 0
 
@@ -340,10 +347,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+OUTPUTS = ("out", "trace", "per_node_out", "scenarios_out")  # every output a command can write
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.func in (cmd_fig2, cmd_fig3):  # they dump the scenarios they generate beside the results
+            args.scenarios_out = Path(args.out).with_suffix(Path(args.out).suffix + ".scenarios.json")
+        with ExitStack() as opened:
+            # Open every output before any work, so that an unwritable path fails at
+            # once; one the command has not written when it ends is discarded.
+            partials = set()  # two outputs must not share a temporary file
+            for dest in OUTPUTS:
+                path = getattr(args, dest, None)
+                if path or dest == "out":  # an empty --trace or --per-node-out asks for none
+                    try:
+                        out = atomic_open(path)
+                    except OSError as exc:
+                        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+                    opened.callback(out.close)
+                    if out.tmp is not None and out.tmp in partials:
+                        raise ValueError(f"two outputs name the file {path}")
+                    partials.add(out.tmp)
+                    setattr(args, dest, out)
+            return args.func(args)
     except ScenarioError as exc:
         print("invalid scenario:", file=sys.stderr)
         for v in exc.violations:

@@ -74,6 +74,12 @@ class StallError(BxsimError):
     code = "STALL"
 
 
+class DivergenceError(StallError):
+    """The adaptation update diverged: an inverse guess is no longer finite."""
+
+    code = "DIVERGED"
+
+
 class NonpositiveObservationError(BxsimError):
     """An adaptation update was fed a non-positive observed backoff mean."""
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 import json
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -296,46 +296,69 @@ def _std_stream_fd(path: Path) -> int | None:
     return None
 
 
-@contextmanager
-def atomic_open(path: str | Path) -> Iterator[IO[str]]:
-    """Open ``path`` for writing text.
+class atomic_open:
+    """Open ``path`` for writing text, at once, so a target that cannot be
+    written fails before any work is done; ``with`` the object to write it.
 
     A missing or regular file (symlinks followed) is written to a temporary
-    file beside it, which takes its place and mode only when the block
-    completes, so an exception leaves no truncated output.  The file open
-    as stdout or stderr (``/dev/stdout``, or a file that stdout is
-    redirected to) is written through that stream at its current position,
-    so the program's later messages follow the data.  Other targets (a
-    FIFO), and files in a directory where no new file may be made, are
-    written in place.
+    file beside it, which takes its place and mode only when the ``with``
+    block completes, so an exception, or ``close()`` before the block,
+    leaves no output.  The file open as stdout or stderr (``/dev/stdout``,
+    or a file that stdout is redirected to) is written through that stream
+    at its current position, so the program's later messages follow the
+    data.  Other targets (a FIFO), and files in a directory where no new
+    file may be made, are written in place; such a file is emptied only
+    when the block starts.  The object is path-like: its path is ``path``.
     """
-    path, fh = Path(path), None
-    std = _std_stream_fd(path)
-    if std is not None:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
-        with open(os.dup(std), "w", newline="") as fh:
-            yield fh
-        return
-    if path.is_file() or not path.exists():
-        path = path.resolve()
-        tmp = path.with_name(f".{path.name}.partial")
-        with suppress(PermissionError):
-            fh = open(tmp, "w", newline="")
-    if fh is None:
-        with open(path, "w", newline="") as fh:
-            yield fh
-        return
-    try:
-        with fh:
-            if path.exists():
-                tmp.chmod(path.stat().st_mode & 0o7777)
-            yield fh
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    tmp.replace(path)
+
+    def __init__(self, path: str | Path):
+        self.name, path, self.tmp, fh = os.fspath(path), Path(path), None, None
+        self.std = _std_stream_fd(path)
+        if self.std is not None:
+            fh = open(os.dup(self.std), "w", newline="")
+        elif path.is_file() or not path.exists():
+            self.target = path.resolve()
+            tmp = self.target.with_name(f".{self.target.name}.partial")
+            with suppress(PermissionError):
+                fh, self.tmp = open(tmp, "w", newline=""), tmp
+        self.fh = fh or open(path, "a", newline="")
+
+    def __fspath__(self) -> str:
+        return self.name
+
+    __str__ = __fspath__
+
+    def __enter__(self) -> IO[str]:
+        if self.std is not None:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        elif self.tmp is None and os.path.isfile(self.name):
+            self.fh.truncate(0)
+        return self.fh
+
+    def __exit__(self, exc_type, *_) -> None:
+        self.close(keep=exc_type is None)
+
+    def close(self, keep: bool = False) -> None:
+        """Close; the target takes a temporary file's place only if ``keep``."""
+        if self.fh.closed:
+            return
+        self.fh.close()
+        if self.tmp is not None:
+            try:
+                if keep:
+                    if self.target.exists():
+                        self.tmp.chmod(self.target.stat().st_mode & 0o7777)
+                    self.tmp.replace(self.target)
+            finally:
+                self.tmp.unlink(missing_ok=True)
+
+
+def as_output(path: str | Path | atomic_open) -> atomic_open:
+    """``path`` itself when it is an output already opened through
+    atomic_open, else ``atomic_open(path)``."""
+    return path if isinstance(path, atomic_open) else atomic_open(path)
 
 
 def load_scenario(path: str | Path) -> tuple[Scenario, int | None]:

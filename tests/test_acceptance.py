@@ -30,7 +30,7 @@ from bxsim.equilibrium import (
     two_file_equilibrium,
 )
 from bxsim.model import scenario_to_dict
-from bxsim.simulate import SimConfig, run_simulation
+from bxsim.simulate import run_simulation
 
 from conftest import random_coded, random_two_file, symmetric
 
@@ -104,7 +104,7 @@ def test_03_simulation_vs_analytic():
         start = time.perf_counter()
         s = symmetric(2, 10)
         profile = two_file_equilibrium(s, alpha=0.5).profile
-        metrics = run_simulation(SimConfig(scenario=s, profile=profile, rounds=100_000, seed=1))
+        metrics = run_simulation(scenario=s, profile=profile, rounds=100_000, seed=1)
         mean_duration = metrics.elapsed / metrics.rounds
         assert mean_duration == pytest.approx(3.8, rel=0.02)
         assert metrics.per_node_throughput() == pytest.approx(0.263158, rel=0.02)
@@ -161,7 +161,7 @@ def test_06_fig3_reproduction():
             assert analytic == pytest.approx(value, abs=1e-6)
             profile = coded_equilibrium(s).profile
             metrics = run_simulation(
-                SimConfig(scenario=s, profile=profile, rounds=20_000, seed=f, coded=True)
+                scenario=s, profile=profile, rounds=20_000, seed=f, coded=True
             )
             assert metrics.per_node_throughput() == pytest.approx(analytic, rel=0.02)
         assert coded_throughput(symmetric(3, 10)) < 1 / 3

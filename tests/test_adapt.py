@@ -13,7 +13,7 @@ from bxsim.adapt import (
     run_adaptive_simulation,
 )
 from bxsim.equilibrium import expected_response_cost_under_rate, throughput_at_ne
-from bxsim.errors import NonpositiveObservationError, StallError
+from bxsim.errors import DivergenceError, NonpositiveObservationError, StallError
 
 from conftest import reference_play, symmetric, two_file
 
@@ -28,14 +28,14 @@ class TestInitState:
     def test_overestimated_initial_guess(self, sym_10_10):
         st = init_state(sym_10_10, mech_cfg())
         # assumed group of 100 at w = g = 1: guess 0.99, rate 1/0.99 - 1
-        np.testing.assert_allclose(1 / st.responders.inv_guess, 0.99)
-        np.testing.assert_allclose(st.responders.rates, 1 / 0.99 - 1.0)
-        np.testing.assert_allclose(st.initiators.rates, 1 / 0.99 - 1.0)
+        np.testing.assert_allclose(1 / st.inv_guess[~st.initiates], 0.99)
+        np.testing.assert_allclose(st.rates[~st.initiates], 1 / 0.99 - 1.0)
+        np.testing.assert_allclose(st.rates[st.initiates], 1 / 0.99 - 1.0)
 
     def test_scaled_by_ratio(self):
         s = two_file([2.0] * 10, [1.0] * 10)
         st = init_state(s, mech_cfg())
-        np.testing.assert_allclose(1 / st.responders.inv_guess, 99 / 200)
+        np.testing.assert_allclose(1 / st.inv_guess[~st.initiates], 99 / 200)
 
     def test_true_size_guess_is_fixed_point(self, sym_10_10):
         rows = analytic_iterate(sym_10_10, mech_cfg(guess_factor=1.0, updates=5))
@@ -45,9 +45,9 @@ class TestInitState:
 
     def test_roles_follow_file_order(self, sym_10_10):
         st = init_state(sym_10_10, mech_cfg())
-        assert st.responders.nodes == sym_10_10.group(0)
-        assert st.initiators.nodes == sym_10_10.group(1)
-        profile = st.profile(sym_10_10)
+        assert tuple(np.flatnonzero(~st.initiates)) == sym_10_10.group(0)
+        assert tuple(np.flatnonzero(st.initiates)) == sym_10_10.group(1)
+        profile = st.profile()
         assert all(profile.gamma[n] == 0.0 for n in sym_10_10.group(0))
         assert all(profile.gamma[n] > 0.0 for n in sym_10_10.group(1))
         assert all(profile.lam[(n, 1)] > 0.0 for n in sym_10_10.group(0))
@@ -62,29 +62,29 @@ class TestObserveAndUpdate:
     def test_per_node_first_step(self, sym_10_10):
         cfg = mech_cfg()
         st = init_state(sym_10_10, cfg)
-        observed = 1 / st.responders.aggregate_rate  # exact mean backoff, 9.9
+        observed = 1 / st.aggregate_rates[0]  # exact mean backoff, 9.9
         st1 = observe_and_update(st, observed, observed, k=1, cfg=cfg)
-        np.testing.assert_allclose(st1.responders.inv_guess, 1.1 * (1 / 0.99) - 0.1 * (1 / 9.9))
-        np.testing.assert_allclose(st1.responders.inv_guess, 1.1010101010101, atol=1e-10)
-        np.testing.assert_allclose(st1.responders.rates, 0.1010101010101, atol=1e-10)
+        np.testing.assert_allclose(st1.inv_guess[~st1.initiates], 1.1 * (1 / 0.99) - 0.1 * (1 / 9.9))
+        np.testing.assert_allclose(st1.inv_guess[~st1.initiates], 1.1010101010101, atol=1e-10)
+        np.testing.assert_allclose(st1.rates[~st1.initiates], 0.1010101010101, atol=1e-10)
 
     def test_aggregate_sequence(self, sym_10_10):
         cfg = mech_cfg()
         st = init_state(sym_10_10, cfg)
-        seen = [st.responders.aggregate_rate]
+        seen = [st.aggregate_rates[0]]
         for k in (1, 2):
-            obs = 1 / st.responders.aggregate_rate
-            st = observe_and_update(st, obs, 1 / st.initiators.aggregate_rate, k, cfg)
-            seen.append(st.responders.aggregate_rate)
+            obs = 1 / st.aggregate_rates[0]
+            st = observe_and_update(st, obs, 1 / st.aggregate_rates[1], k, cfg)
+            seen.append(st.aggregate_rates[0])
         np.testing.assert_allclose(seen, [0.1010101, 1.0101010, 1.0555556], atol=1e-6)
 
     def test_observing_own_guess_is_noop(self, sym_10_10):
         cfg = mech_cfg()
         st = init_state(sym_10_10, cfg)
-        own = float(1 / st.responders.inv_guess[0])  # homogeneous: same for all
+        own = float(1 / st.inv_guess[~st.initiates][0])  # homogeneous: same for all
         st1 = observe_and_update(st, own, own, k=1, cfg=cfg)
-        np.testing.assert_allclose(st1.responders.inv_guess, st.responders.inv_guess)
-        np.testing.assert_allclose(st1.initiators.inv_guess, st.initiators.inv_guess)
+        np.testing.assert_allclose(st1.inv_guess[~st1.initiates], st.inv_guess[~st.initiates])
+        np.testing.assert_allclose(st1.inv_guess[st1.initiates], st.inv_guess[st.initiates])
 
     def test_nonpositive_observation(self, sym_10_10):
         cfg = mech_cfg()
@@ -98,7 +98,7 @@ class TestObserveAndUpdate:
         with caplog.at_level(logging.WARNING, logger="bxsim.adapt"):
             st1 = observe_and_update(st, 1e-9, 1e-9, k=1, cfg=cfg)
         assert "floored" in caplog.text
-        assert st1.responders.aggregate_rate == 0.0
+        assert st1.aggregate_rates[0] == 0.0
 
     def test_k_must_be_positive(self, sym_10_10):
         cfg = mech_cfg()
@@ -147,6 +147,11 @@ class TestAnalyticIterate:
     def test_stall_after_full_floor(self, sym_10_10):
         with pytest.raises(StallError):
             analytic_iterate(sym_10_10, mech_cfg(epsilon=5.0, guess_factor=0.2, updates=3))
+
+    def test_divergence_is_its_own_error(self, sym_10_10):
+        # the second step overflows; no numpy warning, a named epoch instead
+        with pytest.raises(DivergenceError, match="epoch 2"):
+            analytic_iterate(sym_10_10, mech_cfg(epsilon=1e300, updates=3))
 
 
 class TestIncentiveMonotonicity:
@@ -233,11 +238,9 @@ class TestAdaptiveSimulation:
         st1 = observe_and_update(
             st0, 1 / rec0.observed_inv_that_a, 1 / rec0.observed_inv_that_b, 1, cfg
         )
-        expected = sorted(
-            (n, float(1 / st1.responders.inv_guess[i]), float(st1.responders.rates[i]))
-            for i, n in enumerate(st1.responders.nodes)
-        )
-        got = [t for t in result.epochs[1].node_states if t[0] in st1.responders.nodes]
+        responders = np.flatnonzero(~st1.initiates)
+        expected = [(n, float(1 / st1.inv_guess[n]), float(st1.rates[n])) for n in responders]
+        got = [(n, *result.epochs[1].node_states[n].tolist()) for n in responders]
         for (en, eg, er), (gn, gg, gr) in zip(expected, got):
             assert en == gn
             assert gg == pytest.approx(eg, abs=1e-12)
@@ -249,20 +252,43 @@ class TestAdaptiveSimulation:
         s = two_file([1.0, 1.2, 1.4], [1.1, 1.3, 1.5, 1.6, 1.7])
         cfg = mech_cfg(updates=3, epoch_rounds=3000)
         result = run_adaptive_simulation(s, cfg, seed=4)
-        gen = np.random.Generator(np.random.PCG64(4))
-        state = init_state(s, cfg)
-        total = 0.0
-        for rec in result.epochs:
-            init_sum = resp_sum = elapsed = 0.0
-            for _, _, t_init, t_resp in reference_play(s, state.profile(s), gen, cfg.epoch_rounds):
-                duration = t_init + t_resp + 2.0
-                total += duration
-                init_sum += t_init
-                resp_sum += t_resp
-                elapsed += duration
-            resp_mean, init_mean = resp_sum / cfg.epoch_rounds, init_sum / cfg.epoch_rounds
-            assert (rec.observed_inv_that_a, rec.observed_inv_that_b) == (1.0 / resp_mean, 1.0 / init_mean)
-            assert rec.throughput == cfg.epoch_rounds / elapsed
-            if rec.epoch < cfg.updates:
-                state = observe_and_update(state, resp_mean, init_mean, rec.epoch + 1, cfg)
-        assert result.metrics.elapsed == total
+        replay_round_by_round(s, cfg, 4, result)
+
+    def test_matches_round_by_round_loop_through_floors(self, caplog):
+        # The updates floor rates of both groups at exactly zero; the engine
+        # keeps those nodes in its tables and must still match per-round play.
+        s = two_file([1.0, 1.2, 1.7], [1.1, 1.3, 1.5, 2.0, 2.4])
+        cfg = mech_cfg(updates=4, epoch_rounds=3000, epsilon=0.8, guess_factor=2.0)
+        with caplog.at_level(logging.WARNING, logger="bxsim.adapt"):
+            result = run_adaptive_simulation(s, cfg, seed=4)
+        states = replay_round_by_round(s, cfg, 4, result)
+        assert "response update floored" in caplog.text and "initiation update floored" in caplog.text
+        for rec, state in zip(result.epochs, states):
+            assert rec.node_states.tolist() == np.column_stack((1 / state.inv_guess, state.rates)).tolist()
+        last = result.epochs[-1].node_states[:, 1]
+        assert (last[s.needs == 0] == 0).any() and (last[s.needs == 1] == 0).any()
+
+
+def replay_round_by_round(s, cfg, seed, result):
+    """Check an adaptive run against the per-round epoch loop on the
+    reference player, bit for bit; returns the state of each epoch."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    state = init_state(s, cfg)
+    states = []
+    total = 0.0
+    for rec in result.epochs:
+        states.append(state)
+        init_sum = resp_sum = elapsed = 0.0
+        for _, _, t_init, t_resp in reference_play(s, state.profile(), gen, cfg.epoch_rounds):
+            duration = t_init + t_resp + 2.0
+            total += duration
+            init_sum += t_init
+            resp_sum += t_resp
+            elapsed += duration
+        resp_mean, init_mean = resp_sum / cfg.epoch_rounds, init_sum / cfg.epoch_rounds
+        assert (rec.observed_inv_that_a, rec.observed_inv_that_b) == (1.0 / resp_mean, 1.0 / init_mean)
+        assert rec.throughput == cfg.epoch_rounds / elapsed
+        if rec.epoch < cfg.updates:
+            state = observe_and_update(state, resp_mean, init_mean, rec.epoch + 1, cfg)
+    assert result.metrics.elapsed == total
+    return states

@@ -304,6 +304,75 @@ class TestAdapt:
         assert not out.exists() and not (tmp_path / "x.csv.scenarios.json").exists()
 
 
+class TestFailClosed:
+    """Argument lists that would be silently wrong, outputs that cannot be
+    written, and a diverging adaptation all fail before any output exists."""
+
+    @staticmethod
+    def run(tmp_path, argv):
+        cfg = write_config(tmp_path, symmetric(2, 4), name="cfg.json")
+        argv = [cfg if a == "CFG" else str(tmp_path / a) if "." in a or a == "dir" else a for a in argv]
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "x.csv.scenarios.json").mkdir()  # fig2 and fig3 cannot dump here
+        return main(argv)
+
+    @staticmethod
+    def assert_nothing_written(tmp_path):
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "dir", "x.csv.scenarios.json"]
+        assert list((tmp_path / "dir").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "fig2 --seeds 1,3-1 --out y.csv",
+            "fig2 --seeds 0,1,0 --out y.csv",
+            "adapt --config CFG --seeds 2-3,5-4 --out y.csv",
+            "simulate --config CFG --seeds 4,4 --out y.csv",
+            "fig3 --files 3,3 --out y.csv",
+        ],
+    )
+    def test_bad_seed_or_file_list_exits_2(self, tmp_path, capsys, argv):
+        assert self.run(tmp_path, argv.split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid arguments: ") and err.count("\n") == 1
+        self.assert_nothing_written(tmp_path)
+
+    @pytest.mark.parametrize(
+        "argv,path",
+        [
+            ("simulate --config CFG --rounds 50 --out missing/y.csv", "missing/y.csv"),
+            ("simulate --config CFG --rounds 50 --trace dir --out y.csv", "dir"),
+            ("adapt --config CFG --updates 1 --per-node-out dir --out y.csv", "dir"),
+            ("ne --config CFG --out dir", "dir"),
+            ("fig2 --seeds 0 --updates 1 --out x.csv", "x.csv.scenarios.json"),
+            ("fig3 --files 3 --out x.csv", "x.csv.scenarios.json"),
+        ],
+    )
+    def test_unwritable_output_exits_2_before_any_work(self, tmp_path, capsys, argv, path):
+        assert self.run(tmp_path, argv.split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid arguments: cannot write {tmp_path / path}: ") and err.count("\n") == 1
+        self.assert_nothing_written(tmp_path)
+
+    def test_two_outputs_naming_one_file_exit_2(self, tmp_path, capsys):
+        argv = "adapt --config CFG --updates 1 --per-node-out y.csv --out y.csv"
+        assert self.run(tmp_path, argv.split()) == 2
+        assert capsys.readouterr().err == f"invalid arguments: two outputs name the file {tmp_path / 'y.csv'}\n"
+        self.assert_nothing_written(tmp_path)
+
+    def test_early_exit_discards_opened_outputs(self, tmp_path, capsys):
+        argv = "simulate --config CFG --seeds 1,2 --trace t.csv --out y.csv"
+        assert self.run(tmp_path, argv.split()) == 2
+        assert "--trace requires a single seed" in capsys.readouterr().err
+        self.assert_nothing_written(tmp_path)
+
+    def test_divergence_exits_4_naming_seed_and_epoch(self, tmp_path, capsys):
+        assert self.run(tmp_path, "fig2 --seeds 7 --epsilon 1e300 --out y.csv".split()) == 4
+        err = capsys.readouterr().err
+        assert err == "simulation stalled: seed 7: the update to epoch 2 diverged: an inverse guess is not finite\n"
+        self.assert_nothing_written(tmp_path)
+
+
 class TestFig2:
     def test_smoke(self, tmp_path):
         out = tmp_path / "fig2.csv"
@@ -335,7 +404,7 @@ class TestFig2:
         path.write_text("old\n")
         broken = replace(symmetric(2, 3), files=None)
         with pytest.raises(TypeError):
-            dump_scenarios(str(tmp_path / "fig2.csv"), {"seed_0": symmetric(2, 2), "seed_1": broken})
+            dump_scenarios(str(path), {"seed_0": symmetric(2, 2), "seed_1": broken})
         assert path.read_text() == "old\n" and list(tmp_path.iterdir()) == [path]
 
 
@@ -414,7 +483,7 @@ class TestGeneratedScenarios:
     def test_dump_matches_json_dump(self, specs):
         scenarios = {key: Scenario(files, *zip(*nodes)) for key, (files, nodes) in specs.items()}
         with tempfile.TemporaryDirectory() as tmp:
-            dump_scenarios(str(Path(tmp) / "out.csv"), scenarios)
+            dump_scenarios(str(Path(tmp) / "out.csv.scenarios.json"), scenarios)
             got = (Path(tmp) / "out.csv.scenarios.json").read_text()
         data = {key: scenario_to_dict(s) for key, s in scenarios.items()}
         assert got == json.dumps(data, sort_keys=True, indent=2) + "\n"

@@ -22,7 +22,7 @@ from bxsim.equilibrium import (
 )
 from bxsim.errors import NegativeRateError, StallError
 from bxsim.model import Metrics, Scenario, StrategyProfile
-from bxsim.simulate import CHUNK_DOUBLES, RoundEngine, Rounds, SimConfig, run_simulation
+from bxsim.simulate import CHUNK_DOUBLES, RoundEngine, Rounds, run_simulation
 
 from conftest import dense_profile, reference_play, symmetric, two_file
 
@@ -252,23 +252,23 @@ class TestRunRound:
 class TestRunSimulation:
     def test_determinism(self, sym_10_10):
         profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
-        cfg = SimConfig(scenario=sym_10_10, profile=profile, rounds=2000, seed=11)
-        m1, m2 = run_simulation(cfg), run_simulation(cfg)
+        cfg = dict(scenario=sym_10_10, profile=profile, rounds=2000, seed=11)
+        m1, m2 = run_simulation(**cfg), run_simulation(**cfg)
         assert m1.elapsed == m2.elapsed
         np.testing.assert_array_equal(m1.downloads, m2.downloads)
         np.testing.assert_array_equal(m1.uploads, m2.uploads)
 
     def test_two_file_completeness(self, sym_10_10):
         profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
-        cfg = SimConfig(scenario=sym_10_10, profile=profile, rounds=500, seed=2)
-        m = run_simulation(cfg)
+        cfg = dict(scenario=sym_10_10, profile=profile, rounds=500, seed=2)
+        m = run_simulation(**cfg)
         assert (m.downloads == 500).all()
         assert m.uploads.sum() == 2 * 500
 
     def test_matches_run_round_accumulation(self, sym_10_10):
         profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
-        cfg = SimConfig(scenario=sym_10_10, profile=profile, rounds=300, seed=9)
-        m = run_simulation(cfg)
+        cfg = dict(scenario=sym_10_10, profile=profile, rounds=300, seed=9)
+        m = run_simulation(**cfg)
         ref = reference_metrics(sym_10_10, reference_play(sym_10_10, profile, rng(9), 300), coded=False)
         np.testing.assert_array_equal(m.downloads, ref.downloads)
         np.testing.assert_array_equal(m.uploads, ref.uploads)
@@ -297,8 +297,8 @@ class TestRunSimulation:
 
     def test_throughput_and_cost_oracles(self, sym_10_10):
         profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
-        cfg = SimConfig(scenario=sym_10_10, profile=profile, rounds=30_000, seed=12)
-        m = run_simulation(cfg)
+        cfg = dict(scenario=sym_10_10, profile=profile, rounds=30_000, seed=12)
+        m = run_simulation(**cfg)
         assert m.per_node_throughput() == pytest.approx(throughput_at_ne(sym_10_10), rel=0.02)
         expected = node_costs_at_ne(sym_10_10).avg_cost[0]
         for n in range(20):
@@ -307,22 +307,22 @@ class TestRunSimulation:
     def test_coded_throughput_oracle(self):
         s = symmetric(3, 10)
         profile = coded_equilibrium(s).profile
-        cfg = SimConfig(scenario=s, profile=profile, rounds=30_000, seed=13, coded=True)
-        m = run_simulation(cfg)
+        cfg = dict(scenario=s, profile=profile, rounds=30_000, seed=13, coded=True)
+        m = run_simulation(**cfg)
         assert m.per_node_throughput() == pytest.approx(coded_throughput(s), rel=0.02)
 
     def test_deterministic_bounds(self, sym_10_10):
         # duration >= 2 per round makes these hard bounds, not limits
         profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
-        m = run_simulation(SimConfig(scenario=sym_10_10, profile=profile, rounds=1000, seed=3))
+        m = run_simulation(scenario=sym_10_10, profile=profile, rounds=1000, seed=3)
         assert m.per_node_throughput() <= 0.5
         assert all(m.avg_total_cost(n) >= 2 * sym_10_10.w[n] for n in range(20))
 
     def test_trace_csv(self, tmp_path, sym_2_2):
         profile = two_file_equilibrium(sym_2_2, alpha=0.5).profile
-        cfg = SimConfig(scenario=sym_2_2, profile=profile, rounds=50, seed=1)
+        cfg = dict(scenario=sym_2_2, profile=profile, rounds=50, seed=1)
         path = tmp_path / "trace.csv"
-        m = run_simulation(cfg, trace_path=path)
+        m = run_simulation(**cfg, trace_path=path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["round", "initiator", "responder", "t_init", "t_resp", "duration"]
@@ -340,7 +340,7 @@ class TestRunSimulation:
     def test_rounds_must_be_positive(self, sym_2_2):
         profile = two_file_equilibrium(sym_2_2, alpha=0.5).profile
         with pytest.raises(ValueError):
-            run_simulation(SimConfig(scenario=sym_2_2, profile=profile, rounds=0, seed=1))
+            run_simulation(scenario=sym_2_2, profile=profile, rounds=0, seed=1)
 
 
 class TestStallAcrossChunks:
@@ -348,9 +348,9 @@ class TestStallAcrossChunks:
 
     def test_no_initiator(self, tmp_path, sym_2_2):
         profile = dense_profile(gamma=(0.0,) * 4, lam={(0, 1): 1.0, (1, 1): 1.0})
-        cfg = SimConfig(scenario=sym_2_2, profile=profile, rounds=10 * CHUNK_DOUBLES, seed=0)
+        cfg = dict(scenario=sym_2_2, profile=profile, rounds=10 * CHUNK_DOUBLES, seed=0)
         with pytest.raises(StallError, match="initiate"):
-            run_simulation(cfg, trace_path=tmp_path / "trace.csv")
+            run_simulation(**cfg, trace_path=tmp_path / "trace.csv")
         assert list(tmp_path.iterdir()) == []
 
     def test_no_responder_in_a_later_chunk(self, tmp_path, sym_2_2):
@@ -365,9 +365,9 @@ class TestStallAcrossChunks:
         assert played, "the stall should come after at least one whole chunk"
         with pytest.raises(StallError, match="file 0"):
             reference_play(sym_2_2, profile, rng(0), 10 * CHUNK_DOUBLES)
-        cfg = SimConfig(scenario=sym_2_2, profile=profile, rounds=10 * CHUNK_DOUBLES, seed=0)
+        cfg = dict(scenario=sym_2_2, profile=profile, rounds=10 * CHUNK_DOUBLES, seed=0)
         with pytest.raises(StallError):
-            run_simulation(cfg, trace_path=tmp_path / "trace.csv")
+            run_simulation(**cfg, trace_path=tmp_path / "trace.csv")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -387,7 +387,7 @@ def engine_cases(draw):
         lam = {(n, x): draw(rate) for n in range(len(needs)) for x in range(files) if x != needs[n]}
         profile = dense_profile(gamma=gamma, lam=lam, files=files)
     elif kind == "adapt":
-        profile = init_state(s, AdaptConfig(guess_factor=draw(st.floats(1.0, 10.0)))).profile(s)
+        profile = init_state(s, AdaptConfig(guess_factor=draw(st.floats(1.0, 10.0)))).profile()
     elif files == 2:
         profile = two_file_equilibrium(s, alpha=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))).profile
     else:
@@ -458,6 +458,87 @@ class TestBatchedEngineOracle:
         assert len(chunks) >= 3
         assert_same_rounds(joined(chunks), reference_play(s, profile, ref, 3000))
         assert gen.random() == ref.random()
+
+
+@st.composite
+def reuse_cases(draw):
+    """A scenario with 2-4 files of (often) unequal sizes, and 2-4 profiles
+    for it: random rates, about one in four exactly 0, and in some profiles
+    every initiator of one file at rate 0, so the uniforms a round uses may
+    change from a per-round walk to a fixed stride and back.  The never-read
+    entry of a node's own file holds junk."""
+    files = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(2, 5), min_size=files, max_size=files))
+    needs = np.array(draw(st.permutations(np.repeat(np.arange(files), sizes).tolist())))
+    s = Scenario(files=files, w=np.ones(needs.size), g=np.ones(needs.size), needs=needs)
+    gen = rng(draw(st.integers(0, 2**32 - 1)))
+    profiles = []
+    for _ in range(draw(st.integers(2, 4))):
+        gamma, lam = (gen.uniform(0.01, 5.0, shape) * (gen.random(shape) < 0.75) for shape in [needs.size, (needs.size, files)])
+        gamma[needs == gen.integers(files + 1)] = 0.0  # no file, or one file's initiators
+        lam[np.arange(needs.size), needs] = draw(st.sampled_from([0.0, math.nan, -1.0]))
+        profiles.append(StrategyProfile(gamma=gamma, lam=lam))
+    return s, profiles, draw(st.booleans())
+
+
+def chunk_lists(chunks) -> list:
+    """Every column of every chunk, as lists: equal only when bit-identical
+    and cut into the same chunks."""
+    return [[col.tolist() for col in chunk] for chunk in chunks]
+
+
+REUSE = settings(derandomize=True, max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestEngineReuse:
+    """One engine re-rated through a sequence of profiles plays what a fresh
+    RoundEngine per profile plays, on one continuing stream."""
+
+    @REUSE
+    @given(case=reuse_cases(), seed=st.integers(0, 2**32 - 1), rounds=st.integers(1, 60),
+           chunk=st.integers(1, 300))
+    def test_rerated_engine_matches_fresh_engines(self, case, seed, rounds, chunk):
+        s, profiles, coded = case
+        engine = RoundEngine(s, profiles[-1], coded)
+        reused, fresh = rng(seed), rng(seed)
+        for profile in profiles:
+            engine.set_profile(profile)
+            with small_chunks(chunk):
+                try:
+                    want = chunk_lists(RoundEngine(s, profile, coded).run(fresh, rounds))
+                except StallError:
+                    with pytest.raises(StallError):
+                        list(engine.run(reused, rounds))
+                else:
+                    assert chunk_lists(engine.run(reused, rounds)) == want
+            assert reused.bit_generator.state == fresh.bit_generator.state
+
+    @REUSE
+    @given(case=reuse_cases(), bad=st.sampled_from([-1.0, -5e-324, math.nan, math.inf]), data=st.data())
+    def test_swap_rejects_what_the_constructor_rejects(self, case, bad, data):
+        s, (good, *_), coded = case
+        gamma, lam = good.gamma.copy(), good.lam.copy()
+        n = data.draw(st.integers(0, s.n_nodes - 1))
+        if data.draw(st.booleans()):
+            gamma[n] = bad
+        else:  # a response rate the engine reads: for a file the node holds
+            lam[n, data.draw(st.sampled_from([x for x in range(s.files) if x != s.needs[n]]))] = bad
+        engine = RoundEngine(s, good, coded)
+        broken = [(StrategyProfile(gamma, lam), NegativeRateError)]
+        broken += [(StrategyProfile(*p), ValueError) for p in [(gamma[1:], lam), (gamma, lam[:, 1:]), (gamma[:, None], lam)]]
+        for profile, error in broken:
+            with pytest.raises(error):
+                RoundEngine(s, profile, coded)
+            with pytest.raises(error):
+                engine.set_profile(profile)
+        # a rejected swap leaves the engine at the rates it had
+        try:
+            want = chunk_lists(RoundEngine(s, good, coded).run(rng(1), 30))
+        except StallError:
+            with pytest.raises(StallError):
+                list(engine.run(rng(1), 30))
+        else:
+            assert chunk_lists(engine.run(rng(1), 30)) == want
 
 
 class TestGoldenPrefix:
