@@ -9,9 +9,11 @@ backoff of its phase with a diminishing step delta_k = epsilon / k.
 Two modes are provided: an analytic iteration that feeds the exact expected
 backoff (1 over the current aggregate rate) back into the update, and a
 simulation-coupled run that feeds the empirical epoch averages.  The state
-is one array per quantity over all nodes, in id order, with the role groups
-taken from ``needs``; the simulation-coupled run builds one round engine and
-re-rates it after every update.
+is one array per quantity over all nodes, in id order (with a leading seed
+axis for a batch of seeds), with the role groups taken from ``needs``.  The
+simulation-coupled run plays all its seeds side by side on one round engine,
+re-rated after every update; each seed keeps its own generator and stream,
+so a batch gives what its seeds give run one after another.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, NonpositiveObservationError, StallError
+from .errors import BxsimError, DivergenceError, NonpositiveObservationError, ScenarioError, StallError, at_row
 from .model import Metrics, Scenario, StrategyProfile, require_valid
 from .simulate import RoundEngine, in_order_sum
 
@@ -64,9 +66,10 @@ class AdaptConfig:
 
 @dataclass(frozen=True)
 class AdaptState:
-    """Adaptation state of every node, in id order.  The needers of file 0
-    adapt their response rates to file 1; the others, the initiators, adapt
-    their initiation rates."""
+    """Adaptation state of every node, in id order, for one seed or, with a
+    leading seed axis on ``ratios`` and ``inv_guess``, for a batch of seeds.
+    The needers of file 0 adapt their response rates to file 1; the others,
+    the initiators, adapt their initiation rates."""
 
     ratios: np.ndarray  # w/g per node
     initiates: np.ndarray  # True for the needers of file 1
@@ -78,16 +81,23 @@ class AdaptState:
         return np.maximum(0.0, self.inv_guess - self.ratios)
 
     @property
-    def aggregate_rates(self) -> tuple[float, float]:
+    def aggregate_rates(self) -> tuple:
         """Rate sums of the responders and of the initiators."""
         rates = self.rates
-        return float(np.sum(rates[~self.initiates])), float(np.sum(rates[self.initiates]))
+        return rates[..., ~self.initiates].sum(axis=-1), rates[..., self.initiates].sum(axis=-1)
+
+    @property
+    def floored(self) -> np.ndarray:
+        """Counts of the responders and of the initiators whose rate is
+        floored at zero, shape (..., 2)."""
+        below = self.inv_guess < self.ratios
+        return np.stack(((below & ~self.initiates).sum(axis=-1), (below & self.initiates).sum(axis=-1)), axis=-1)
 
     def profile(self) -> StrategyProfile:
         """Initiators initiate, responders answer file 1; every other rate is 0."""
         rates = self.rates
-        lam = np.zeros((rates.size, 2))
-        lam[:, 1] = np.where(self.initiates, 0.0, rates)
+        lam = np.zeros(rates.shape + (2,))
+        lam[..., 1] = np.where(self.initiates, 0.0, rates)
         return StrategyProfile(gamma=np.where(self.initiates, rates, 0.0), lam=lam)
 
 
@@ -111,32 +121,41 @@ def init_state(s: Scenario, cfg: AdaptConfig) -> AdaptState:
 
 def observe_and_update(
     state: AdaptState,
-    observed_response_mean: float,
-    observed_initiation_mean: float,
+    observed_response_mean: float | np.ndarray,
+    observed_initiation_mean: float | np.ndarray,
     k: int,
     cfg: AdaptConfig,
 ) -> AdaptState:
-    """Apply the k-th synchronized update to both role groups.
+    """Apply the k-th synchronized update to both role groups, of one seed
+    or, given one observed mean per seed, of every seed of a batch.
 
     Each node's new inverse guess is (1 + delta_k) / That_{n,k-1} -
     delta_k / observed, with its own group's observed mean; its rate is the
-    inverse guess minus its own w/g, floored at zero (with a logged warning
-    per group).  Raises DivergenceError when an inverse guess is not finite.
+    inverse guess minus its own w/g, floored at zero (counted by the new
+    state's ``floored``).  Raises NonpositiveObservationError for a mean
+    that is not positive, and DivergenceError when an inverse guess is not
+    finite; in a batch, for the first seed that fails, marked with its row.
     """
     delta = cfg.delta(k)
-    for label, mean in zip(ROLES, (observed_response_mean, observed_initiation_mean)):
-        if mean <= 0:
-            raise NonpositiveObservationError(f"observed mean {label} backoff must be positive, got {mean}")
-    observed = np.where(state.initiates, observed_initiation_mean, observed_response_mean)
-    with np.errstate(over="ignore", invalid="ignore"):
+    means = np.array((observed_response_mean, observed_initiation_mean), dtype=float)
+    observed = np.where(state.initiates, means[1][..., None], means[0][..., None])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv_guess = (1.0 + delta) * state.inv_guess - delta / observed
-    if not np.isfinite(inv_guess).all():
-        raise DivergenceError(f"the update to epoch {k} diverged: an inverse guess is not finite")
-    floored = np.bincount(state.initiates[inv_guess < state.ratios], minlength=2)
-    for label, count in zip(ROLES, floored.tolist()):
+    failed = np.atleast_1d((means <= 0).any(axis=0) | ~np.isfinite(inv_guess).all(axis=-1))
+    if failed.any():
+        row = int(failed.argmax())
+        for label, mean in zip(ROLES, np.atleast_2d(means.T)[row].tolist()):
+            if mean <= 0:
+                raise at_row(NonpositiveObservationError(f"observed mean {label} backoff must be positive, got {mean}"), row)
+        raise at_row(DivergenceError(f"the update to epoch {k} diverged: an inverse guess is not finite"), row)
+    return AdaptState(state.ratios, state.initiates, inv_guess)
+
+
+def log_floored(counts) -> None:
+    """One warning per role group whose update floored rates at zero."""
+    for label, count in zip(ROLES, counts):
         if count:
             logger.warning("%s update floored %d rate(s) at zero", label, count)
-    return AdaptState(state.ratios, state.initiates, inv_guess)
 
 
 def analytic_iterate(s: Scenario, cfg: AdaptConfig) -> list[tuple[int, float, float]]:
@@ -153,6 +172,7 @@ def analytic_iterate(s: Scenario, cfg: AdaptConfig) -> list[tuple[int, float, fl
         if resp_rate <= 0 or init_rate <= 0:
             raise StallError("a whole role group hit the zero-rate floor")
         state = observe_and_update(state, 1.0 / resp_rate, 1.0 / init_rate, k, cfg)
+        log_floored(state.floored.tolist())
         rows.append((k, *state.aggregate_rates))
     return rows
 
@@ -162,9 +182,10 @@ class EpochRecord:
     """One epoch of a simulation-coupled adaptive run.
 
     epoch counts the updates applied before the epoch ran; delta is the step
-    used by that update (0 for the initial epoch).  The observed fields are
-    the inverse mean winning backoffs measured within the epoch, and
-    throughput is the per-node download rate over the epoch.
+    used by that update (0 for the initial epoch), and floored the
+    (responders, initiators) counts of rates it floored at zero.  The
+    observed fields are the inverse mean winning backoffs measured within
+    the epoch, and throughput is the per-node download rate over the epoch.
     """
 
     epoch: int
@@ -173,55 +194,95 @@ class EpochRecord:
     observed_inv_that_b: float
     throughput: float
     node_states: np.ndarray  # (nodes, 2): That_guess and rate of each node, in id order
+    floored: tuple[int, int]
 
 
 @dataclass(frozen=True)
 class AdaptiveRunResult:
     epochs: list[EpochRecord]
     metrics: Metrics
-    state: AdaptState
 
 
-def run_adaptive_simulation(s: Scenario, cfg: AdaptConfig, seed: int = 0) -> AdaptiveRunResult:
-    """Couple the simulator with the update mechanism.
+def run_adaptive_simulation(scenarios: list[Scenario], cfg: AdaptConfig, seeds: list[int]) -> list[AdaptiveRunResult]:
+    """Couple the simulator with the update mechanism: seed i runs on
+    scenarios[i], which share one layout (files and needs), all seeds side by
+    side on one round engine.
 
-    Runs updates + 1 epochs of epoch_rounds rounds each.  Within an epoch
-    the rates are fixed; the winning backoff of each phase is averaged over
-    the epoch and fed into the next update.  One round engine and one RNG
-    stream (seeded once) span the whole run: each update re-rates the engine,
+    A run has updates + 1 epochs of epoch_rounds rounds each.  Within an
+    epoch the rates are fixed; the winning backoff of each phase is averaged
+    over the epoch and fed into the next update.  Each seed keeps one RNG
+    stream (seeded once) for its whole run: each update re-rates the engine,
     whose next epoch continues where the previous one left the generator,
-    and the epoch sums are added in round order.
+    and the epoch sums are added in round order.  Warnings and failures are
+    those of the seeds run one after another: floor warnings seed by seed,
+    then epoch by epoch, and the error of the first seed in list order that
+    fails, after the warnings logged up to it.
     """
     cfg.validate()
-    state = init_state(s, cfg)
-    engine = RoundEngine(s, state.profile(), coded=False)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    metrics = Metrics(s)
-    records: list[EpochRecord] = []
+    if len(seeds) != len(scenarios) or any(
+        s.files != scenarios[0].files or not np.array_equal(s.needs, scenarios[0].needs) for s in scenarios
+    ):
+        raise ValueError("an adaptive batch needs one seed per scenario, and scenarios with the same files and needs")
+    failure, failed_floors, results = None, [], []
+    while scenarios:
+        floors: list[np.ndarray] = []
+        try:
+            results = _run_batch(scenarios, cfg, seeds, floors)
+            break
+        except (BxsimError, ValueError) as exc:
+            if getattr(exc, "row", None) is None:
+                raise
+            # The seeds from this row on play no more; an earlier one may still fail later.
+            failure, failed_floors = exc, [counts[exc.row] for counts in floors]
+            scenarios, seeds = scenarios[: exc.row], seeds[: exc.row]
+    for counts in [rec.floored for result in results for rec in result.epochs] + failed_floors:
+        log_floored(counts)
+    if failure is not None:
+        raise failure
+    return results
+
+
+def _run_batch(scenarios: list[Scenario], cfg: AdaptConfig, seeds: list[int], floors: list) -> list[AdaptiveRunResult]:
+    """Every seed's run, side by side, logging nothing; appends each
+    update's floored counts (seeds, 2) to ``floors``.  Raises the first
+    failure, marked with the row of its seed."""
+    states = []
+    for row, s in enumerate(scenarios):
+        try:
+            states.append(init_state(s, cfg))
+        except (ScenarioError, ValueError) as exc:
+            raise at_row(exc, row)
+    state = AdaptState(np.array([st.ratios for st in states]), states[0].initiates, np.array([st.inv_guess for st in states]))
+    engine = RoundEngine(scenarios[0], state.profile(), coded=False)
+    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+    metrics = Metrics(scenarios[0])  # counters with a leading seed axis
+    metrics.downloads, metrics.uploads = np.zeros((2, len(seeds), scenarios[0].n_nodes), dtype=np.int64)
+    metrics.elapsed = np.zeros(len(seeds))
+    epochs = []  # per epoch, its record of each seed
 
     for epoch in range(cfg.updates + 1):
-        sums = np.zeros(3)
-        for chunk in engine.run(rng, cfg.epoch_rounds):
+        sums = np.zeros((3, len(seeds)))
+        for chunk in engine.run(rngs, cfg.epoch_rounds):
             engine.account(metrics, chunk)
-            sums = in_order_sum(sums, (chunk.t_init, chunk.t_resp, chunk.duration))
-        init_sum, resp_sum, elapsed = sums.tolist()
-        resp_mean = resp_sum / cfg.epoch_rounds
-        init_mean = init_sum / cfg.epoch_rounds
-        records.append(
-            EpochRecord(
-                epoch=epoch,
-                delta=cfg.delta(epoch) if epoch >= 1 else 0.0,
-                observed_inv_that_a=1.0 / resp_mean,
-                observed_inv_that_b=1.0 / init_mean,
-                throughput=cfg.epoch_rounds / elapsed,
-                node_states=np.array((1.0 / state.inv_guess, state.rates)).T,
-            )
-        )
+            sums = in_order_sum(sums, np.stack((chunk.t_init, chunk.t_resp, chunk.duration)))
+        init_mean, resp_mean = sums[:2] / cfg.epoch_rounds
+        observed = [(1.0 / resp_mean).tolist(), (1.0 / init_mean).tolist(), (cfg.epoch_rounds / sums[2]).tolist()]
+        node_states = np.stack((1.0 / state.inv_guess, state.rates), axis=-1)
+        floored = map(tuple, floors[-1].tolist()) if epoch else [(0, 0)] * len(seeds)
+        delta = cfg.delta(epoch) if epoch >= 1 else 0.0
+        epochs.append([EpochRecord(epoch, delta, *fields) for fields in zip(*observed, node_states, floored)])
         if epoch < cfg.updates:
             try:
                 state = observe_and_update(state, resp_mean, init_mean, epoch + 1, cfg)
             except DivergenceError as exc:
-                raise DivergenceError(f"seed {seed}: {exc}") from None
+                raise at_row(DivergenceError(f"seed {seeds[exc.row]}: {exc}"), exc.row) from None
+            floors.append(state.floored)
             engine.set_profile(state.profile())
 
-    return AdaptiveRunResult(epochs=records, metrics=metrics, state=state)
+    results = []
+    for row, s in enumerate(scenarios):
+        seed_metrics = Metrics(s)
+        seed_metrics.downloads, seed_metrics.uploads = metrics.downloads[row], metrics.uploads[row]
+        seed_metrics.elapsed, seed_metrics.rounds = float(metrics.elapsed[row]), metrics.rounds
+        results.append(AdaptiveRunResult([records[row] for records in epochs], seed_metrics))
+    return results

@@ -114,7 +114,15 @@ NE_GAMMA_ROW = "gamma,%d,,%s,%.9g\r\n"
 NE_LAMBDA_ROW = "lambda,%d,%d,%s,%.9g\r\n"
 
 
+def two_file_alpha(args) -> float:
+    """--alpha, which only the plain two-file game has (default 0.5)."""
+    if args.coded and args.alpha is not None:
+        raise ValueError("--alpha applies only to the plain two-file game, not with --coded")
+    return 0.5 if args.alpha is None else args.alpha
+
+
 def cmd_ne(args) -> int:
+    alpha = two_file_alpha(args)
     s, _ = load_scenario(args.config)
     require_valid(s)
     lines: list[str] = []
@@ -124,7 +132,7 @@ def cmd_ne(args) -> int:
         lines += format_rows(NE_AGGREGATE_ROW, range(s.files), eq.gamma_by_file)
         lines.append(NE_DEGENERATE_ROW % eq.degenerate)
     else:
-        profile = equilibrium.two_file_equilibrium(s, alpha=args.alpha).profile
+        profile = equilibrium.two_file_equilibrium(s, alpha=alpha).profile
     columns = node_columns(s)
     lines += format_rows(NE_GAMMA_ROW, range(s.n_nodes), columns, profile.gamma.tolist())
     nodes, files = np.nonzero(np.arange(s.files) != s.needs[:, None])  # sorted (node, held file) pairs
@@ -158,6 +166,7 @@ SIM_SYSTEM_ROW = "%d,system,,,,,,,,%.9g\r\n"
 
 
 def cmd_simulate(args) -> int:
+    alpha = two_file_alpha(args)
     s, cfg_seed = load_scenario(args.config)
     require_valid(s)
     if not args.coded and s.files != 2:
@@ -166,7 +175,7 @@ def cmd_simulate(args) -> int:
     profile = (
         equilibrium.coded_equilibrium(s).profile
         if args.coded
-        else equilibrium.two_file_equilibrium(s, alpha=args.alpha).profile
+        else equilibrium.two_file_equilibrium(s, alpha=alpha).profile
     )
     seeds = parse_seeds(args.seeds) if args.seeds else [cfg_seed if cfg_seed is not None else 0]
     if args.trace and len(seeds) > 1:
@@ -203,8 +212,8 @@ def cmd_adapt(args) -> int:
     cfg = adapt_config(args)
     seeds = parse_seeds(args.seeds) if args.seeds else [cfg_seed if cfg_seed is not None else 0]
     lines, states = [], []
-    for seed in seeds:
-        for rec in adapt.run_adaptive_simulation(s, cfg, seed=seed).epochs:
+    for seed, result in zip(seeds, adapt.run_adaptive_simulation([s] * len(seeds), cfg, seeds)):
+        for rec in result.epochs:
             observed = (rec.delta, rec.observed_inv_that_a, rec.observed_inv_that_b, rec.throughput)
             lines.append(ADAPT_ROW % (seed, rec.epoch, *observed))
             states.append(rec.node_states)
@@ -224,23 +233,17 @@ FIG2_ROW = "%d,%.9g,%.9g,%.9g\r\n"
 def cmd_fig2(args) -> int:
     seeds = parse_seeds(args.seeds)
     cfg = adapt_config(args)
-    trajectories: list[list[float]] = []
-    ne_values: list[float] = []
-    scenarios: dict[str, Scenario] = {}
-    for seed in seeds:
-        s = gen_two_file(args.group_size, args.group_size, args.w_lo, args.w_hi, args.g, gen_rng(seed, 1))
-        scenarios[f"seed_{seed}"] = s
-        result = adapt.run_adaptive_simulation(s, cfg, seed=seed)
-        trajectories.append([rec.throughput for rec in result.epochs])
-        ne_values.append(equilibrium.throughput_at_ne(s))
-    data = np.array(trajectories)
-    ne_mean = float(np.mean(ne_values))
+    generated = [gen_two_file(args.group_size, args.group_size, args.w_lo, args.w_hi, args.g, gen_rng(seed, 1)) for seed in seeds]
+    results = adapt.run_adaptive_simulation(generated, cfg, seeds)
+    # A scenario the adaptive run accepted has an equilibrium throughput.
+    ne_mean = float(np.mean([equilibrium.throughput_at_ne(s) for s in generated]))
+    data = np.array([[rec.throughput for rec in result.epochs] for result in results])
     lines = [
         FIG2_ROW % (epoch, np.mean(data[:, epoch]), np.std(data[:, epoch]), ne_mean)
         for epoch in range(cfg.updates + 1)
     ]
     write_csv(args.out, FIG2_HEADER, lines)
-    dump_scenarios(args.scenarios_out, scenarios)
+    dump_scenarios(args.scenarios_out, {f"seed_{seed}": s for seed, s in zip(seeds, generated)})
     print(f"wrote {len(lines)} rows to {args.out}")
     return 0
 
@@ -288,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ne = sub.add_parser("ne", help="closed-form equilibrium rates")
     p_ne.add_argument("--config", required=True, help="scenario config (JSON)")
-    p_ne.add_argument("--alpha", type=float, default=0.5, help="initiation share of group 0 (two-file)")
+    p_ne.add_argument("--alpha", type=float, help="initiation share of group 0 (plain two-file game; default 0.5)")
     p_ne.add_argument("--coded", action="store_true", help="solve the network-coded game")
     add_out(p_ne)
     p_ne.set_defaults(func=cmd_ne)
@@ -302,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--rounds", type=int, default=100000)
     p_sim.add_argument("--seeds", help="comma-separated seeds (default: config seed or 0)")
-    p_sim.add_argument("--alpha", type=float, default=0.5)
+    p_sim.add_argument("--alpha", type=float, help="as for ne")
     p_sim.add_argument("--coded", action="store_true")
     p_sim.add_argument("--trace", help="per-round trace CSV (single seed only)")
     add_out(p_sim)

@@ -16,6 +16,12 @@ class BxsimError(Exception):
     code = "ERROR"
 
 
+def at_row(exc: Exception, row: int) -> Exception:
+    """``exc``, marked as the failure of row ``row`` of a batch of seeds."""
+    exc.row = row
+    return exc
+
+
 @dataclass(frozen=True)
 class Violation:
     """One scenario-validation failure."""

@@ -25,6 +25,11 @@ the rates between them (the adaptive mechanism plays every epoch of a run
 on one engine this way).  ``elapsed`` and the other time totals are added in
 round order (a cumulative sum, never a pairwise one), so they are
 bit-identical to adding one round at a time.
+
+A batch of seeds (rates with a leading seed axis) only plays the seeds side
+by side: each seed keeps its own generator and draws from it exactly the
+uniforms it draws alone, so every seed's rounds, and the state its generator
+ends in, are those of a run of that seed alone.
 """
 
 from __future__ import annotations
@@ -36,13 +41,15 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import NegativeRateError, StallError
+from .errors import NegativeRateError, StallError, at_row
 from .model import Metrics, Scenario, StrategyProfile, as_output, require_valid
 
 NEVER = math.inf
 
-# Uniforms drawn per chunk of rounds; bounds the engine's working set.
+# Uniforms drawn per chunk of rounds, by each seed; bounds the engine's working set.
 CHUNK_DOUBLES = 1 << 14
+# Uniforms a batch of seeds keeps per chunk, over all seeds; bounds a batch's working set.
+BATCH_DOUBLES = 1 << 16
 
 TRACE_HEADER = ["round", "initiator", "responder", "t_init", "t_resp", "duration"]
 # One trace row in the csv module's default dialect, floats at 9 digits.
@@ -66,15 +73,15 @@ def in_order_sum(start, values) -> np.ndarray:
     return np.add.accumulate(np.concatenate((np.asarray(start)[..., None], values), axis=-1), axis=-1)[..., -1]
 
 
-def _exponentials(rng: np.random.Generator, k: int) -> np.ndarray:
-    """-log1p(-u) of k uniforms: unit-rate exponentials, computed in place."""
-    e = rng.random(k)
-    return np.negative(np.log1p(np.negative(e, out=e), out=e), out=e)
+def _exponentials(u: np.ndarray) -> np.ndarray:
+    """-log1p(-u) of uniforms u: unit-rate exponentials, computed in place."""
+    return np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
 
 
 class RoundEngine:
-    """Precomputed per-scenario machinery for playing rounds in chunks; the
-    rates can be swapped between runs with ``set_profile``."""
+    """Precomputed per-layout machinery for playing rounds in chunks, for one
+    seed or for a batch of seeds side by side; the rates can be swapped
+    between runs with ``set_profile``."""
 
     def __init__(self, scenario: Scenario, profile: StrategyProfile, coded: bool):
         require_valid(scenario)
@@ -94,94 +101,146 @@ class RoundEngine:
         self.set_profile(profile)
 
     def set_profile(self, profile: StrategyProfile) -> None:
-        """Play the following runs at the rates of ``profile``; a zero-rate
-        holder keeps its place and draws NEVER."""
+        """Play the following runs at the rates of ``profile``: gamma (nodes,)
+        and lam (nodes, files) for one seed, or, for a batch, the same with a
+        leading seed axis.  A zero-rate holder keeps its place and draws NEVER."""
         n, files = self.scenario.n_nodes, self.scenario.files
         gamma, lam = np.array(profile.gamma, dtype=float), np.asarray(profile.lam, dtype=float)
-        if gamma.shape != (n,) or lam.shape != (n, files):
-            raise ValueError("profile gamma must have shape (nodes,) and lam (nodes, files)")
-        resp_rate = np.where(self.holds, lam.take(self.lam_index), 0.0)
-        rates = np.concatenate((gamma, resp_rate.ravel()))
-        if not (0 <= rates.min() and rates.max() < NEVER):  # NaN fails both
-            raise NegativeRateError("profile has a negative or non-finite rate")
-        self.gamma, self.resp_rate = gamma, resp_rate
-        self.initiators = (gamma > 0).nonzero()[0]
+        if gamma.ndim not in (1, 2) or not gamma.size or gamma.shape[-1] != n or lam.shape != gamma.shape + (files,):
+            raise ValueError("profile gamma must have shape ([seeds,] nodes) and lam ([seeds,] nodes, files)")
+        batch, gamma = gamma.shape[:-1], gamma.reshape(-1, n)
+        resp_rate = np.where(self.holds, lam.reshape(len(gamma), -1)[:, self.lam_index], 0.0)
+        rates = np.concatenate((gamma, resp_rate.reshape(len(gamma), -1)), axis=1)
+        valid = (0 <= rates.min(axis=1)) & (rates.max(axis=1) < NEVER)  # NaN fails both
+        if not valid.all():
+            row = int(valid.argmin())
+            raise at_row(NegativeRateError("profile has a negative or non-finite rate" + (f" (seed row {row})" if batch else "")), row)
+        self.batch, self.gamma, self.resp_rate = batch, gamma, resp_rate
+        # Any seed's positive-rate nodes; a seed's zero rates draw NEVER.
+        self.initiators = (gamma > 0).any(axis=0).nonzero()[0]
         # Constant when every node that can initiate faces the same number
         # of responders.
         steps = set(self.step[self.initiators].tolist())
         self.fixed_step = steps.pop() if len(steps) == 1 else 0
 
-    def run(self, rng: np.random.Generator, rounds: int) -> Iterator[Rounds]:
-        """Play ``rounds`` rounds, yielding chunks of consecutive rounds whose
-        uniforms come from one ``rng.random`` call of at most CHUNK_DOUBLES
-        draws (or one round's worth); the generator ends where round-by-round
-        play would leave it.  Raises StallError at a round nobody can initiate
-        or answer."""
-        if self.initiators.size == 0:
-            raise StallError("no node can initiate: all initiation rates are zero")
-        n, gamma = self.scenario.n_nodes, self.gamma[self.initiators]
-        while rounds > 0:
-            # Per round, the initiators' uniforms and the response uniforms
-            # from the round's n-th on; past the holders of the needed file
-            # the rates are 0 (padding), so what those entries read is unused.
-            if self.fixed_step:
-                count = min(rounds, max(1, CHUNK_DOUBLES // self.fixed_step))
-                e = _exponentials(rng, count * self.fixed_step).reshape(count, self.fixed_step)
-                e_init, e_resp = e[:, self.initiators], e[:, n:]
-            else:  # every round has the longest step's uniforms from its start
-                e, start = self._walk(rng, rounds)
-                e_init = e[start[:, None] + self.initiators]
-                e_resp = e[(start + n)[:, None] + np.arange(self.resp_rate.shape[1])]
-            rows = np.arange(len(e_init))
-            t = e_init / gamma
-            pick = t.argmin(axis=1)
-            initiator, t_init = self.initiators[pick], t[rows, pick]
-            x = self.scenario.needs[initiator]
-            rates = self.resp_rate[x, : e_resp.shape[1]]
-            t = np.divide(e_resp, rates, out=np.full(rates.shape, NEVER), where=rates > 0)
-            pick = t.argmin(axis=1)
-            t_resp = t[rows, pick]
-            duration = t_init + t_resp + 2.0  # finite unless a timer is NEVER (or overflowed)
-            if not np.isfinite(duration).all():
-                r = int(np.argmin(np.isfinite(duration)))
-                if not math.isfinite(t_init[r]):
-                    raise StallError("no node can initiate: every initiation timer is infinite")
-                raise StallError(f"no eligible responder for file {x[r]} has a positive rate")
-            rounds -= len(e_init)
-            yield Rounds(initiator, self.resp_id[x, pick], t_init, t_resp, duration)
+    def run(self, rngs, rounds: int) -> Iterator[Rounds]:
+        """Play ``rounds`` rounds, yielding chunks of consecutive rounds.
 
-    def _walk(self, rng: np.random.Generator, rounds: int):
-        """(uniforms, stream offsets) of the next rounds, walked one round at a
-        time, as an offset depends on the file the previous initiator needed.
-        Draws for the worst case, then rewinds and advances by the number used."""
-        n = self.scenario.n_nodes
+        ``rngs`` is one generator, or one per seed of a batch, whose chunks
+        then have a leading seed axis.  Each seed draws what it draws alone:
+        at most CHUNK_DOUBLES uniforms per chunk (or one round's worth) in one
+        ``rng.random`` call, leaving its generator where round-by-round play
+        would.  Raises StallError at a round nobody can initiate or answer,
+        with ``row`` the first seed, in batch order, that stalled."""
+        rngs = list(rngs) if self.batch else [rngs]
+        n, needs, initiators = self.scenario.n_nodes, self.scenario.needs, self.initiators
+        gamma, resp_rate, step = self.gamma[:, None, initiators], self.resp_rate, self.fixed_step
+        silent = gamma == 0
+        audible = ~silent if silent.any() else True  # where a division by gamma is due
+        idle = silent.all(axis=-1)[:, 0]
+        if idle.any():
+            raise at_row(StallError("no node can initiate: all initiation rates are zero"), int(idle.argmax()))
+        # Each round reads its seed's responder table of the file its initiator
+        # needs; when every initiator needs one file, all rounds read that one.
+        first = needs[initiators[:1]]
+        one_file = bool((needs[initiators] == first).all())
+        seeds = np.arange(len(rngs))[:, None]
+        rows = slice(None) if one_file else seeds
+        if step:
+            # A round reads its initiators' uniforms and the response uniforms
+            # from its n-th on (past the needed file's holders the rates are 0,
+            # so what those entries read is unused); only these are kept.
+            size = min(rounds, max(1, min(CHUNK_DOUBLES // step, BATCH_DOUBLES // (len(rngs) * (initiators.size + step - n)))))
+            init_buf, resp_buf = np.empty((len(rngs), size, initiators.size)), np.empty((len(rngs), size, step - n))
+        while rounds > 0:
+            if step:
+                count = min(rounds, size)
+                e_init, e_resp = init_buf[:, :count], resp_buf[:, :count]
+                for row, rng in enumerate(rngs):
+                    u = rng.random(count * step).reshape(count, step)
+                    u.take(initiators, axis=1, out=e_init[row], mode="clip")
+                    e_resp[row] = u[:, n:]
+                _exponentials(e_init)
+                _exponentials(e_resp)
+            else:  # every round has the longest step's uniforms from its start
+                e_init, e_resp = self._walk(rngs, rounds)
+            # Timers in place of the uniforms: e / rate, NEVER at a zero rate.
+            t = np.divide(e_init, gamma, out=e_init, where=audible)
+            if audible is not True:
+                np.copyto(t, NEVER, where=silent)
+            at = seeds, np.arange(t.shape[1])  # each round of each seed
+            pick = t.argmin(axis=-1)
+            initiator, t_init = initiators[pick], t[(*at, pick)]
+            x = needs[initiator]
+            rates = resp_rate[rows, first if one_file else x, : e_resp.shape[-1]]
+            t = np.divide(e_resp, rates, out=e_resp, where=rates > 0)
+            np.copyto(t, NEVER, where=rates == 0)
+            pick = t.argmin(axis=-1)
+            t_resp = t[(*at, pick)]
+            duration = t_init + t_resp + 2.0  # finite unless a timer is NEVER (or overflowed)
+            finite = np.isfinite(duration)
+            if not finite.all():
+                row = int(finite.all(axis=1).argmin())
+                r = int(finite[row].argmin())
+                if not math.isfinite(t_init[row, r]):
+                    raise at_row(StallError("no node can initiate: every initiation timer is infinite"), row)
+                raise at_row(StallError(f"no eligible responder for file {x[row, r]} has a positive rate"), row)
+            rounds -= initiator.shape[1]
+            chunk = Rounds(initiator, self.resp_id[x, pick], t_init, t_resp, duration)
+            yield chunk if self.batch else Rounds(*(col[0] for col in chunk))
+
+    def _walk(self, rngs: list, rounds: int):
+        """Initiation and response exponentials of each seed's next rounds,
+        walked one round at a time, as an offset depends on the file the
+        previous initiator needed; as many rounds for every seed as the
+        shortest walk holds.  Each seed draws for the worst case (the batch
+        at most CHUNK_DOUBLES uniforms, or one round's worth per seed), then
+        rewinds and advances by the number of uniforms it used."""
+        n, step = self.scenario.n_nodes, self.step.tolist()
         longest = int(self.step.max())
-        state = rng.bit_generator.state
-        e = _exponentials(rng, min(rounds * longest, max(CHUNK_DOUBLES, longest)))
-        gamma, step, positive = self.gamma, self.step.tolist(), self.gamma > 0
-        dense = self.initiators.size == n
-        timers = np.full(n, NEVER)
-        start, offset = [], 0
-        while len(start) < rounds and offset + longest <= e.size:
-            start.append(offset)
-            window = e[offset : offset + n]
-            t = window / gamma if dense else np.divide(window, gamma, out=timers, where=positive)
-            offset += step[t.argmin()]
-        rng.bit_generator.state = state
-        rng.bit_generator.advance(offset)
-        return e, np.array(start)
+        draws, starts = [], []
+        for rng, gamma in zip(rngs, self.gamma):
+            state = rng.bit_generator.state
+            e = _exponentials(rng.random(min(rounds * longest, max(CHUNK_DOUBLES // len(rngs), longest))))
+            rng.bit_generator.state = state
+            positive = gamma > 0
+            dense = positive.all()
+            timers = np.full(n, NEVER)
+            start, offset = [], 0
+            while len(start) < rounds and offset + longest <= e.size:
+                start.append(offset)
+                window = e[offset : offset + n]
+                t = window / gamma if dense else np.divide(window, gamma, out=timers, where=positive)
+                offset += step[t.argmin()]
+            draws.append(e)
+            starts.append(start + [offset])
+        count = min(map(len, starts)) - 1
+        e_init, e_resp = np.empty((len(rngs), count, self.initiators.size)), np.empty((len(rngs), count, self.holds.shape[1]))
+        for row, (rng, e, start) in enumerate(zip(rngs, draws, starts)):
+            rng.bit_generator.advance(start[count])
+            start = np.array(start[:count])[:, None]
+            e.take(start + self.initiators, out=e_init[row], mode="clip")
+            e.take(start + n + np.arange(self.holds.shape[1]), out=e_resp[row], mode="clip")
+        return e_init, e_resp
 
     def account(self, metrics: Metrics, rounds: Rounds) -> None:
-        """Add a chunk's downloads, uploads, rounds and elapsed time to metrics."""
-        needs, senders = self.scenario.needs, np.concatenate((rounds.initiator, rounds.responder))
+        """Add a chunk's downloads, uploads, rounds and elapsed time to
+        metrics; a batch's chunk to counters with the same leading seed axis."""
+        s = self.scenario
+        senders = np.concatenate((rounds.initiator, rounds.responder), axis=-1)
+        batch = senders.shape[:-1]
+        row = np.arange(math.prod(batch)).reshape(batch + (1,))  # each seed counts in bins of its own
         if self.coded:
-            metrics.downloads += rounds.initiator.size
+            metrics.downloads += rounds.initiator.shape[-1]
         else:
             # A plain round serves the groups needing the two exchanged files.
-            metrics.downloads += np.bincount(needs[senders], minlength=self.scenario.files)[needs]
-        metrics.uploads += np.bincount(senders, minlength=self.scenario.n_nodes)
-        metrics.elapsed = float(in_order_sum(metrics.elapsed, rounds.duration))
-        metrics.rounds += rounds.initiator.size
+            served = np.bincount((s.needs[senders] + row * s.files).ravel(), minlength=row.size * s.files)
+            metrics.downloads += served.reshape(batch + (s.files,))[..., s.needs]
+        uploads = np.bincount((senders + row * s.n_nodes).ravel(), minlength=row.size * s.n_nodes)
+        metrics.uploads += uploads.reshape(batch + (s.n_nodes,))
+        elapsed = in_order_sum(metrics.elapsed, rounds.duration)
+        metrics.elapsed = elapsed if elapsed.ndim else float(elapsed)
+        metrics.rounds += rounds.initiator.shape[-1]
 
 
 def run_simulation(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bxsim import linsolve
+from bxsim.adapt import run_adaptive_simulation
 from bxsim.cli import gen_groups
 from bxsim.equilibrium import response_equilibrium, response_phase_mean
 from bxsim.errors import (
@@ -250,3 +251,9 @@ def reference_violations(files: int, w: list, g: list, needs: list) -> list[Viol
             why = f"the {members.size} nodes that {kind} file {x} have sum(w/g) = {total}"
             out.append(Violation(NONFINITE_COST, f"{why}; (count - 1) / sum(w/g) must be finite and > 0"))
     return out
+
+
+def adaptive_run(s: Scenario, cfg, seed: int = 0):
+    """One seed's adaptive run: a batch of one."""
+    (result,) = run_adaptive_simulation([s], cfg, [seed])
+    return result

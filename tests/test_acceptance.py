@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bxsim import linsolve
-from bxsim.adapt import AdaptConfig, analytic_iterate, run_adaptive_simulation
+from bxsim.adapt import AdaptConfig, analytic_iterate
 from bxsim.cli import gen_rng, gen_two_file, main
 from bxsim.equilibrium import (
     coded_equilibrium,
@@ -32,7 +32,7 @@ from bxsim.equilibrium import (
 from bxsim.model import scenario_to_dict
 from bxsim.simulate import run_simulation
 
-from conftest import random_coded, random_two_file, symmetric
+from conftest import adaptive_run, random_coded, random_two_file, symmetric
 
 T_GRID = [0.0, 0.1, 1.0, 5.0, 20.0]
 ALPHAS = [0.25, 0.5, 0.75]
@@ -121,7 +121,7 @@ def test_04_fig2_reproduction():
         ne_values = []
         for seed in range(20):
             s = gen_two_file(10, 10, 1.0, 2.0, 1.0, gen_rng(seed, 1))
-            result = run_adaptive_simulation(s, cfg, seed=seed)
+            result = adaptive_run(s, cfg, seed=seed)
             trajectories.append([rec.throughput for rec in result.epochs])
             ne_values.append(throughput_at_ne(s))
         data = np.array(trajectories)

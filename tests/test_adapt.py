@@ -1,21 +1,32 @@
 from __future__ import annotations
 
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from bxsim import simulate
 
 from bxsim.adapt import (
     AdaptConfig,
+    AdaptiveRunResult,
+    AdaptState,
+    EpochRecord,
     analytic_iterate,
     init_state,
+    log_floored,
     observe_and_update,
     run_adaptive_simulation,
 )
 from bxsim.equilibrium import expected_response_cost_under_rate, throughput_at_ne
-from bxsim.errors import DivergenceError, NonpositiveObservationError, StallError
+from bxsim.errors import BxsimError, DivergenceError, NonpositiveObservationError, StallError
+from bxsim.model import Metrics, Scenario
+from bxsim.simulate import RoundEngine, in_order_sum
 
-from conftest import reference_play, symmetric, two_file
+from conftest import adaptive_run, reference_play, symmetric, two_file
 
 
 def mech_cfg(**kw):
@@ -97,6 +108,7 @@ class TestObserveAndUpdate:
         st = init_state(sym_10_10, cfg)
         with caplog.at_level(logging.WARNING, logger="bxsim.adapt"):
             st1 = observe_and_update(st, 1e-9, 1e-9, k=1, cfg=cfg)
+            log_floored(st1.floored)
         assert "floored" in caplog.text
         assert st1.aggregate_rates[0] == 0.0
 
@@ -190,7 +202,7 @@ def response_equilibrium_like(ratios):
 class TestAdaptiveSimulation:
     def test_shape_and_accounting(self, sym_10_10):
         cfg = mech_cfg(updates=3, epoch_rounds=50)
-        result = run_adaptive_simulation(sym_10_10, cfg, seed=1)
+        result = adaptive_run(sym_10_10, cfg, seed=1)
         assert len(result.epochs) == 4
         assert result.metrics.rounds == 4 * 50
         assert (result.metrics.downloads == 200).all()
@@ -201,12 +213,12 @@ class TestAdaptiveSimulation:
 
     def test_initial_guess_throughput_is_poor(self, sym_10_10):
         cfg = mech_cfg(updates=0)
-        result = run_adaptive_simulation(sym_10_10, cfg, seed=2)
+        result = adaptive_run(sym_10_10, cfg, seed=2)
         assert result.epochs[0].throughput < 0.5 * throughput_at_ne(sym_10_10)
 
     def test_ne_start_stays_flat(self, sym_10_10):
         cfg = mech_cfg(guess_factor=1.0, updates=9)
-        result = run_adaptive_simulation(sym_10_10, cfg, seed=3)
+        result = adaptive_run(sym_10_10, cfg, seed=3)
         ne = throughput_at_ne(sym_10_10)
         values = np.array([rec.throughput for rec in result.epochs])
         assert np.all(np.abs(values - ne) / ne < 0.15)
@@ -218,21 +230,21 @@ class TestAdaptiveSimulation:
         ratios = []
         for seed in range(5):
             s = two_file(rng.uniform(1, 2, size=10), rng.uniform(1, 2, size=10))
-            result = run_adaptive_simulation(s, cfg, seed=seed)
+            result = adaptive_run(s, cfg, seed=seed)
             ratios.append(result.epochs[3].throughput / throughput_at_ne(s))
         assert np.mean(ratios) >= 0.8
 
     def test_determinism(self, sym_10_10):
         cfg = mech_cfg(updates=2, epoch_rounds=40)
-        r1 = run_adaptive_simulation(sym_10_10, cfg, seed=5)
-        r2 = run_adaptive_simulation(sym_10_10, cfg, seed=5)
+        r1 = adaptive_run(sym_10_10, cfg, seed=5)
+        r2 = adaptive_run(sym_10_10, cfg, seed=5)
         assert [rec.throughput for rec in r1.epochs] == [rec.throughput for rec in r2.epochs]
         assert r1.metrics.elapsed == r2.metrics.elapsed
 
     def test_observed_fields_feed_next_update(self, sym_10_10):
         # the state entering epoch k+1 must be the update of epoch k's observation
         cfg = mech_cfg(updates=1, epoch_rounds=30)
-        result = run_adaptive_simulation(sym_10_10, cfg, seed=7)
+        result = adaptive_run(sym_10_10, cfg, seed=7)
         st0 = init_state(sym_10_10, cfg)
         rec0 = result.epochs[0]
         st1 = observe_and_update(
@@ -251,7 +263,7 @@ class TestAdaptiveSimulation:
         # loop on the reference player must be reproduced bit for bit.
         s = two_file([1.0, 1.2, 1.4], [1.1, 1.3, 1.5, 1.6, 1.7])
         cfg = mech_cfg(updates=3, epoch_rounds=3000)
-        result = run_adaptive_simulation(s, cfg, seed=4)
+        result = adaptive_run(s, cfg, seed=4)
         replay_round_by_round(s, cfg, 4, result)
 
     def test_matches_round_by_round_loop_through_floors(self, caplog):
@@ -260,7 +272,7 @@ class TestAdaptiveSimulation:
         s = two_file([1.0, 1.2, 1.7], [1.1, 1.3, 1.5, 2.0, 2.4])
         cfg = mech_cfg(updates=4, epoch_rounds=3000, epsilon=0.8, guess_factor=2.0)
         with caplog.at_level(logging.WARNING, logger="bxsim.adapt"):
-            result = run_adaptive_simulation(s, cfg, seed=4)
+            result = adaptive_run(s, cfg, seed=4)
         states = replay_round_by_round(s, cfg, 4, result)
         assert "response update floored" in caplog.text and "initiation update floored" in caplog.text
         for rec, state in zip(result.epochs, states):
@@ -292,3 +304,129 @@ def replay_round_by_round(s, cfg, seed, result):
             state = observe_and_update(state, resp_mean, init_mean, rec.epoch + 1, cfg)
     assert result.metrics.elapsed == total
     return states
+
+
+@st.composite
+def adapt_batches(draw):
+    """1-5 seeds of a random two-file layout (shuffled needs, groups of 2-6,
+    heterogeneous w and g), with one scenario for all seeds or, as fig2 has
+    it, one per seed; knobs that often floor rates, stall or diverge."""
+    needs = draw(st.permutations([0] * draw(st.integers(2, 6)) + [1] * draw(st.integers(2, 6))))
+    costs = st.lists(st.floats(0.5, 2.0), min_size=len(needs), max_size=len(needs))
+    count = draw(st.integers(1, 5))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=count, max_size=count, unique=True))
+    scenarios = [Scenario(files=2, w=draw(costs), g=draw(costs), needs=needs)]
+    scenarios = [draw(st.just(scenarios[0]) | st.builds(Scenario, st.just(2), costs, costs, st.just(needs))) for _ in seeds]
+    cfg = AdaptConfig(
+        epoch_rounds=draw(st.integers(1, 60)),
+        epsilon=draw(st.sampled_from([0.1, 0.8, 3.0, 1e300])),
+        guess_factor=draw(st.sampled_from([1.2, 2.0, 10.0])),
+        updates=draw(st.integers(0, 4)),
+    )
+    return scenarios, cfg, seeds
+
+
+def sequential_runs(scenarios, cfg, seeds):
+    """The oracle for a batch: each seed's adaptive run alone, one after
+    another, on an engine and a generator of its own, with the per-seed epoch
+    loop; each update's floor warnings are logged as soon as it is made."""
+    results = []
+    for s, seed in zip(scenarios, seeds):
+        state = init_state(s, cfg)
+        engine, rng, metrics = RoundEngine(s, state.profile(), coded=False), np.random.Generator(np.random.PCG64(seed)), Metrics(s)
+        epochs, floored = [], (0, 0)
+        for epoch in range(cfg.updates + 1):
+            sums = np.zeros(3)
+            for chunk in engine.run(rng, cfg.epoch_rounds):
+                engine.account(metrics, chunk)
+                sums = in_order_sum(sums, (chunk.t_init, chunk.t_resp, chunk.duration))
+            init_mean, resp_mean, elapsed = sums[0] / cfg.epoch_rounds, sums[1] / cfg.epoch_rounds, sums[2]
+            delta = cfg.delta(epoch) if epoch else 0.0
+            node_states = np.column_stack((1.0 / state.inv_guess, state.rates))
+            epochs.append(EpochRecord(epoch, delta, 1.0 / resp_mean, 1.0 / init_mean, cfg.epoch_rounds / elapsed, node_states, floored))
+            if epoch < cfg.updates:
+                try:
+                    state = observe_and_update(state, resp_mean, init_mean, epoch + 1, cfg)
+                except DivergenceError as exc:
+                    raise DivergenceError(f"seed {seed}: {exc}") from None
+                floored = tuple(state.floored.tolist())
+                log_floored(floored)
+                engine.set_profile(state.profile())
+        results.append(AdaptiveRunResult(epochs, metrics))
+    return results
+
+
+def observed(run, *args):
+    """run(*args)'s results or error, the warnings it logged, and the final
+    state of every generator it made."""
+    logged, made = [], []
+    handler = logging.Handler()
+    handler.emit = lambda record: logged.append(record.getMessage())
+    real = np.random.Generator
+    logger = logging.getLogger("bxsim.adapt")
+    logger.addHandler(handler)
+    try:
+        with mock.patch.object(np.random, "Generator", lambda bits: made.append(real(bits)) or made[-1]):
+            results, error = run(*args), None
+    except BxsimError as exc:
+        results, error = None, exc
+    finally:
+        logger.removeHandler(handler)
+    return results, error, logged, [gen.bit_generator.state for gen in made]
+
+
+def record_fields(rec):
+    return (rec.epoch, rec.delta, rec.observed_inv_that_a, rec.observed_inv_that_b, rec.throughput,
+            rec.node_states.tolist(), rec.floored)
+
+
+class TestSeedBatch:
+    """Seeds played side by side give what each seed gives alone, one after
+    the other: records, metrics, generator states, warnings and failures."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(batch=adapt_batches(), chunk=st.integers(16, 256))
+    def test_batch_equals_seeds_alone(self, batch, chunk):
+        scenarios, cfg, seeds = batch
+        with mock.patch.object(simulate, "CHUNK_DOUBLES", chunk):
+            want, want_error, want_logged, want_states = observed(sequential_runs, scenarios, cfg, seeds)
+            results, error, logged, states = observed(run_adaptive_simulation, scenarios, cfg, seeds)
+        assert logged == want_logged
+        if want_error is not None:
+            assert (type(error), str(error)) == (type(want_error), str(want_error))
+            return
+        assert error is None and states == want_states
+        for result, alone in zip(results, want, strict=True):
+            assert [record_fields(rec) for rec in result.epochs] == [record_fields(rec) for rec in alone.epochs]
+            got_m, want_m = result.metrics, alone.metrics
+            assert (got_m.downloads.tolist(), got_m.uploads.tolist()) == (want_m.downloads.tolist(), want_m.uploads.tolist())
+            assert (got_m.elapsed, got_m.rounds, got_m.scenario) == (want_m.elapsed, want_m.rounds, want_m.scenario)
+
+    def test_update_fails_at_the_first_failing_seed(self, sym_10_10):
+        cfg = mech_cfg()
+        st = init_state(sym_10_10, cfg)
+        batch = AdaptState(st.ratios, st.initiates, np.array([st.inv_guess] * 4))
+        observed_means = np.array([1.0, 1.0, 0.0, 1.0]), np.array([1.0, 1e-320, 1.0, 1e-320])  # rows 1, 3 diverge; row 2 is 0
+        with pytest.raises(DivergenceError, match="epoch 1") as failed:
+            observe_and_update(batch, *observed_means, k=1, cfg=cfg)
+        assert failed.value.row == 1
+        with pytest.raises(NonpositiveObservationError, match="response backoff") as failed:
+            observe_and_update(batch, observed_means[0], np.ones(4), k=1, cfg=cfg)
+        assert failed.value.row == 2
+
+    def test_floored_counts_are_the_warnings(self, caplog):
+        s = two_file([1.0, 1.2, 1.7], [1.1, 1.3, 1.5, 2.0, 2.4])
+        cfg = mech_cfg(updates=4, epoch_rounds=3000, epsilon=0.8, guess_factor=2.0)
+        with caplog.at_level(logging.WARNING, logger="bxsim.adapt"):
+            result = adaptive_run(s, cfg, seed=4)
+        states = replay_round_by_round(s, cfg, 4, result)
+        assert [rec.floored for rec in result.epochs] == [(0, 0)] + [tuple(st.floored.tolist()) for st in states[1:]]
+        want = [f"{label} update floored {count} rate(s) at zero"
+                for rec in result.epochs for label, count in zip(("response", "initiation"), rec.floored) if count]
+        assert caplog.messages == want and len(want) >= 2
+
+    def test_scenarios_must_share_a_layout(self, sym_10_10):
+        with pytest.raises(ValueError, match="same files and needs"):
+            run_adaptive_simulation([sym_10_10, two_file([1.0] * 9, [1.0] * 11)], mech_cfg(), [0, 1])
+        with pytest.raises(ValueError, match="one seed per scenario"):
+            run_adaptive_simulation([sym_10_10], mech_cfg(), [0, 1])

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -371,6 +372,53 @@ class TestFailClosed:
         err = capsys.readouterr().err
         assert err == "simulation stalled: seed 7: the update to epoch 2 diverged: an inverse guess is not finite\n"
         self.assert_nothing_written(tmp_path)
+
+
+    @pytest.mark.parametrize(
+        "argv", ["simulate --config CFG --coded --alpha 0 --out y.csv", "ne --config CFG --coded --alpha 3e-1 --out y.csv"]
+    )
+    def test_alpha_with_coded_exits_2(self, tmp_path, capsys, argv):
+        # the coded game has no alpha; a flag that would be ignored is an error
+        assert self.run(tmp_path, argv.split()) == 2
+        assert capsys.readouterr().err == "invalid arguments: --alpha applies only to the plain two-file game, not with --coded\n"
+        self.assert_nothing_written(tmp_path)
+
+
+class TestFailureOrder:
+    """Seeds played side by side fail as the seeds played one at a time do:
+    with the error of the first listed seed that fails, after the warnings
+    logged up to it, even when a later-listed seed fails at an earlier epoch."""
+
+    KNOBS = ["--epsilon", "1e300", "--epoch-rounds", "1", "--guess-factor", "1.05"]
+
+    def run(self, tmp_path, caplog, capsys, command, seeds, updates=4):
+        """Exit code, stderr and warnings of one run; a failed run writes nothing."""
+        config = ["--config", write_config(tmp_path, symmetric(2, 10), name="cfg.json")] if command == "adapt" else []
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="bxsim.adapt"):
+            code = main([command, *config, "--seeds", seeds, "--updates", str(updates), *self.KNOBS, "--out", str(tmp_path / "y.csv")])
+        written = list(tmp_path.glob("y.*"))
+        if code:
+            assert written == []  # no output, and no .partial file
+        for path in written:
+            path.unlink()
+        return code, capsys.readouterr().err, list(caplog.messages)
+
+    @pytest.mark.parametrize("command", ["adapt", "fig2"])
+    def test_first_listed_failure_wins(self, tmp_path, caplog, capsys, command):
+        def failing_epoch(seed):  # the epoch whose play or update fails, or None
+            return next((u for u in range(5) if self.run(tmp_path, caplog, capsys, command, str(seed), u)[0]), None)
+
+        epochs = {seed: failing_epoch(seed) for seed in range(16)}
+        late, early = next(
+            (a, b) for a in epochs for b in epochs if epochs[a] is not None and epochs[b] is not None and epochs[a] > epochs[b]
+        )
+        alone = self.run(tmp_path, caplog, capsys, command, str(late))
+        assert alone[0] == 4 and alone[1].count("\n") == 1
+        if "diverged" in alone[1]:
+            assert f"seed {late}: the update to epoch {epochs[late]} diverged" in alone[1]
+        for seeds in (f"{late},{early}", f"{late},{early},{max(epochs) + 1}"):
+            assert self.run(tmp_path, caplog, capsys, command, seeds) == alone
 
 
 class TestFig2:

@@ -32,8 +32,8 @@ def rng(seed=0):
 
 
 def joined(chunks) -> Rounds:
-    """Chunks of an engine run as one Rounds."""
-    return Rounds(*map(np.concatenate, zip(*chunks)))
+    """Chunks of an engine run as one Rounds (per seed, for a batch)."""
+    return Rounds(*(np.concatenate(cols, axis=-1) for cols in zip(*chunks)))
 
 
 def play(s, profile, rounds, seed=0, coded=False) -> Rounds:
@@ -539,6 +539,83 @@ class TestEngineReuse:
                 list(engine.run(rng(1), 30))
         else:
             assert chunk_lists(engine.run(rng(1), 30)) == want
+
+
+@st.composite
+def batch_cases(draw, fixed: bool):
+    """A scenario with 2-4 files, equal in size (so every round reads a
+    fixed stride of uniforms) or all of different sizes (so rounds are
+    walked), and 1-4 per-seed profiles for it: random rates, about one in
+    four exactly 0, in some every initiator of one file at rate 0."""
+    files = draw(st.integers(2, 4))
+    if fixed:
+        sizes = [draw(st.integers(2, 5))] * files
+    else:
+        sizes = draw(st.lists(st.integers(2, 5), min_size=files, max_size=files, unique=True))
+    needs = np.array(draw(st.permutations(np.repeat(np.arange(files), sizes).tolist())))
+    s = Scenario(files=files, w=np.ones(needs.size), g=np.ones(needs.size), needs=needs)
+    gen = rng(draw(st.integers(0, 2**32 - 1)))
+    profiles = []
+    for _ in range(draw(st.integers(1, 4))):
+        gamma, lam = (gen.uniform(0.01, 5.0, shape) * (gen.random(shape) < 0.75) for shape in [needs.size, (needs.size, files)])
+        if draw(st.booleans()):
+            gamma[needs == gen.integers(files)] = 0.0
+        profiles.append(StrategyProfile(gamma=gamma, lam=lam))
+    return s, profiles, draw(st.booleans())
+
+
+class TestSeedBatch:
+    """Seeds played side by side on one engine, each from its own generator,
+    play what each seed plays alone."""
+
+    @REUSE
+    @given(data=st.data(), fixed=st.booleans(), rounds=st.integers(1, 60), chunk=st.integers(1, 300))
+    def test_batch_matches_seeds_alone(self, data, fixed, rounds, chunk):
+        s, profiles, coded = data.draw(batch_cases(fixed))
+        seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(profiles), max_size=len(profiles)))
+        batch = StrategyProfile(np.stack([p.gamma for p in profiles]), np.stack([p.lam for p in profiles]))
+        engine = RoundEngine(s, batch, coded)
+        assume((engine.fixed_step > 0) == fixed or engine.initiators.size == 0)
+        gens = [rng(seed) for seed in seeds]
+        alone = []
+        with small_chunks(chunk):
+            for profile, seed in zip(profiles, seeds):
+                try:
+                    gen = rng(seed)
+                    alone.append((list(RoundEngine(s, profile, coded).run(gen, rounds)), gen))
+                except StallError:
+                    alone.append(None)
+            if None in alone:
+                with pytest.raises(StallError) as stall:
+                    list(engine.run(gens, rounds))
+                assert alone[stall.value.row] is None  # a seed that stalls alone
+                return
+            got = list(engine.run(gens, rounds))
+        batch_metrics = Metrics(s)
+        batch_metrics.downloads, batch_metrics.uploads = np.zeros((2, len(seeds), s.n_nodes), dtype=np.int64)
+        batch_metrics.elapsed = np.zeros(len(seeds))
+        for chunk_rounds in got:
+            engine.account(batch_metrics, chunk_rounds)
+        for row, (chunks, gen) in enumerate(alone):
+            want = joined(chunks)
+            assert [col[row].tolist() for col in joined(got)] == [col.tolist() for col in want]
+            assert gens[row].bit_generator.state == gen.bit_generator.state
+            m = Metrics(s)
+            for c in chunks:
+                RoundEngine(s, profiles[row], coded).account(m, c)
+            assert batch_metrics.downloads[row].tolist() == m.downloads.tolist()
+            assert batch_metrics.uploads[row].tolist() == m.uploads.tolist()
+            assert (batch_metrics.elapsed[row], batch_metrics.rounds) == (m.elapsed, m.rounds)
+
+    def test_batch_rejects_a_bad_row(self, sym_2_2):
+        good = two_file_equilibrium(sym_2_2, alpha=0.5).profile
+        gamma, lam = np.stack([good.gamma] * 3), np.stack([good.lam] * 3)
+        gamma[1, 2] = -1.0
+        with pytest.raises(NegativeRateError, match="seed row 1") as bad:
+            RoundEngine(sym_2_2, StrategyProfile(gamma, lam), coded=False)
+        assert bad.value.row == 1
+        with pytest.raises(ValueError):
+            RoundEngine(sym_2_2, StrategyProfile(gamma[:0], lam[:0]), coded=False)
 
 
 class TestGoldenPrefix:
