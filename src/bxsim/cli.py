@@ -2,9 +2,10 @@
 and the two experiment reproductions, all emitting plot-ready CSV.
 
 Exit codes: 0 success, 2 invalid scenario/arguments, 3 equilibrium
-nonexistence (negative rates or an unexpectedly singular system), 4 runtime
-stall or diverging adaptation.  Every output is opened before any work, and
-a failed command leaves none of them.  Every command is deterministic given its config and seeds; reruns
+nonexistence (negative rates, or a coded game of 3 or more files whose
+aggregate system is singular: two rows with c = d, or a zero denominator in
+its closed form), 4 runtime stall or diverging adaptation.  Every output is
+opened before any work, and a failed command leaves none of them.  Every command is deterministic given its config and seeds; reruns
 produce byte-identical CSV in the csv module's default dialect (comma,
 ``\r\n``, no field ever quoted): one ``%`` template per row kind (the
 ``*_ROW`` constants), floats at ``%.9g``.
@@ -23,7 +24,6 @@ import numpy as np
 
 from . import adapt, equilibrium, simulate
 from .errors import (
-    InconsistentSystemError,
     NegativeRateError,
     ScenarioError,
     SingularSystemError,
@@ -383,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return 2
-    except (NegativeRateError, SingularSystemError, InconsistentSystemError) as exc:
+    except (NegativeRateError, SingularSystemError) as exc:
         print(f"equilibrium does not exist: {exc}", file=sys.stderr)
         return 3
     except StallError as exc:

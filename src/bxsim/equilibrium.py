@@ -7,7 +7,9 @@ Two settings are covered:
   equilibria indexed by ``alpha``, the share of initiations carried out by
   the group needing file 0; and
 * the network-coded game with any number of files, whose per-file aggregate
-  initiation rates solve a small linear system.
+  initiation rates solve a system that is a diagonal plus a rank-one term,
+  solved exactly in closed form (Sherman-Morrison; two files give the
+  alpha family instead).
 
 Everything here is a pure function of the scenario; no sampling.  All
 expected costs are evaluated analytically (the underlying exponential
@@ -23,7 +25,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linsolve
 from .errors import DegenerateProfileError, NegativeRateError, SingularSystemError
 from .model import NodeId, Scenario, StrategyProfile, require_valid
 
@@ -268,78 +269,78 @@ class CodedEquilibrium:
     """Equilibrium of the network-coded game.
 
     gamma_by_file[X] is the aggregate initiation rate of the group needing
-    X.  For two files the linear system is rank deficient by construction
-    and the whole alpha family solves it; ``degenerate`` is set, ``family``
-    carries the solution set, and the point fields hold the alpha = 0.5
-    representative.
+    X.  With two files the two rows of the aggregate system coincide and
+    every member of the bilateral alpha family solves them; ``degenerate``
+    is set and the fields hold the alpha = 0.5 member.
     """
 
     gamma_by_file: tuple[float, ...]
     profile: StrategyProfile
     degenerate: bool
-    family: linsolve.Family | None = None
 
 
-def coded_system(s: Scenario) -> linsolve.DenseSystem:
-    """The per-file aggregate-rate system.
+def coded_system(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """The per-file aggregate-rate system, as its coefficient vectors (c, d).
 
     Row X reads c_X * G_X + d_X * sum(G_Y for Y != X) = 1, where c_X is
-    group X's own response-duration coefficient and d_X is the response
-    duration of X's complement (the nodes that hold X).
+    group X's own response duration and d_X is the response duration of
+    X's complement (the nodes that hold X).  The matrix is thus
+    diag(c - d) + d 1^T.
     """
     require_valid(s)
-    f = s.files
-    sums = [float(np.sum(s.ratios[s.needs == x])) for x in range(f)]
-    sizes = s.group_sizes().tolist()
-    total_nodes = s.n_nodes
-    total_ratio = sum(sums)
-    a = np.zeros((f, f))
-    for x in range(f):
-        c_x = (sizes[x] - 1) / sums[x]
-        d_x = (total_nodes - sizes[x] - 1) / (total_ratio - sums[x])
-        a[x, :] = d_x
-        a[x, x] = c_x
-    return linsolve.DenseSystem(a=a, b=np.ones(f))
+    sums = np.bincount(s.needs, weights=s.ratios, minlength=s.files)
+    # The holders' sum is that of the groups before X plus that of the groups
+    # after it, never a difference that could cancel to 0.
+    held = np.append(0.0, np.cumsum(sums[:-1])) + np.append(np.cumsum(sums[:0:-1])[::-1], 0.0)
+    sizes = s.group_sizes()
+    return (sizes - 1) / sums, (s.n_nodes - sizes - 1) / held
 
 
-def _complement_durations(s: Scenario) -> np.ndarray:
-    """Per file X, the response duration of the nodes that hold X."""
-    return np.array([response_phase_mean(s.ratios[s.needs != x]) for x in range(s.files)])
+def solve_coded_system(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Solve c_X G_X + d_X sum(G_Y for Y != X) = 1 for every X, in closed form.
+
+    Sherman-Morrison on diag(e) + d 1^T with e = c - d, pivoted on the row k
+    with the smallest |e_k|: every other row gives G_Y = (1 - d_Y S) / e_Y,
+    row k then fixes the total S, and G_k = S - sum of the others.  So e_k = 0
+    (w = g = 1 and group k holds half the nodes) needs no special case; the
+    system is singular exactly when a second e_Y or the denominator of S is
+    0, and SingularSystemError is raised.
+    """
+    e = c - d
+    k = int(np.argmin(np.abs(e)))
+    rest = np.arange(e.size) != k
+    if not np.all(e[rest]):
+        rows = np.flatnonzero(e == 0).tolist()
+        raise SingularSystemError(f"singular aggregate system: rows {rows} have c = d")
+    q = 1.0 / e[rest]
+    denom = c[k] + e[k] * float(np.sum(d[rest] * q))
+    if denom == 0.0:
+        raise SingularSystemError(f"singular aggregate system of {e.size} files: the total rate divides by 0")
+    total = (1.0 + e[k] * float(np.sum(q))) / denom
+    big_gamma = np.empty(e.size)
+    big_gamma[rest] = (1.0 - d[rest] * total) * q
+    big_gamma[k] = total - float(np.sum(big_gamma[rest]))
+    return big_gamma
 
 
 def coded_equilibrium(s: Scenario, allow_negative: bool = False) -> CodedEquilibrium:
     """Solve the network-coded game.
 
-    Builds and solves the aggregate-rate system, recovers per-node
-    initiation rates, and fills the response rates of every node holding
-    each announced file via response_equilibrium over the file's
+    Two files go straight to the alpha = 0.5 member of the bilateral family.
+    Otherwise solves the aggregate-rate system with solve_coded_system, recovers
+    per-node initiation rates, and fills the response rates of every node
+    holding each announced file via response_equilibrium over the file's
     complement group.
     """
     require_valid(s)
-    sys = coded_system(s)
-    sol = linsolve.solve(sys)
-
-    if isinstance(sol, linsolve.Family):
-        if s.files != 2:
-            raise SingularSystemError(
-                f"rank-deficient aggregate system with {s.files} files "
-                f"(null space dimension {sol.nullspace.shape[1]})"
-            )
-        # Two files: the system collapses to the single line
-        # That_A*G_A + That_B*G_B = 1, the bilateral alpha family.  Return
-        # the alpha=0.5 representative as the point solution.
+    if s.files == 2:
         eq = two_file_equilibrium(s, alpha=0.5, allow_negative=allow_negative)
-        gamma_by_file = (0.5 / eq.that_a, 0.5 / eq.that_b)
-        return CodedEquilibrium(
-            gamma_by_file=gamma_by_file,
-            profile=eq.profile,
-            degenerate=True,
-            family=sol,
-        )
+        return CodedEquilibrium((0.5 / eq.that_a, 0.5 / eq.that_b), eq.profile, degenerate=True)
 
-    big_gamma = sol.x
+    c, d = coded_system(s)
+    big_gamma = solve_coded_system(c, d)
     total_gamma = float(np.sum(big_gamma))
-    own, d = big_gamma[s.needs], _complement_durations(s)[s.needs]
+    own, d = big_gamma[s.needs], d[s.needs]
     gamma = own - s.ratios * (1.0 - d * (total_gamma - own))
     if not allow_negative:
         bad = np.flatnonzero(gamma < 0).tolist()
@@ -379,7 +380,7 @@ def coded_round_duration(s: Scenario, eq: CodedEquilibrium | None = None) -> Cod
         eq = coded_equilibrium(s, allow_negative=True)
     big_gamma = np.asarray(eq.gamma_by_file)
     total = float(np.sum(big_gamma))
-    resp_mean = float(np.sum(big_gamma / total * _complement_durations(s)))
+    resp_mean = float(np.sum(big_gamma / total * coded_system(s)[1]))
     return CodedRoundDuration(
         t_init=1.0 / total,
         response_mean=resp_mean,

@@ -62,16 +62,11 @@ class DegenerateProfileError(BxsimError):
 
 
 class SingularSystemError(BxsimError):
-    """The aggregate-rate linear system is rank deficient with 3 or more
-    files, which the closed-form construction does not predict."""
+    """The coded game's aggregate-rate system with 3 or more files has no
+    unique solution: two of its rows have c = d, or the closed form's
+    denominator for the total rate is 0."""
 
     code = "SINGULAR_UNEXPECTED"
-
-
-class InconsistentSystemError(BxsimError):
-    """Linear system has no solution at the working tolerance."""
-
-    code = "INCONSISTENT"
 
 
 class StallError(BxsimError):

@@ -2,7 +2,7 @@
 
 Conventions used throughout the package:
 
-* Files and nodes are dense integer indices (``FileId``, ``NodeId``); the
+* Files and nodes are dense integer indices (a node is a ``NodeId``); the
   lexicographic order of files is their index order.
 * Every node needs exactly one file and holds full copies of all the others.
 * The time unit is the transmission time of one data packet; control packets
@@ -35,7 +35,6 @@ from .errors import (
     Violation,
 )
 
-FileId = int
 NodeId = int
 
 
@@ -88,17 +87,6 @@ class Scenario:
     def violations(self) -> tuple[Violation, ...]:
         """validate_scenario(self), checked once: a scenario never changes."""
         return tuple(validate_scenario(self))
-
-    def ratio(self, n: NodeId) -> float:
-        return float(self.ratios[n])
-
-    def group(self, file: FileId) -> tuple[NodeId, ...]:
-        """Node ids that need ``file``, in ascending id order."""
-        return tuple(np.flatnonzero(self.needs == file).tolist())
-
-    def complement(self, file: FileId) -> tuple[NodeId, ...]:
-        """Node ids that possess ``file`` (i.e. need something else)."""
-        return tuple(np.flatnonzero(self.needs != file).tolist())
 
     def group_sizes(self) -> np.ndarray:
         """Nodes needing each file; a ``needs`` outside 0..files-1 is not counted."""

@@ -1,12 +1,12 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
-from bxsim import linsolve
 from bxsim.adapt import run_adaptive_simulation
 from bxsim.cli import gen_groups
 from bxsim.equilibrium import response_equilibrium, response_phase_mean
@@ -143,30 +143,77 @@ def reference_node_cost(node: int, s: Scenario) -> tuple[float, float, float]:
     return avg_cost, 1.0 - ref_ratio(s, node) * that_own, avg_cost / (2.0 * w)
 
 
-def reference_coded(s: Scenario) -> tuple:
-    """(gamma_by_file, gamma, lam) of the coded equilibrium, 3+ files, raw rates."""
-    f = s.files
-    sums = {x: float(np.sum([ref_ratio(s, n) for n in ref_group(s, x)])) for x in range(f)}
-    sizes = [len(ref_group(s, x)) for x in range(f)]
-    total_ratio = sum(sums.values())
-    a = np.zeros((f, f))
-    for x in range(f):
-        a[x, :] = (s.n_nodes - sizes[x] - 1) / (total_ratio - sums[x])
-        a[x, x] = (sizes[x] - 1) / sums[x]
-    big_gamma = linsolve.solve(linsolve.DenseSystem(a=a, b=np.ones(f))).x
+def reference_coded_system(s: Scenario) -> tuple[list[float], list[float]]:
+    """(c, d) of the coded aggregate system: per file, the response duration
+    of the group that needs it and of the nodes that hold it.  Group ratio
+    sums are added one node at a time; the holders' sum is that of the
+    groups before the file plus that of the groups after it, the latter
+    added from the last file down."""
+    sums = []
+    for x in range(s.files):
+        acc = 0.0
+        for n in ref_group(s, x):
+            acc += ref_ratio(s, n)
+        sums.append(acc)
+    c, d = [], []
+    for x in range(s.files):
+        before = after = 0.0
+        for y in range(x):
+            before += sums[y]
+        for y in range(s.files - 1, x, -1):
+            after += sums[y]
+        size = len(ref_group(s, x))
+        c.append((size - 1) / sums[x])
+        d.append((s.n_nodes - size - 1) / (before + after))
+    return c, d
+
+
+def reference_coded(s: Scenario, gamma_by_file) -> tuple:
+    """(gamma, lam) of the coded equilibrium with aggregate rates
+    ``gamma_by_file``, 3+ files, raw rates."""
+    _, d = reference_coded_system(s)
+    big_gamma = [float(v) for v in gamma_by_file]
     total_gamma = float(np.sum(big_gamma))
     gamma = [0.0] * s.n_nodes
     for n in range(s.n_nodes):
         x = int(s.needs[n])
-        d_x = response_phase_mean([ref_ratio(s, m) for m in ref_complement(s, x)])
-        gamma[n] = float(big_gamma[x] - ref_ratio(s, n) * (1.0 - d_x * (total_gamma - big_gamma[x])))
+        gamma[n] = float(big_gamma[x] - ref_ratio(s, n) * (1.0 - d[x] * (total_gamma - big_gamma[x])))
     lam = {}
-    for x in range(f):
+    for x in range(s.files):
         members = ref_complement(s, x)
         rates = response_equilibrium([ref_ratio(s, m) for m in members], allow_negative=True)
         for m, rate in zip(members, rates):
             lam[(m, x)] = float(rate)
-    return tuple(float(v) for v in big_gamma), tuple(gamma), lam
+    return tuple(gamma), lam
+
+
+def exact_coded_solution(c, d) -> list[Fraction] | None:
+    """The exact solution of the rows c_X G_X + d_X sum(G_Y, Y != X) = 1,
+    reading each float coefficient as the rational it is: Gauss-Jordan
+    elimination in Fraction arithmetic.  None when the rows are singular."""
+    f = len(c)
+    rows = [[Fraction(c[x]) if y == x else Fraction(d[x]) for y in range(f)] + [Fraction(1)] for x in range(f)]
+    for col in range(f):
+        pivot = next((r for r in range(col, f) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(f):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [rows[x][f] / rows[x][x] for x in range(f)]
+
+
+# (c, d) of two singular 3-file aggregate systems: one with two rows of
+# c = d, and one whose closed form has a zero denominator (column 0 is 0).
+SINGULAR_CODED_ROWS = [([1.0, 1.0, 2.0], [1.0, 1.0, 1.0]), ([0.0, 1.0, 1.0], [-1.0, 0.0, 0.0])]
+
+
+def coded_residuals(c, d, big_gamma) -> np.ndarray:
+    """Per row X of the aggregate system, c_X G_X + d_X (S - G_X) - 1."""
+    big = np.asarray(big_gamma, dtype=float)
+    return np.asarray(c) * big + np.asarray(d) * (np.sum(big) - big) - 1.0
 
 
 # The config reader and validation as they were before scenarios became

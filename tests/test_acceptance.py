@@ -11,7 +11,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from bxsim import linsolve
 from bxsim.adapt import AdaptConfig, analytic_iterate
 from bxsim.cli import gen_rng, gen_two_file, main
 from bxsim.equilibrium import (
@@ -32,7 +31,17 @@ from bxsim.equilibrium import (
 from bxsim.model import scenario_to_dict
 from bxsim.simulate import run_simulation
 
-from conftest import adaptive_run, random_coded, random_two_file, symmetric
+from conftest import (
+    adaptive_run,
+    coded_residuals,
+    exact_coded_solution,
+    random_coded,
+    random_two_file,
+    ref_complement,
+    ref_group,
+    ref_ratio,
+    symmetric,
+)
 
 T_GRID = [0.0, 0.1, 1.0, 5.0, 20.0]
 ALPHAS = [0.25, 0.5, 0.75]
@@ -63,8 +72,8 @@ def test_01_indifference_suite():
             # response side: the aggregate rate each node faces equals its own
             # ratio, making its expected cost exactly g at every timer choice
             for f in (0, 1):
-                members = s.group(f)
-                lam = response_equilibrium([s.ratio(n) for n in members], allow_negative=True)
+                members = ref_group(s, f)
+                lam = response_equilibrium([ref_ratio(s, n) for n in members], allow_negative=True)
                 total = float(np.sum(lam))
                 for i, n in enumerate(members):
                     for t in T_GRID:
@@ -81,22 +90,21 @@ def test_02_closed_form_residuals():
                 s = random_coded(rng, files)
                 eq = coded_equilibrium(s, allow_negative=True)
                 big = np.array(eq.gamma_by_file)
-                sys = coded_system(s)
                 # every aggregate-system row residual
-                assert np.max(np.abs(sys.a @ big - sys.b)) < 1e-9
+                assert np.max(np.abs(coded_residuals(*coded_system(s), big))) < 1e-9
                 total = float(np.sum(big))
                 for n in range(s.n_nodes):
                     x = int(s.needs[n])
-                    d_x = response_phase_mean([s.ratio(m) for m in s.complement(x)])
+                    d_x = response_phase_mean([ref_ratio(s, m) for m in ref_complement(s, x)])
                     # per-node ratio identity at the recovered gamma
                     implied = (big[x] - eq.profile.gamma[n]) / (1.0 - (total - big[x]) * d_x)
-                    assert abs(implied - s.ratio(n)) < 1e-9
+                    assert abs(implied - ref_ratio(s, n)) < 1e-9
                 # response identity per context
                 for x in range(files):
-                    members = s.complement(x)
+                    members = ref_complement(s, x)
                     lam = np.array([eq.profile.lam[(m, x)] for m in members])
                     for i, m in enumerate(members):
-                        assert abs((np.sum(lam) - lam[i]) - s.ratio(m)) < 1e-9
+                        assert abs((np.sum(lam) - lam[i]) - ref_ratio(s, m)) < 1e-9
 
 
 def test_03_simulation_vs_analytic():
@@ -174,18 +182,17 @@ def test_07_degeneracy_detection():
         rng = np.random.default_rng(13)
         for _ in range(20):
             s = random_two_file(rng, max_group=12)
-            sol = linsolve.solve(coded_system(s))
-            assert isinstance(sol, linsolve.Family)
-            assert sol.nullspace.shape[1] == 1
-            that_a = response_phase_mean([s.ratio(n) for n in s.group(0)])
-            that_b = response_phase_mean([s.ratio(n) for n in s.group(1)])
-            for t in (-0.5, 0.0, 1.0):
-                g_a, g_b = sol.particular + t * sol.nullspace[:, 0]
-                assert abs(that_a * g_a + that_b * g_b - 1.0) < 1e-9
+            that_a = response_phase_mean([ref_ratio(s, n) for n in ref_group(s, 0)])
+            that_b = response_phase_mean([ref_ratio(s, n) for n in ref_group(s, 1)])
+            # both rows of the system are the line through every alpha's rates
+            c, d = coded_system(s)
+            for alpha in (-0.5, 0.0, 0.5, 1.0, 1.5):
+                line = [alpha / that_a, (1.0 - alpha) / that_b]
+                assert np.max(np.abs(coded_residuals(c, d, line))) < 1e-9
             assert coded_equilibrium(s, allow_negative=True).degenerate
         for files in range(3, 9):
             s = random_coded(rng, files)
-            assert isinstance(linsolve.solve(coded_system(s)), linsolve.Unique)
+            assert exact_coded_solution(*coded_system(s)) is not None
             assert not coded_equilibrium(s, allow_negative=True).degenerate
 
 

@@ -26,7 +26,7 @@ from bxsim.errors import BxsimError, DivergenceError, NonpositiveObservationErro
 from bxsim.model import Metrics, Scenario
 from bxsim.simulate import RoundEngine, in_order_sum
 
-from conftest import adaptive_run, reference_play, symmetric, two_file
+from conftest import adaptive_run, ref_group, reference_play, symmetric, two_file
 
 
 def mech_cfg(**kw):
@@ -56,13 +56,13 @@ class TestInitState:
 
     def test_roles_follow_file_order(self, sym_10_10):
         st = init_state(sym_10_10, mech_cfg())
-        assert tuple(np.flatnonzero(~st.initiates)) == sym_10_10.group(0)
-        assert tuple(np.flatnonzero(st.initiates)) == sym_10_10.group(1)
+        assert tuple(np.flatnonzero(~st.initiates)) == ref_group(sym_10_10, 0)
+        assert tuple(np.flatnonzero(st.initiates)) == ref_group(sym_10_10, 1)
         profile = st.profile()
-        assert all(profile.gamma[n] == 0.0 for n in sym_10_10.group(0))
-        assert all(profile.gamma[n] > 0.0 for n in sym_10_10.group(1))
-        assert all(profile.lam[(n, 1)] > 0.0 for n in sym_10_10.group(0))
-        assert all(profile.lam[(n, 0)] == 0.0 for n in sym_10_10.group(1))
+        assert all(profile.gamma[n] == 0.0 for n in ref_group(sym_10_10, 0))
+        assert all(profile.gamma[n] > 0.0 for n in ref_group(sym_10_10, 1))
+        assert all(profile.lam[(n, 1)] > 0.0 for n in ref_group(sym_10_10, 0))
+        assert all(profile.lam[(n, 0)] == 0.0 for n in ref_group(sym_10_10, 1))
 
     def test_requires_two_files(self):
         with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from bxsim.cli import dump_scenarios, gen_groups, gen_rng, main, parse_seeds, wr
 from bxsim.equilibrium import coded_throughput
 from bxsim.model import Scenario, scenario_to_dict
 
-from conftest import symmetric, two_file
+from conftest import SINGULAR_CODED_ROWS, symmetric, two_file
 
 
 def write_config(tmp_path, scenario, name="scenario.json", seed=None):
@@ -156,6 +156,15 @@ class TestNe:
         cfg = write_config(tmp_path, two_file([1.0, 1.0, 5.0], [1.0, 1.0]))
         assert main(["ne", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
         assert "equilibrium" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c,d", SINGULAR_CODED_ROWS)
+    def test_singular_coded_system_exits_3(self, tmp_path, capsys, monkeypatch, c, d):
+        monkeypatch.setattr(bxsim.equilibrium, "coded_system", lambda s: (np.array(c), np.array(d)))
+        cfg = write_config(tmp_path, symmetric(3, 4))
+        assert main(["ne", "--coded", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "singular" in err and "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]  # no output, and no .partial file
 
 
 class TestPoa:

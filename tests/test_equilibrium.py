@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from bxsim import linsolve
+from bxsim import equilibrium
 from bxsim.equilibrium import (
     coded_equilibrium,
     coded_round_duration,
@@ -29,12 +29,16 @@ from bxsim.errors import DegenerateProfileError, NegativeRateError, SingularSyst
 from bxsim.model import Scenario
 
 from conftest import (
+    SINGULAR_CODED_ROWS,
+    coded_residuals,
     dense_profile,
+    exact_coded_solution,
     random_coded,
     random_two_file,
-    ref_complement,
+    ref_group,
     ref_ratio,
     reference_coded,
+    reference_coded_system,
     reference_node_cost,
     reference_round_duration,
     reference_two_file,
@@ -217,8 +221,8 @@ class TestExpectedInitiationCost:
             eq = two_file_equilibrium(s, alpha=alpha, allow_negative=True)
             node = int(rng.integers(0, s.n_nodes))
             needed = int(s.needs[node])
-            own = [m for m in s.group(needed) if m != node]
-            other = s.group(1 - needed)
+            own = [m for m in ref_group(s, needed) if m != node]
+            other = ref_group(s, 1 - needed)
             rest = sum(eq.profile.gamma[m] for m in own) + sum(eq.profile.gamma[m] for m in other)
             p_own = sum(eq.profile.gamma[m] for m in own) / rest
             that = 1 / sum(eq.profile.lam[(m, needed)] for m in other)
@@ -236,10 +240,10 @@ class TestExpectedInitiationCost:
 class TestTwoFileEquilibrium:
     def test_alpha_zero_silences_group_a(self, sym_10_10):
         eq = two_file_equilibrium(sym_10_10, alpha=0.0)
-        assert all(eq.profile.gamma[n] == 0.0 for n in sym_10_10.group(0))
+        assert all(eq.profile.gamma[n] == 0.0 for n in ref_group(sym_10_10, 0))
         # one-sided profile: the initiating group's response rates are zeroed
-        assert all(eq.profile.lam[(n, 0)] == 0.0 for n in sym_10_10.group(1))
-        assert all(eq.profile.lam[(n, 1)] > 0.0 for n in sym_10_10.group(0))
+        assert all(eq.profile.lam[(n, 0)] == 0.0 for n in ref_group(sym_10_10, 1))
+        assert all(eq.profile.lam[(n, 1)] > 0.0 for n in ref_group(sym_10_10, 0))
 
     def test_small_symmetric_rates(self, sym_2_2):
         eq = two_file_equilibrium(sym_2_2, alpha=0.5)
@@ -253,8 +257,8 @@ class TestTwoFileEquilibrium:
         assert eq.profile.gamma[2] == eq.profile.gamma[3] == 0.0
         # indifference residual of the summed condition: ratios match
         # sum_{i != i*} gamma_a = alpha * ratio_i*
-        assert eq.profile.gamma[1] == pytest.approx(1.0 * s.ratio(0), abs=1e-12)
-        assert eq.profile.gamma[0] == pytest.approx(1.0 * s.ratio(1), abs=1e-12)
+        assert eq.profile.gamma[1] == pytest.approx(1.0 * ref_ratio(s, 0), abs=1e-12)
+        assert eq.profile.gamma[0] == pytest.approx(1.0 * ref_ratio(s, 1), abs=1e-12)
 
     def test_split_invariant(self):
         rng = np.random.default_rng(3)
@@ -262,8 +266,8 @@ class TestTwoFileEquilibrium:
             s = random_two_file(rng, max_group=10)
             alpha = float(rng.uniform(0.0, 1.0))
             eq = two_file_equilibrium(s, alpha=alpha, allow_negative=True)
-            sum_a = sum(eq.profile.gamma[n] for n in s.group(0))
-            sum_b = sum(eq.profile.gamma[n] for n in s.group(1))
+            sum_a = sum(eq.profile.gamma[n] for n in ref_group(s, 0))
+            sum_b = sum(eq.profile.gamma[n] for n in ref_group(s, 1))
             assert sum_a * eq.that_a == pytest.approx(alpha, abs=1e-12)
             assert sum_b * eq.that_b == pytest.approx(1 - alpha, abs=1e-12)
 
@@ -347,7 +351,7 @@ class TestNodeCost:
         for _ in range(10):
             s = random_two_file(rng, max_group=12)
             for f in (0, 1):
-                total = sum(node_costs_at_ne(s).transmit_prob[n] for n in s.group(f))
+                total = sum(node_costs_at_ne(s).transmit_prob[n] for n in ref_group(s, f))
                 assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -378,7 +382,7 @@ class TestCodedEquilibrium:
             s = random_coded(rng, files)
             eq = coded_equilibrium(s, allow_negative=True)
             for x in range(files):
-                total = sum(eq.profile.gamma[n] for n in s.group(x))
+                total = sum(eq.profile.gamma[n] for n in ref_group(s, x))
                 assert total == pytest.approx(eq.gamma_by_file[x], abs=1e-12)
 
     def test_system_row_residuals(self):
@@ -386,29 +390,31 @@ class TestCodedEquilibrium:
         for files in (3, 4, 6, 8):
             s = random_coded(rng, files)
             eq = coded_equilibrium(s, allow_negative=True)
-            sys = coded_system(s)
-            residual = sys.a @ np.array(eq.gamma_by_file) - sys.b
+            residual = coded_residuals(*coded_system(s), eq.gamma_by_file)
             assert np.max(np.abs(residual)) < 1e-9
 
-    def test_two_file_degenerate_family(self, sym_10_10):
-        eq = coded_equilibrium(sym_10_10)
+    def test_two_file_degenerate_family(self):
+        s = two_file([1.0, 1.2, 1.5], [1.1, 0.9, 1.3, 1.0])
+        eq = coded_equilibrium(s)
         assert eq.degenerate
-        assert eq.family is not None and eq.family.nullspace.shape == (2, 1)
-        # the family line is That_A * G_A + That_B * G_B = 1
-        sys = coded_system(sym_10_10)
-        for t in (-0.3, 0.0, 0.4):
-            point = eq.family.particular + t * eq.family.nullspace[:, 0]
-            assert np.max(np.abs(sys.a @ point - 1.0)) < 1e-9
+        # both rows are the family line That_A * G_A + That_B * G_B = 1, on
+        # which every alpha's aggregate rates lie
+        c, d = coded_system(s)
+        for alpha in (0.0, 0.3, 0.5, 1.0):
+            gamma = two_file_equilibrium(s, alpha=alpha).profile.gamma
+            point = [sum(gamma[n] for n in ref_group(s, x)) for x in (0, 1)]
+            assert np.max(np.abs(coded_residuals(c, d, point))) < 1e-9
         # representative matches the alpha = 0.5 bilateral equilibrium
-        bil = two_file_equilibrium(sym_10_10, alpha=0.5)
+        bil = two_file_equilibrium(s, alpha=0.5)
         np.testing.assert_allclose(eq.profile.gamma, bil.profile.gamma)
 
     def test_unexpected_singular_raises(self, monkeypatch):
         s = symmetric(3, 10)
-        fam = linsolve.Family(particular=np.zeros(3), nullspace=np.zeros((3, 1)))
-        monkeypatch.setattr(linsolve, "solve", lambda sys, tol=1e-10: fam)
-        with pytest.raises(SingularSystemError):
-            coded_equilibrium(s)
+        for c, d in SINGULAR_CODED_ROWS:
+            assert exact_coded_solution(c, d) is None
+            monkeypatch.setattr(equilibrium, "coded_system", lambda s, c=c, d=d: (np.array(c), np.array(d)))
+            with pytest.raises(SingularSystemError):
+                coded_equilibrium(s)
 
     def test_negative_gamma_raises(self):
         rng = np.random.default_rng(4)
@@ -496,17 +502,15 @@ class TestArrayFormsMatchScalarReferences:
     @given(s=shuffled_scenarios(st.integers(2, 6)))
     def test_coded_equilibrium(self, s):
         eq = coded_equilibrium(s, allow_negative=True)
+        c, d = reference_coded_system(s)
+        assert [bits(v) for v in coded_system(s)] == [bits(c), bits(d)]
         if s.files == 2:  # the degenerate family's alpha = 0.5 representative
             gamma, lam, that_a, that_b = reference_two_file(s, 0.5)
-            big = (0.5 / that_a, 0.5 / that_b)
-        else:
-            big, gamma, lam = reference_coded(s)
-        assert bits(eq.gamma_by_file) == bits(big)
+            assert bits(eq.gamma_by_file) == bits((0.5 / that_a, 0.5 / that_b))
+        else:  # the aggregate rates themselves are checked against the exact oracle
+            gamma, lam = reference_coded(s, eq.gamma_by_file)
         assert bits(eq.profile.gamma) == bits(gamma)
         assert_same_lam(eq.profile.lam, lam, s.files)
-        durations = np.array(
-            [response_phase_mean([ref_ratio(s, m) for m in ref_complement(s, x)]) for x in range(s.files)]
-        )
         total = float(np.sum(eq.gamma_by_file))
-        resp_mean = float(np.sum(np.asarray(eq.gamma_by_file) / total * durations))
+        resp_mean = float(np.sum(np.asarray(eq.gamma_by_file) / total * np.array(d)))
         assert bits([coded_round_duration(s, eq).response_mean]) == bits([resp_mean])

@@ -158,13 +158,6 @@ class TestArrays:
         s = Scenario(files=2, w=[3.0, 1.0], g=[2.0, 4.0], needs=[1, 0])
         assert s.w.tolist() == [3.0, 1.0] and s.g.tolist() == [2.0, 4.0]
         assert s.ratios.tolist() == [1.5, 0.25] and s.needs.tolist() == [1, 0]
-        assert (s.ratio(0), s.group(0), s.complement(0)) == (1.5, (1,), (0,))
-
-    def test_groups_keep_ascending_ids(self):
-        s = Scenario(files=3, w=[1.0] * 6, g=[1.0] * 6, needs=[2, 0, 2, 1, 0, 2])
-        assert [s.group(x) for x in range(3)] == [(1, 4), (3,), (0, 2, 5)]
-        assert s.complement(2) == (1, 3, 4)
-        assert all(type(n) is int for n in s.group(2))
 
     def test_columns_are_read_only_copies(self):
         w = np.array([1.0, 2.0, 1.0, 2.0])
@@ -392,9 +385,6 @@ class TestMetrics:
         m = Metrics(sym_2_2)
         m.elapsed = 1.0
         assert m.avg_total_cost(0) == float("inf")
-
-    def test_ratio(self):
-        assert Scenario(files=2, w=[3.0], g=[2.0], needs=[0]).ratio(0) == pytest.approx(1.5)
 
 
 class TestAtomicOpen:
