@@ -13,7 +13,8 @@ is one array per quantity over all nodes, in id order (with a leading seed
 axis for a batch of seeds), with the role groups taken from ``needs``.  The
 simulation-coupled run plays all its seeds side by side on one round engine,
 re-rated after every update; each seed keeps its own generator and stream,
-so a batch gives what its seeds give run one after another.
+so a batch gives what its seeds give run one after another.  A batch that
+fails is replayed one seed at a time, so that it fails as those runs do.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BxsimError, DivergenceError, NonpositiveObservationError, ScenarioError, StallError, at_row
+from .errors import BxsimError, DivergenceError, NonpositiveObservationError, StallError
 from .model import Metrics, Scenario, StrategyProfile, require_valid
 from .simulate import RoundEngine, in_order_sum
 
@@ -133,21 +134,20 @@ def observe_and_update(
     delta_k / observed, with its own group's observed mean; its rate is the
     inverse guess minus its own w/g, floored at zero (counted by the new
     state's ``floored``).  Raises NonpositiveObservationError for a mean
-    that is not positive, and DivergenceError when an inverse guess is not
-    finite; in a batch, for the first seed that fails, marked with its row.
+    that is not positive (in a batch, any seed's), else DivergenceError when
+    an inverse guess is not finite.
     """
     delta = cfg.delta(k)
     means = np.array((observed_response_mean, observed_initiation_mean), dtype=float)
+    for label, mean in zip(ROLES, means.reshape(2, -1).tolist()):
+        nonpositive = [m for m in mean if m <= 0]
+        if nonpositive:
+            raise NonpositiveObservationError(f"observed mean {label} backoff must be positive, got {nonpositive[0]}")
     observed = np.where(state.initiates, means[1][..., None], means[0][..., None])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv_guess = (1.0 + delta) * state.inv_guess - delta / observed
-    failed = np.atleast_1d((means <= 0).any(axis=0) | ~np.isfinite(inv_guess).all(axis=-1))
-    if failed.any():
-        row = int(failed.argmax())
-        for label, mean in zip(ROLES, np.atleast_2d(means.T)[row].tolist()):
-            if mean <= 0:
-                raise at_row(NonpositiveObservationError(f"observed mean {label} backoff must be positive, got {mean}"), row)
-        raise at_row(DivergenceError(f"the update to epoch {k} diverged: an inverse guess is not finite"), row)
+    if not np.isfinite(inv_guess).all():
+        raise DivergenceError(f"the update to epoch {k} diverged: an inverse guess is not finite")
     return AdaptState(state.ratios, state.initiates, inv_guess)
 
 
@@ -216,42 +216,39 @@ def run_adaptive_simulation(scenarios: list[Scenario], cfg: AdaptConfig, seeds: 
     and the epoch sums are added in round order.  Warnings and failures are
     those of the seeds run one after another: floor warnings seed by seed,
     then epoch by epoch, and the error of the first seed in list order that
-    fails, after the warnings logged up to it.
+    fails, after the warnings logged up to it.  The batch is played once; if
+    it fails, its seeds are replayed one at a time, in list order, each
+    seed's warnings logged as it ends, until one fails.
     """
     cfg.validate()
     if len(seeds) != len(scenarios) or any(
         s.files != scenarios[0].files or not np.array_equal(s.needs, scenarios[0].needs) for s in scenarios
     ):
         raise ValueError("an adaptive batch needs one seed per scenario, and scenarios with the same files and needs")
-    failure, failed_floors, results = None, [], []
-    while scenarios:
-        floors: list[np.ndarray] = []
-        try:
-            results = _run_batch(scenarios, cfg, seeds, floors)
-            break
-        except (BxsimError, ValueError) as exc:
-            if getattr(exc, "row", None) is None:
-                raise
-            # The seeds from this row on play no more; an earlier one may still fail later.
-            failure, failed_floors = exc, [counts[exc.row] for counts in floors]
-            scenarios, seeds = scenarios[: exc.row], seeds[: exc.row]
-    for counts in [rec.floored for result in results for rec in result.epochs] + failed_floors:
+    try:
+        results = _run_batch(scenarios, cfg, seeds, [])
+    except (BxsimError, ValueError):
+        results = []
+        for s, seed in zip(scenarios, seeds):
+            floors: list[np.ndarray] = []
+            try:
+                results += _run_batch([s], cfg, [seed], floors)
+            except DivergenceError as exc:
+                raise DivergenceError(f"seed {seed}: {exc}") from None
+            finally:
+                for counts in floors:
+                    log_floored(counts[0])
+        return results
+    for counts in [rec.floored for result in results for rec in result.epochs]:
         log_floored(counts)
-    if failure is not None:
-        raise failure
     return results
 
 
 def _run_batch(scenarios: list[Scenario], cfg: AdaptConfig, seeds: list[int], floors: list) -> list[AdaptiveRunResult]:
     """Every seed's run, side by side, logging nothing; appends each
     update's floored counts (seeds, 2) to ``floors``.  Raises the first
-    failure, marked with the row of its seed."""
-    states = []
-    for row, s in enumerate(scenarios):
-        try:
-            states.append(init_state(s, cfg))
-        except (ScenarioError, ValueError) as exc:
-            raise at_row(exc, row)
+    failure it meets, whichever seed it is of."""
+    states = [init_state(s, cfg) for s in scenarios]
     state = AdaptState(np.array([st.ratios for st in states]), states[0].initiates, np.array([st.inv_guess for st in states]))
     engine = RoundEngine(scenarios[0], state.profile(), coded=False)
     rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
@@ -272,10 +269,7 @@ def _run_batch(scenarios: list[Scenario], cfg: AdaptConfig, seeds: list[int], fl
         delta = cfg.delta(epoch) if epoch >= 1 else 0.0
         epochs.append([EpochRecord(epoch, delta, *fields) for fields in zip(*observed, node_states, floored)])
         if epoch < cfg.updates:
-            try:
-                state = observe_and_update(state, resp_mean, init_mean, epoch + 1, cfg)
-            except DivergenceError as exc:
-                raise at_row(DivergenceError(f"seed {seeds[exc.row]}: {exc}"), exc.row) from None
+            state = observe_and_update(state, resp_mean, init_mean, epoch + 1, cfg)
             floors.append(state.floored)
             engine.set_profile(state.profile())
 

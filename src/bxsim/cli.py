@@ -5,10 +5,11 @@ Exit codes: 0 success, 2 invalid scenario/arguments, 3 equilibrium
 nonexistence (negative rates, or a coded game of 3 or more files whose
 aggregate system is singular: two rows with c = d, or a zero denominator in
 its closed form), 4 runtime stall or diverging adaptation.  Every output is
-opened before any work, and a failed command leaves none of them.  Every command is deterministic given its config and seeds; reruns
-produce byte-identical CSV in the csv module's default dialect (comma,
-``\r\n``, no field ever quoted): one ``%`` template per row kind (the
-``*_ROW`` constants), floats at ``%.9g``.
+opened before any work, and a failed command leaves none of them.  Every
+command is deterministic given its config and seeds; reruns produce
+byte-identical CSV in the csv module's default dialect (comma, ``\r\n``, no
+field ever quoted): one ``%`` template per row kind (the ``*_ROW``
+constants), floats at ``%.9g``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import json
 import sys
 from contextlib import ExitStack
+from dataclasses import fields
 from itertools import product
 from pathlib import Path
 
@@ -68,6 +70,11 @@ def parse_seeds(text: str) -> list[int]:
     if len(set(out)) < len(out):
         raise ValueError(f"seed list {text} names a seed twice")
     return out
+
+
+def run_seeds(args, cfg_seed: int | None) -> list[int]:
+    """--seeds, else the config's seed, else 0."""
+    return parse_seeds(args.seeds) if args.seeds else [cfg_seed if cfg_seed is not None else 0]
 
 
 def gen_rng(seed: int, purpose: int) -> np.random.Generator:
@@ -177,7 +184,7 @@ def cmd_simulate(args) -> int:
         if args.coded
         else equilibrium.two_file_equilibrium(s, alpha=alpha).profile
     )
-    seeds = parse_seeds(args.seeds) if args.seeds else [cfg_seed if cfg_seed is not None else 0]
+    seeds = run_seeds(args, cfg_seed)
     if args.trace and len(seeds) > 1:
         print("--trace requires a single seed", file=sys.stderr)
         return 2
@@ -195,9 +202,7 @@ def cmd_simulate(args) -> int:
 
 
 def adapt_config(args) -> adapt.AdaptConfig:
-    return adapt.AdaptConfig(
-        epoch_rounds=args.epoch_rounds, epsilon=args.epsilon, guess_factor=args.guess_factor, updates=args.updates
-    )
+    return adapt.AdaptConfig(**{knob.name: getattr(args, knob.name) for knob in fields(adapt.AdaptConfig)})
 
 
 ADAPT_HEADER = ["seed", "epoch", "delta", "observed_inv_that_a", "observed_inv_that_b", "throughput"]
@@ -210,7 +215,7 @@ def cmd_adapt(args) -> int:
     s, cfg_seed = load_scenario(args.config)
     require_valid(s)
     cfg = adapt_config(args)
-    seeds = parse_seeds(args.seeds) if args.seeds else [cfg_seed if cfg_seed is not None else 0]
+    seeds = run_seeds(args, cfg_seed)
     lines, states = [], []
     for seed, result in zip(seeds, adapt.run_adaptive_simulation([s] * len(seeds), cfg, seeds)):
         for rec in result.epochs:
@@ -289,6 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_out(p):
         p.add_argument("--out", required=True, help="output CSV path")
 
+    def add_adapt_knobs(p):
+        defaults = adapt.AdaptConfig()
+        p.add_argument("--updates", type=int, default=defaults.updates)
+        p.add_argument("--epoch-rounds", type=int, default=defaults.epoch_rounds)
+        p.add_argument("--epsilon", type=float, default=defaults.epsilon)
+        p.add_argument("--guess-factor", type=float, default=defaults.guess_factor)
+
     p_ne = sub.add_parser("ne", help="closed-form equilibrium rates")
     p_ne.add_argument("--config", required=True, help="scenario config (JSON)")
     p_ne.add_argument("--alpha", type=float, help="initiation share of group 0 (plain two-file game; default 0.5)")
@@ -313,10 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_adapt = sub.add_parser("adapt", help="simulation-coupled distributed adaptation")
     p_adapt.add_argument("--config", required=True)
-    p_adapt.add_argument("--updates", type=int, default=10)
-    p_adapt.add_argument("--epoch-rounds", type=int, default=100, dest="epoch_rounds")
-    p_adapt.add_argument("--epsilon", type=float, default=0.1)
-    p_adapt.add_argument("--guess-factor", type=float, default=10.0, dest="guess_factor")
+    add_adapt_knobs(p_adapt)
     p_adapt.add_argument("--seeds")
     p_adapt.add_argument("--per-node-out", dest="per_node_out", help="optional per-node state CSV")
     add_out(p_adapt)
@@ -328,10 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig2.add_argument("--w-hi", type=float, default=2.0, dest="w_hi")
     p_fig2.add_argument("--g", type=float, default=1.0)
     p_fig2.add_argument("--seeds", default="0-19")
-    p_fig2.add_argument("--updates", type=int, default=10)
-    p_fig2.add_argument("--epoch-rounds", type=int, default=100, dest="epoch_rounds")
-    p_fig2.add_argument("--epsilon", type=float, default=0.1)
-    p_fig2.add_argument("--guess-factor", type=float, default=10.0, dest="guess_factor")
+    add_adapt_knobs(p_fig2)
     add_out(p_fig2)
     p_fig2.set_defaults(func=cmd_fig2)
 

@@ -1,8 +1,7 @@
 """Error types shared across the package.
 
-Every error carries a short machine-readable ``code`` so the CLI can map
-failures onto its exit-code contract (2 = invalid scenario, 3 = equilibrium
-nonexistence, 4 = runtime stall).
+The CLI maps each error type onto its exit-code contract (2 = invalid
+scenario, 3 = equilibrium nonexistence, 4 = runtime stall or divergence).
 """
 
 from __future__ import annotations
@@ -12,14 +11,6 @@ from dataclasses import dataclass
 
 class BxsimError(Exception):
     """Base class for all package errors."""
-
-    code = "ERROR"
-
-
-def at_row(exc: Exception, row: int) -> Exception:
-    """``exc``, marked as the failure of row ``row`` of a batch of seeds."""
-    exc.row = row
-    return exc
 
 
 @dataclass(frozen=True)
@@ -36,8 +27,6 @@ class Violation:
 class ScenarioError(BxsimError):
     """Scenario failed validation; carries the complete violation list."""
 
-    code = "INVALID_SCENARIO"
-
     def __init__(self, violations: list[Violation]):
         self.violations = violations
         super().__init__("; ".join(str(v) for v in violations))
@@ -51,14 +40,10 @@ class NegativeRateError(BxsimError):
     algebraic identities can request the raw values explicitly.
     """
 
-    code = "NEGATIVE_RATE"
-
 
 class DegenerateProfileError(BxsimError):
     """An expected-cost evaluation has no competing rate mass (e.g. the sum
     of the other nodes' initiation rates is zero)."""
-
-    code = "DEGENERATE"
 
 
 class SingularSystemError(BxsimError):
@@ -66,25 +51,17 @@ class SingularSystemError(BxsimError):
     unique solution: two of its rows have c = d, or the closed form's
     denominator for the total rate is 0."""
 
-    code = "SINGULAR_UNEXPECTED"
-
 
 class StallError(BxsimError):
     """No node can win a protocol phase (all relevant rates are zero)."""
-
-    code = "STALL"
 
 
 class DivergenceError(StallError):
     """The adaptation update diverged: an inverse guess is no longer finite."""
 
-    code = "DIVERGED"
-
 
 class NonpositiveObservationError(BxsimError):
     """An adaptation update was fed a non-positive observed backoff mean."""
-
-    code = "NONPOSITIVE_OBSERVATION"
 
 
 # Violation codes used by scenario loading and validation.

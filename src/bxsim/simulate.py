@@ -29,7 +29,9 @@ bit-identical to adding one round at a time.
 A batch of seeds (rates with a leading seed axis) only plays the seeds side
 by side: each seed keeps its own generator and draws from it exactly the
 uniforms it draws alone, so every seed's rounds, and the state its generator
-ends in, are those of a run of that seed alone.
+ends in, are those of a run of that seed alone.  A batch fails as a whole:
+it raises if any of its seeds would, without naming which, and a caller
+that needs the failure of each seed plays the seeds alone.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import NegativeRateError, StallError, at_row
+from .errors import NegativeRateError, StallError
 from .model import Metrics, Scenario, StrategyProfile, as_output, require_valid
 
 NEVER = math.inf
@@ -111,10 +113,8 @@ class RoundEngine:
         batch, gamma = gamma.shape[:-1], gamma.reshape(-1, n)
         resp_rate = np.where(self.holds, lam.reshape(len(gamma), -1)[:, self.lam_index], 0.0)
         rates = np.concatenate((gamma, resp_rate.reshape(len(gamma), -1)), axis=1)
-        valid = (0 <= rates.min(axis=1)) & (rates.max(axis=1) < NEVER)  # NaN fails both
-        if not valid.all():
-            row = int(valid.argmin())
-            raise at_row(NegativeRateError("profile has a negative or non-finite rate" + (f" (seed row {row})" if batch else "")), row)
+        if not (0 <= rates.min() and rates.max() < NEVER):  # NaN fails both
+            raise NegativeRateError("profile has a negative or non-finite rate")
         self.batch, self.gamma, self.resp_rate = batch, gamma, resp_rate
         # Any seed's positive-rate nodes; a seed's zero rates draw NEVER.
         self.initiators = (gamma > 0).any(axis=0).nonzero()[0]
@@ -131,15 +131,15 @@ class RoundEngine:
         at most CHUNK_DOUBLES uniforms per chunk (or one round's worth) in one
         ``rng.random`` call, leaving its generator where round-by-round play
         would.  Raises StallError at a round nobody can initiate or answer,
-        with ``row`` the first seed, in batch order, that stalled."""
+        in a batch at such a round of any seed; for one seed, the message is
+        that of its first such round."""
         rngs = list(rngs) if self.batch else [rngs]
         n, needs, initiators = self.scenario.n_nodes, self.scenario.needs, self.initiators
         gamma, resp_rate, step = self.gamma[:, None, initiators], self.resp_rate, self.fixed_step
         silent = gamma == 0
         audible = ~silent if silent.any() else True  # where a division by gamma is due
-        idle = silent.all(axis=-1)[:, 0]
-        if idle.any():
-            raise at_row(StallError("no node can initiate: all initiation rates are zero"), int(idle.argmax()))
+        if silent.all(axis=-1).any():
+            raise StallError("no node can initiate: all initiation rates are zero")
         # Each round reads its seed's responder table of the file its initiator
         # needs; when every initiator needs one file, all rounds read that one.
         first = needs[initiators[:1]]
@@ -178,13 +178,11 @@ class RoundEngine:
             pick = t.argmin(axis=-1)
             t_resp = t[(*at, pick)]
             duration = t_init + t_resp + 2.0  # finite unless a timer is NEVER (or overflowed)
-            finite = np.isfinite(duration)
-            if not finite.all():
-                row = int(finite.all(axis=1).argmin())
-                r = int(finite[row].argmin())
-                if not math.isfinite(t_init[row, r]):
-                    raise at_row(StallError("no node can initiate: every initiation timer is infinite"), row)
-                raise at_row(StallError(f"no eligible responder for file {x[row, r]} has a positive rate"), row)
+            stalled = ~np.isfinite(duration)
+            if stalled.any():
+                if not math.isfinite(t_init[stalled][0]):
+                    raise StallError("no node can initiate: every initiation timer is infinite")
+                raise StallError(f"no eligible responder for file {x[stalled][0]} has a positive rate")
             rounds -= initiator.shape[1]
             chunk = Rounds(initiator, self.resp_id[x, pick], t_init, t_resp, duration)
             yield chunk if self.batch else Rounds(*(col[0] for col in chunk))

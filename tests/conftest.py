@@ -6,6 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from bxsim.adapt import run_adaptive_simulation
 from bxsim.cli import gen_groups
@@ -40,6 +41,20 @@ def random_two_file(rng: np.random.Generator, max_group: int = 20) -> Scenario:
 
 def random_coded(rng: np.random.Generator, files: int, group_size: int = 10) -> Scenario:
     return gen_groups([group_size] * files, 1.0, 2.0, 1.0, rng)
+
+
+@st.composite
+def shuffled_scenarios(draw, files, max_group: int = 7, unequal: bool = False):
+    """Groups of 2-``max_group`` nodes, not all of one size if ``unequal``, in
+    shuffled order, one per file of a count drawn from ``files``, with w and g
+    drawn apart."""
+    f = draw(files)
+    sizes = st.lists(st.integers(2, max_group), min_size=f, max_size=f)
+    sizes = draw(sizes.filter(lambda v: len(set(v)) > 1) if unequal else sizes)
+    needs = draw(st.permutations(np.repeat(np.arange(f), sizes).tolist()))
+    cost = st.floats(0.05, 20.0)
+    w, g = zip(*((draw(cost), draw(cost)) for _ in needs))
+    return Scenario(files=f, w=w, g=g, needs=needs)
 
 
 def dense_profile(gamma, lam: dict, files: int = 2) -> StrategyProfile:

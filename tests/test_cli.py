@@ -11,6 +11,7 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import bxsim
 import bxsim.cli
@@ -19,8 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bxsim import simulate
-from bxsim.cli import dump_scenarios, gen_groups, gen_rng, main, parse_seeds, write_csv
+from bxsim import adapt, simulate
+from bxsim.cli import adapt_config, build_parser, dump_scenarios, gen_groups, gen_rng, main, parse_seeds, write_csv
 from bxsim.equilibrium import coded_throughput
 from bxsim.model import Scenario, scenario_to_dict
 
@@ -295,6 +296,11 @@ class TestAdapt:
 
 
     @pytest.mark.parametrize("command", ["adapt", "fig2"])
+    def test_knob_defaults_are_the_config_defaults(self, command):
+        config = ["--config", "scenario.json"] if command == "adapt" else []
+        assert adapt_config(build_parser().parse_args([command, *config, "--out", "x.csv"])) == adapt.AdaptConfig()
+
+    @pytest.mark.parametrize("command", ["adapt", "fig2"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_epsilon_exits_2(self, tmp_path, capsys, command, value):
         self.assert_invalid_argument(tmp_path, capsys, command, f"--epsilon={value}", "epsilon must be finite")
@@ -428,6 +434,24 @@ class TestFailureOrder:
             assert f"seed {late}: the update to epoch {epochs[late]} diverged" in alone[1]
         for seeds in (f"{late},{early}", f"{late},{early},{max(epochs) + 1}"):
             assert self.run(tmp_path, caplog, capsys, command, seeds) == alone
+
+
+class TestReplayCost:
+    """A seed batch is played on one round engine; a batch that fails is
+    replayed one seed at a time, up to the first seed that fails."""
+
+    def engines_built(self, tmp_path, seeds, *knobs):
+        with mock.patch.object(adapt, "RoundEngine", wraps=simulate.RoundEngine) as engine:
+            code = main(["fig2", "--seeds", seeds, *knobs, "--out", str(tmp_path / "y.csv")])
+        return code, engine.call_count
+
+    def test_a_batch_that_runs_through_is_played_once(self, tmp_path):
+        assert self.engines_built(tmp_path, "0-19") == (0, 1)
+
+    def test_a_failed_batch_is_replayed_up_to_its_first_failing_seed(self, tmp_path, capsys):
+        # with one-round epochs, seed 1 runs through, and seeds 0 and 2 stall alone
+        assert self.engines_built(tmp_path, "1,0,2", "--epoch-rounds", "1") == (4, 1 + 2)
+        assert capsys.readouterr().err.startswith("simulation stalled: ")
 
 
 class TestFig2:

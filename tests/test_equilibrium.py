@@ -26,7 +26,6 @@ from bxsim.equilibrium import (
     two_file_equilibrium,
 )
 from bxsim.errors import DegenerateProfileError, NegativeRateError, SingularSystemError
-from bxsim.model import Scenario
 
 from conftest import (
     SINGULAR_CODED_ROWS,
@@ -42,6 +41,7 @@ from conftest import (
     reference_node_cost,
     reference_round_duration,
     reference_two_file,
+    shuffled_scenarios,
     symmetric,
     two_file,
 )
@@ -444,17 +444,6 @@ class TestCodedEquilibrium:
                     assert eq.profile.lam[n, x] == 0
 
 
-@st.composite
-def shuffled_scenarios(draw, files):
-    """Unequal groups of 2-7 nodes in shuffled order, w and g drawn apart."""
-    f = draw(files)
-    sizes = draw(st.lists(st.integers(2, 7), min_size=f, max_size=f))
-    needs = draw(st.permutations(np.repeat(np.arange(f), sizes).tolist()))
-    cost = st.floats(0.05, 20.0)
-    w, g = zip(*((draw(cost), draw(cost)) for _ in needs))
-    return Scenario(files=f, w=w, g=g, needs=needs)
-
-
 def bits(values) -> list[str]:
     """Each value's exact binary form (tells -0.0 from 0.0)."""
     return [float(v).hex() for v in values]
@@ -514,3 +503,30 @@ class TestArrayFormsMatchScalarReferences:
         total = float(np.sum(eq.gamma_by_file))
         resp_mean = float(np.sum(np.asarray(eq.gamma_by_file) / total * np.array(d)))
         assert bits([coded_round_duration(s, eq).response_mean]) == bits([resp_mean])
+
+
+class TestPaperClosedForms:
+    """The paper's closed forms on random valid scenarios: the equilibria
+    they give are proper profiles, and both prices of anarchy are >= 1."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)  # most draws have no equilibrium
+    @given(s=shuffled_scenarios(st.just(2)), alpha=ALPHA)
+    def test_two_file_game(self, s, alpha):
+        try:
+            profile = two_file_equilibrium(s, alpha=alpha).profile
+        except NegativeRateError:  # the equilibrium does not exist
+            return
+        rates = np.concatenate((profile.gamma, profile.lam.ravel()))
+        assert np.all(np.isfinite(rates)) and np.all(rates >= 0)
+        costs = node_costs_at_ne(s)
+        assert np.abs(np.bincount(s.needs, weights=costs.transmit_prob) - 1.0).max() <= 1e-9
+        assert np.all(costs.poa >= 1.0) and poa_system(s) >= 1.0
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(s=shuffled_scenarios(st.integers(3, 6)))
+    def test_coded_game(self, s):
+        try:
+            big = coded_equilibrium(s, allow_negative=True).gamma_by_file
+        except SingularSystemError:
+            return
+        assert np.abs(coded_residuals(*coded_system(s), big)).max() <= 1e-9

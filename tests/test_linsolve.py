@@ -15,7 +15,7 @@ from bxsim.equilibrium import coded_equilibrium, coded_system, solve_coded_syste
 from bxsim.errors import SingularSystemError
 from bxsim.model import Scenario
 
-from conftest import SINGULAR_CODED_ROWS, coded_residuals, exact_coded_solution, two_file
+from conftest import SINGULAR_CODED_ROWS, coded_residuals, exact_coded_solution, shuffled_scenarios, two_file
 
 
 def dense(c, d) -> np.ndarray:
@@ -100,20 +100,8 @@ def unit_costs(sizes) -> Scenario:
     return Scenario(files=len(sizes), w=np.ones(n), g=np.ones(n), needs=np.repeat(np.arange(len(sizes)), sizes))
 
 
-@st.composite
-def coded_scenarios(draw):
-    """3-8 groups of 2-9 nodes, not all of one size, in shuffled order, with
-    w and g drawn apart."""
-    f = draw(st.integers(3, 8))
-    sizes = draw(st.lists(st.integers(2, 9), min_size=f, max_size=f).filter(lambda v: len(set(v)) > 1))
-    needs = draw(st.permutations(np.repeat(np.arange(f), sizes).tolist()))
-    cost = st.floats(0.05, 20.0)
-    w, g = zip(*((draw(cost), draw(cost)) for _ in needs))
-    return Scenario(files=f, w=w, g=g, needs=needs)
-
-
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(s=coded_scenarios())
+@given(s=shuffled_scenarios(st.integers(3, 8), max_group=9, unequal=True))
 def test_matches_exact_oracle(s):
     c, d = coded_system(s)
     exact = exact_coded_solution(c, d)
