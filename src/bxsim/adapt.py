@@ -15,12 +15,14 @@ simulation-coupled run plays all its seeds side by side on one round engine,
 re-rated after every update; each seed keeps its own generator and stream,
 so a batch gives what its seeds give run one after another.  A batch that
 fails is replayed one seed at a time, so that it fails as those runs do.
+A batch's results are one ``AdaptiveRun``: arrays with a leading seed axis.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,33 +179,21 @@ def analytic_iterate(s: Scenario, cfg: AdaptConfig) -> list[tuple[int, float, fl
     return rows
 
 
-@dataclass(frozen=True)
-class EpochRecord:
-    """One epoch of a simulation-coupled adaptive run.
+class AdaptiveRun(NamedTuple):
+    """A simulation-coupled adaptive run of a batch of seeds: arrays with a
+    leading seed axis, in the order of the seeds, then, per epoch, an epoch
+    axis (epoch k ran after k updates).  ``observed`` holds the inverse mean
+    winning backoffs of the response and initiation phases measured within
+    the epoch, and its per-node download rate; ``floored`` the responders
+    and initiators whose rates the update before the epoch floored at zero."""
 
-    epoch counts the updates applied before the epoch ran; delta is the step
-    used by that update (0 for the initial epoch), and floored the
-    (responders, initiators) counts of rates it floored at zero.  The
-    observed fields are the inverse mean winning backoffs measured within
-    the epoch, and throughput is the per-node download rate over the epoch.
-    """
-
-    epoch: int
-    delta: float
-    observed_inv_that_a: float
-    observed_inv_that_b: float
-    throughput: float
-    node_states: np.ndarray  # (nodes, 2): That_guess and rate of each node, in id order
-    floored: tuple[int, int]
+    observed: np.ndarray  # (seeds, epochs, 3): 1/That_A, 1/That_B, throughput
+    node_states: np.ndarray  # (seeds, epochs, nodes, 2): That_guess and rate of each node, in id order
+    floored: np.ndarray  # (seeds, epochs, 2), 0 at epoch 0
+    metrics: Metrics  # the whole run's counters and each seed's costs, with the seed axis
 
 
-@dataclass(frozen=True)
-class AdaptiveRunResult:
-    epochs: list[EpochRecord]
-    metrics: Metrics
-
-
-def run_adaptive_simulation(scenarios: list[Scenario], cfg: AdaptConfig, seeds: list[int]) -> list[AdaptiveRunResult]:
+def run_adaptive_simulation(scenarios: list[Scenario], cfg: AdaptConfig, seeds: list[int]) -> AdaptiveRun:
     """Couple the simulator with the update mechanism: seed i runs on
     scenarios[i], which share one layout (files and needs), all seeds side by
     side on one round engine.
@@ -218,7 +208,8 @@ def run_adaptive_simulation(scenarios: list[Scenario], cfg: AdaptConfig, seeds: 
     then epoch by epoch, and the error of the first seed in list order that
     fails, after the warnings logged up to it.  The batch is played once; if
     it fails, its seeds are replayed one at a time, in list order, each
-    seed's warnings logged as it ends, until one fails.
+    seed's warnings logged as it ends, until one fails (one does: a batch
+    fails only where one of its seeds fails alone).
     """
     cfg.validate()
     if len(seeds) != len(scenarios) or any(
@@ -226,25 +217,24 @@ def run_adaptive_simulation(scenarios: list[Scenario], cfg: AdaptConfig, seeds: 
     ):
         raise ValueError("an adaptive batch needs one seed per scenario, and scenarios with the same files and needs")
     try:
-        results = _run_batch(scenarios, cfg, seeds, [])
-    except (BxsimError, ValueError):
-        results = []
+        run = _run_batch(scenarios, cfg, seeds, [])
+    except (BxsimError, ValueError, FloatingPointError):
         for s, seed in zip(scenarios, seeds):
             floors: list[np.ndarray] = []
             try:
-                results += _run_batch([s], cfg, [seed], floors)
-            except DivergenceError as exc:
-                raise DivergenceError(f"seed {seed}: {exc}") from None
+                _run_batch([s], cfg, [seed], floors)
+            except (DivergenceError, FloatingPointError) as exc:
+                raise type(exc)(f"seed {seed}: {exc}") from None
             finally:
                 for counts in floors:
                     log_floored(counts[0])
-        return results
-    for counts in [rec.floored for result in results for rec in result.epochs]:
+        raise
+    for counts in run.floored.reshape(-1, 2).tolist():
         log_floored(counts)
-    return results
+    return run
 
 
-def _run_batch(scenarios: list[Scenario], cfg: AdaptConfig, seeds: list[int], floors: list) -> list[AdaptiveRunResult]:
+def _run_batch(scenarios: list[Scenario], cfg: AdaptConfig, seeds: list[int], floors: list) -> AdaptiveRun:
     """Every seed's run, side by side, logging nothing; appends each
     update's floored counts (seeds, 2) to ``floors``.  Raises the first
     failure it meets, whichever seed it is of."""
@@ -252,10 +242,8 @@ def _run_batch(scenarios: list[Scenario], cfg: AdaptConfig, seeds: list[int], fl
     state = AdaptState(np.array([st.ratios for st in states]), states[0].initiates, np.array([st.inv_guess for st in states]))
     engine = RoundEngine(scenarios[0], state.profile(), coded=False)
     rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
-    metrics = Metrics(scenarios[0])  # counters with a leading seed axis
-    metrics.downloads, metrics.uploads = np.zeros((2, len(seeds), scenarios[0].n_nodes), dtype=np.int64)
-    metrics.elapsed = np.zeros(len(seeds))
-    epochs = []  # per epoch, its record of each seed
+    metrics = Metrics(scenarios)
+    observed, node_states = [], []  # per epoch, of every seed
 
     for epoch in range(cfg.updates + 1):
         sums = np.zeros((3, len(seeds)))
@@ -263,20 +251,12 @@ def _run_batch(scenarios: list[Scenario], cfg: AdaptConfig, seeds: list[int], fl
             engine.account(metrics, chunk)
             sums = in_order_sum(sums, np.stack((chunk.t_init, chunk.t_resp, chunk.duration)))
         init_mean, resp_mean = sums[:2] / cfg.epoch_rounds
-        observed = [(1.0 / resp_mean).tolist(), (1.0 / init_mean).tolist(), (cfg.epoch_rounds / sums[2]).tolist()]
-        node_states = np.stack((1.0 / state.inv_guess, state.rates), axis=-1)
-        floored = map(tuple, floors[-1].tolist()) if epoch else [(0, 0)] * len(seeds)
-        delta = cfg.delta(epoch) if epoch >= 1 else 0.0
-        epochs.append([EpochRecord(epoch, delta, *fields) for fields in zip(*observed, node_states, floored)])
+        observed.append((1.0 / resp_mean, 1.0 / init_mean, cfg.epoch_rounds / sums[2]))
+        node_states.append(np.stack((1.0 / state.inv_guess, state.rates), axis=-1))
         if epoch < cfg.updates:
             state = observe_and_update(state, resp_mean, init_mean, epoch + 1, cfg)
             floors.append(state.floored)
             engine.set_profile(state.profile())
 
-    results = []
-    for row, s in enumerate(scenarios):
-        seed_metrics = Metrics(s)
-        seed_metrics.downloads, seed_metrics.uploads = metrics.downloads[row], metrics.uploads[row]
-        seed_metrics.elapsed, seed_metrics.rounds = float(metrics.elapsed[row]), metrics.rounds
-        results.append(AdaptiveRunResult([records[row] for records in epochs], seed_metrics))
-    return results
+    floored = np.stack([np.zeros((len(seeds), 2), dtype=np.int64), *floors], axis=1)
+    return AdaptiveRun(np.array(observed).transpose(2, 0, 1), np.stack(node_states, axis=1), floored, metrics)

@@ -4,17 +4,18 @@ and the two experiment reproductions, all emitting plot-ready CSV.
 Exit codes: 0 success, 2 invalid scenario/arguments, 3 equilibrium
 nonexistence (negative rates, or a coded game of 3 or more files whose
 aggregate system is singular: two rows with c = d, or a zero denominator in
-its closed form), 4 runtime stall or diverging adaptation.  Every output is
-opened before any work, and a failed command leaves none of them.  Every
-command is deterministic given its config and seeds; reruns produce
-byte-identical CSV in the csv module's default dialect (comma, ``\r\n``, no
-field ever quoted): one ``%`` template per row kind (the ``*_ROW``
-constants), floats at ``%.9g``.
+its closed form), 4 runtime stall, diverging adaptation or numeric overflow.
+Every output is opened before any work, and a failed command leaves none of
+them.  Every command is deterministic given its config and seeds; reruns
+produce byte-identical CSV in the csv module's default dialect (comma,
+``\r\n``, no field ever quoted): one ``%`` template per row kind (the
+``*_ROW`` constants), floats at ``%.9g``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import ExitStack
@@ -128,7 +129,7 @@ def two_file_alpha(args) -> float:
     return 0.5 if args.alpha is None else args.alpha
 
 
-def cmd_ne(args) -> int:
+def cmd_ne(args) -> tuple[list[str], list[str]]:
     alpha = two_file_alpha(args)
     s, _ = load_scenario(args.config)
     require_valid(s)
@@ -145,9 +146,7 @@ def cmd_ne(args) -> int:
     nodes, files = np.nonzero(np.arange(s.files) != s.needs[:, None])  # sorted (node, held file) pairs
     values, nodes = profile.lam[nodes, files].tolist(), nodes.tolist()
     lines += format_rows(NE_LAMBDA_ROW, nodes, files.tolist(), [columns[n] for n in nodes], values)
-    write_csv(args.out, NE_HEADER, lines)
-    print(f"wrote {len(lines)} rows to {args.out}")
-    return 0
+    return NE_HEADER, lines
 
 
 POA_HEADER = ["kind", "node", "w", "g", "needs", "avg_cost", "transmit_prob", "poa", "throughput", "total_duration"]
@@ -155,16 +154,14 @@ POA_SYSTEM_ROW = "system,,,,,,,%.9g,%.9g,%.9g\r\n"
 POA_NODE_ROW = "node,%d,%s,%.9g,%.9g,%.9g,,\r\n"
 
 
-def cmd_poa(args) -> int:
+def cmd_poa(args) -> tuple[list[str], list[str]]:
     s, _ = load_scenario(args.config)
     require_valid(s)
     system = (equilibrium.poa_system(s), equilibrium.throughput_at_ne(s), equilibrium.ne_round_duration(s).total)
     costs = equilibrium.node_costs_at_ne(s)  # avg_cost, transmit_prob, poa
     lines = [POA_SYSTEM_ROW % system]
     lines += format_rows(POA_NODE_ROW, range(s.n_nodes), node_columns(s), *(c.tolist() for c in costs))
-    write_csv(args.out, POA_HEADER, lines)
-    print(f"wrote {len(lines)} rows to {args.out}")
-    return 0
+    return POA_HEADER, lines
 
 
 SIM_HEADER = ["seed", "kind", "node", "w", "g", "needs", "downloads", "uploads", "avg_cost", "throughput"]
@@ -172,13 +169,12 @@ SIM_NODE_ROW = "%d,node,%d,%s,%d,%d,%.9g,\r\n"
 SIM_SYSTEM_ROW = "%d,system,,,,,,,,%.9g\r\n"
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[list[str], list[str]]:
     alpha = two_file_alpha(args)
     s, cfg_seed = load_scenario(args.config)
     require_valid(s)
     if not args.coded and s.files != 2:
-        print("plain (uncoded) simulation requires a two-file scenario", file=sys.stderr)
-        return 2
+        raise ValueError("plain (uncoded) simulation requires a two-file scenario")
     profile = (
         equilibrium.coded_equilibrium(s).profile
         if args.coded
@@ -186,19 +182,15 @@ def cmd_simulate(args) -> int:
     )
     seeds = run_seeds(args, cfg_seed)
     if args.trace and len(seeds) > 1:
-        print("--trace requires a single seed", file=sys.stderr)
-        return 2
+        raise ValueError("--trace requires a single seed")
     lines: list[str] = []
     columns = node_columns(s)
     for seed in seeds:
         metrics = simulate.run_simulation(s, profile, args.rounds, seed, args.coded, args.trace or None)
-        costs = [metrics.avg_total_cost(n) for n in range(s.n_nodes)]
-        downloads, uploads = metrics.downloads.tolist(), metrics.uploads.tolist()
-        lines += format_rows(SIM_NODE_ROW, [seed] * s.n_nodes, range(s.n_nodes), columns, downloads, uploads, costs)
+        per_node = (metrics.downloads.tolist(), metrics.uploads.tolist(), metrics.avg_total_cost().tolist())
+        lines += format_rows(SIM_NODE_ROW, [seed] * s.n_nodes, range(s.n_nodes), columns, *per_node)
         lines.append(SIM_SYSTEM_ROW % (seed, metrics.per_node_throughput()))
-    write_csv(args.out, SIM_HEADER, lines)
-    print(f"wrote {len(lines)} rows to {args.out}")
-    return 0
+    return SIM_HEADER, lines
 
 
 def adapt_config(args) -> adapt.AdaptConfig:
@@ -211,46 +203,42 @@ ADAPT_NODE_HEADER = ["seed", "epoch", "node", "that_guess", "rate"]
 ADAPT_NODE_ROW = "%d,%d,%d,%.9g,%.9g\r\n"
 
 
-def cmd_adapt(args) -> int:
+def cmd_adapt(args) -> tuple[list[str], list[str]]:
     s, cfg_seed = load_scenario(args.config)
     require_valid(s)
     cfg = adapt_config(args)
     seeds = run_seeds(args, cfg_seed)
-    lines, states = [], []
-    for seed, result in zip(seeds, adapt.run_adaptive_simulation([s] * len(seeds), cfg, seeds)):
-        for rec in result.epochs:
-            observed = (rec.delta, rec.observed_inv_that_a, rec.observed_inv_that_b, rec.throughput)
-            lines.append(ADAPT_ROW % (seed, rec.epoch, *observed))
-            states.append(rec.node_states)
-    write_csv(args.out, ADAPT_HEADER, lines)
+    run = adapt.run_adaptive_simulation([s] * len(seeds), cfg, seeds)
+    epochs = range(cfg.updates + 1)
+    deltas = [0.0] + [cfg.delta(k) for k in epochs[1:]]  # the step of the update before each epoch
+    keys = zip(*product(seeds, epochs))  # seed, epoch
+    lines = format_rows(ADAPT_ROW, *keys, deltas * len(seeds), *run.observed.reshape(-1, 3).T.tolist())
     if args.per_node_out:
-        keys = zip(*product(seeds, range(cfg.updates + 1), range(s.n_nodes)))  # seed, epoch, node
-        node_lines = format_rows(ADAPT_NODE_ROW, *keys, *np.concatenate(states).T.tolist())
+        keys = zip(*product(seeds, epochs, range(s.n_nodes)))  # seed, epoch, node
+        node_lines = format_rows(ADAPT_NODE_ROW, *keys, *run.node_states.reshape(-1, 2).T.tolist())
         write_csv(args.per_node_out, ADAPT_NODE_HEADER, node_lines)
-    print(f"wrote {len(lines)} rows to {args.out}")
-    return 0
+    return ADAPT_HEADER, lines
 
 
 FIG2_HEADER = ["epoch", "throughput_mean", "throughput_std", "ne_throughput"]
 FIG2_ROW = "%d,%.9g,%.9g,%.9g\r\n"
 
 
-def cmd_fig2(args) -> int:
+def cmd_fig2(args) -> tuple[list[str], list[str]]:
     seeds = parse_seeds(args.seeds)
     cfg = adapt_config(args)
     generated = [gen_two_file(args.group_size, args.group_size, args.w_lo, args.w_hi, args.g, gen_rng(seed, 1)) for seed in seeds]
-    results = adapt.run_adaptive_simulation(generated, cfg, seeds)
+    throughput = adapt.run_adaptive_simulation(generated, cfg, seeds).observed[..., 2]  # (seeds, epochs)
     # A scenario the adaptive run accepted has an equilibrium throughput.
     ne_mean = float(np.mean([equilibrium.throughput_at_ne(s) for s in generated]))
-    data = np.array([[rec.throughput for rec in result.epochs] for result in results])
+    # One 1-d mean and std per epoch: a reduction along axis 0 adds in
+    # another order and can differ in the last bits.
     lines = [
-        FIG2_ROW % (epoch, np.mean(data[:, epoch]), np.std(data[:, epoch]), ne_mean)
+        FIG2_ROW % (epoch, np.mean(throughput[:, epoch]), np.std(throughput[:, epoch]), ne_mean)
         for epoch in range(cfg.updates + 1)
     ]
-    write_csv(args.out, FIG2_HEADER, lines)
     dump_scenarios(args.scenarios_out, {f"seed_{seed}": s for seed, s in zip(seeds, generated)})
-    print(f"wrote {len(lines)} rows to {args.out}")
-    return 0
+    return FIG2_HEADER, lines
 
 
 FIG3_HEADER = ["num_files", "coded_throughput", "baseline_throughput", "simulated_throughput"]
@@ -258,7 +246,7 @@ FIG3_ROW = "%d,%.9g,%.9g,%.9g\r\n"
 FIG3_ANALYTIC_ROW = "%d,%.9g,%.9g,\r\n"  # without --simulate
 
 
-def cmd_fig3(args) -> int:
+def cmd_fig3(args) -> tuple[list[str], list[str]]:
     file_counts = [int(x) for x in args.files.split(",")]
     if len(set(file_counts)) < len(file_counts):  # one scenario dump entry per file count
         raise ValueError(f"file count list {args.files} names a file count twice")
@@ -278,12 +266,11 @@ def cmd_fig3(args) -> int:
             lines.append(FIG3_ROW % (f, analytic, 1.0 / f, metrics.per_node_throughput()))
         else:
             lines.append(FIG3_ANALYTIC_ROW % (f, analytic, 1.0 / f))
-    write_csv(args.out, FIG3_HEADER, lines)
     dump_scenarios(args.scenarios_out, scenarios)
-    print(f"wrote {len(lines)} rows to {args.out}")
-    return 0
+    return FIG3_HEADER, lines
 
 
+@functools.cache  # one parser per process: building it costs far more than a parse
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bxsim",
@@ -360,11 +347,14 @@ OUTPUTS = ("out", "trace", "per_node_out", "scenarios_out")  # every output a co
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command, which returns the header and rows of ``--out`` (it
+    writes its side outputs itself).  A numpy overflow, division by zero or
+    invalid value raises, so that no output gets a non-finite number."""
     args = build_parser().parse_args(argv)
     try:
         if args.func in (cmd_fig2, cmd_fig3):  # they dump the scenarios they generate beside the results
             args.scenarios_out = Path(args.out).with_suffix(Path(args.out).suffix + ".scenarios.json")
-        with ExitStack() as opened:
+        with np.errstate(over="raise", divide="raise", invalid="raise"), ExitStack() as opened:
             # Open every output before any work, so that an unwritable path fails at
             # once; one the command has not written when it ends is discarded.
             partials = set()  # two outputs must not share a temporary file
@@ -380,7 +370,10 @@ def main(argv: list[str] | None = None) -> int:
                         raise ValueError(f"two outputs name the file {path}")
                     partials.add(out.tmp)
                     setattr(args, dest, out)
-            return args.func(args)
+            header, lines = args.func(args)
+            write_csv(args.out, header, lines)
+            print(f"wrote {len(lines)} rows to {args.out}")
+            return 0
     except ScenarioError as exc:
         print("invalid scenario:", file=sys.stderr)
         for v in exc.violations:
@@ -394,6 +387,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except StallError as exc:
         print(f"simulation stalled: {exc}", file=sys.stderr)
+        return 4
+    except FloatingPointError as exc:
+        print(f"numeric overflow: {exc}", file=sys.stderr)
         return 4
 
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateProfileError, NegativeRateError, SingularSystemError
-from .model import NodeId, Scenario, StrategyProfile, require_valid
+from .model import Scenario, StrategyProfile, require_valid
 
 
 def response_equilibrium(ratios, allow_negative: bool = False) -> np.ndarray:
@@ -59,12 +59,13 @@ def response_equilibrium(ratios, allow_negative: bool = False) -> np.ndarray:
 def response_phase_mean(ratios) -> float:
     """Expected response-phase duration at equilibrium: (count-1)/sum(w/g).
 
-    Equals 1/sum(lambda) for the rates from response_equilibrium.
+    Equals 1/sum(lambda) for the rates from response_equilibrium.  A numpy
+    float, so that sums of durations that overflow obey np.errstate.
     """
     r = np.asarray(ratios, dtype=float)
     if r.size < 2:
         raise ValueError("need at least 2 eligible responders")
-    total = float(np.sum(r))
+    total = np.sum(r)
     if total <= 0:
         raise ValueError("sum of ratios must be positive")
     return (r.size - 1) / total
@@ -103,7 +104,7 @@ def expected_response_cost_under_rate(
 
 
 def expected_initiation_cost(
-    t: float, node: NodeId, profile: StrategyProfile, s: Scenario
+    t: float, node: int, profile: StrategyProfile, s: Scenario
 ) -> float:
     """Expected total cost per round for ``node`` picking initiation timer t.
 
@@ -305,7 +306,15 @@ def solve_coded_system(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     (w = g = 1 and group k holds half the nodes) needs no special case; the
     system is singular exactly when a second e_Y or the denominator of S is
     0, and SingularSystemError is raised.
+
+    The rows (c, d) scaled by s have the solution G / s, so the system is
+    solved at the power of two s that brings the largest |c|, |d| to [0.5,
+    1), where no intermediate can overflow, and the solution is scaled back.
+    Scaling by a power of two is exact, so away from overflow and
+    subnormals this changes no bit of the result.
     """
+    scale = math.ldexp(1.0, -math.frexp(max(np.abs(c).max(), np.abs(d).max()))[1])
+    c, d = c * scale, d * scale
     e = c - d
     k = int(np.argmin(np.abs(e)))
     rest = np.arange(e.size) != k
@@ -320,7 +329,7 @@ def solve_coded_system(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     big_gamma = np.empty(e.size)
     big_gamma[rest] = (1.0 - d[rest] * total) * q
     big_gamma[k] = total - float(np.sum(big_gamma[rest]))
-    return big_gamma
+    return big_gamma * scale
 
 
 def coded_equilibrium(s: Scenario, allow_negative: bool = False) -> CodedEquilibrium:
@@ -379,8 +388,8 @@ def coded_round_duration(s: Scenario, eq: CodedEquilibrium | None = None) -> Cod
     if eq is None:
         eq = coded_equilibrium(s, allow_negative=True)
     big_gamma = np.asarray(eq.gamma_by_file)
-    total = float(np.sum(big_gamma))
-    resp_mean = float(np.sum(big_gamma / total * coded_system(s)[1]))
+    total = np.sum(big_gamma)  # numpy floats, as in response_phase_mean
+    resp_mean = np.sum(big_gamma / total * coded_system(s)[1])
     return CodedRoundDuration(
         t_init=1.0 / total,
         response_mean=resp_mean,

@@ -2,8 +2,8 @@
 
 Conventions used throughout the package:
 
-* Files and nodes are dense integer indices (a node is a ``NodeId``); the
-  lexicographic order of files is their index order.
+* Files and nodes are dense integer indices; the lexicographic order of
+  files is their index order.
 * Every node needs exactly one file and holds full copies of all the others.
 * The time unit is the transmission time of one data packet; control packets
   take zero time and cost nothing.
@@ -34,9 +34,6 @@ from .errors import (
     ScenarioError,
     Violation,
 )
-
-NodeId = int
-
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
@@ -166,32 +163,39 @@ class StrategyProfile:
 
 
 class Metrics:
-    """Cumulative per-node accounting for a simulation run.
+    """Cumulative per-node accounting for a simulation run or, given one
+    scenario per seed (all with the same nodes), for a batch of runs: then
+    ``downloads``, ``uploads``, ``elapsed`` and the costs ``w`` and ``g``
+    have a leading seed axis (``rounds`` is every seed's).
 
     Counters are maintained incrementally by the simulator; the derived
     quantities (average total cost, throughput) are recomputed from the raw
     counters on demand.
     """
 
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self.downloads = np.zeros(scenario.n_nodes, dtype=np.int64)
-        self.uploads = np.zeros(scenario.n_nodes, dtype=np.int64)
-        self.elapsed = 0.0
+    def __init__(self, scenario: Scenario | list[Scenario]):
+        if isinstance(scenario, Scenario):
+            self.w, self.g, self.elapsed = scenario.w, scenario.g, 0.0
+        else:
+            self.w, self.g = np.array([s.w for s in scenario]), np.array([s.g for s in scenario])
+            self.elapsed = np.zeros(len(scenario))
+        self.downloads = np.zeros(self.w.shape, dtype=np.int64)
+        self.uploads = np.zeros(self.w.shape, dtype=np.int64)
         self.rounds = 0
 
-    def avg_total_cost(self, n: NodeId) -> float:
-        """(uploads * g + elapsed * w) / downloads for node n."""
-        d = self.downloads[n]
-        if d == 0:
-            return float("inf")
-        return (self.uploads[n] * self.scenario.g[n] + self.elapsed * self.scenario.w[n]) / d
+    def avg_total_cost(self) -> np.ndarray:
+        """(uploads * g + elapsed * w) / downloads of every node (of every
+        seed, for a batch); inf for a node with no downloads."""
+        downloads = self.downloads
+        cost = self.uploads * self.g + np.asarray(self.elapsed)[..., None] * self.w
+        return np.divide(cost, downloads, out=np.full(downloads.shape, np.inf), where=downloads > 0)
 
-    def per_node_throughput(self) -> float:
-        """Mean over nodes of downloads/elapsed."""
-        if self.elapsed == 0.0:
-            return 0.0
-        return float(np.mean(self.downloads / self.elapsed))
+    def per_node_throughput(self) -> float | np.ndarray:
+        """Mean over nodes of downloads/elapsed (of every seed, for a
+        batch); 0 before the first round."""
+        elapsed = np.asarray(self.elapsed)[..., None]
+        rates = np.divide(self.downloads, elapsed, out=np.zeros(self.downloads.shape), where=elapsed > 0)
+        return rates.mean(axis=-1) if rates.ndim > 1 else float(rates.mean())
 
 
 def _json_number(value, integral: bool) -> int | float | None:

@@ -317,5 +317,4 @@ def reference_violations(files: int, w: list, g: list, needs: list) -> list[Viol
 
 def adaptive_run(s: Scenario, cfg, seed: int = 0):
     """One seed's adaptive run: a batch of one."""
-    (result,) = run_adaptive_simulation([s], cfg, [seed])
-    return result
+    return run_adaptive_simulation([s], cfg, [seed])

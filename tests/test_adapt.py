@@ -12,9 +12,7 @@ from bxsim import simulate
 
 from bxsim.adapt import (
     AdaptConfig,
-    AdaptiveRunResult,
     AdaptState,
-    EpochRecord,
     analytic_iterate,
     init_state,
     log_floored,
@@ -202,25 +200,22 @@ def response_equilibrium_like(ratios):
 class TestAdaptiveSimulation:
     def test_shape_and_accounting(self, sym_10_10):
         cfg = mech_cfg(updates=3, epoch_rounds=50)
-        result = adaptive_run(sym_10_10, cfg, seed=1)
-        assert len(result.epochs) == 4
-        assert result.metrics.rounds == 4 * 50
-        assert (result.metrics.downloads == 200).all()
-        assert [rec.epoch for rec in result.epochs] == [0, 1, 2, 3]
-        assert result.epochs[0].delta == 0.0
-        assert result.epochs[2].delta == pytest.approx(0.05)
-        assert len(result.epochs[0].node_states) == 20
+        run = adaptive_run(sym_10_10, cfg, seed=1)
+        assert (run.observed.shape, run.node_states.shape, run.floored.shape) == ((1, 4, 3), (1, 4, 20, 2), (1, 4, 2))
+        assert run.metrics.rounds == 4 * 50
+        assert (run.metrics.downloads == 200).all()
+        assert run.metrics.downloads.shape == run.metrics.uploads.shape == (1, 20)
 
     def test_initial_guess_throughput_is_poor(self, sym_10_10):
         cfg = mech_cfg(updates=0)
-        result = adaptive_run(sym_10_10, cfg, seed=2)
-        assert result.epochs[0].throughput < 0.5 * throughput_at_ne(sym_10_10)
+        run = adaptive_run(sym_10_10, cfg, seed=2)
+        assert run.observed[0, 0, 2] < 0.5 * throughput_at_ne(sym_10_10)
 
     def test_ne_start_stays_flat(self, sym_10_10):
         cfg = mech_cfg(guess_factor=1.0, updates=9)
-        result = adaptive_run(sym_10_10, cfg, seed=3)
+        run = adaptive_run(sym_10_10, cfg, seed=3)
         ne = throughput_at_ne(sym_10_10)
-        values = np.array([rec.throughput for rec in result.epochs])
+        values = run.observed[0, :, 2]
         assert np.all(np.abs(values - ne) / ne < 0.15)
         assert abs(values.mean() - ne) / ne < 0.03
 
@@ -230,29 +225,27 @@ class TestAdaptiveSimulation:
         ratios = []
         for seed in range(5):
             s = two_file(rng.uniform(1, 2, size=10), rng.uniform(1, 2, size=10))
-            result = adaptive_run(s, cfg, seed=seed)
-            ratios.append(result.epochs[3].throughput / throughput_at_ne(s))
+            run = adaptive_run(s, cfg, seed=seed)
+            ratios.append(run.observed[0, 3, 2] / throughput_at_ne(s))
         assert np.mean(ratios) >= 0.8
 
     def test_determinism(self, sym_10_10):
         cfg = mech_cfg(updates=2, epoch_rounds=40)
         r1 = adaptive_run(sym_10_10, cfg, seed=5)
         r2 = adaptive_run(sym_10_10, cfg, seed=5)
-        assert [rec.throughput for rec in r1.epochs] == [rec.throughput for rec in r2.epochs]
-        assert r1.metrics.elapsed == r2.metrics.elapsed
+        assert r1.observed[0, :, 2].tolist() == r2.observed[0, :, 2].tolist()
+        assert r1.metrics.elapsed[0] == r2.metrics.elapsed[0]
 
     def test_observed_fields_feed_next_update(self, sym_10_10):
         # the state entering epoch k+1 must be the update of epoch k's observation
         cfg = mech_cfg(updates=1, epoch_rounds=30)
-        result = adaptive_run(sym_10_10, cfg, seed=7)
+        run = adaptive_run(sym_10_10, cfg, seed=7)
         st0 = init_state(sym_10_10, cfg)
-        rec0 = result.epochs[0]
-        st1 = observe_and_update(
-            st0, 1 / rec0.observed_inv_that_a, 1 / rec0.observed_inv_that_b, 1, cfg
-        )
+        inv_that_a, inv_that_b, _ = run.observed[0, 0]
+        st1 = observe_and_update(st0, 1 / inv_that_a, 1 / inv_that_b, 1, cfg)
         responders = np.flatnonzero(~st1.initiates)
         expected = [(n, float(1 / st1.inv_guess[n]), float(st1.rates[n])) for n in responders]
-        got = [(n, *result.epochs[1].node_states[n].tolist()) for n in responders]
+        got = [(n, *run.node_states[0, 1, n].tolist()) for n in responders]
         for (en, eg, er), (gn, gg, gr) in zip(expected, got):
             assert en == gn
             assert gg == pytest.approx(eg, abs=1e-12)
@@ -263,8 +256,8 @@ class TestAdaptiveSimulation:
         # loop on the reference player must be reproduced bit for bit.
         s = two_file([1.0, 1.2, 1.4], [1.1, 1.3, 1.5, 1.6, 1.7])
         cfg = mech_cfg(updates=3, epoch_rounds=3000)
-        result = adaptive_run(s, cfg, seed=4)
-        replay_round_by_round(s, cfg, 4, result)
+        run = adaptive_run(s, cfg, seed=4)
+        replay_round_by_round(s, cfg, 4, run)
 
     def test_matches_round_by_round_loop_through_floors(self, caplog):
         # The updates floor rates of both groups at exactly zero; the engine
@@ -272,23 +265,23 @@ class TestAdaptiveSimulation:
         s = two_file([1.0, 1.2, 1.7], [1.1, 1.3, 1.5, 2.0, 2.4])
         cfg = mech_cfg(updates=4, epoch_rounds=3000, epsilon=0.8, guess_factor=2.0)
         with caplog.at_level(logging.WARNING, logger="bxsim.adapt"):
-            result = adaptive_run(s, cfg, seed=4)
-        states = replay_round_by_round(s, cfg, 4, result)
+            run = adaptive_run(s, cfg, seed=4)
+        states = replay_round_by_round(s, cfg, 4, run)
         assert "response update floored" in caplog.text and "initiation update floored" in caplog.text
-        for rec, state in zip(result.epochs, states):
-            assert rec.node_states.tolist() == np.column_stack((1 / state.inv_guess, state.rates)).tolist()
-        last = result.epochs[-1].node_states[:, 1]
+        for node_states, state in zip(run.node_states[0], states, strict=True):
+            assert node_states.tolist() == np.column_stack((1 / state.inv_guess, state.rates)).tolist()
+        last = run.node_states[0, -1, :, 1]
         assert (last[s.needs == 0] == 0).any() and (last[s.needs == 1] == 0).any()
 
 
-def replay_round_by_round(s, cfg, seed, result):
-    """Check an adaptive run against the per-round epoch loop on the
+def replay_round_by_round(s, cfg, seed, run):
+    """Check a one-seed adaptive run against the per-round epoch loop on the
     reference player, bit for bit; returns the state of each epoch."""
     gen = np.random.Generator(np.random.PCG64(seed))
     state = init_state(s, cfg)
     states = []
     total = 0.0
-    for rec in result.epochs:
+    for epoch, (inv_that_a, inv_that_b, throughput) in enumerate(run.observed[0].tolist()):
         states.append(state)
         init_sum = resp_sum = elapsed = 0.0
         for _, _, t_init, t_resp in reference_play(s, state.profile(), gen, cfg.epoch_rounds):
@@ -298,11 +291,11 @@ def replay_round_by_round(s, cfg, seed, result):
             resp_sum += t_resp
             elapsed += duration
         resp_mean, init_mean = resp_sum / cfg.epoch_rounds, init_sum / cfg.epoch_rounds
-        assert (rec.observed_inv_that_a, rec.observed_inv_that_b) == (1.0 / resp_mean, 1.0 / init_mean)
-        assert rec.throughput == cfg.epoch_rounds / elapsed
-        if rec.epoch < cfg.updates:
-            state = observe_and_update(state, resp_mean, init_mean, rec.epoch + 1, cfg)
-    assert result.metrics.elapsed == total
+        assert (inv_that_a, inv_that_b) == (1.0 / resp_mean, 1.0 / init_mean)
+        assert throughput == cfg.epoch_rounds / elapsed
+        if epoch < cfg.updates:
+            state = observe_and_update(state, resp_mean, init_mean, epoch + 1, cfg)
+    assert run.metrics.elapsed[0] == total
     return states
 
 
@@ -329,30 +322,31 @@ def adapt_batches(draw):
 def sequential_runs(scenarios, cfg, seeds):
     """The oracle for a batch: each seed's adaptive run alone, one after
     another, on an engine and a generator of its own, with the per-seed epoch
-    loop; each update's floor warnings are logged as soon as it is made."""
+    loop; each update's floor warnings are logged as soon as it is made.
+    Returns per seed its per-epoch lists of observed values, node states and
+    floored counts, and its metrics."""
     results = []
     for s, seed in zip(scenarios, seeds):
         state = init_state(s, cfg)
         engine, rng, metrics = RoundEngine(s, state.profile(), coded=False), np.random.Generator(np.random.PCG64(seed)), Metrics(s)
-        epochs, floored = [], (0, 0)
+        observed, node_states, floored = [], [], [[0, 0]]
         for epoch in range(cfg.updates + 1):
             sums = np.zeros(3)
             for chunk in engine.run(rng, cfg.epoch_rounds):
                 engine.account(metrics, chunk)
                 sums = in_order_sum(sums, (chunk.t_init, chunk.t_resp, chunk.duration))
             init_mean, resp_mean, elapsed = sums[0] / cfg.epoch_rounds, sums[1] / cfg.epoch_rounds, sums[2]
-            delta = cfg.delta(epoch) if epoch else 0.0
-            node_states = np.column_stack((1.0 / state.inv_guess, state.rates))
-            epochs.append(EpochRecord(epoch, delta, 1.0 / resp_mean, 1.0 / init_mean, cfg.epoch_rounds / elapsed, node_states, floored))
+            observed.append([1.0 / resp_mean, 1.0 / init_mean, cfg.epoch_rounds / elapsed])
+            node_states.append(np.column_stack((1.0 / state.inv_guess, state.rates)).tolist())
             if epoch < cfg.updates:
                 try:
                     state = observe_and_update(state, resp_mean, init_mean, epoch + 1, cfg)
                 except DivergenceError as exc:
                     raise DivergenceError(f"seed {seed}: {exc}") from None
-                floored = tuple(state.floored.tolist())
-                log_floored(floored)
+                floored.append(state.floored.tolist())
+                log_floored(floored[-1])
                 engine.set_profile(state.profile())
-        results.append(AdaptiveRunResult(epochs, metrics))
+        results.append((observed, node_states, floored, metrics))
     return results
 
 
@@ -375,14 +369,9 @@ def observed(run, *args):
     return results, error, logged, [gen.bit_generator.state for gen in made]
 
 
-def record_fields(rec):
-    return (rec.epoch, rec.delta, rec.observed_inv_that_a, rec.observed_inv_that_b, rec.throughput,
-            rec.node_states.tolist(), rec.floored)
-
-
 class TestSeedBatch:
     """Seeds played side by side give what each seed gives alone, one after
-    the other: records, metrics, generator states, warnings and failures."""
+    the other: epoch values, metrics, generator states, warnings and failures."""
 
     @settings(derandomize=True, max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(batch=adapt_batches(), chunk=st.integers(16, 256))
@@ -390,17 +379,22 @@ class TestSeedBatch:
         scenarios, cfg, seeds = batch
         with mock.patch.object(simulate, "CHUNK_DOUBLES", chunk):
             want, want_error, want_logged, want_states = observed(sequential_runs, scenarios, cfg, seeds)
-            results, error, logged, states = observed(run_adaptive_simulation, scenarios, cfg, seeds)
+            run, error, logged, states = observed(run_adaptive_simulation, scenarios, cfg, seeds)
         assert logged == want_logged
         if want_error is not None:
             assert (type(error), str(error)) == (type(want_error), str(want_error))
             return
         assert error is None and states == want_states
-        for result, alone in zip(results, want, strict=True):
-            assert [record_fields(rec) for rec in result.epochs] == [record_fields(rec) for rec in alone.epochs]
-            got_m, want_m = result.metrics, alone.metrics
-            assert (got_m.downloads.tolist(), got_m.uploads.tolist()) == (want_m.downloads.tolist(), want_m.uploads.tolist())
-            assert (got_m.elapsed, got_m.rounds, got_m.scenario) == (want_m.elapsed, want_m.rounds, want_m.scenario)
+        assert len(run.observed) == len(want)
+        got_m = run.metrics
+        for row, (want_observed, want_nodes, want_floored, want_m) in enumerate(want):
+            assert run.observed[row].tolist() == want_observed
+            assert (run.node_states[row].tolist(), run.floored[row].tolist()) == (want_nodes, want_floored)
+            assert (got_m.downloads[row].tolist(), got_m.uploads[row].tolist()) == (want_m.downloads.tolist(), want_m.uploads.tolist())
+            assert (got_m.elapsed[row], got_m.rounds) == (want_m.elapsed, want_m.rounds)
+            assert (got_m.w[row].tolist(), got_m.g[row].tolist()) == (want_m.w.tolist(), want_m.g.tolist())
+            assert got_m.avg_total_cost()[row].tolist() == want_m.avg_total_cost().tolist()
+            assert got_m.per_node_throughput()[row] == want_m.per_node_throughput()
 
     def test_update_fails_at_the_first_failing_seed(self, sym_10_10):
         cfg = mech_cfg()
@@ -415,11 +409,11 @@ class TestSeedBatch:
         s = two_file([1.0, 1.2, 1.7], [1.1, 1.3, 1.5, 2.0, 2.4])
         cfg = mech_cfg(updates=4, epoch_rounds=3000, epsilon=0.8, guess_factor=2.0)
         with caplog.at_level(logging.WARNING, logger="bxsim.adapt"):
-            result = adaptive_run(s, cfg, seed=4)
-        states = replay_round_by_round(s, cfg, 4, result)
-        assert [rec.floored for rec in result.epochs] == [(0, 0)] + [tuple(st.floored.tolist()) for st in states[1:]]
+            run = adaptive_run(s, cfg, seed=4)
+        states = replay_round_by_round(s, cfg, 4, run)
+        assert run.floored[0].tolist() == [[0, 0]] + [st.floored.tolist() for st in states[1:]]
         want = [f"{label} update floored {count} rate(s) at zero"
-                for rec in result.epochs for label, count in zip(("response", "initiation"), rec.floored) if count]
+                for floored in run.floored[0].tolist() for label, count in zip(("response", "initiation"), floored) if count]
         assert caplog.messages == want and len(want) >= 2
 
     def test_scenarios_must_share_a_layout(self, sym_10_10):

@@ -5,10 +5,13 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -17,7 +20,7 @@ import bxsim
 import bxsim.cli
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bxsim import adapt, simulate
@@ -158,6 +161,15 @@ class TestNe:
         assert main(["ne", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
         assert "equilibrium" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("w", [1e-308, 1.0, 2.5e307])
+    def test_coded_solve_is_scale_free(self, tmp_path, w):
+        # three groups of two at g = 1 solve to Gamma = w/2 at every scale of w
+        cfg = write_config(tmp_path, symmetric(3, 2, w=w))
+        out = tmp_path / "ne.csv"
+        assert main(["ne", "--coded", "--config", cfg, "--out", str(out)]) == 0
+        big = [float(r[6]) for r in read_csv(out) if r[0] == "Gamma"]
+        assert big == pytest.approx([w / 2] * 3, rel=1e-9, abs=0)
+
     @pytest.mark.parametrize("c,d", SINGULAR_CODED_ROWS)
     def test_singular_coded_system_exits_3(self, tmp_path, capsys, monkeypatch, c, d):
         monkeypatch.setattr(bxsim.equilibrium, "coded_system", lambda s: (np.array(c), np.array(d)))
@@ -264,6 +276,7 @@ class TestAdapt:
             "seed", "epoch", "delta", "observed_inv_that_a", "observed_inv_that_b", "throughput",
         ]
         assert len(rows) == 4  # header + 3 epochs
+        assert [r[2] for r in rows[1:]] == ["0", "0.1", "0.05"]  # delta_k = epsilon / k, 0 before any update
         node_rows = read_csv(nodes_out)
         assert node_rows[0] == ["seed", "epoch", "node", "that_guess", "rate"]
         assert len(node_rows) == 1 + 3 * 20
@@ -397,6 +410,66 @@ class TestFailClosed:
         assert self.run(tmp_path, argv.split()) == 2
         assert capsys.readouterr().err == "invalid arguments: --alpha applies only to the plain two-file game, not with --coded\n"
         self.assert_nothing_written(tmp_path)
+
+
+@st.composite
+def extreme_layouts(draw):
+    """2-4 files of 2-4 nodes each (node order by file), with w log-uniform
+    within a few decades of 1e-308 or of 1e307, nearly equal or decades
+    apart, and one g in [1e-2, 1e2]."""
+    sizes = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
+    lo, hi = draw(st.sampled_from([(-310.0, -305.0), (304.0, 308.0)]))
+    center, spread = draw(st.floats(lo, hi)), draw(st.sampled_from([0.02, 3.0]))
+    exponents = st.floats(max(lo, center - spread), min(hi, center + spread))
+    w = [10.0 ** draw(exponents) for _ in range(sum(sizes))]
+    return sizes, w, [10.0 ** draw(st.floats(-2.0, 2.0))] * len(w)
+
+
+class TestExtremeMagnitudes:
+    """Costs near the ends of the float range either give finite numbers or
+    fail closed (exit 2, 3 or 4, nothing written), never with a warning."""
+
+    COMMANDS = [
+        "ne", "ne --coded", "poa", "simulate --rounds 30", "simulate --rounds 30 --coded",
+        *(f"adapt --updates 3 --epoch-rounds 5 --guess-factor {factor}" for factor in ("0.6", "0.75", "2", "10")),
+    ]
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(layout=extreme_layouts())
+    @example(layout=([2, 2, 2], [2.5e307] * 6, [1.0] * 6))  # ne --coded wrote nan and inf
+    @example(layout=([2, 2, 2], [1e-308] * 6, [1.0] * 6))  # ne --coded overflowed to exit 3
+    @example(layout=([4, 4], [4.5e-308] * 8, [10.0] * 8))  # poa wrote inf
+    @example(layout=([4, 4], [4e306 * (1 + 0.01 * k) for k in range(8)], [1.0] * 8))  # simulate wrote inf
+    @example(layout=([2, 2], [4e307 * (1 + 0.01 * k) for k in range(4)], [1.0] * 4))  # adapt wrote inf
+    @example(layout=([2, 2], [1e-308] * 4, [1.0] * 4))  # simulate's overflowing timers read as a stall
+    def test_finite_or_fail_closed(self, layout):
+        sizes, w, g = layout
+        nodes = [{"w": wk, "g": gk, "needs": x} for wk, gk, x in zip(w, g, np.repeat(np.arange(len(sizes)), sizes).tolist())]
+        with tempfile.TemporaryDirectory() as tmp:
+            config, out = Path(tmp) / "cfg.json", Path(tmp) / "out.csv"
+            config.write_text(json.dumps({"files": len(sizes), "nodes": nodes}))
+            for command in self.COMMANDS:
+                with warnings.catch_warnings(record=True) as caught, redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                    warnings.simplefilter("always")
+                    code = main([*command.split(), "--config", str(config), "--out", str(out)])
+                assert code in (0, 2, 3, 4) and [str(c.message) for c in caught] == [], command
+                if code:
+                    assert os.listdir(tmp) == ["cfg.json"], command  # no output, and no .partial file
+                    continue
+                numbers = []
+                for field in (field for row in read_csv(out)[1:] for field in row):
+                    with suppress(ValueError):
+                        numbers.append(float(field))
+                assert numbers and all(map(math.isfinite, numbers)), command
+                out.unlink()
+
+    def test_numeric_error_names_the_seed(self, tmp_path, capsys):
+        nodes = [{"w": 4e307 * (1 + 0.01 * k), "g": 1.0, "needs": k // 2} for k in range(4)]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"files": 2, "nodes": nodes}))
+        code = main(["adapt", "--config", str(config), "--guess-factor", "0.7", "--seeds", "3,1", "--out", str(tmp_path / "y.csv")])
+        assert (code, capsys.readouterr().err) == (4, "numeric overflow: seed 3: overflow encountered in divide\n")
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 class TestFailureOrder:

@@ -373,7 +373,7 @@ class TestMetrics:
         m.elapsed = 10.0
         m.rounds = 4
         # (2 uploads * g + 10 time * w) / 4 downloads
-        assert m.avg_total_cost(0) == pytest.approx((2 * 1.0 + 10.0 * 1.0) / 4)
+        assert m.avg_total_cost()[0] == pytest.approx((2 * 1.0 + 10.0 * 1.0) / 4)
 
     def test_throughput_is_mean_over_nodes(self, sym_2_2):
         m = Metrics(sym_2_2)
@@ -384,7 +384,7 @@ class TestMetrics:
     def test_no_downloads_gives_inf(self, sym_2_2):
         m = Metrics(sym_2_2)
         m.elapsed = 1.0
-        assert m.avg_total_cost(0) == float("inf")
+        assert m.avg_total_cost()[0] == float("inf")
 
 
 class TestAtomicOpen:

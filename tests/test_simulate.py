@@ -273,8 +273,8 @@ class TestRunSimulation:
         np.testing.assert_array_equal(m.downloads, ref.downloads)
         np.testing.assert_array_equal(m.uploads, ref.uploads)
         assert m.elapsed == pytest.approx(ref.elapsed, abs=1e-9)
-        for n in range(20):
-            assert m.avg_total_cost(n) == pytest.approx(ref.avg_total_cost(n), abs=1e-12)
+        for cost, want in zip(m.avg_total_cost().tolist(), ref.avg_total_cost().tolist(), strict=True):
+            assert cost == pytest.approx(want, abs=1e-12)
 
     def test_winner_distribution(self, sym_2_2):
         gamma = (0.5, 1.0, 1.5, 2.0)
@@ -301,8 +301,8 @@ class TestRunSimulation:
         m = run_simulation(**cfg)
         assert m.per_node_throughput() == pytest.approx(throughput_at_ne(sym_10_10), rel=0.02)
         expected = node_costs_at_ne(sym_10_10).avg_cost[0]
-        for n in range(20):
-            assert m.avg_total_cost(n) == pytest.approx(expected, rel=0.02)
+        for cost in m.avg_total_cost().tolist():
+            assert cost == pytest.approx(expected, rel=0.02)
 
     def test_coded_throughput_oracle(self):
         s = symmetric(3, 10)
@@ -316,7 +316,7 @@ class TestRunSimulation:
         profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
         m = run_simulation(scenario=sym_10_10, profile=profile, rounds=1000, seed=3)
         assert m.per_node_throughput() <= 0.5
-        assert all(m.avg_total_cost(n) >= 2 * sym_10_10.w[n] for n in range(20))
+        assert all(m.avg_total_cost() >= 2 * sym_10_10.w)
 
     def test_trace_csv(self, tmp_path, sym_2_2):
         profile = two_file_equilibrium(sym_2_2, alpha=0.5).profile
@@ -590,9 +590,7 @@ class TestSeedBatch:
                     list(engine.run(gens, rounds))
                 return
             got = list(engine.run(gens, rounds))
-        batch_metrics = Metrics(s)
-        batch_metrics.downloads, batch_metrics.uploads = np.zeros((2, len(seeds), s.n_nodes), dtype=np.int64)
-        batch_metrics.elapsed = np.zeros(len(seeds))
+        batch_metrics = Metrics([s] * len(seeds))
         for chunk_rounds in got:
             engine.account(batch_metrics, chunk_rounds)
         for row, (chunks, gen) in enumerate(alone):
@@ -605,6 +603,8 @@ class TestSeedBatch:
             assert batch_metrics.downloads[row].tolist() == m.downloads.tolist()
             assert batch_metrics.uploads[row].tolist() == m.uploads.tolist()
             assert (batch_metrics.elapsed[row], batch_metrics.rounds) == (m.elapsed, m.rounds)
+            assert batch_metrics.avg_total_cost()[row].tolist() == m.avg_total_cost().tolist()
+            assert batch_metrics.per_node_throughput()[row] == m.per_node_throughput()
 
     def test_batch_rejects_a_bad_row(self, sym_2_2):
         good = two_file_equilibrium(sym_2_2, alpha=0.5).profile
