@@ -124,8 +124,8 @@ def init_state(s: Scenario, cfg: AdaptConfig) -> AdaptState:
 
 def observe_and_update(
     state: AdaptState,
-    observed_response_mean: float | np.ndarray,
-    observed_initiation_mean: float | np.ndarray,
+    observed_response_mean: np.typing.ArrayLike,
+    observed_initiation_mean: np.typing.ArrayLike,
     k: int,
     cfg: AdaptConfig,
 ) -> AdaptState:

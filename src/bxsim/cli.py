@@ -185,11 +185,13 @@ def cmd_simulate(args) -> tuple[list[str], list[str]]:
         raise ValueError("--trace requires a single seed")
     lines: list[str] = []
     columns = node_columns(s)
+    # One seed at a time: unequal groups take the per-round walk, which
+    # batches nothing across seeds, and lockstep play measured slower there.
     for seed in seeds:
         metrics = simulate.run_simulation(s, profile, args.rounds, seed, args.coded, args.trace or None)
-        per_node = (metrics.downloads.tolist(), metrics.uploads.tolist(), metrics.avg_total_cost().tolist())
+        per_node = (metrics.downloads[0].tolist(), metrics.uploads[0].tolist(), metrics.avg_total_cost()[0].tolist())
         lines += format_rows(SIM_NODE_ROW, [seed] * s.n_nodes, range(s.n_nodes), columns, *per_node)
-        lines.append(SIM_SYSTEM_ROW % (seed, metrics.per_node_throughput()))
+        lines.append(SIM_SYSTEM_ROW % (seed, metrics.per_node_throughput()[0]))
     return SIM_HEADER, lines
 
 
@@ -263,7 +265,7 @@ def cmd_fig3(args) -> tuple[list[str], list[str]]:
         if args.simulate:
             profile = equilibrium.coded_equilibrium(s).profile
             metrics = simulate.run_simulation(s, profile, args.rounds, seed=args.seed, coded=True)
-            lines.append(FIG3_ROW % (f, analytic, 1.0 / f, metrics.per_node_throughput()))
+            lines.append(FIG3_ROW % (f, analytic, 1.0 / f, metrics.per_node_throughput()[0]))
         else:
             lines.append(FIG3_ANALYTIC_ROW % (f, analytic, 1.0 / f))
     dump_scenarios(args.scenarios_out, scenarios)

@@ -148,14 +148,11 @@ def expected_initiation_cost(
 
 @dataclass(frozen=True)
 class TwoFileEquilibrium:
-    """One member of the two-file equilibrium family.
-
-    alpha is the share of initiations performed by the group needing file 0;
-    that_a / that_b are the expected response-phase durations of the two
-    groups (group 0 responds when file 1 is announced, and vice versa).
+    """One member of the two-file equilibrium family: its profile, and the
+    expected response-phase durations that_a / that_b of the two groups
+    (group 0 responds when file 1 is announced, and vice versa).
     """
 
-    alpha: float
     profile: StrategyProfile
     that_a: float
     that_b: float
@@ -192,7 +189,6 @@ def two_file_equilibrium(
     lam[s.needs == 1, 0] = lam_b if alpha > 0.0 else 0.0
 
     return TwoFileEquilibrium(
-        alpha=alpha,
         profile=StrategyProfile(gamma=gamma, lam=lam),
         that_a=response_phase_mean(ra),
         that_b=response_phase_mean(rb),

@@ -163,39 +163,37 @@ class StrategyProfile:
 
 
 class Metrics:
-    """Cumulative per-node accounting for a simulation run or, given one
-    scenario per seed (all with the same nodes), for a batch of runs: then
-    ``downloads``, ``uploads``, ``elapsed`` and the costs ``w`` and ``g``
-    have a leading seed axis (``rounds`` is every seed's).
+    """Cumulative per-node accounting for a batch of simulation runs, given
+    one scenario per seed, all with the same nodes (a single run is a batch
+    of one): ``downloads`` and ``uploads`` (seeds, nodes), ``elapsed``
+    (seeds,) and the costs ``w`` and ``g`` (seeds, nodes); ``rounds`` is
+    every seed's.
 
     Counters are maintained incrementally by the simulator; the derived
     quantities (average total cost, throughput) are recomputed from the raw
     counters on demand.
     """
 
-    def __init__(self, scenario: Scenario | list[Scenario]):
-        if isinstance(scenario, Scenario):
-            self.w, self.g, self.elapsed = scenario.w, scenario.g, 0.0
-        else:
-            self.w, self.g = np.array([s.w for s in scenario]), np.array([s.g for s in scenario])
-            self.elapsed = np.zeros(len(scenario))
+    def __init__(self, scenarios: list[Scenario]):
+        self.w, self.g = np.array([s.w for s in scenarios]), np.array([s.g for s in scenarios])
+        self.elapsed = np.zeros(len(scenarios))
         self.downloads = np.zeros(self.w.shape, dtype=np.int64)
         self.uploads = np.zeros(self.w.shape, dtype=np.int64)
         self.rounds = 0
 
     def avg_total_cost(self) -> np.ndarray:
-        """(uploads * g + elapsed * w) / downloads of every node (of every
-        seed, for a batch); inf for a node with no downloads."""
+        """(uploads * g + elapsed * w) / downloads of every node of every
+        seed; inf for a node with no downloads."""
         downloads = self.downloads
-        cost = self.uploads * self.g + np.asarray(self.elapsed)[..., None] * self.w
+        cost = self.uploads * self.g + self.elapsed[:, None] * self.w
         return np.divide(cost, downloads, out=np.full(downloads.shape, np.inf), where=downloads > 0)
 
-    def per_node_throughput(self) -> float | np.ndarray:
-        """Mean over nodes of downloads/elapsed (of every seed, for a
-        batch); 0 before the first round."""
-        elapsed = np.asarray(self.elapsed)[..., None]
+    def per_node_throughput(self) -> np.ndarray:
+        """Per seed, the mean over nodes of downloads/elapsed; 0 before the
+        first round."""
+        elapsed = self.elapsed[:, None]
         rates = np.divide(self.downloads, elapsed, out=np.zeros(self.downloads.shape), where=elapsed > 0)
-        return rates.mean(axis=-1) if rates.ndim > 1 else float(rates.mean())
+        return rates.mean(axis=1)
 
 
 def _json_number(value, integral: bool) -> int | float | None:

@@ -2,8 +2,8 @@
 
 Randomness contract (golden traces depend on it):
 
-* The stream is numpy's PCG64 behind ``np.random.Generator``, seeded from
-  the run's ``seed``.
+* Each seed's stream is numpy's PCG64 behind ``np.random.Generator``,
+  seeded from that seed.
 * Each round consumes, in order: one uniform per node (ascending node id)
   for the initiation timers, then one uniform per eligible responder
   (ascending node id) for the response timers.  A uniform is consumed even
@@ -17,6 +17,14 @@ Randomness contract (golden traces depend on it):
 Ties in sampled timers (possible in floating point, probability zero in the
 model) are broken toward the lowest node id.
 
+The engine plays a batch of seeds side by side, and a single run is a batch
+of one: the rates have a leading seed axis, each seed has a generator of its
+own, and every chunk of rounds has the same leading axis.  Each seed draws
+exactly the uniforms it would draw alone, so every seed's rounds, and the
+state its generator ends in, are those of a run of that seed alone.  A batch
+fails as a whole: it raises if any of its seeds would, without naming which,
+and a caller that needs the failure of each seed plays the seeds alone.
+
 The uniforms are drawn in chunks of up to CHUNK_DOUBLES per ``rng.random``
 call.  This does not change the stream: after each chunk the generator is
 left exactly where round-by-round play would leave it, so successive runs
@@ -25,13 +33,6 @@ the rates between them (the adaptive mechanism plays every epoch of a run
 on one engine this way).  ``elapsed`` and the other time totals are added in
 round order (a cumulative sum, never a pairwise one), so they are
 bit-identical to adding one round at a time.
-
-A batch of seeds (rates with a leading seed axis) only plays the seeds side
-by side: each seed keeps its own generator and draws from it exactly the
-uniforms it draws alone, so every seed's rounds, and the state its generator
-ends in, are those of a run of that seed alone.  A batch fails as a whole:
-it raises if any of its seeds would, without naming which, and a caller
-that needs the failure of each seed plays the seeds alone.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ TRACE_ROW = "%d,%d,%d,%.9g,%.9g,%.9g\r\n"
 
 
 class Rounds(NamedTuple):
-    """Consecutive rounds, one array entry per round."""
+    """Consecutive rounds of every seed of a batch: arrays of shape (seeds,
+    rounds)."""
 
     initiator: np.ndarray
     responder: np.ndarray
@@ -81,9 +83,9 @@ def _exponentials(u: np.ndarray) -> np.ndarray:
 
 
 class RoundEngine:
-    """Precomputed per-layout machinery for playing rounds in chunks, for one
-    seed or for a batch of seeds side by side; the rates can be swapped
-    between runs with ``set_profile``."""
+    """Precomputed per-layout machinery for playing rounds in chunks, for a
+    batch of seeds side by side; the rates can be swapped between runs with
+    ``set_profile``."""
 
     def __init__(self, scenario: Scenario, profile: StrategyProfile, coded: bool):
         require_valid(scenario)
@@ -103,19 +105,18 @@ class RoundEngine:
         self.set_profile(profile)
 
     def set_profile(self, profile: StrategyProfile) -> None:
-        """Play the following runs at the rates of ``profile``: gamma (nodes,)
-        and lam (nodes, files) for one seed, or, for a batch, the same with a
-        leading seed axis.  A zero-rate holder keeps its place and draws NEVER."""
+        """Play the following runs at the rates of ``profile``, one row per
+        seed of the batch: gamma (seeds, nodes) and lam (seeds, nodes, files).
+        A zero-rate holder keeps its place and draws NEVER."""
         n, files = self.scenario.n_nodes, self.scenario.files
         gamma, lam = np.array(profile.gamma, dtype=float), np.asarray(profile.lam, dtype=float)
-        if gamma.ndim not in (1, 2) or not gamma.size or gamma.shape[-1] != n or lam.shape != gamma.shape + (files,):
-            raise ValueError("profile gamma must have shape ([seeds,] nodes) and lam ([seeds,] nodes, files)")
-        batch, gamma = gamma.shape[:-1], gamma.reshape(-1, n)
+        if gamma.ndim != 2 or not gamma.size or gamma.shape[1] != n or lam.shape != gamma.shape + (files,):
+            raise ValueError("profile gamma must have shape (seeds, nodes) and lam (seeds, nodes, files)")
         resp_rate = np.where(self.holds, lam.reshape(len(gamma), -1)[:, self.lam_index], 0.0)
         rates = np.concatenate((gamma, resp_rate.reshape(len(gamma), -1)), axis=1)
         if not (0 <= rates.min() and rates.max() < NEVER):  # NaN fails both
             raise NegativeRateError("profile has a negative or non-finite rate")
-        self.batch, self.gamma, self.resp_rate = batch, gamma, resp_rate
+        self.gamma, self.resp_rate = gamma, resp_rate
         # Any seed's positive-rate nodes; a seed's zero rates draw NEVER.
         self.initiators = (gamma > 0).any(axis=0).nonzero()[0]
         # Constant when every node that can initiate faces the same number
@@ -123,17 +124,16 @@ class RoundEngine:
         steps = set(self.step[self.initiators].tolist())
         self.fixed_step = steps.pop() if len(steps) == 1 else 0
 
-    def run(self, rngs, rounds: int) -> Iterator[Rounds]:
-        """Play ``rounds`` rounds, yielding chunks of consecutive rounds.
+    def run(self, rngs: list, rounds: int) -> Iterator[Rounds]:
+        """Play ``rounds`` rounds, yielding chunks of consecutive rounds of
+        shape (seeds, count).
 
-        ``rngs`` is one generator, or one per seed of a batch, whose chunks
-        then have a leading seed axis.  Each seed draws what it draws alone:
-        at most CHUNK_DOUBLES uniforms per chunk (or one round's worth) in one
-        ``rng.random`` call, leaving its generator where round-by-round play
-        would.  Raises StallError at a round nobody can initiate or answer,
-        in a batch at such a round of any seed; for one seed, the message is
+        ``rngs`` holds one generator per seed of the batch.  Each seed draws
+        what it draws alone: at most CHUNK_DOUBLES uniforms per chunk (or one
+        round's worth) in one ``rng.random`` call, leaving its generator where
+        round-by-round play would.  Raises StallError at a round nobody can
+        initiate or answer, of any seed; for a batch of one, the message is
         that of its first such round."""
-        rngs = list(rngs) if self.batch else [rngs]
         n, needs, initiators = self.scenario.n_nodes, self.scenario.needs, self.initiators
         gamma, resp_rate, step = self.gamma[:, None, initiators], self.resp_rate, self.fixed_step
         silent = gamma == 0
@@ -184,8 +184,7 @@ class RoundEngine:
                     raise StallError("no node can initiate: every initiation timer is infinite")
                 raise StallError(f"no eligible responder for file {x[stalled][0]} has a positive rate")
             rounds -= initiator.shape[1]
-            chunk = Rounds(initiator, self.resp_id[x, pick], t_init, t_resp, duration)
-            yield chunk if self.batch else Rounds(*(col[0] for col in chunk))
+            yield Rounds(initiator, self.resp_id[x, pick], t_init, t_resp, duration)
 
     def _walk(self, rngs: list, rounds: int):
         """Initiation and response exponentials of each seed's next rounds,
@@ -222,23 +221,21 @@ class RoundEngine:
         return e_init, e_resp
 
     def account(self, metrics: Metrics, rounds: Rounds) -> None:
-        """Add a chunk's downloads, uploads, rounds and elapsed time to
-        metrics; a batch's chunk to counters with the same leading seed axis."""
+        """Add each seed's downloads, uploads and elapsed time in a chunk to
+        its row of metrics, and the chunk's rounds to their count."""
         s = self.scenario
-        senders = np.concatenate((rounds.initiator, rounds.responder), axis=-1)
-        batch = senders.shape[:-1]
-        row = np.arange(math.prod(batch)).reshape(batch + (1,))  # each seed counts in bins of its own
+        senders = np.concatenate((rounds.initiator, rounds.responder), axis=1)
+        row = np.arange(len(senders))[:, None]  # each seed counts in bins of its own
         if self.coded:
-            metrics.downloads += rounds.initiator.shape[-1]
+            metrics.downloads += rounds.initiator.shape[1]
         else:
             # A plain round serves the groups needing the two exchanged files.
             served = np.bincount((s.needs[senders] + row * s.files).ravel(), minlength=row.size * s.files)
-            metrics.downloads += served.reshape(batch + (s.files,))[..., s.needs]
+            metrics.downloads += served.reshape(-1, s.files)[:, s.needs]
         uploads = np.bincount((senders + row * s.n_nodes).ravel(), minlength=row.size * s.n_nodes)
-        metrics.uploads += uploads.reshape(batch + (s.n_nodes,))
-        elapsed = in_order_sum(metrics.elapsed, rounds.duration)
-        metrics.elapsed = elapsed if elapsed.ndim else float(elapsed)
-        metrics.rounds += rounds.initiator.shape[-1]
+        metrics.uploads += uploads.reshape(-1, s.n_nodes)
+        metrics.elapsed = in_order_sum(metrics.elapsed, rounds.duration)
+        metrics.rounds += rounds.initiator.shape[1]
 
 
 def run_simulation(
@@ -249,7 +246,8 @@ def run_simulation(
     coded: bool = False,
     trace_path: str | Path | None = None,
 ) -> Metrics:
-    """Play ``rounds`` rounds of ``profile`` and accumulate Metrics.
+    """Play ``rounds`` rounds of ``profile`` (gamma (nodes,), lam (nodes,
+    files)) from ``seed``, as a batch of one, and return its Metrics.
 
     Identical seeds give identical metrics and traces.  When trace_path is
     given, one CSV row per round is streamed out (columns: round, initiator,
@@ -258,15 +256,15 @@ def run_simulation(
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    engine = RoundEngine(scenario, profile, coded)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    metrics = Metrics(scenario)
+    engine = RoundEngine(scenario, StrategyProfile(np.asarray(profile.gamma)[None], np.asarray(profile.lam)[None]), coded)
+    rngs = [np.random.Generator(np.random.PCG64(seed))]
+    metrics = Metrics([scenario])
     with as_output(trace_path) if trace_path is not None else nullcontext() as trace:
         if trace is not None:
             trace.write(",".join(TRACE_HEADER) + "\r\n")
-        for chunk in engine.run(rng, rounds):
+        for chunk in engine.run(rngs, rounds):
             if trace is not None:
-                columns = [col.tolist() for col in chunk]
+                columns = [col[0].tolist() for col in chunk]
                 rows = zip(range(metrics.rounds, metrics.rounds + len(columns[0])), *columns)
                 trace.write("".join([TRACE_ROW % row for row in rows]))
             engine.account(metrics, chunk)

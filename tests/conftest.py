@@ -57,6 +57,24 @@ def shuffled_scenarios(draw, files, max_group: int = 7, unequal: bool = False):
     return Scenario(files=f, w=w, g=g, needs=needs)
 
 
+@st.composite
+def two_file_with_equilibrium(draw, max_group: int = 7):
+    """Two groups of 2-``max_group`` nodes in shuffled order, with w and g
+    drawn apart, whose two-file equilibrium exists: in each group of k nodes
+    the largest ratio w/g is at most sum/(k - 1).  Any two ratios meet this,
+    so a pair spreads over 400 times its base (the span of w/g that
+    shuffled_scenarios draws); a group of k >= 3 keeps its ratios within a factor (k - 1)/(k - 2) of a
+    drawn base, shrunk by 1e-9 so that rounding cannot take a rate below 0."""
+    sizes = draw(st.lists(st.integers(2, max_group), min_size=2, max_size=2))
+    needs = draw(st.permutations(np.repeat(np.arange(2), sizes).tolist()))
+    cost = st.floats(0.05, 20.0)
+    base = [draw(cost) for _ in sizes]
+    spread = [400.0 if k == 2 else (k - 1) / (k - 2) * (1 - 1e-9) for k in sizes]
+    g = [draw(cost) for _ in needs]
+    w = [base[x] * draw(st.floats(1.0, spread[x])) * gn for x, gn in zip(needs, g)]
+    return Scenario(files=2, w=w, g=g, needs=needs)
+
+
 def dense_profile(gamma, lam: dict, files: int = 2) -> StrategyProfile:
     """A StrategyProfile from initiation rates and a sparse {(node, file): rate}
     dict of response rates; every pair the dict leaves out gets rate 0."""
@@ -64,6 +82,11 @@ def dense_profile(gamma, lam: dict, files: int = 2) -> StrategyProfile:
     for (n, x), rate in lam.items():
         dense[n, x] = rate
     return StrategyProfile(gamma=np.array(gamma, dtype=float), lam=dense)
+
+
+def one_seed(profile) -> StrategyProfile:
+    """``profile`` lifted to a batch of one seed, the shape RoundEngine plays."""
+    return StrategyProfile(np.asarray(profile.gamma)[None], np.asarray(profile.lam)[None])
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ from bxsim.errors import BxsimError, DivergenceError, NonpositiveObservationErro
 from bxsim.model import Metrics, Scenario
 from bxsim.simulate import RoundEngine, in_order_sum
 
-from conftest import adaptive_run, ref_group, reference_play, symmetric, two_file
+from conftest import adaptive_run, one_seed, ref_group, reference_play, symmetric, two_file
 
 
 def mech_cfg(**kw):
@@ -328,13 +328,13 @@ def sequential_runs(scenarios, cfg, seeds):
     results = []
     for s, seed in zip(scenarios, seeds):
         state = init_state(s, cfg)
-        engine, rng, metrics = RoundEngine(s, state.profile(), coded=False), np.random.Generator(np.random.PCG64(seed)), Metrics(s)
+        engine, rng, metrics = RoundEngine(s, one_seed(state.profile()), coded=False), np.random.Generator(np.random.PCG64(seed)), Metrics([s])
         observed, node_states, floored = [], [], [[0, 0]]
         for epoch in range(cfg.updates + 1):
             sums = np.zeros(3)
-            for chunk in engine.run(rng, cfg.epoch_rounds):
+            for chunk in engine.run([rng], cfg.epoch_rounds):
                 engine.account(metrics, chunk)
-                sums = in_order_sum(sums, (chunk.t_init, chunk.t_resp, chunk.duration))
+                sums = in_order_sum(sums, (chunk.t_init[0], chunk.t_resp[0], chunk.duration[0]))
             init_mean, resp_mean, elapsed = sums[0] / cfg.epoch_rounds, sums[1] / cfg.epoch_rounds, sums[2]
             observed.append([1.0 / resp_mean, 1.0 / init_mean, cfg.epoch_rounds / elapsed])
             node_states.append(np.column_stack((1.0 / state.inv_guess, state.rates)).tolist())
@@ -345,7 +345,7 @@ def sequential_runs(scenarios, cfg, seeds):
                     raise DivergenceError(f"seed {seed}: {exc}") from None
                 floored.append(state.floored.tolist())
                 log_floored(floored[-1])
-                engine.set_profile(state.profile())
+                engine.set_profile(one_seed(state.profile()))
         results.append((observed, node_states, floored, metrics))
     return results
 
@@ -390,11 +390,11 @@ class TestSeedBatch:
         for row, (want_observed, want_nodes, want_floored, want_m) in enumerate(want):
             assert run.observed[row].tolist() == want_observed
             assert (run.node_states[row].tolist(), run.floored[row].tolist()) == (want_nodes, want_floored)
-            assert (got_m.downloads[row].tolist(), got_m.uploads[row].tolist()) == (want_m.downloads.tolist(), want_m.uploads.tolist())
-            assert (got_m.elapsed[row], got_m.rounds) == (want_m.elapsed, want_m.rounds)
-            assert (got_m.w[row].tolist(), got_m.g[row].tolist()) == (want_m.w.tolist(), want_m.g.tolist())
-            assert got_m.avg_total_cost()[row].tolist() == want_m.avg_total_cost().tolist()
-            assert got_m.per_node_throughput()[row] == want_m.per_node_throughput()
+            assert (got_m.downloads[row].tolist(), got_m.uploads[row].tolist()) == (want_m.downloads[0].tolist(), want_m.uploads[0].tolist())
+            assert (got_m.elapsed[row], got_m.rounds) == (want_m.elapsed[0], want_m.rounds)
+            assert (got_m.w[row].tolist(), got_m.g[row].tolist()) == (want_m.w[0].tolist(), want_m.g[0].tolist())
+            assert got_m.avg_total_cost()[row].tolist() == want_m.avg_total_cost()[0].tolist()
+            assert got_m.per_node_throughput()[row] == want_m.per_node_throughput()[0]
 
     def test_update_fails_at_the_first_failing_seed(self, sym_10_10):
         cfg = mech_cfg()

@@ -44,6 +44,7 @@ from conftest import (
     shuffled_scenarios,
     symmetric,
     two_file,
+    two_file_with_equilibrium,
 )
 
 T_GRID = [0.0, 0.1, 1.0, 5.0, 20.0]
@@ -509,13 +510,10 @@ class TestPaperClosedForms:
     """The paper's closed forms on random valid scenarios: the equilibria
     they give are proper profiles, and both prices of anarchy are >= 1."""
 
-    @settings(derandomize=True, max_examples=200, deadline=None)  # most draws have no equilibrium
-    @given(s=shuffled_scenarios(st.just(2)), alpha=ALPHA)
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(s=two_file_with_equilibrium(), alpha=ALPHA)
     def test_two_file_game(self, s, alpha):
-        try:
-            profile = two_file_equilibrium(s, alpha=alpha).profile
-        except NegativeRateError:  # the equilibrium does not exist
-            return
+        profile = two_file_equilibrium(s, alpha=alpha).profile  # every draw has one
         rates = np.concatenate((profile.gamma, profile.lam.ravel()))
         assert np.all(np.isfinite(rates)) and np.all(rates >= 0)
         costs = node_costs_at_ne(s)

@@ -367,24 +367,24 @@ class TestMalformedConfigs:
 
 class TestMetrics:
     def test_avg_cost_formula(self, sym_2_2):
-        m = Metrics(sym_2_2)
+        m = Metrics([sym_2_2])
         m.downloads += 4
-        m.uploads[0] = 2
-        m.elapsed = 10.0
+        m.uploads[0, 0] = 2
+        m.elapsed[0] = 10.0
         m.rounds = 4
         # (2 uploads * g + 10 time * w) / 4 downloads
-        assert m.avg_total_cost()[0] == pytest.approx((2 * 1.0 + 10.0 * 1.0) / 4)
+        assert m.avg_total_cost()[0, 0] == pytest.approx((2 * 1.0 + 10.0 * 1.0) / 4)
 
     def test_throughput_is_mean_over_nodes(self, sym_2_2):
-        m = Metrics(sym_2_2)
-        m.downloads[:] = [4, 4, 2, 2]
-        m.elapsed = 8.0
-        assert m.per_node_throughput() == pytest.approx(np.mean([0.5, 0.5, 0.25, 0.25]))
+        m = Metrics([sym_2_2])
+        m.downloads[0] = [4, 4, 2, 2]
+        m.elapsed[0] = 8.0
+        assert m.per_node_throughput()[0] == pytest.approx(np.mean([0.5, 0.5, 0.25, 0.25]))
 
     def test_no_downloads_gives_inf(self, sym_2_2):
-        m = Metrics(sym_2_2)
-        m.elapsed = 1.0
-        assert m.avg_total_cost()[0] == float("inf")
+        m = Metrics([sym_2_2])
+        m.elapsed[0] = 1.0
+        assert m.avg_total_cost()[0, 0] == float("inf")
 
 
 class TestAtomicOpen:

@@ -24,7 +24,7 @@ from bxsim.errors import NegativeRateError, StallError
 from bxsim.model import Metrics, Scenario, StrategyProfile
 from bxsim.simulate import CHUNK_DOUBLES, RoundEngine, Rounds, run_simulation
 
-from conftest import dense_profile, reference_play, symmetric, two_file
+from conftest import dense_profile, one_seed, reference_play, symmetric, two_file
 
 
 def rng(seed=0):
@@ -32,13 +32,18 @@ def rng(seed=0):
 
 
 def joined(chunks) -> Rounds:
-    """Chunks of an engine run as one Rounds (per seed, for a batch)."""
+    """Chunks of an engine run as one Rounds, per seed."""
     return Rounds(*(np.concatenate(cols, axis=-1) for cols in zip(*chunks)))
 
 
+def alone(chunks) -> Rounds:
+    """Chunks of a batch of one as one Rounds of that seed's rounds."""
+    return Rounds(*(col[0] for col in joined(chunks)))
+
+
 def play(s, profile, rounds, seed=0, coded=False) -> Rounds:
-    """Every round of one engine run."""
-    return joined(RoundEngine(s, profile, coded).run(rng(seed), rounds))
+    """Every round of one engine run of one seed."""
+    return alone(RoundEngine(s, one_seed(profile), coded).run([rng(seed)], rounds))
 
 
 def small_chunks(doubles):
@@ -67,15 +72,16 @@ class ZeroStream:
 
 
 def reference_metrics(s, rows, coded) -> Metrics:
-    """Per-round accounting of reference_play rows, as the engine once did it."""
-    m = Metrics(s)
+    """Per-round accounting of reference_play rows, as the engine once did it,
+    in a batch of one."""
+    m = Metrics([s])
     for i0, j0, t_init, t_resp in rows:
         if coded:
             m.downloads += 1
         else:
-            m.downloads += (s.needs == s.needs[i0]).astype(np.int64) + (s.needs == s.needs[j0])
-        m.uploads[i0] += 1
-        m.uploads[j0] += 1
+            m.downloads[0] += (s.needs == s.needs[i0]).astype(np.int64) + (s.needs == s.needs[j0])
+        m.uploads[0, i0] += 1
+        m.uploads[0, j0] += 1
         m.elapsed += t_init + t_resp + 2.0
         m.rounds += 1
     return m
@@ -112,23 +118,23 @@ class TestSampling:
     def test_negative_rate(self, sym_2_2):
         lam = {(0, 1): 1.0, (1, 1): 1.0, (2, 0): 1.0, (3, 0): 1.0}
         with pytest.raises(NegativeRateError):
-            RoundEngine(sym_2_2, dense_profile(gamma=(1.0, -1.0, 1.0, 1.0), lam=lam), coded=False)
+            RoundEngine(sym_2_2, one_seed(dense_profile(gamma=(1.0, -1.0, 1.0, 1.0), lam=lam)), coded=False)
         with pytest.raises(NegativeRateError):
-            RoundEngine(sym_2_2, dense_profile(gamma=(1.0,) * 4, lam={**lam, (3, 0): -0.5}), coded=False)
+            RoundEngine(sym_2_2, one_seed(dense_profile(gamma=(1.0,) * 4, lam={**lam, (3, 0): -0.5})), coded=False)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_rate(self, sym_2_2, bad):
         lam = {(0, 1): 1.0, (1, 1): 1.0, (2, 0): 1.0, (3, 0): 1.0}
         with pytest.raises(NegativeRateError):
-            RoundEngine(sym_2_2, dense_profile(gamma=(1.0, bad, 1.0, 1.0), lam=lam), coded=False)
+            RoundEngine(sym_2_2, one_seed(dense_profile(gamma=(1.0, bad, 1.0, 1.0), lam=lam)), coded=False)
         with pytest.raises(NegativeRateError):
-            RoundEngine(sym_2_2, dense_profile(gamma=(1.0,) * 4, lam={**lam, (2, 0): bad}), coded=False)
+            RoundEngine(sym_2_2, one_seed(dense_profile(gamma=(1.0,) * 4, lam={**lam, (2, 0): bad})), coded=False)
 
     def test_zero_rate_consumes_one_uniform(self, sym_2_2):
         # 4 initiation + 2 response uniforms per round, zero rates included
         profile = dense_profile(gamma=(0.0, 1.0, 0.0, 1.0), lam={(0, 1): 1.0, (2, 0): 1.0})
         gen = rng(5)
-        list(RoundEngine(sym_2_2, profile, coded=False).run(gen, 1000))
+        list(RoundEngine(sym_2_2, one_seed(profile), coded=False).run([gen], 1000))
         ref = rng(5)
         ref.random(6 * 1000)
         assert gen.random() == ref.random()
@@ -149,9 +155,9 @@ class TestSampling:
         stub = SimpleNamespace(
             random=lambda k: np.full(k, 0.5), bit_generator=SimpleNamespace(state=None, advance=lambda k: None)
         )
-        (out,) = RoundEngine(s, profile, coded=False).run(stub, 3)
-        assert out.initiator.tolist() == [1, 1, 1]
-        assert out.responder.tolist() == [groups[0]] * 3
+        (out,) = RoundEngine(s, one_seed(profile), coded=False).run([stub], 3)
+        assert out.initiator[0].tolist() == [1, 1, 1]
+        assert out.responder[0].tolist() == [groups[0]] * 3
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_zero_uniform_keeps_zero_rates_silent(self):
@@ -163,7 +169,7 @@ class TestSampling:
         )
         got, want = ZeroStream(), ZeroStream()
         with small_chunks(64):
-            out = joined(RoundEngine(s, profile, coded=False).run(got, 500))
+            out = alone(RoundEngine(s, one_seed(profile), coded=False).run([got], 500))
         assert_same_rounds(out, reference_play(s, profile, want, 500))
         assert got.state == want.state
 
@@ -173,7 +179,7 @@ class TestSampling:
 
 
 class TestRunRound:
-    """Single rounds: RoundEngine.run(rng, 1)."""
+    """Single rounds: RoundEngine.run([rng], 1)."""
 
     def test_only_positive_rate_initiates(self, sym_10_10):
         profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
@@ -193,36 +199,36 @@ class TestRunRound:
 
     def test_round_accounting(self, sym_10_10):
         profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
-        engine = RoundEngine(sym_10_10, profile, coded=False)
+        engine = RoundEngine(sym_10_10, one_seed(profile), coded=False)
         for seed in range(10):
-            (out,) = engine.run(rng(seed), 1)
-            m = Metrics(sym_10_10)
+            (out,) = engine.run([rng(seed)], 1)
+            m = Metrics([sym_10_10])
             engine.account(m, out)
             assert m.uploads.sum() == 2
-            assert m.elapsed >= 2.0
-            assert m.elapsed == out.t_init[0] + out.t_resp[0] + 2.0 == out.duration[0]
+            assert m.elapsed[0] >= 2.0
+            assert m.elapsed[0] == out.t_init[0, 0] + out.t_resp[0, 0] + 2.0 == out.duration[0, 0]
             # two-file plain mode: everyone downloads each round
             assert (m.downloads == 1).all()
 
     def test_coded_everyone_downloads(self):
         s = symmetric(3, 10)
-        engine = RoundEngine(s, coded_equilibrium(s).profile, coded=True)
-        m = Metrics(s)
-        engine.account(m, next(engine.run(rng(1), 1)))
+        engine = RoundEngine(s, one_seed(coded_equilibrium(s).profile), coded=True)
+        m = Metrics([s])
+        engine.account(m, next(engine.run([rng(1)], 1)))
         assert (m.downloads == 1).all()
         assert m.uploads.sum() == 2
 
     def test_plain_multifile_downloads_two_groups(self):
         s = symmetric(3, 10)
         profile = coded_equilibrium(s).profile  # rates reused for a plain run
-        engine = RoundEngine(s, profile, coded=False)
-        out = next(engine.run(rng(1), 1))
-        m = Metrics(s)
+        engine = RoundEngine(s, one_seed(profile), coded=False)
+        out = next(engine.run([rng(1)], 1))
+        m = Metrics([s])
         engine.account(m, out)
-        x = s.needs[out.initiator[0]]
-        y = s.needs[out.responder[0]]
+        x = s.needs[out.initiator[0, 0]]
+        y = s.needs[out.responder[0, 0]]
         expect = np.array([1 if needs in (x, y) else 0 for needs in s.needs])
-        np.testing.assert_array_equal(m.downloads, expect)
+        np.testing.assert_array_equal(m.downloads[0], expect)
 
     def test_stall_no_initiator(self, sym_2_2):
         profile = dense_profile(gamma=(0.0,) * 4, lam={(0, 1): 1.0, (1, 1): 1.0})
@@ -254,7 +260,7 @@ class TestRunSimulation:
         profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
         cfg = dict(scenario=sym_10_10, profile=profile, rounds=2000, seed=11)
         m1, m2 = run_simulation(**cfg), run_simulation(**cfg)
-        assert m1.elapsed == m2.elapsed
+        assert m1.elapsed.tolist() == m2.elapsed.tolist()
         np.testing.assert_array_equal(m1.downloads, m2.downloads)
         np.testing.assert_array_equal(m1.uploads, m2.uploads)
 
@@ -272,8 +278,8 @@ class TestRunSimulation:
         ref = reference_metrics(sym_10_10, reference_play(sym_10_10, profile, rng(9), 300), coded=False)
         np.testing.assert_array_equal(m.downloads, ref.downloads)
         np.testing.assert_array_equal(m.uploads, ref.uploads)
-        assert m.elapsed == pytest.approx(ref.elapsed, abs=1e-9)
-        for cost, want in zip(m.avg_total_cost().tolist(), ref.avg_total_cost().tolist(), strict=True):
+        assert m.elapsed[0] == pytest.approx(ref.elapsed[0], abs=1e-9)
+        for cost, want in zip(m.avg_total_cost()[0].tolist(), ref.avg_total_cost()[0].tolist(), strict=True):
             assert cost == pytest.approx(want, abs=1e-12)
 
     def test_winner_distribution(self, sym_2_2):
@@ -299,9 +305,9 @@ class TestRunSimulation:
         profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
         cfg = dict(scenario=sym_10_10, profile=profile, rounds=30_000, seed=12)
         m = run_simulation(**cfg)
-        assert m.per_node_throughput() == pytest.approx(throughput_at_ne(sym_10_10), rel=0.02)
+        assert m.per_node_throughput()[0] == pytest.approx(throughput_at_ne(sym_10_10), rel=0.02)
         expected = node_costs_at_ne(sym_10_10).avg_cost[0]
-        for cost in m.avg_total_cost().tolist():
+        for cost in m.avg_total_cost()[0].tolist():
             assert cost == pytest.approx(expected, rel=0.02)
 
     def test_coded_throughput_oracle(self):
@@ -309,14 +315,14 @@ class TestRunSimulation:
         profile = coded_equilibrium(s).profile
         cfg = dict(scenario=s, profile=profile, rounds=30_000, seed=13, coded=True)
         m = run_simulation(**cfg)
-        assert m.per_node_throughput() == pytest.approx(coded_throughput(s), rel=0.02)
+        assert m.per_node_throughput()[0] == pytest.approx(coded_throughput(s), rel=0.02)
 
     def test_deterministic_bounds(self, sym_10_10):
         # duration >= 2 per round makes these hard bounds, not limits
         profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
         m = run_simulation(scenario=sym_10_10, profile=profile, rounds=1000, seed=3)
-        assert m.per_node_throughput() <= 0.5
-        assert all(m.avg_total_cost() >= 2 * sym_10_10.w)
+        assert m.per_node_throughput()[0] <= 0.5
+        assert all(m.avg_total_cost()[0] >= 2 * sym_10_10.w)
 
     def test_trace_csv(self, tmp_path, sym_2_2):
         profile = two_file_equilibrium(sym_2_2, alpha=0.5).profile
@@ -328,7 +334,7 @@ class TestRunSimulation:
         assert rows[0] == ["round", "initiator", "responder", "t_init", "t_resp", "duration"]
         assert len(rows) == 51
         total = sum(float(r[5]) for r in rows[1:])
-        assert total == pytest.approx(m.elapsed, rel=1e-6)
+        assert total == pytest.approx(m.elapsed[0], rel=1e-6)
         expected = reference_play(sym_2_2, profile, rng(1), 50)
         want = [
             [str(k), str(i), str(j)] + [f"{v:.9g}" for v in (t_init, t_resp, t_init + t_resp + 2.0)]
@@ -357,10 +363,10 @@ class TestStallAcrossChunks:
         # nodes 0 and 1 initiate about once in 10^4 rounds, and nobody
         # answers their file: the first such round stalls the run
         profile = dense_profile(gamma=(1e-4, 1e-4, 1.0, 1.0), lam={(0, 1): 1.0, (1, 1): 1.0})
-        engine = RoundEngine(sym_2_2, profile, coded=False)
+        engine = RoundEngine(sym_2_2, one_seed(profile), coded=False)
         played = []
         with pytest.raises(StallError, match="file 0"):
-            for chunk in engine.run(rng(0), 10 * CHUNK_DOUBLES):
+            for chunk in engine.run([rng(0)], 10 * CHUNK_DOUBLES):
                 played.append(chunk)
         assert played, "the stall should come after at least one whole chunk"
         with pytest.raises(StallError, match="file 0"):
@@ -409,40 +415,40 @@ class TestBatchedEngineOracle:
            chunk=st.integers(1, 400))
     def test_matches_round_by_round_play(self, case, seed, rounds, chunk):
         s, profile, coded = case
-        engine = RoundEngine(s, profile, coded)
+        engine = RoundEngine(s, one_seed(profile), coded)
         gen, ref = rng(seed), rng(seed)
         try:
             expected = reference_play(s, profile, ref, rounds)
         except StallError:
             with pytest.raises(StallError), small_chunks(chunk):
-                list(engine.run(gen, rounds))
+                list(engine.run([gen], rounds))
             return
         with small_chunks(chunk):
-            chunks = list(engine.run(gen, rounds))
-        assert_same_rounds(joined(chunks), expected)
+            chunks = list(engine.run([gen], rounds))
+        assert_same_rounds(alone(chunks), expected)
         assert gen.random() == ref.random()  # the generator ends where per-round play leaves it
-        m = Metrics(s)
+        m = Metrics([s])
         for c in chunks:
             engine.account(m, c)
         want = reference_metrics(s, expected, coded)
         np.testing.assert_array_equal(m.downloads, want.downloads)
         np.testing.assert_array_equal(m.uploads, want.uploads)
-        assert (m.elapsed, m.rounds) == (want.elapsed, want.rounds)
+        assert (m.elapsed.tolist(), m.rounds) == (want.elapsed.tolist(), want.rounds)
 
     @ORACLE
     @given(case=engine_cases(), seed=st.integers(0, 2**32 - 1),
            parts=st.lists(st.integers(1, 80), min_size=1, max_size=5), chunk=st.integers(1, 300))
     def test_successive_runs_continue_one_stream(self, case, seed, parts, chunk):
         s, profile, coded = case
-        engine = RoundEngine(s, profile, coded)
+        engine = RoundEngine(s, one_seed(profile), coded)
         whole, pieces = rng(seed), rng(seed)
         try:
             with small_chunks(chunk):
-                once = list(engine.run(whole, sum(parts)))
+                once = list(engine.run([whole], sum(parts)))
         except StallError:
             assume(False)
         with small_chunks(chunk):
-            split = [c for k in parts for c in engine.run(pieces, k)]
+            split = [c for k in parts for c in engine.run([pieces], k)]
         for a, b in zip(joined(once), joined(split)):
             assert a.tolist() == b.tolist()
         assert whole.random() == pieces.random()
@@ -454,9 +460,9 @@ class TestBatchedEngineOracle:
         s = two_file([1.0] * groups[0], [1.0] * groups[1])
         profile = two_file_equilibrium(s, alpha=0.5).profile
         gen, ref = rng(21), rng(21)
-        chunks = list(RoundEngine(s, profile, coded=False).run(gen, 3000))
+        chunks = list(RoundEngine(s, one_seed(profile), coded=False).run([gen], 3000))
         assert len(chunks) >= 3
-        assert_same_rounds(joined(chunks), reference_play(s, profile, ref, 3000))
+        assert_same_rounds(alone(chunks), reference_play(s, profile, ref, 3000))
         assert gen.random() == ref.random()
 
 
@@ -499,18 +505,18 @@ class TestEngineReuse:
            chunk=st.integers(1, 300))
     def test_rerated_engine_matches_fresh_engines(self, case, seed, rounds, chunk):
         s, profiles, coded = case
-        engine = RoundEngine(s, profiles[-1], coded)
+        engine = RoundEngine(s, one_seed(profiles[-1]), coded)
         reused, fresh = rng(seed), rng(seed)
-        for profile in profiles:
+        for profile in map(one_seed, profiles):
             engine.set_profile(profile)
             with small_chunks(chunk):
                 try:
-                    want = chunk_lists(RoundEngine(s, profile, coded).run(fresh, rounds))
+                    want = chunk_lists(RoundEngine(s, profile, coded).run([fresh], rounds))
                 except StallError:
                     with pytest.raises(StallError):
-                        list(engine.run(reused, rounds))
+                        list(engine.run([reused], rounds))
                 else:
-                    assert chunk_lists(engine.run(reused, rounds)) == want
+                    assert chunk_lists(engine.run([reused], rounds)) == want
             assert reused.bit_generator.state == fresh.bit_generator.state
 
     @REUSE
@@ -523,9 +529,9 @@ class TestEngineReuse:
             gamma[n] = bad
         else:  # a response rate the engine reads: for a file the node holds
             lam[n, data.draw(st.sampled_from([x for x in range(s.files) if x != s.needs[n]]))] = bad
-        engine = RoundEngine(s, good, coded)
-        broken = [(StrategyProfile(gamma, lam), NegativeRateError)]
-        broken += [(StrategyProfile(*p), ValueError) for p in [(gamma[1:], lam), (gamma, lam[:, 1:]), (gamma[:, None], lam)]]
+        engine = RoundEngine(s, one_seed(good), coded)
+        broken = [(one_seed(StrategyProfile(gamma, lam)), NegativeRateError)]
+        broken += [(one_seed(StrategyProfile(*p)), ValueError) for p in [(gamma[1:], lam), (gamma, lam[:, 1:]), (gamma[:, None], lam)]]
         for profile, error in broken:
             with pytest.raises(error):
                 RoundEngine(s, profile, coded)
@@ -533,12 +539,12 @@ class TestEngineReuse:
                 engine.set_profile(profile)
         # a rejected swap leaves the engine at the rates it had
         try:
-            want = chunk_lists(RoundEngine(s, good, coded).run(rng(1), 30))
+            want = chunk_lists(RoundEngine(s, one_seed(good), coded).run([rng(1)], 30))
         except StallError:
             with pytest.raises(StallError):
-                list(engine.run(rng(1), 30))
+                list(engine.run([rng(1)], 30))
         else:
-            assert chunk_lists(engine.run(rng(1), 30)) == want
+            assert chunk_lists(engine.run([rng(1)], 30)) == want
 
 
 @st.composite
@@ -577,15 +583,15 @@ class TestSeedBatch:
         engine = RoundEngine(s, batch, coded)
         assume((engine.fixed_step > 0) == fixed or engine.initiators.size == 0)
         gens = [rng(seed) for seed in seeds]
-        alone = []
+        played = []  # each seed alone
         with small_chunks(chunk):
             for profile, seed in zip(profiles, seeds):
                 try:
                     gen = rng(seed)
-                    alone.append((list(RoundEngine(s, profile, coded).run(gen, rounds)), gen))
+                    played.append((list(RoundEngine(s, one_seed(profile), coded).run([gen], rounds)), gen))
                 except StallError:
-                    alone.append(None)
-            if None in alone:
+                    played.append(None)
+            if None in played:
                 with pytest.raises(StallError):  # a seed stalls alone
                     list(engine.run(gens, rounds))
                 return
@@ -593,18 +599,18 @@ class TestSeedBatch:
         batch_metrics = Metrics([s] * len(seeds))
         for chunk_rounds in got:
             engine.account(batch_metrics, chunk_rounds)
-        for row, (chunks, gen) in enumerate(alone):
-            want = joined(chunks)
+        for row, (chunks, gen) in enumerate(played):
+            want = alone(chunks)
             assert [col[row].tolist() for col in joined(got)] == [col.tolist() for col in want]
             assert gens[row].bit_generator.state == gen.bit_generator.state
-            m = Metrics(s)
+            m = Metrics([s])
             for c in chunks:
-                RoundEngine(s, profiles[row], coded).account(m, c)
-            assert batch_metrics.downloads[row].tolist() == m.downloads.tolist()
-            assert batch_metrics.uploads[row].tolist() == m.uploads.tolist()
-            assert (batch_metrics.elapsed[row], batch_metrics.rounds) == (m.elapsed, m.rounds)
-            assert batch_metrics.avg_total_cost()[row].tolist() == m.avg_total_cost().tolist()
-            assert batch_metrics.per_node_throughput()[row] == m.per_node_throughput()
+                RoundEngine(s, one_seed(profiles[row]), coded).account(m, c)
+            assert batch_metrics.downloads[row].tolist() == m.downloads[0].tolist()
+            assert batch_metrics.uploads[row].tolist() == m.uploads[0].tolist()
+            assert (batch_metrics.elapsed[row], batch_metrics.rounds) == (m.elapsed[0], m.rounds)
+            assert batch_metrics.avg_total_cost()[row].tolist() == m.avg_total_cost()[0].tolist()
+            assert batch_metrics.per_node_throughput()[row] == m.per_node_throughput()[0]
 
     def test_batch_rejects_a_bad_row(self, sym_2_2):
         good = two_file_equilibrium(sym_2_2, alpha=0.5).profile
@@ -612,8 +618,10 @@ class TestSeedBatch:
         gamma[1, 2] = -1.0
         with pytest.raises(NegativeRateError, match="negative or non-finite rate"):
             RoundEngine(sym_2_2, StrategyProfile(gamma, lam), coded=False)
-        with pytest.raises(ValueError):
-            RoundEngine(sym_2_2, StrategyProfile(gamma[:0], lam[:0]), coded=False)
+        # no seed, and a profile without the seed axis
+        for profile in [StrategyProfile(gamma[:0], lam[:0]), good]:
+            with pytest.raises(ValueError, match=r"shape \(seeds, nodes\)"):
+                RoundEngine(sym_2_2, profile, coded=False)
 
 
 class TestGoldenPrefix:
