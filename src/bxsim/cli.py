@@ -75,7 +75,7 @@ def parse_seeds(text: str) -> list[int]:
 
 def run_seeds(args, cfg_seed: int | None) -> list[int]:
     """--seeds, else the config's seed, else 0."""
-    return parse_seeds(args.seeds) if args.seeds else [cfg_seed if cfg_seed is not None else 0]
+    return parse_seeds(args.seeds) if args.seeds is not None else [cfg_seed if cfg_seed is not None else 0]
 
 
 def gen_rng(seed: int, purpose: int) -> np.random.Generator:
@@ -140,7 +140,7 @@ def cmd_ne(args) -> tuple[list[str], list[str]]:
         lines += format_rows(NE_AGGREGATE_ROW, range(s.files), eq.gamma_by_file)
         lines.append(NE_DEGENERATE_ROW % eq.degenerate)
     else:
-        profile = equilibrium.two_file_equilibrium(s, alpha=alpha).profile
+        profile = equilibrium.two_file_equilibrium(s, alpha=alpha)
     columns = node_columns(s)
     lines += format_rows(NE_GAMMA_ROW, range(s.n_nodes), columns, profile.gamma.tolist())
     nodes, files = np.nonzero(np.arange(s.files) != s.needs[:, None])  # sorted (node, held file) pairs
@@ -157,7 +157,7 @@ POA_NODE_ROW = "node,%d,%s,%.9g,%.9g,%.9g,,\r\n"
 def cmd_poa(args) -> tuple[list[str], list[str]]:
     s, _ = load_scenario(args.config)
     require_valid(s)
-    system = (equilibrium.poa_system(s), equilibrium.throughput_at_ne(s), equilibrium.ne_round_duration(s).total)
+    system = (equilibrium.poa_system(s), equilibrium.throughput_at_ne(s), equilibrium.ne_round_duration(s))
     costs = equilibrium.node_costs_at_ne(s)  # avg_cost, transmit_prob, poa
     lines = [POA_SYSTEM_ROW % system]
     lines += format_rows(POA_NODE_ROW, range(s.n_nodes), node_columns(s), *(c.tolist() for c in costs))
@@ -178,7 +178,7 @@ def cmd_simulate(args) -> tuple[list[str], list[str]]:
     profile = (
         equilibrium.coded_equilibrium(s).profile
         if args.coded
-        else equilibrium.two_file_equilibrium(s, alpha=alpha).profile
+        else equilibrium.two_file_equilibrium(s, alpha=alpha)
     )
     seeds = run_seeds(args, cfg_seed)
     if args.trace and len(seeds) > 1:

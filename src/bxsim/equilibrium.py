@@ -1,5 +1,5 @@
-"""Closed-form Nash equilibrium strategies, expected costs, and prices of
-anarchy for the broadcast exchange game.
+"""Closed-form Nash equilibrium strategies, round durations, throughputs
+and prices of anarchy for the broadcast exchange game.
 
 Two settings are covered:
 
@@ -11,10 +11,7 @@ Two settings are covered:
   solved exactly in closed form (Sherman-Morrison; two files give the
   alpha family instead).
 
-Everything here is a pure function of the scenario; no sampling.  All
-expected costs are evaluated analytically (the underlying exponential
-integrals have elementary closed forms), which is what makes the 1e-9
-identity tolerances in the tests attainable.
+Everything here is a pure function of the scenario; no sampling.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateProfileError, NegativeRateError, SingularSystemError
+from .errors import NegativeRateError, SingularSystemError
 from .model import Scenario, StrategyProfile, require_valid
 
 
@@ -71,96 +68,9 @@ def response_phase_mean(ratios) -> float:
     return (r.size - 1) / total
 
 
-def expected_response_cost(t: float, w: float, g: float, lam_other: float) -> float:
-    """Expected additional total cost of a responder that picks timer t.
-
-    The node pays g if nobody else fires within t, otherwise it waits for
-    the earliest other firing (aggregate rate lam_other).  Closed form:
-    w/L + exp(-L t) (g - w/L).  Constant in t exactly when g = w/L.
-    """
-    if lam_other <= 0:
-        raise DegenerateProfileError("aggregate rate of the other responders must be positive")
-    if t < 0:
-        raise ValueError("timer must be nonnegative")
-    base = w / lam_other
-    return base + math.exp(-lam_other * t) * (g - base)
-
-
-def expected_response_cost_under_rate(
-    w: float, g: float, lam_self: float, lam_other: float
-) -> float:
-    """Expected response cost when the node's own timer is EXP(lam_self).
-
-    Averages expected_response_cost over the node's own timer draw:
-    w/L + (g - w/L) * lam_self / (lam_self + L).  lam_self = 0 gives the
-    pure free-rider cost w/L.
-    """
-    if lam_other <= 0:
-        raise DegenerateProfileError("aggregate rate of the other responders must be positive")
-    if lam_self < 0:
-        raise ValueError("own rate must be nonnegative")
-    base = w / lam_other
-    return base + (g - base) * lam_self / (lam_self + lam_other)
-
-
-def expected_initiation_cost(
-    t: float, node: int, profile: StrategyProfile, s: Scenario
-) -> float:
-    """Expected total cost per round for ``node`` picking initiation timer t.
-
-    Two-file scenarios only.  The branches: if the node fires first it pays
-    g plus waiting for the other group's response; if a same-group node
-    fires first it free-rides; if an other-group node fires first it enters
-    the response subgame, whose cost at response equilibrium is exactly its
-    own g (the profile's response side is assumed to be at equilibrium).
-    The 2w term is the waiting cost of the two data transmissions.
-
-    At equilibrium initiation rates the exponential coefficient vanishes and
-    the value is independent of t.
-    """
-    require_valid(s)
-    if s.files != 2:
-        raise ValueError("initiation-cost closed form is defined for two-file scenarios")
-    w, g = float(s.w[node]), float(s.g[node])
-    needed = int(s.needs[node])
-    own, other = (s.needs == needed) & (np.arange(s.n_nodes) != node), s.needs != needed
-    gamma = np.asarray(profile.gamma, dtype=float)
-
-    gamma_own_others = float(np.sum(gamma[own]))
-    gamma_other = float(np.sum(gamma[other]))
-    gamma_rest = gamma_own_others + gamma_other
-    if gamma_rest <= 0:
-        raise DegenerateProfileError("all other initiation rates are zero")
-
-    # Response duration the node waits for after its group's announcement:
-    # the other group responds, at its profile rates.
-    lam_other_group = float(np.sum(np.asarray(profile.lam)[other, needed]))
-    if lam_other_group <= 0:
-        raise DegenerateProfileError("the responding group never fires")
-    that_resp = 1.0 / lam_other_group
-
-    p_own = gamma_own_others / gamma_rest
-    p_other = gamma_other / gamma_rest
-    const = w / gamma_rest + p_own * w * that_resp + p_other * g + 2.0 * w
-    coeff = p_other * w * that_resp + p_own * g - w / gamma_rest
-    return const + math.exp(-gamma_rest * t) * coeff
-
-
-@dataclass(frozen=True)
-class TwoFileEquilibrium:
-    """One member of the two-file equilibrium family: its profile, and the
-    expected response-phase durations that_a / that_b of the two groups
-    (group 0 responds when file 1 is announced, and vice versa).
-    """
-
-    profile: StrategyProfile
-    that_a: float
-    that_b: float
-
-
 def two_file_equilibrium(
     s: Scenario, alpha: float = 0.5, allow_negative: bool = False
-) -> TwoFileEquilibrium:
+) -> StrategyProfile:
     """Closed-form equilibrium profile for a two-file scenario.
 
     Initiation rates scale the group response formula by alpha (group 0) and
@@ -175,9 +85,8 @@ def two_file_equilibrium(
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
 
-    ra, rb = s.ratios[s.needs == 0], s.ratios[s.needs == 1]
-    lam_a = response_equilibrium(ra, allow_negative=allow_negative)
-    lam_b = response_equilibrium(rb, allow_negative=allow_negative)
+    lam_a = response_equilibrium(s.ratios[s.needs == 0], allow_negative=allow_negative)
+    lam_b = response_equilibrium(s.ratios[s.needs == 1], allow_negative=allow_negative)
     gamma = np.empty(s.n_nodes)
     gamma[s.needs == 0] = alpha * lam_a
     gamma[s.needs == 1] = (1.0 - alpha) * lam_b
@@ -187,47 +96,29 @@ def two_file_equilibrium(
     lam = np.zeros((s.n_nodes, 2))
     lam[s.needs == 0, 1] = lam_a if alpha < 1.0 else 0.0
     lam[s.needs == 1, 0] = lam_b if alpha > 0.0 else 0.0
-
-    return TwoFileEquilibrium(
-        profile=StrategyProfile(gamma=gamma, lam=lam),
-        that_a=response_phase_mean(ra),
-        that_b=response_phase_mean(rb),
-    )
+    return StrategyProfile(gamma=gamma, lam=lam)
 
 
-@dataclass(frozen=True)
-class RoundDuration:
-    t_init: float
-    that_a: float
-    that_b: float
-    total: float
-
-
-def ne_round_duration(s: Scenario, alpha: float = 0.5) -> RoundDuration:
-    """Expected phase durations of one equilibrium round.
-
-    total = that_a + that_b + 2 and does not depend on alpha; the initiation
-    mean t_init does (it is 1 over the total initiation rate).
-    """
+def two_file_durations(s: Scenario) -> np.ndarray:
+    """(That_A, That_B): the expected response-phase durations of the two
+    groups at equilibrium, for every alpha (group 0 responds when file 1 is
+    announced, and vice versa)."""
     require_valid(s)
     if s.files != 2:
-        raise ValueError("ne_round_duration requires exactly 2 files")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    that_a = response_phase_mean(s.ratios[s.needs == 0])
-    that_b = response_phase_mean(s.ratios[s.needs == 1])
-    rate = (alpha / that_a if alpha > 0 else 0.0) + ((1 - alpha) / that_b if alpha < 1 else 0.0)
-    return RoundDuration(
-        t_init=1.0 / rate,
-        that_a=that_a,
-        that_b=that_b,
-        total=that_a + that_b + 2.0,
-    )
+        raise ValueError("two_file_durations requires exactly 2 files")
+    return np.array([response_phase_mean(s.ratios[s.needs == x]) for x in (0, 1)])
+
+
+def ne_round_duration(s: Scenario) -> float:
+    """Expected duration of one equilibrium round, That_A + That_B + 2; it
+    does not depend on alpha."""
+    that_a, that_b = two_file_durations(s)
+    return that_a + that_b + 2.0
 
 
 def throughput_at_ne(s: Scenario) -> float:
     """Per-node packets per unit time at equilibrium: 1 / round duration."""
-    return 1.0 / ne_round_duration(s).total
+    return 1.0 / ne_round_duration(s)
 
 
 class NodeCosts(NamedTuple):
@@ -249,8 +140,7 @@ def node_costs_at_ne(s: Scenario) -> NodeCosts:
     bound on the node-cost price of anarchy: avg_cost over the 2w floor (a
     node cannot download faster than once per 2 time units).
     """
-    duration = ne_round_duration(s)
-    that = np.array([duration.that_a, duration.that_b])
+    that = two_file_durations(s)
     avg_cost = s.g + s.w * that[1 - s.needs] + 2.0 * s.w
     return NodeCosts(avg_cost, 1.0 - s.ratios * that[s.needs], avg_cost / (2.0 * s.w))
 
@@ -258,7 +148,7 @@ def node_costs_at_ne(s: Scenario) -> NodeCosts:
 def poa_system(s: Scenario) -> float:
     """Price of anarchy on system throughput: best-possible 0.5 packets per
     node per unit time divided by the equilibrium throughput."""
-    return ne_round_duration(s).total / 2.0
+    return ne_round_duration(s) / 2.0
 
 
 @dataclass(frozen=True)
@@ -339,8 +229,8 @@ def coded_equilibrium(s: Scenario, allow_negative: bool = False) -> CodedEquilib
     """
     require_valid(s)
     if s.files == 2:
-        eq = two_file_equilibrium(s, alpha=0.5, allow_negative=allow_negative)
-        return CodedEquilibrium((0.5 / eq.that_a, 0.5 / eq.that_b), eq.profile, degenerate=True)
+        profile = two_file_equilibrium(s, alpha=0.5, allow_negative=allow_negative)
+        return CodedEquilibrium(tuple(0.5 / two_file_durations(s)), profile, degenerate=True)
 
     c, d = coded_system(s)
     big_gamma = solve_coded_system(c, d)
@@ -367,33 +257,15 @@ def coded_equilibrium(s: Scenario, allow_negative: bool = False) -> CodedEquilib
     )
 
 
-@dataclass(frozen=True)
-class CodedRoundDuration:
-    t_init: float
-    response_mean: float
-    total: float
-
-
-def coded_round_duration(s: Scenario, eq: CodedEquilibrium | None = None) -> CodedRoundDuration:
-    """Expected round duration under the coded equilibrium.
-
-    Initiation mean is 1 over the total aggregate rate; the response mean
-    weights each file's complement duration by the chance that file is
-    announced.
-    """
+def coded_throughput(s: Scenario, eq: CodedEquilibrium | None = None) -> float:
+    """Per-node throughput of the coded game: every node downloads once per
+    round, so it is 1 over the expected round duration.  That is the
+    initiation mean, 1 over the total aggregate rate, plus the response
+    mean, which weights each file's complement duration by the chance that
+    file is announced, plus 2."""
     if eq is None:
         eq = coded_equilibrium(s, allow_negative=True)
     big_gamma = np.asarray(eq.gamma_by_file)
     total = np.sum(big_gamma)  # numpy floats, as in response_phase_mean
     resp_mean = np.sum(big_gamma / total * coded_system(s)[1])
-    return CodedRoundDuration(
-        t_init=1.0 / total,
-        response_mean=resp_mean,
-        total=1.0 / total + resp_mean + 2.0,
-    )
-
-
-def coded_throughput(s: Scenario, eq: CodedEquilibrium | None = None) -> float:
-    """Per-node throughput of the coded game: every node downloads once per
-    round, so it is 1 over the expected round duration."""
-    return 1.0 / coded_round_duration(s, eq).total
+    return 1.0 / (1.0 / total + resp_mean + 2.0)

@@ -41,11 +41,6 @@ class NegativeRateError(BxsimError):
     """
 
 
-class DegenerateProfileError(BxsimError):
-    """An expected-cost evaluation has no competing rate mass (e.g. the sum
-    of the other nodes' initiation rates is zero)."""
-
-
 class SingularSystemError(BxsimError):
     """The coded game's aggregate-rate system with 3 or more files has no
     unique solution: two of its rows have c = d, or the closed form's

@@ -163,12 +163,11 @@ def reference_two_file(s: Scenario, alpha: float) -> tuple:
     return tuple(gamma), lam, response_phase_mean(ra), response_phase_mean(rb)
 
 
-def reference_round_duration(s: Scenario, alpha: float) -> tuple:
-    """(t_init, that_a, that_b, total) of one two-file equilibrium round."""
+def reference_round_duration(s: Scenario) -> tuple:
+    """(that_a, that_b, total) of one two-file equilibrium round."""
     that_a = response_phase_mean([ref_ratio(s, n) for n in ref_group(s, 0)])
     that_b = response_phase_mean([ref_ratio(s, n) for n in ref_group(s, 1)])
-    rate = (alpha / that_a if alpha > 0 else 0.0) + ((1 - alpha) / that_b if alpha < 1 else 0.0)
-    return 1.0 / rate, that_a, that_b, that_a + that_b + 2.0
+    return that_a, that_b, that_a + that_b + 2.0
 
 
 def reference_node_cost(node: int, s: Scenario) -> tuple[float, float, float]:

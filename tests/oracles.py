@@ -1,0 +1,95 @@
+"""Expected-cost oracles for the two-file game: the closed forms of a
+node's expected cost as a function of its own timer choice.  The
+equilibrium tests check the solved profiles against them; the package
+itself never evaluates them.  The exponential integrals have elementary
+closed forms, which is what makes the 1e-9 identity tolerances attainable.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from bxsim.errors import BxsimError
+from bxsim.model import Scenario, StrategyProfile, require_valid
+
+
+class DegenerateProfileError(BxsimError):
+    """An expected-cost evaluation has no competing rate mass (e.g. the sum
+    of the other nodes' initiation rates is zero)."""
+
+
+def expected_response_cost(t: float, w: float, g: float, lam_other: float) -> float:
+    """Expected additional total cost of a responder that picks timer t.
+
+    The node pays g if nobody else fires within t, otherwise it waits for
+    the earliest other firing (aggregate rate lam_other).  Closed form:
+    w/L + exp(-L t) (g - w/L).  Constant in t exactly when g = w/L.
+    """
+    if lam_other <= 0:
+        raise DegenerateProfileError("aggregate rate of the other responders must be positive")
+    if t < 0:
+        raise ValueError("timer must be nonnegative")
+    base = w / lam_other
+    return base + math.exp(-lam_other * t) * (g - base)
+
+
+def expected_response_cost_under_rate(
+    w: float, g: float, lam_self: float, lam_other: float
+) -> float:
+    """Expected response cost when the node's own timer is EXP(lam_self).
+
+    Averages expected_response_cost over the node's own timer draw:
+    w/L + (g - w/L) * lam_self / (lam_self + L).  lam_self = 0 gives the
+    pure free-rider cost w/L.
+    """
+    if lam_other <= 0:
+        raise DegenerateProfileError("aggregate rate of the other responders must be positive")
+    if lam_self < 0:
+        raise ValueError("own rate must be nonnegative")
+    base = w / lam_other
+    return base + (g - base) * lam_self / (lam_self + lam_other)
+
+
+def expected_initiation_cost(
+    t: float, node: int, profile: StrategyProfile, s: Scenario
+) -> float:
+    """Expected total cost per round for ``node`` picking initiation timer t.
+
+    Two-file scenarios only.  The branches: if the node fires first it pays
+    g plus waiting for the other group's response; if a same-group node
+    fires first it free-rides; if an other-group node fires first it enters
+    the response subgame, whose cost at response equilibrium is exactly its
+    own g (the profile's response side is assumed to be at equilibrium).
+    The 2w term is the waiting cost of the two data transmissions.
+
+    At equilibrium initiation rates the exponential coefficient vanishes and
+    the value is independent of t.
+    """
+    require_valid(s)
+    if s.files != 2:
+        raise ValueError("initiation-cost closed form is defined for two-file scenarios")
+    w, g = float(s.w[node]), float(s.g[node])
+    needed = int(s.needs[node])
+    own, other = (s.needs == needed) & (np.arange(s.n_nodes) != node), s.needs != needed
+    gamma = np.asarray(profile.gamma, dtype=float)
+
+    gamma_own_others = float(np.sum(gamma[own]))
+    gamma_other = float(np.sum(gamma[other]))
+    gamma_rest = gamma_own_others + gamma_other
+    if gamma_rest <= 0:
+        raise DegenerateProfileError("all other initiation rates are zero")
+
+    # Response duration the node waits for after its group's announcement:
+    # the other group responds, at its profile rates.
+    lam_other_group = float(np.sum(np.asarray(profile.lam)[other, needed]))
+    if lam_other_group <= 0:
+        raise DegenerateProfileError("the responding group never fires")
+    that_resp = 1.0 / lam_other_group
+
+    p_own = gamma_own_others / gamma_rest
+    p_other = gamma_other / gamma_rest
+    const = w / gamma_rest + p_own * w * that_resp + p_other * g + 2.0 * w
+    coeff = p_other * w * that_resp + p_own * g - w / gamma_rest
+    return const + math.exp(-gamma_rest * t) * coeff

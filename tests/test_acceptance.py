@@ -17,15 +17,12 @@ from bxsim.equilibrium import (
     coded_equilibrium,
     coded_system,
     coded_throughput,
-    expected_initiation_cost,
-    expected_response_cost,
-    expected_response_cost_under_rate,
-    ne_round_duration,
     node_costs_at_ne,
     poa_system,
     response_equilibrium,
     response_phase_mean,
     throughput_at_ne,
+    two_file_durations,
     two_file_equilibrium,
 )
 from bxsim.model import scenario_to_dict
@@ -42,6 +39,7 @@ from conftest import (
     ref_ratio,
     symmetric,
 )
+from oracles import expected_initiation_cost, expected_response_cost, expected_response_cost_under_rate
 
 T_GRID = [0.0, 0.1, 1.0, 5.0, 20.0]
 ALPHAS = [0.25, 0.5, 0.75]
@@ -65,9 +63,9 @@ def test_01_indifference_suite():
         for _ in range(200):
             s = random_two_file(rng)
             for alpha in ALPHAS:
-                eq = two_file_equilibrium(s, alpha=alpha, allow_negative=True)
+                profile = two_file_equilibrium(s, alpha=alpha, allow_negative=True)
                 for n in range(s.n_nodes):
-                    values = [expected_initiation_cost(t, n, eq.profile, s) for t in T_GRID]
+                    values = [expected_initiation_cost(t, n, profile, s) for t in T_GRID]
                     assert max(values) - min(values) <= 1e-9
             # response side: the aggregate rate each node faces equals its own
             # ratio, making its expected cost exactly g at every timer choice
@@ -111,7 +109,7 @@ def test_03_simulation_vs_analytic():
     with criterion(3, "10^5-round symmetric run matches duration/throughput/cost oracles"):
         start = time.perf_counter()
         s = symmetric(2, 10)
-        profile = two_file_equilibrium(s, alpha=0.5).profile
+        profile = two_file_equilibrium(s, alpha=0.5)
         metrics = run_simulation(scenario=s, profile=profile, rounds=100_000, seed=1)
         mean_duration = metrics.elapsed[0] / metrics.rounds
         assert mean_duration == pytest.approx(3.8, rel=0.02)
@@ -223,8 +221,8 @@ def test_09_poa_bounds():
         for g_over_w in (0.5, 1.0, 2.0, 5.0):
             for group in (2, 5, 10):
                 s = symmetric(2, group, w=1.0, g=g_over_w)
-                d = ne_round_duration(s)
-                assert poa_system(s) == pytest.approx((d.that_a + d.that_b + 2) / 2, abs=1e-12)
+                that_a, that_b = two_file_durations(s)
+                assert poa_system(s) == pytest.approx((that_a + that_b + 2) / 2, abs=1e-12)
                 assert poa_system(s) <= 1.0 + g_over_w
                 assert all(node_costs_at_ne(s).poa <= 1.0 + g_over_w)
 

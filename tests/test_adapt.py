@@ -19,12 +19,13 @@ from bxsim.adapt import (
     observe_and_update,
     run_adaptive_simulation,
 )
-from bxsim.equilibrium import expected_response_cost_under_rate, throughput_at_ne
+from bxsim.equilibrium import throughput_at_ne
 from bxsim.errors import BxsimError, DivergenceError, NonpositiveObservationError, StallError
 from bxsim.model import Metrics, Scenario
 from bxsim.simulate import RoundEngine, in_order_sum
 
 from conftest import adaptive_run, one_seed, ref_group, reference_play, symmetric, two_file
+from oracles import expected_response_cost_under_rate
 
 
 def mech_cfg(**kw):

@@ -357,6 +357,8 @@ class TestFailClosed:
             "fig2 --seeds 0,1,0 --out y.csv",
             "adapt --config CFG --seeds 2-3,5-4 --out y.csv",
             "simulate --config CFG --seeds 4,4 --out y.csv",
+            "simulate --config CFG --seeds= --out y.csv",  # empty, not the config's seed
+            "adapt --config CFG --seeds= --out y.csv",
             "fig3 --files 3,3 --out y.csv",
         ],
     )

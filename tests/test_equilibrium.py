@@ -11,21 +11,18 @@ from scipy import integrate
 from bxsim import equilibrium
 from bxsim.equilibrium import (
     coded_equilibrium,
-    coded_round_duration,
     coded_system,
     coded_throughput,
-    expected_initiation_cost,
-    expected_response_cost,
-    expected_response_cost_under_rate,
     ne_round_duration,
     node_costs_at_ne,
     poa_system,
     response_equilibrium,
     response_phase_mean,
     throughput_at_ne,
+    two_file_durations,
     two_file_equilibrium,
 )
-from bxsim.errors import DegenerateProfileError, NegativeRateError, SingularSystemError
+from bxsim.errors import NegativeRateError, SingularSystemError
 
 from conftest import (
     SINGULAR_CODED_ROWS,
@@ -45,6 +42,12 @@ from conftest import (
     symmetric,
     two_file,
     two_file_with_equilibrium,
+)
+from oracles import (
+    DegenerateProfileError,
+    expected_initiation_cost,
+    expected_response_cost,
+    expected_response_cost_under_rate,
 )
 
 T_GRID = [0.0, 0.1, 1.0, 5.0, 20.0]
@@ -190,24 +193,24 @@ class TestExpectedResponseCostUnderRate:
 
 class TestExpectedInitiationCost:
     def test_small_symmetric_constant(self, sym_2_2):
-        eq = two_file_equilibrium(sym_2_2, alpha=0.5)
-        values = [expected_initiation_cost(t, 0, eq.profile, sym_2_2) for t in T_GRID]
+        profile = two_file_equilibrium(sym_2_2, alpha=0.5)
+        values = [expected_initiation_cost(t, 0, profile, sym_2_2) for t in T_GRID]
         np.testing.assert_allclose(values, 3.5, atol=1e-12)
 
     def test_perturbed_profile_varies(self, sym_2_2):
         eq = two_file_equilibrium(sym_2_2, alpha=0.5)
-        gamma = list(eq.profile.gamma)
+        gamma = list(eq.gamma)
         gamma[1] = 1.0  # second node of group 0
-        profile = type(eq.profile)(gamma=np.array(gamma), lam=eq.profile.lam)
+        profile = type(eq)(gamma=np.array(gamma), lam=eq.lam)
         v0 = expected_initiation_cost(0.0, 0, profile, sym_2_2)
         v1 = expected_initiation_cost(1.0, 0, profile, sym_2_2)
         assert abs(v0 - v1) > 1e-3
 
     def test_large_t_limit(self, sym_2_2):
         eq = two_file_equilibrium(sym_2_2, alpha=0.5)
-        gamma = list(eq.profile.gamma)
+        gamma = list(eq.gamma)
         gamma[1] = 1.0
-        profile = type(eq.profile)(gamma=np.array(gamma), lam=eq.profile.lam)
+        profile = type(eq)(gamma=np.array(gamma), lam=eq.lam)
         # free-rider-forever branch: w/rest + p_own*w*That + p_other*g + 2w
         rest = 1.0 + 0.5 + 0.5
         p_own = 1.0 / rest
@@ -219,20 +222,20 @@ class TestExpectedInitiationCost:
         for _ in range(10):
             s = random_two_file(rng, max_group=8)
             alpha = float(rng.uniform(0.2, 0.8))
-            eq = two_file_equilibrium(s, alpha=alpha, allow_negative=True)
+            profile = two_file_equilibrium(s, alpha=alpha, allow_negative=True)
             node = int(rng.integers(0, s.n_nodes))
             needed = int(s.needs[node])
             own = [m for m in ref_group(s, needed) if m != node]
             other = ref_group(s, 1 - needed)
-            rest = sum(eq.profile.gamma[m] for m in own) + sum(eq.profile.gamma[m] for m in other)
-            p_own = sum(eq.profile.gamma[m] for m in own) / rest
-            that = 1 / sum(eq.profile.lam[(m, needed)] for m in other)
+            rest = sum(profile.gamma[m] for m in own) + sum(profile.gamma[m] for m in other)
+            p_own = sum(profile.gamma[m] for m in own) / rest
+            that = 1 / sum(profile.lam[(m, needed)] for m in other)
             for t in (0.0, 0.7, 3.0):
                 oracle = initiation_cost_quadrature(t, s.w[node], s.g[node], rest, p_own, that)
-                assert expected_initiation_cost(t, node, eq.profile, s) == pytest.approx(oracle, abs=1e-8)
+                assert expected_initiation_cost(t, node, profile, s) == pytest.approx(oracle, abs=1e-8)
 
     def test_degenerate_when_others_silent(self, sym_2_2):
-        profile = two_file_equilibrium(sym_2_2, alpha=0.5).profile
+        profile = two_file_equilibrium(sym_2_2, alpha=0.5)
         silent = type(profile)(gamma=np.array([0.5, 0.0, 0.0, 0.0]), lam=profile.lam)
         with pytest.raises(DegenerateProfileError):
             expected_initiation_cost(1.0, 0, silent, sym_2_2)
@@ -240,37 +243,38 @@ class TestExpectedInitiationCost:
 
 class TestTwoFileEquilibrium:
     def test_alpha_zero_silences_group_a(self, sym_10_10):
-        eq = two_file_equilibrium(sym_10_10, alpha=0.0)
-        assert all(eq.profile.gamma[n] == 0.0 for n in ref_group(sym_10_10, 0))
+        profile = two_file_equilibrium(sym_10_10, alpha=0.0)
+        assert all(profile.gamma[n] == 0.0 for n in ref_group(sym_10_10, 0))
         # one-sided profile: the initiating group's response rates are zeroed
-        assert all(eq.profile.lam[(n, 0)] == 0.0 for n in ref_group(sym_10_10, 1))
-        assert all(eq.profile.lam[(n, 1)] > 0.0 for n in ref_group(sym_10_10, 0))
+        assert all(profile.lam[(n, 0)] == 0.0 for n in ref_group(sym_10_10, 1))
+        assert all(profile.lam[(n, 1)] > 0.0 for n in ref_group(sym_10_10, 0))
 
     def test_small_symmetric_rates(self, sym_2_2):
-        eq = two_file_equilibrium(sym_2_2, alpha=0.5)
-        np.testing.assert_allclose(eq.profile.gamma, 0.5)
+        profile = two_file_equilibrium(sym_2_2, alpha=0.5)
+        np.testing.assert_allclose(profile.gamma, 0.5)
 
     def test_heterogeneous_alpha_one(self):
         s = two_file([1.0, 2.0], [1.0, 1.0])
-        eq = two_file_equilibrium(s, alpha=1.0)
-        assert eq.profile.gamma[0] == pytest.approx(2.0)
-        assert eq.profile.gamma[1] == pytest.approx(1.0)
-        assert eq.profile.gamma[2] == eq.profile.gamma[3] == 0.0
+        profile = two_file_equilibrium(s, alpha=1.0)
+        assert profile.gamma[0] == pytest.approx(2.0)
+        assert profile.gamma[1] == pytest.approx(1.0)
+        assert profile.gamma[2] == profile.gamma[3] == 0.0
         # indifference residual of the summed condition: ratios match
         # sum_{i != i*} gamma_a = alpha * ratio_i*
-        assert eq.profile.gamma[1] == pytest.approx(1.0 * ref_ratio(s, 0), abs=1e-12)
-        assert eq.profile.gamma[0] == pytest.approx(1.0 * ref_ratio(s, 1), abs=1e-12)
+        assert profile.gamma[1] == pytest.approx(1.0 * ref_ratio(s, 0), abs=1e-12)
+        assert profile.gamma[0] == pytest.approx(1.0 * ref_ratio(s, 1), abs=1e-12)
 
     def test_split_invariant(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             s = random_two_file(rng, max_group=10)
             alpha = float(rng.uniform(0.0, 1.0))
-            eq = two_file_equilibrium(s, alpha=alpha, allow_negative=True)
-            sum_a = sum(eq.profile.gamma[n] for n in ref_group(s, 0))
-            sum_b = sum(eq.profile.gamma[n] for n in ref_group(s, 1))
-            assert sum_a * eq.that_a == pytest.approx(alpha, abs=1e-12)
-            assert sum_b * eq.that_b == pytest.approx(1 - alpha, abs=1e-12)
+            profile = two_file_equilibrium(s, alpha=alpha, allow_negative=True)
+            sum_a = sum(profile.gamma[n] for n in ref_group(s, 0))
+            sum_b = sum(profile.gamma[n] for n in ref_group(s, 1))
+            that_a, that_b = two_file_durations(s)
+            assert sum_a * that_a == pytest.approx(alpha, abs=1e-12)
+            assert sum_b * that_b == pytest.approx(1 - alpha, abs=1e-12)
 
     def test_negative_rate_propagates(self):
         s = two_file([1.0, 1.0, 5.0], [1.0, 1.0])
@@ -284,31 +288,17 @@ class TestTwoFileEquilibrium:
 
 class TestRoundDurationAndThroughput:
     def test_symmetric_ten(self, sym_10_10):
-        d = ne_round_duration(sym_10_10)
-        assert (d.that_a, d.that_b, d.total) == pytest.approx((0.9, 0.9, 3.8))
+        assert (*two_file_durations(sym_10_10), ne_round_duration(sym_10_10)) == pytest.approx((0.9, 0.9, 3.8))
         assert throughput_at_ne(sym_10_10) == pytest.approx(1 / 3.8)
 
     def test_small_symmetric(self, sym_2_2):
-        assert ne_round_duration(sym_2_2).total == pytest.approx(3.0)
+        assert ne_round_duration(sym_2_2) == pytest.approx(3.0)
         assert throughput_at_ne(sym_2_2) == pytest.approx(1 / 3)
 
     def test_heterogeneous_sums(self):
         # group 0 has ratio sum 3 with 2 nodes; group 1 sums to 10 with 10 nodes
         s = two_file([1.0, 2.0], [1.0] * 10)
-        d = ne_round_duration(s)
-        assert d.total == pytest.approx(1 / 3 + 0.9 + 2, abs=1e-12)
-
-    @pytest.mark.parametrize("alpha", [2.0, -1.0, math.nan])
-    def test_alpha_out_of_range(self, sym_2_2, alpha):
-        with pytest.raises(ValueError, match="alpha"):
-            ne_round_duration(sym_2_2, alpha=alpha)
-
-    def test_alpha_invariance(self):
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            s = random_two_file(rng, max_group=10)
-            totals = {ne_round_duration(s, alpha=a).total for a in (0.1, 0.5, 0.9)}
-            assert max(totals) - min(totals) < 1e-12
+        assert ne_round_duration(s) == pytest.approx(1 / 3 + 0.9 + 2, abs=1e-12)
 
     def test_throughput_upper_bound(self):
         rng = np.random.default_rng(23)
@@ -325,8 +315,8 @@ class TestNodeCost:
     def test_matches_initiation_cost_constant(self, sym_2_2):
         avg_cost = node_costs_at_ne(sym_2_2).avg_cost[0]
         assert avg_cost == pytest.approx(3.5)
-        eq = two_file_equilibrium(sym_2_2, alpha=0.5)
-        assert avg_cost == pytest.approx(expected_initiation_cost(1.0, 0, eq.profile, sym_2_2))
+        profile = two_file_equilibrium(sym_2_2, alpha=0.5)
+        assert avg_cost == pytest.approx(expected_initiation_cost(1.0, 0, profile, sym_2_2))
 
     def test_cross_oracle_any_scenario(self):
         # equilibrium per-round cost equals the long-run average cost formula
@@ -334,11 +324,11 @@ class TestNodeCost:
         for _ in range(15):
             s = random_two_file(rng, max_group=8)
             alpha = float(rng.uniform(0.1, 0.9))
-            eq = two_file_equilibrium(s, alpha=alpha, allow_negative=True)
+            profile = two_file_equilibrium(s, alpha=alpha, allow_negative=True)
             for node in (0, s.n_nodes - 1):
                 expected = node_costs_at_ne(s).avg_cost[node]
                 for t in T_GRID:
-                    assert expected_initiation_cost(t, node, eq.profile, s) == pytest.approx(
+                    assert expected_initiation_cost(t, node, profile, s) == pytest.approx(
                         expected, abs=1e-9
                     )
 
@@ -402,12 +392,11 @@ class TestCodedEquilibrium:
         # which every alpha's aggregate rates lie
         c, d = coded_system(s)
         for alpha in (0.0, 0.3, 0.5, 1.0):
-            gamma = two_file_equilibrium(s, alpha=alpha).profile.gamma
+            gamma = two_file_equilibrium(s, alpha=alpha).gamma
             point = [sum(gamma[n] for n in ref_group(s, x)) for x in (0, 1)]
             assert np.max(np.abs(coded_residuals(c, d, point))) < 1e-9
         # representative matches the alpha = 0.5 bilateral equilibrium
-        bil = two_file_equilibrium(s, alpha=0.5)
-        np.testing.assert_allclose(eq.profile.gamma, bil.profile.gamma)
+        np.testing.assert_allclose(eq.profile.gamma, two_file_equilibrium(s, alpha=0.5).gamma)
 
     def test_unexpected_singular_raises(self, monkeypatch):
         s = symmetric(3, 10)
@@ -426,10 +415,7 @@ class TestCodedEquilibrium:
 
     def test_round_duration_and_throughput(self):
         s = symmetric(3, 10)
-        d = coded_round_duration(s)
-        assert d.t_init == pytest.approx(1 / (3 / 2.8), abs=1e-12)
-        assert d.response_mean == pytest.approx(19 / 20, abs=1e-12)
-        assert d.total == pytest.approx(3.8833333333, abs=1e-9)
+        assert 1.0 / coded_throughput(s) == pytest.approx(3.8833333333, abs=1e-9)
         assert coded_throughput(s) == pytest.approx(0.2575107296, abs=1e-9)
 
     def test_response_rates_cover_all_contexts(self):
@@ -476,17 +462,16 @@ class TestArrayFormsMatchScalarReferences:
     @BIT_EXACT
     @given(s=shuffled_scenarios(st.just(2)), alpha=ALPHA)
     def test_two_file_equilibrium(self, s, alpha):
-        eq = two_file_equilibrium(s, alpha=alpha, allow_negative=True)
+        profile = two_file_equilibrium(s, alpha=alpha, allow_negative=True)
         gamma, lam, that_a, that_b = reference_two_file(s, alpha)
-        assert bits(eq.profile.gamma) == bits(gamma)
-        assert_same_lam(eq.profile.lam, lam, 2)
-        assert bits([eq.that_a, eq.that_b]) == bits([that_a, that_b])
+        assert bits(profile.gamma) == bits(gamma)
+        assert_same_lam(profile.lam, lam, 2)
+        assert bits(two_file_durations(s)) == bits([that_a, that_b])
 
     @BIT_EXACT
-    @given(s=shuffled_scenarios(st.just(2)), alpha=ALPHA)
-    def test_ne_round_duration(self, s, alpha):
-        d = ne_round_duration(s, alpha=alpha)
-        assert bits([d.t_init, d.that_a, d.that_b, d.total]) == bits(reference_round_duration(s, alpha))
+    @given(s=shuffled_scenarios(st.just(2)))
+    def test_ne_round_duration(self, s):
+        assert bits([*two_file_durations(s), ne_round_duration(s)]) == bits(reference_round_duration(s))
 
     @BIT_EXACT
     @given(s=shuffled_scenarios(st.integers(2, 6)))
@@ -503,7 +488,7 @@ class TestArrayFormsMatchScalarReferences:
         assert_same_lam(eq.profile.lam, lam, s.files)
         total = float(np.sum(eq.gamma_by_file))
         resp_mean = float(np.sum(np.asarray(eq.gamma_by_file) / total * np.array(d)))
-        assert bits([coded_round_duration(s, eq).response_mean]) == bits([resp_mean])
+        assert bits([coded_throughput(s, eq)]) == bits([1.0 / (1.0 / total + resp_mean + 2.0)])
 
 
 class TestPaperClosedForms:
@@ -513,7 +498,7 @@ class TestPaperClosedForms:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(s=two_file_with_equilibrium(), alpha=ALPHA)
     def test_two_file_game(self, s, alpha):
-        profile = two_file_equilibrium(s, alpha=alpha).profile  # every draw has one
+        profile = two_file_equilibrium(s, alpha=alpha)  # every draw has one
         rates = np.concatenate((profile.gamma, profile.lam.ravel()))
         assert np.all(np.isfinite(rates)) and np.all(rates >= 0)
         costs = node_costs_at_ne(s)

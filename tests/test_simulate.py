@@ -182,7 +182,7 @@ class TestRunRound:
     """Single rounds: RoundEngine.run([rng], 1)."""
 
     def test_only_positive_rate_initiates(self, sym_10_10):
-        profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
+        profile = two_file_equilibrium(sym_10_10, alpha=0.5)
         gamma = [0.0] * 20
         gamma[13] = 1.0
         lopsided = StrategyProfile(gamma=np.array(gamma), lam=profile.lam)
@@ -190,7 +190,7 @@ class TestRunRound:
             assert play(sym_10_10, lopsided, 1, seed=seed).initiator[0] == 13
 
     def test_responder_possesses_needed_file(self, sym_10_10):
-        profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
+        profile = two_file_equilibrium(sym_10_10, alpha=0.5)
         for seed in range(10):
             out = play(sym_10_10, profile, 1, seed=seed)
             needed = sym_10_10.needs[out.initiator[0]]
@@ -198,7 +198,7 @@ class TestRunRound:
             assert out.initiator[0] != out.responder[0]
 
     def test_round_accounting(self, sym_10_10):
-        profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
+        profile = two_file_equilibrium(sym_10_10, alpha=0.5)
         engine = RoundEngine(sym_10_10, one_seed(profile), coded=False)
         for seed in range(10):
             (out,) = engine.run([rng(seed)], 1)
@@ -250,14 +250,14 @@ class TestRunRound:
             reference_play(sym_2_2, profile, rng(), 1)
 
     def test_mean_duration_matches_analytic(self, sym_10_10):
-        profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
+        profile = two_file_equilibrium(sym_10_10, alpha=0.5)
         out = play(sym_10_10, profile, 20000, seed=5)
-        assert out.duration.sum() / 20000 == pytest.approx(ne_round_duration(sym_10_10).total, rel=0.02)
+        assert out.duration.sum() / 20000 == pytest.approx(ne_round_duration(sym_10_10), rel=0.02)
 
 
 class TestRunSimulation:
     def test_determinism(self, sym_10_10):
-        profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
+        profile = two_file_equilibrium(sym_10_10, alpha=0.5)
         cfg = dict(scenario=sym_10_10, profile=profile, rounds=2000, seed=11)
         m1, m2 = run_simulation(**cfg), run_simulation(**cfg)
         assert m1.elapsed.tolist() == m2.elapsed.tolist()
@@ -265,14 +265,14 @@ class TestRunSimulation:
         np.testing.assert_array_equal(m1.uploads, m2.uploads)
 
     def test_two_file_completeness(self, sym_10_10):
-        profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
+        profile = two_file_equilibrium(sym_10_10, alpha=0.5)
         cfg = dict(scenario=sym_10_10, profile=profile, rounds=500, seed=2)
         m = run_simulation(**cfg)
         assert (m.downloads == 500).all()
         assert m.uploads.sum() == 2 * 500
 
     def test_matches_run_round_accumulation(self, sym_10_10):
-        profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
+        profile = two_file_equilibrium(sym_10_10, alpha=0.5)
         cfg = dict(scenario=sym_10_10, profile=profile, rounds=300, seed=9)
         m = run_simulation(**cfg)
         ref = reference_metrics(sym_10_10, reference_play(sym_10_10, profile, rng(9), 300), coded=False)
@@ -295,14 +295,14 @@ class TestRunSimulation:
             assert counts[n] / rounds == pytest.approx(p, abs=3 * se)
 
     def test_mean_initiation_duration(self, sym_10_10):
-        profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
+        profile = two_file_equilibrium(sym_10_10, alpha=0.5)
         rounds = 50_000
         total_init = play(sym_10_10, profile, rounds, seed=6).t_init.sum()
         total_rate = sum(profile.gamma)
         assert total_init / rounds == pytest.approx(1 / total_rate, rel=0.02)
 
     def test_throughput_and_cost_oracles(self, sym_10_10):
-        profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
+        profile = two_file_equilibrium(sym_10_10, alpha=0.5)
         cfg = dict(scenario=sym_10_10, profile=profile, rounds=30_000, seed=12)
         m = run_simulation(**cfg)
         assert m.per_node_throughput()[0] == pytest.approx(throughput_at_ne(sym_10_10), rel=0.02)
@@ -319,13 +319,13 @@ class TestRunSimulation:
 
     def test_deterministic_bounds(self, sym_10_10):
         # duration >= 2 per round makes these hard bounds, not limits
-        profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
+        profile = two_file_equilibrium(sym_10_10, alpha=0.5)
         m = run_simulation(scenario=sym_10_10, profile=profile, rounds=1000, seed=3)
         assert m.per_node_throughput()[0] <= 0.5
         assert all(m.avg_total_cost()[0] >= 2 * sym_10_10.w)
 
     def test_trace_csv(self, tmp_path, sym_2_2):
-        profile = two_file_equilibrium(sym_2_2, alpha=0.5).profile
+        profile = two_file_equilibrium(sym_2_2, alpha=0.5)
         cfg = dict(scenario=sym_2_2, profile=profile, rounds=50, seed=1)
         path = tmp_path / "trace.csv"
         m = run_simulation(**cfg, trace_path=path)
@@ -344,7 +344,7 @@ class TestRunSimulation:
         assert list(tmp_path.iterdir()) == [path]
 
     def test_rounds_must_be_positive(self, sym_2_2):
-        profile = two_file_equilibrium(sym_2_2, alpha=0.5).profile
+        profile = two_file_equilibrium(sym_2_2, alpha=0.5)
         with pytest.raises(ValueError):
             run_simulation(scenario=sym_2_2, profile=profile, rounds=0, seed=1)
 
@@ -395,7 +395,7 @@ def engine_cases(draw):
     elif kind == "adapt":
         profile = init_state(s, AdaptConfig(guess_factor=draw(st.floats(1.0, 10.0)))).profile()
     elif files == 2:
-        profile = two_file_equilibrium(s, alpha=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))).profile
+        profile = two_file_equilibrium(s, alpha=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])))
     else:
         try:
             profile = coded_equilibrium(s).profile
@@ -458,7 +458,7 @@ class TestBatchedEngineOracle:
         # 3000 rounds of about 30 uniforms span several default-size chunks,
         # on the per-round walk (unequal groups) and the fixed stride
         s = two_file([1.0] * groups[0], [1.0] * groups[1])
-        profile = two_file_equilibrium(s, alpha=0.5).profile
+        profile = two_file_equilibrium(s, alpha=0.5)
         gen, ref = rng(21), rng(21)
         chunks = list(RoundEngine(s, one_seed(profile), coded=False).run([gen], 3000))
         assert len(chunks) >= 3
@@ -613,7 +613,7 @@ class TestSeedBatch:
             assert batch_metrics.per_node_throughput()[row] == m.per_node_throughput()[0]
 
     def test_batch_rejects_a_bad_row(self, sym_2_2):
-        good = two_file_equilibrium(sym_2_2, alpha=0.5).profile
+        good = two_file_equilibrium(sym_2_2, alpha=0.5)
         gamma, lam = np.stack([good.gamma] * 3), np.stack([good.lam] * 3)
         gamma[1, 2] = -1.0
         with pytest.raises(NegativeRateError, match="negative or non-finite rate"):
@@ -638,7 +638,7 @@ class TestGoldenPrefix:
     ]
 
     def test_prefix(self, sym_10_10):
-        profile = two_file_equilibrium(sym_10_10, alpha=0.5).profile
+        profile = two_file_equilibrium(sym_10_10, alpha=0.5)
         out = play(sym_10_10, profile, 4, seed=2024)
         got = list(zip(out.initiator.tolist(), out.responder.tolist(), out.t_init.tolist(), out.t_resp.tolist()))
         for (ei, er, eti, etr), (gi, gr, gti, gtr) in zip(self.EXPECTED, got):
