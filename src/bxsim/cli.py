@@ -1,15 +1,16 @@
 """Command-line front end: equilibrium solving, simulation, adaptation runs,
 and the two experiment reproductions, all emitting plot-ready CSV.
 
-Exit codes: 0 success, 2 invalid scenario/arguments, 3 equilibrium
+Exit codes: 0 success, 2 invalid scenario/arguments (a count too large to
+allocate, or an output that fails as it is written, too), 3 equilibrium
 nonexistence (negative rates, or a coded game of 3 or more files whose
 aggregate system is singular: two rows with c = d, or a zero denominator in
 its closed form), 4 runtime stall, diverging adaptation or numeric overflow.
-Every output is opened before any work, and a failed command leaves none of
-them.  Every command is deterministic given its config and seeds; reruns
-produce byte-identical CSV in the csv module's default dialect (comma,
-``\r\n``, no field ever quoted): one ``%`` template per row kind (the
-``*_ROW`` constants), floats at ``%.9g``.
+Every output is opened before any work and kept only once all are written,
+and a failed command leaves none of them.  Every command is deterministic
+given its config and seeds; reruns produce byte-identical CSV in the csv
+module's default dialect (comma, ``\r\n``, no field ever quoted): one ``%``
+template per row kind (the ``*_ROW`` constants), floats at ``%.9g``.
 """
 
 from __future__ import annotations
@@ -133,14 +134,12 @@ def cmd_ne(args) -> tuple[list[str], list[str]]:
     alpha = two_file_alpha(args)
     s, _ = load_scenario(args.config)
     require_valid(s)
+    profile = equilibrium.coded_equilibrium(s) if args.coded else equilibrium.two_file_equilibrium(s, alpha=alpha)
+    equilibrium.require_nonnegative(profile)
     lines: list[str] = []
     if args.coded:
-        eq = equilibrium.coded_equilibrium(s)
-        profile = eq.profile
-        lines += format_rows(NE_AGGREGATE_ROW, range(s.files), eq.gamma_by_file)
-        lines.append(NE_DEGENERATE_ROW % eq.degenerate)
-    else:
-        profile = equilibrium.two_file_equilibrium(s, alpha=alpha)
+        lines += format_rows(NE_AGGREGATE_ROW, range(s.files), equilibrium.coded_aggregates(s).tolist())
+        lines.append(NE_DEGENERATE_ROW % (s.files == 2))
     columns = node_columns(s)
     lines += format_rows(NE_GAMMA_ROW, range(s.n_nodes), columns, profile.gamma.tolist())
     nodes, files = np.nonzero(np.arange(s.files) != s.needs[:, None])  # sorted (node, held file) pairs
@@ -175,11 +174,8 @@ def cmd_simulate(args) -> tuple[list[str], list[str]]:
     require_valid(s)
     if not args.coded and s.files != 2:
         raise ValueError("plain (uncoded) simulation requires a two-file scenario")
-    profile = (
-        equilibrium.coded_equilibrium(s).profile
-        if args.coded
-        else equilibrium.two_file_equilibrium(s, alpha=alpha)
-    )
+    profile = equilibrium.coded_equilibrium(s) if args.coded else equilibrium.two_file_equilibrium(s, alpha=alpha)
+    equilibrium.require_nonnegative(profile)
     seeds = run_seeds(args, cfg_seed)
     if args.trace and len(seeds) > 1:
         raise ValueError("--trace requires a single seed")
@@ -260,10 +256,9 @@ def cmd_fig3(args) -> tuple[list[str], list[str]]:
         require_valid(s)
         # Throughput only needs the per-file aggregates, which exist even
         # when the per-node split would go negative.
-        eq = equilibrium.coded_equilibrium(s, allow_negative=True)
-        analytic = equilibrium.coded_throughput(s, eq)
+        analytic = equilibrium.coded_throughput(s)
         if args.simulate:
-            profile = equilibrium.coded_equilibrium(s).profile
+            profile = equilibrium.require_nonnegative(equilibrium.coded_equilibrium(s))
             metrics = simulate.run_simulation(s, profile, args.rounds, seed=args.seed, coded=True)
             lines.append(FIG3_ROW % (f, analytic, 1.0 / f, metrics.per_node_throughput()[0]))
         else:
@@ -358,22 +353,25 @@ def main(argv: list[str] | None = None) -> int:
             args.scenarios_out = Path(args.out).with_suffix(Path(args.out).suffix + ".scenarios.json")
         with np.errstate(over="raise", divide="raise", invalid="raise"), ExitStack() as opened:
             # Open every output before any work, so that an unwritable path fails at
-            # once; one the command has not written when it ends is discarded.
-            partials = set()  # two outputs must not share a temporary file
+            # once; keep them only once all are written, and discard any other.
+            outputs: list[atomic_open] = []
             for dest in OUTPUTS:
                 path = getattr(args, dest, None)
                 if path or dest == "out":  # an empty --trace or --per-node-out asks for none
                     try:
-                        out = atomic_open(path)
+                        out = atomic_open(path, hold=True)
                     except OSError as exc:
                         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
                     opened.callback(out.close)
-                    if out.tmp is not None and out.tmp in partials:
+                    if out.tmp is not None and out.tmp in [o.tmp for o in outputs]:  # one temporary file each
                         raise ValueError(f"two outputs name the file {path}")
-                    partials.add(out.tmp)
+                    outputs.append(out)
                     setattr(args, dest, out)
             header, lines = args.func(args)
             write_csv(args.out, header, lines)
+            for out in outputs:
+                if out.written:
+                    out.close(keep=True)
             print(f"wrote {len(lines)} rows to {args.out}")
             return 0
     except ScenarioError as exc:
@@ -381,8 +379,11 @@ def main(argv: list[str] | None = None) -> int:
         for v in exc.violations:
             print(f"  {v}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"invalid arguments: {exc}", file=sys.stderr)
+    except (ValueError, OverflowError, MemoryError) as exc:  # also counts too large to index or allocate
+        print(f"invalid arguments: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output that fails as it is written, such as /dev/full
+        print(f"invalid arguments: cannot write an output: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except (NegativeRateError, SingularSystemError) as exc:
         print(f"equilibrium does not exist: {exc}", file=sys.stderr)

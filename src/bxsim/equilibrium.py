@@ -11,13 +11,15 @@ Two settings are covered:
   solved exactly in closed form (Sherman-Morrison; two files give the
   alpha family instead).
 
-Everything here is a pure function of the scenario; no sampling.
+Every solver returns its raw closed form, whose rates go negative where
+the costs are too unequal.  Whether a nonnegative equilibrium exists is
+one separate check, ``require_nonnegative``.  Everything here is a pure
+function of the scenario; no sampling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,31 +28,20 @@ from .errors import NegativeRateError, SingularSystemError
 from .model import Scenario, StrategyProfile, require_valid
 
 
-def response_equilibrium(ratios, allow_negative: bool = False) -> np.ndarray:
+def response_equilibrium(ratios) -> np.ndarray:
     """Equilibrium response rates for one contention group.
 
     Given the w/g ratios of the nodes eligible to respond, returns the rate
     vector lambda with lambda_i = (sum of ratios)/(count-1) - ratio_i.  At
     these rates each node i faces an aggregate rate from the others equal to
     its own ratio, which makes its expected response cost exactly g_i no
-    matter what timer it draws.
-
-    Raises NegativeRateError when the formula goes negative for some node
-    (the exponential-form equilibrium does not exist), unless
-    ``allow_negative`` is set, in which case the raw values are returned for
-    identity checking.
+    matter what timer it draws.  A node whose ratio exceeds the mean of the
+    others' gets a negative rate.
     """
     r = np.asarray(ratios, dtype=float)
     if r.size < 2:
         raise ValueError("need at least 2 eligible responders")
-    lam = np.sum(r) / (r.size - 1) - r
-    if not allow_negative and np.any(lam < 0):
-        worst = int(np.argmin(lam))
-        raise NegativeRateError(
-            f"responder {worst} gets rate {lam[worst]:.6g}; "
-            "no nonnegative exponential response equilibrium exists"
-        )
-    return lam
+    return np.sum(r) / (r.size - 1) - r
 
 
 def response_phase_mean(ratios) -> float:
@@ -68,9 +59,7 @@ def response_phase_mean(ratios) -> float:
     return (r.size - 1) / total
 
 
-def two_file_equilibrium(
-    s: Scenario, alpha: float = 0.5, allow_negative: bool = False
-) -> StrategyProfile:
+def two_file_equilibrium(s: Scenario, alpha: float = 0.5) -> StrategyProfile:
     """Closed-form equilibrium profile for a two-file scenario.
 
     Initiation rates scale the group response formula by alpha (group 0) and
@@ -85,8 +74,8 @@ def two_file_equilibrium(
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
 
-    lam_a = response_equilibrium(s.ratios[s.needs == 0], allow_negative=allow_negative)
-    lam_b = response_equilibrium(s.ratios[s.needs == 1], allow_negative=allow_negative)
+    lam_a = response_equilibrium(s.ratios[s.needs == 0])
+    lam_b = response_equilibrium(s.ratios[s.needs == 1])
     gamma = np.empty(s.n_nodes)
     gamma[s.needs == 0] = alpha * lam_a
     gamma[s.needs == 1] = (1.0 - alpha) * lam_b
@@ -97,6 +86,16 @@ def two_file_equilibrium(
     lam[s.needs == 0, 1] = lam_a if alpha < 1.0 else 0.0
     lam[s.needs == 1, 0] = lam_b if alpha > 0.0 else 0.0
     return StrategyProfile(gamma=gamma, lam=lam)
+
+
+def require_nonnegative(profile: StrategyProfile) -> StrategyProfile:
+    """Return ``profile``, or raise NegativeRateError naming every node id
+    with a negative ``gamma`` or ``lam`` entry: then no nonnegative
+    exponential-timer equilibrium exists.  Rates are never clamped."""
+    bad = np.flatnonzero((profile.gamma < 0) | (profile.lam < 0).any(axis=1)).tolist()
+    if bad:
+        raise NegativeRateError(f"nodes {bad} get negative rates; no nonnegative equilibrium exists")
+    return profile
 
 
 def two_file_durations(s: Scenario) -> np.ndarray:
@@ -151,21 +150,6 @@ def poa_system(s: Scenario) -> float:
     return ne_round_duration(s) / 2.0
 
 
-@dataclass(frozen=True)
-class CodedEquilibrium:
-    """Equilibrium of the network-coded game.
-
-    gamma_by_file[X] is the aggregate initiation rate of the group needing
-    X.  With two files the two rows of the aggregate system coincide and
-    every member of the bilateral alpha family solves them; ``degenerate``
-    is set and the fields hold the alpha = 0.5 member.
-    """
-
-    gamma_by_file: tuple[float, ...]
-    profile: StrategyProfile
-    degenerate: bool
-
-
 def coded_system(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """The per-file aggregate-rate system, as its coefficient vectors (c, d).
 
@@ -218,7 +202,19 @@ def solve_coded_system(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     return big_gamma * scale
 
 
-def coded_equilibrium(s: Scenario, allow_negative: bool = False) -> CodedEquilibrium:
+def coded_aggregates(s: Scenario) -> np.ndarray:
+    """G: G[X] is the aggregate initiation rate of the group needing X.
+
+    With two files the two rows of the aggregate system coincide and every
+    member of the bilateral alpha family solves them; G is that of the
+    alpha = 0.5 member.
+    """
+    if s.files == 2:
+        return 0.5 / two_file_durations(s)
+    return solve_coded_system(*coded_system(s))
+
+
+def coded_equilibrium(s: Scenario) -> StrategyProfile:
     """Solve the network-coded game.
 
     Two files go straight to the alpha = 0.5 member of the bilateral family.
@@ -229,43 +225,28 @@ def coded_equilibrium(s: Scenario, allow_negative: bool = False) -> CodedEquilib
     """
     require_valid(s)
     if s.files == 2:
-        profile = two_file_equilibrium(s, alpha=0.5, allow_negative=allow_negative)
-        return CodedEquilibrium(tuple(0.5 / two_file_durations(s)), profile, degenerate=True)
+        return two_file_equilibrium(s, alpha=0.5)
 
     c, d = coded_system(s)
     big_gamma = solve_coded_system(c, d)
     total_gamma = float(np.sum(big_gamma))
     own, d = big_gamma[s.needs], d[s.needs]
     gamma = own - s.ratios * (1.0 - d * (total_gamma - own))
-    if not allow_negative:
-        bad = np.flatnonzero(gamma < 0).tolist()
-        if bad:
-            raise NegativeRateError(
-                f"nodes {bad} get negative initiation rates; "
-                "no nonnegative coded equilibrium exists"
-            )
 
     lam = np.zeros((s.n_nodes, s.files))
     for x in range(s.files):
         holders = s.needs != x
-        lam[holders, x] = response_equilibrium(s.ratios[holders], allow_negative=allow_negative)
-
-    return CodedEquilibrium(
-        gamma_by_file=tuple(big_gamma.tolist()),
-        profile=StrategyProfile(gamma=gamma, lam=lam),
-        degenerate=False,
-    )
+        lam[holders, x] = response_equilibrium(s.ratios[holders])
+    return StrategyProfile(gamma=gamma, lam=lam)
 
 
-def coded_throughput(s: Scenario, eq: CodedEquilibrium | None = None) -> float:
+def coded_throughput(s: Scenario) -> float:
     """Per-node throughput of the coded game: every node downloads once per
     round, so it is 1 over the expected round duration.  That is the
     initiation mean, 1 over the total aggregate rate, plus the response
     mean, which weights each file's complement duration by the chance that
     file is announced, plus 2."""
-    if eq is None:
-        eq = coded_equilibrium(s, allow_negative=True)
-    big_gamma = np.asarray(eq.gamma_by_file)
+    big_gamma = coded_aggregates(s)
     total = np.sum(big_gamma)  # numpy floats, as in response_phase_mean
     resp_mean = np.sum(big_gamma / total * coded_system(s)[1])
     return 1.0 / (1.0 / total + resp_mean + 2.0)

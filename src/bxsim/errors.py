@@ -36,8 +36,8 @@ class NegativeRateError(BxsimError):
     """The closed-form equilibrium assigns a negative rate to some node.
 
     The exponential-timer equilibrium does not exist for the given cost
-    heterogeneity.  Rates are never clamped; callers that only need the
-    algebraic identities can request the raw values explicitly.
+    heterogeneity.  Rates are never clamped: the solvers return the raw
+    closed form, and ``equilibrium.require_nonnegative`` raises this.
     """
 
 

@@ -153,9 +153,9 @@ class StrategyProfile:
     read; the entry of its own needed file is 0.  A rate of 0 means the
     node never fires in that context.
 
-    Rates must be nonnegative to be simulated.  Equilibrium constructors can
-    be asked (``allow_negative=True``) to return sign-invalid profiles for
-    algebraic identity checking only; the simulator rejects those.
+    The equilibrium solvers return their raw closed forms, whose rates can
+    be negative; ``equilibrium.require_nonnegative`` rejects those, and so
+    does the simulator, which plays only finite, nonnegative rates.
     """
 
     gamma: np.ndarray
@@ -299,9 +299,14 @@ class atomic_open:
     data.  Other targets (a FIFO), and files in a directory where no new
     file may be made, are written in place; such a file is emptied only
     when the block starts.  The object is path-like: its path is ``path``.
+
+    With ``hold``, a block that completes only flushes (``written`` is then
+    set), and the owner keeps the output with ``close(keep=True)``: so
+    several outputs are kept only once every one of them is written.
     """
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, hold: bool = False):
+        self.hold, self.written = hold, False
         self.name, path, self.tmp, fh = os.fspath(path), Path(path), None, None
         self.std = _std_stream_fd(path)
         if self.std is not None:
@@ -328,20 +333,24 @@ class atomic_open:
         return self.fh
 
     def __exit__(self, exc_type, *_) -> None:
-        self.close(keep=exc_type is None)
+        if exc_type is None and self.hold:
+            self.fh.flush()  # a write that fails late fails here
+            self.written = True
+        else:
+            self.close(keep=exc_type is None)
 
     def close(self, keep: bool = False) -> None:
         """Close; the target takes a temporary file's place only if ``keep``."""
         if self.fh.closed:
             return
-        self.fh.close()
-        if self.tmp is not None:
-            try:
-                if keep:
-                    if self.target.exists():
-                        self.tmp.chmod(self.target.stat().st_mode & 0o7777)
-                    self.tmp.replace(self.target)
-            finally:
+        try:
+            self.fh.close()  # flushes, so a write that fails late fails here
+            if keep and self.tmp is not None:
+                if self.target.exists():
+                    self.tmp.chmod(self.target.stat().st_mode & 0o7777)
+                self.tmp.replace(self.target)
+        finally:
+            if self.tmp is not None:
                 self.tmp.unlink(missing_ok=True)
 
 

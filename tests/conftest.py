@@ -148,8 +148,8 @@ def reference_two_file(s: Scenario, alpha: float) -> tuple:
     group_a, group_b = ref_group(s, 0), ref_group(s, 1)
     ra = np.array([ref_ratio(s, n) for n in group_a])
     rb = np.array([ref_ratio(s, n) for n in group_b])
-    lam_a = response_equilibrium(ra, allow_negative=True)
-    lam_b = response_equilibrium(rb, allow_negative=True)
+    lam_a = response_equilibrium(ra)
+    lam_b = response_equilibrium(rb)
     gam_a = alpha * (np.sum(ra) / (ra.size - 1) - ra)
     gam_b = (1.0 - alpha) * (np.sum(rb) / (rb.size - 1) - rb)
     gamma = [0.0] * s.n_nodes
@@ -205,11 +205,11 @@ def reference_coded_system(s: Scenario) -> tuple[list[float], list[float]]:
     return c, d
 
 
-def reference_coded(s: Scenario, gamma_by_file) -> tuple:
+def reference_coded(s: Scenario, aggregates) -> tuple:
     """(gamma, lam) of the coded equilibrium with aggregate rates
-    ``gamma_by_file``, 3+ files, raw rates."""
+    ``aggregates``, 3+ files, raw rates."""
     _, d = reference_coded_system(s)
-    big_gamma = [float(v) for v in gamma_by_file]
+    big_gamma = [float(v) for v in aggregates]
     total_gamma = float(np.sum(big_gamma))
     gamma = [0.0] * s.n_nodes
     for n in range(s.n_nodes):
@@ -218,7 +218,7 @@ def reference_coded(s: Scenario, gamma_by_file) -> tuple:
     lam = {}
     for x in range(s.files):
         members = ref_complement(s, x)
-        rates = response_equilibrium([ref_ratio(s, m) for m in members], allow_negative=True)
+        rates = response_equilibrium([ref_ratio(s, m) for m in members])
         for m, rate in zip(members, rates):
             lam[(m, x)] = float(rate)
     return tuple(gamma), lam

@@ -14,11 +14,13 @@ import pytest
 from bxsim.adapt import AdaptConfig, analytic_iterate
 from bxsim.cli import gen_rng, gen_two_file, main
 from bxsim.equilibrium import (
+    coded_aggregates,
     coded_equilibrium,
     coded_system,
     coded_throughput,
     node_costs_at_ne,
     poa_system,
+    require_nonnegative,
     response_equilibrium,
     response_phase_mean,
     throughput_at_ne,
@@ -63,7 +65,7 @@ def test_01_indifference_suite():
         for _ in range(200):
             s = random_two_file(rng)
             for alpha in ALPHAS:
-                profile = two_file_equilibrium(s, alpha=alpha, allow_negative=True)
+                profile = two_file_equilibrium(s, alpha=alpha)
                 for n in range(s.n_nodes):
                     values = [expected_initiation_cost(t, n, profile, s) for t in T_GRID]
                     assert max(values) - min(values) <= 1e-9
@@ -71,7 +73,7 @@ def test_01_indifference_suite():
             # ratio, making its expected cost exactly g at every timer choice
             for f in (0, 1):
                 members = ref_group(s, f)
-                lam = response_equilibrium([ref_ratio(s, n) for n in members], allow_negative=True)
+                lam = response_equilibrium([ref_ratio(s, n) for n in members])
                 total = float(np.sum(lam))
                 for i, n in enumerate(members):
                     for t in T_GRID:
@@ -86,8 +88,7 @@ def test_02_closed_form_residuals():
         for files in range(3, 9):
             for _ in range(5):
                 s = random_coded(rng, files)
-                eq = coded_equilibrium(s, allow_negative=True)
-                big = np.array(eq.gamma_by_file)
+                profile, big = coded_equilibrium(s), coded_aggregates(s)
                 # every aggregate-system row residual
                 assert np.max(np.abs(coded_residuals(*coded_system(s), big))) < 1e-9
                 total = float(np.sum(big))
@@ -95,12 +96,12 @@ def test_02_closed_form_residuals():
                     x = int(s.needs[n])
                     d_x = response_phase_mean([ref_ratio(s, m) for m in ref_complement(s, x)])
                     # per-node ratio identity at the recovered gamma
-                    implied = (big[x] - eq.profile.gamma[n]) / (1.0 - (total - big[x]) * d_x)
+                    implied = (big[x] - profile.gamma[n]) / (1.0 - (total - big[x]) * d_x)
                     assert abs(implied - ref_ratio(s, n)) < 1e-9
                 # response identity per context
                 for x in range(files):
                     members = ref_complement(s, x)
-                    lam = np.array([eq.profile.lam[(m, x)] for m in members])
+                    lam = np.array([profile.lam[(m, x)] for m in members])
                     for i, m in enumerate(members):
                         assert abs((np.sum(lam) - lam[i]) - ref_ratio(s, m)) < 1e-9
 
@@ -164,7 +165,7 @@ def test_06_fig3_reproduction():
             s = symmetric(f, 10)
             analytic = coded_throughput(s)
             assert analytic == pytest.approx(value, abs=1e-6)
-            profile = coded_equilibrium(s).profile
+            profile = require_nonnegative(coded_equilibrium(s))
             metrics = run_simulation(
                 scenario=s, profile=profile, rounds=20_000, seed=f, coded=True
             )
@@ -186,11 +187,12 @@ def test_07_degeneracy_detection():
             for alpha in (-0.5, 0.0, 0.5, 1.0, 1.5):
                 line = [alpha / that_a, (1.0 - alpha) / that_b]
                 assert np.max(np.abs(coded_residuals(c, d, line))) < 1e-9
-            assert coded_equilibrium(s, allow_negative=True).degenerate
+            # the degenerate family's alpha = 0.5 member
+            assert np.array_equal(coded_aggregates(s), 0.5 / two_file_durations(s))
         for files in range(3, 9):
             s = random_coded(rng, files)
             assert exact_coded_solution(*coded_system(s)) is not None
-            assert not coded_equilibrium(s, allow_negative=True).degenerate
+            assert np.max(np.abs(coded_residuals(*coded_system(s), coded_aggregates(s)))) < 1e-9
 
 
 def test_08_incentive_monotonicity():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import io
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bxsim import adapt, simulate
+from bxsim import adapt, equilibrium, simulate
 from bxsim.cli import adapt_config, build_parser, dump_scenarios, gen_groups, gen_rng, main, parse_seeds, write_csv
 from bxsim.equilibrium import coded_throughput
 from bxsim.model import Scenario, scenario_to_dict
@@ -191,6 +192,41 @@ class TestPoa:
         node_rows = [r for r in rows if r[0] == "node"]
         assert len(node_rows) == 20
         assert all(float(r[7]) == pytest.approx(1.95) for r in node_rows)
+
+
+# Nodes 0 and 1 need file 1; nodes 2, 3 and 4 need file 0, and node 4's
+# w/g = 5 is more than the sum of the other two ratios of its group, so its
+# closed-form response rate (1 + 1 + 5) / 2 - 5 = -1.5 is negative.
+NO_EQUILIBRIUM = Scenario(files=2, w=[1.0, 1.0, 1.0, 1.0, 5.0], g=[1.0] * 5, needs=[1, 1, 0, 0, 0])
+
+
+class TestNoEquilibrium:
+    """A config with no nonnegative equilibrium exits 3 from every command
+    that plays or prints one, naming the nodes by id, and writes nothing."""
+
+    @pytest.mark.parametrize("command", ["ne", "ne --coded", "simulate --rounds 10", "simulate --coded --rounds 10"])
+    def test_message_names_node_ids(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, NO_EQUILIBRIUM)
+        assert main([*command.split(), "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err == "equilibrium does not exist: nodes [4] get negative rates; no nonnegative equilibrium exists\n"
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
+    @pytest.mark.parametrize("group", [0, 1])
+    def test_silent_group_at_boundary_alpha(self, tmp_path, capsys, group):
+        # Only `group` has a negative closed form, and at alpha = group it never
+        # initiates: its gamma is 0 * -1.5 = -0.0, so only its lam column
+        # carries the sign.  The strict solvers raised here all the same.
+        ratios = [[1.0, 1.0], [1.0, 1.0]]
+        ratios[group] = [1.0, 1.0, 5.0]
+        s = two_file(*ratios)
+        node = 2 + 2 * group
+        profile = equilibrium.two_file_equilibrium(s, alpha=float(group))
+        assert math.copysign(1.0, profile.gamma[node]) == -1.0 and profile.gamma[node] == 0.0
+        assert profile.lam[node, 1 - group] == -1.5
+        cfg = write_config(tmp_path, s)
+        assert main(["ne", "--alpha", str(group), "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
+        assert f"nodes [{node}]" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -384,6 +420,36 @@ class TestFailClosed:
         err = capsys.readouterr().err
         assert err.startswith(f"invalid arguments: cannot write {tmp_path / path}: ") and err.count("\n") == 1
         self.assert_nothing_written(tmp_path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            f"fig3 --files {10**30} --out y.csv",  # beyond an index
+            f"fig3 --group-size {10**15} --out y.csv",  # beyond any memory
+            f"fig2 --seeds 0-{10**15} --out y.csv",
+            f"simulate --config CFG --seeds 0-{10**30} --out y.csv",
+        ],
+    )
+    def test_count_too_large_exits_2(self, tmp_path, capsys, argv):
+        assert self.run(tmp_path, argv.split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid arguments: ") and err.count("\n") == 1
+        self.assert_nothing_written(tmp_path)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "fig3 --files 3 --out full.csv",  # after the scenarios are written
+            "adapt --config CFG --updates 1 --per-node-out y.csv --out full.csv",
+            "simulate --config CFG --rounds 5 --trace full.csv --out y.csv",
+        ],
+    )
+    def test_output_failing_as_written_exits_2_and_keeps_none(self, tmp_path, capsys, argv):
+        (tmp_path / "full.csv").symlink_to("/dev/full")  # every write fails when flushed
+        assert self.run(tmp_path, argv.split()) == 2
+        assert capsys.readouterr().err == "invalid arguments: cannot write an output: No space left on device\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "dir", "full.csv", "x.csv.scenarios.json"]
 
     def test_two_outputs_naming_one_file_exit_2(self, tmp_path, capsys):
         argv = "adapt --config CFG --updates 1 --per-node-out y.csv --out y.csv"
@@ -584,6 +650,14 @@ class TestFig3:
         assert code == 0
         row = read_csv(out)[1]
         assert float(row[3]) == pytest.approx(float(row[1]), rel=0.02)
+
+    @pytest.mark.parametrize("simulate,calls", [([], 0), (["--simulate", "--rounds", "50"], 6)])
+    def test_solves_each_coded_game_once(self, tmp_path, simulate, calls):
+        # the analytic column reads only the aggregates; a simulated point
+        # needs the per-node profile, solved once
+        with mock.patch.object(equilibrium, "coded_equilibrium", wraps=equilibrium.coded_equilibrium) as solve:
+            assert main(["fig3", *simulate, "--out", str(tmp_path / "y.csv")]) == 0
+        assert solve.call_count == calls
 
     def test_random_w_uses_aggregates(self, tmp_path):
         # heterogeneous costs break per-node nonnegativity, but the analytic
@@ -817,3 +891,79 @@ class TestRowTemplates:
         write_csv(tmp_path / "out.csv", ["a", "b", "c", "d"], [",".join(r) + "\r\n" for r in rows])
         want = "".join(csv_line(r) for r in [["a", "b", "c", "d"], *rows])
         assert (tmp_path / "out.csv").read_bytes() == want.encode()
+
+
+HUGE = str(10**30)
+FUZZ_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "1e308", "", "0.5", "2"]
+# A huge count of rounds or updates is a long run, not a fault, so the
+# counts that set the amount of work are drawn without one.
+FUZZ_COUNTS = ["nan", "inf", "0", "-1", "", "1", "3"]
+FUZZ_SIZES = [*FUZZ_COUNTS, HUGE, str(10**15)]
+FUZZ_LISTS = ["0", "1,2", "2,3", "3-1", "0,0", "3,3", "-1", "nan", "", HUGE, f"0-{HUGE}", f"0-{10**15}"]
+# Paths start with @, which stands for the example's directory.
+FUZZ_CONFIGS = ["@eq.json", "@none.json", "@coded.json", "@bad.json", "@missing.json", "@dir", ""]
+# A path two outputs can share; unwritable ones: a missing directory, a
+# directory, a path below a file, and a file whose writes fail only when
+# they are flushed.
+FUZZ_OUTPUTS = ["@same.csv", "@missing/x.csv", "@dir", "", "@eq.json/x.csv"] + (["@full.csv"] if os.path.exists("/dev/full") else [])
+
+
+def fuzz_values(action: argparse.Action) -> list[str]:
+    """The values the argv fuzzer draws for one option."""
+    if action.type is float:
+        return FUZZ_NUMBERS
+    if action.type is int:
+        return FUZZ_COUNTS if action.dest in ("rounds", "updates", "epoch_rounds") else FUZZ_SIZES
+    if action.dest == "config":
+        return FUZZ_CONFIGS
+    if action.dest in ("seeds", "files"):
+        return FUZZ_LISTS
+    return [f"@{action.dest}.csv", *FUZZ_OUTPUTS]  # --out, --trace, --per-node-out
+
+
+@st.composite
+def fuzz_argv(draw) -> list[str]:
+    """A subcommand and its options, each given or not, with values from
+    fuzz_values; the required options are always given."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    command = draw(st.sampled_from(sorted(sub.choices)))
+    argv = [command]
+    for action in sub.choices[command]._actions:
+        if not action.option_strings or action.dest == "help" or not (action.required or draw(st.booleans())):
+            continue
+        argv.append(action.option_strings[0])
+        if action.nargs != 0:
+            argv.append(draw(st.sampled_from(fuzz_values(action))))
+    return argv
+
+
+class TestArgvFuzz:
+    """Every argument list ends in a documented exit code, with no exception
+    escaping main, and a run that fails leaves no output and no .partial
+    file."""
+
+    @staticmethod
+    def setup(tmp: Path) -> list[str]:
+        for name, s in (("eq.json", symmetric(2, 2)), ("none.json", NO_EQUILIBRIUM), ("coded.json", symmetric(3, 2))):
+            (tmp / name).write_text(json.dumps(scenario_to_dict(s)))
+        (tmp / "bad.json").write_text("{")
+        (tmp / "dir").mkdir()
+        if os.path.exists("/dev/full"):
+            (tmp / "full.csv").symlink_to("/dev/full")
+        return sorted(os.listdir(tmp))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(argv=fuzz_argv())
+    def test_exit_code_and_no_output_on_failure(self, argv):
+        with tempfile.TemporaryDirectory() as name:
+            tmp = Path(name)
+            before = self.setup(tmp)
+            argv = [str(tmp / a[1:]) if a.startswith("@") else a for a in argv]
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejected the argument list
+                    code = exc.code
+            assert code in (0, 2, 3, 4)
+            if code:
+                assert sorted(os.listdir(tmp)) == before and os.listdir(tmp / "dir") == []

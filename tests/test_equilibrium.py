@@ -10,12 +10,14 @@ from scipy import integrate
 
 from bxsim import equilibrium
 from bxsim.equilibrium import (
+    coded_aggregates,
     coded_equilibrium,
     coded_system,
     coded_throughput,
     ne_round_duration,
     node_costs_at_ne,
     poa_system,
+    require_nonnegative,
     response_equilibrium,
     response_phase_mean,
     throughput_at_ne,
@@ -23,6 +25,7 @@ from bxsim.equilibrium import (
     two_file_equilibrium,
 )
 from bxsim.errors import NegativeRateError, SingularSystemError
+from bxsim.model import StrategyProfile
 
 from conftest import (
     SINGULAR_CODED_ROWS,
@@ -89,11 +92,12 @@ class TestResponseEquilibrium:
         np.testing.assert_allclose(response_equilibrium([1.0, 10.0]), [10.0, 1.0])
 
     def test_nonexistent(self):
-        with pytest.raises(NegativeRateError):
-            response_equilibrium([1.0, 1.0, 5.0])
+        lam = response_equilibrium([1.0, 1.0, 5.0])
+        with pytest.raises(NegativeRateError, match=r"nodes \[2\]"):
+            require_nonnegative(StrategyProfile(gamma=np.zeros(3), lam=lam[:, None]))
 
-    def test_allow_negative_returns_raw(self):
-        lam = response_equilibrium([1.0, 1.0, 5.0], allow_negative=True)
+    def test_returns_raw_closed_form(self):
+        lam = response_equilibrium([1.0, 1.0, 5.0])
         np.testing.assert_allclose(lam, [2.5, 2.5, -1.5])
 
     def test_zero_rate_is_allowed(self):
@@ -105,7 +109,7 @@ class TestResponseEquilibrium:
         rng = np.random.default_rng(42)
         for _ in range(30):
             r = rng.uniform(0.5, 3.0, size=int(rng.integers(2, 15)))
-            lam = response_equilibrium(r, allow_negative=True)
+            lam = response_equilibrium(r)
             for i in range(r.size):
                 assert np.sum(lam) - lam[i] == pytest.approx(r[i], abs=1e-12)
 
@@ -129,7 +133,7 @@ class TestResponsePhaseMean:
         rng = np.random.default_rng(7)
         for _ in range(20):
             r = rng.uniform(0.5, 2.0, size=int(rng.integers(2, 12)))
-            lam = response_equilibrium(r, allow_negative=True)
+            lam = response_equilibrium(r)
             assert response_phase_mean(r) == pytest.approx(1 / np.sum(lam), abs=1e-12)
 
 
@@ -222,7 +226,7 @@ class TestExpectedInitiationCost:
         for _ in range(10):
             s = random_two_file(rng, max_group=8)
             alpha = float(rng.uniform(0.2, 0.8))
-            profile = two_file_equilibrium(s, alpha=alpha, allow_negative=True)
+            profile = two_file_equilibrium(s, alpha=alpha)
             node = int(rng.integers(0, s.n_nodes))
             needed = int(s.needs[node])
             own = [m for m in ref_group(s, needed) if m != node]
@@ -269,7 +273,7 @@ class TestTwoFileEquilibrium:
         for _ in range(20):
             s = random_two_file(rng, max_group=10)
             alpha = float(rng.uniform(0.0, 1.0))
-            profile = two_file_equilibrium(s, alpha=alpha, allow_negative=True)
+            profile = two_file_equilibrium(s, alpha=alpha)
             sum_a = sum(profile.gamma[n] for n in ref_group(s, 0))
             sum_b = sum(profile.gamma[n] for n in ref_group(s, 1))
             that_a, that_b = two_file_durations(s)
@@ -279,7 +283,7 @@ class TestTwoFileEquilibrium:
     def test_negative_rate_propagates(self):
         s = two_file([1.0, 1.0, 5.0], [1.0, 1.0])
         with pytest.raises(NegativeRateError):
-            two_file_equilibrium(s, alpha=0.5)
+            require_nonnegative(two_file_equilibrium(s, alpha=0.5))
 
     def test_alpha_out_of_range(self, sym_2_2):
         with pytest.raises(ValueError):
@@ -324,7 +328,7 @@ class TestNodeCost:
         for _ in range(15):
             s = random_two_file(rng, max_group=8)
             alpha = float(rng.uniform(0.1, 0.9))
-            profile = two_file_equilibrium(s, alpha=alpha, allow_negative=True)
+            profile = two_file_equilibrium(s, alpha=alpha)
             for node in (0, s.n_nodes - 1):
                 expected = node_costs_at_ne(s).avg_cost[node]
                 for t in T_GRID:
@@ -362,32 +366,29 @@ class TestPoA:
 class TestCodedEquilibrium:
     def test_three_file_symmetric(self):
         s = symmetric(3, 10)
-        eq = coded_equilibrium(s)
-        np.testing.assert_allclose(eq.gamma_by_file, np.full(3, 1 / 2.8), atol=1e-12)
-        np.testing.assert_allclose(eq.profile.gamma, np.full(30, 1 / 28), atol=1e-12)
-        assert not eq.degenerate
+        np.testing.assert_allclose(coded_aggregates(s), np.full(3, 1 / 2.8), atol=1e-12)
+        np.testing.assert_allclose(coded_equilibrium(s).gamma, np.full(30, 1 / 28), atol=1e-12)
 
     def test_aggregate_identity(self):
         rng = np.random.default_rng(41)
         for files in (3, 5):
             s = random_coded(rng, files)
-            eq = coded_equilibrium(s, allow_negative=True)
+            profile, big = coded_equilibrium(s), coded_aggregates(s)
             for x in range(files):
-                total = sum(eq.profile.gamma[n] for n in ref_group(s, x))
-                assert total == pytest.approx(eq.gamma_by_file[x], abs=1e-12)
+                total = sum(profile.gamma[n] for n in ref_group(s, x))
+                assert total == pytest.approx(big[x], abs=1e-12)
 
     def test_system_row_residuals(self):
         rng = np.random.default_rng(43)
         for files in (3, 4, 6, 8):
             s = random_coded(rng, files)
-            eq = coded_equilibrium(s, allow_negative=True)
-            residual = coded_residuals(*coded_system(s), eq.gamma_by_file)
+            residual = coded_residuals(*coded_system(s), coded_aggregates(s))
             assert np.max(np.abs(residual)) < 1e-9
 
     def test_two_file_degenerate_family(self):
         s = two_file([1.0, 1.2, 1.5], [1.1, 0.9, 1.3, 1.0])
-        eq = coded_equilibrium(s)
-        assert eq.degenerate
+        # the family's alpha = 0.5 member: half of each group's full rate
+        assert bits(coded_aggregates(s)) == bits(0.5 / two_file_durations(s))
         # both rows are the family line That_A * G_A + That_B * G_B = 1, on
         # which every alpha's aggregate rates lie
         c, d = coded_system(s)
@@ -396,7 +397,7 @@ class TestCodedEquilibrium:
             point = [sum(gamma[n] for n in ref_group(s, x)) for x in (0, 1)]
             assert np.max(np.abs(coded_residuals(c, d, point))) < 1e-9
         # representative matches the alpha = 0.5 bilateral equilibrium
-        np.testing.assert_allclose(eq.profile.gamma, two_file_equilibrium(s, alpha=0.5).gamma)
+        np.testing.assert_allclose(coded_equilibrium(s).gamma, two_file_equilibrium(s, alpha=0.5).gamma)
 
     def test_unexpected_singular_raises(self, monkeypatch):
         s = symmetric(3, 10)
@@ -411,7 +412,7 @@ class TestCodedEquilibrium:
         # heterogeneous 10-node groups essentially always break nonnegativity
         s = random_coded(rng, 3)
         with pytest.raises(NegativeRateError):
-            coded_equilibrium(s)
+            require_nonnegative(coded_equilibrium(s))
 
     def test_round_duration_and_throughput(self):
         s = symmetric(3, 10)
@@ -421,14 +422,14 @@ class TestCodedEquilibrium:
     def test_response_rates_cover_all_contexts(self):
         # every node answers every file it holds; its own file's entry is 0
         s = symmetric(3, 4)
-        eq = coded_equilibrium(s)
-        assert eq.profile.lam.shape == (s.n_nodes, s.files)
+        lam = coded_equilibrium(s).lam
+        assert lam.shape == (s.n_nodes, s.files)
         for n in range(s.n_nodes):
             for x in range(s.files):
                 if s.needs[n] != x:
-                    assert eq.profile.lam[n, x] > 0
+                    assert lam[n, x] > 0
                 else:
-                    assert eq.profile.lam[n, x] == 0
+                    assert lam[n, x] == 0
 
 
 def bits(values) -> list[str]:
@@ -462,7 +463,7 @@ class TestArrayFormsMatchScalarReferences:
     @BIT_EXACT
     @given(s=shuffled_scenarios(st.just(2)), alpha=ALPHA)
     def test_two_file_equilibrium(self, s, alpha):
-        profile = two_file_equilibrium(s, alpha=alpha, allow_negative=True)
+        profile = two_file_equilibrium(s, alpha=alpha)
         gamma, lam, that_a, that_b = reference_two_file(s, alpha)
         assert bits(profile.gamma) == bits(gamma)
         assert_same_lam(profile.lam, lam, 2)
@@ -476,19 +477,19 @@ class TestArrayFormsMatchScalarReferences:
     @BIT_EXACT
     @given(s=shuffled_scenarios(st.integers(2, 6)))
     def test_coded_equilibrium(self, s):
-        eq = coded_equilibrium(s, allow_negative=True)
+        profile, big = coded_equilibrium(s), coded_aggregates(s)
         c, d = reference_coded_system(s)
         assert [bits(v) for v in coded_system(s)] == [bits(c), bits(d)]
         if s.files == 2:  # the degenerate family's alpha = 0.5 representative
             gamma, lam, that_a, that_b = reference_two_file(s, 0.5)
-            assert bits(eq.gamma_by_file) == bits((0.5 / that_a, 0.5 / that_b))
+            assert bits(big) == bits((0.5 / that_a, 0.5 / that_b))
         else:  # the aggregate rates themselves are checked against the exact oracle
-            gamma, lam = reference_coded(s, eq.gamma_by_file)
-        assert bits(eq.profile.gamma) == bits(gamma)
-        assert_same_lam(eq.profile.lam, lam, s.files)
-        total = float(np.sum(eq.gamma_by_file))
-        resp_mean = float(np.sum(np.asarray(eq.gamma_by_file) / total * np.array(d)))
-        assert bits([coded_throughput(s, eq)]) == bits([1.0 / (1.0 / total + resp_mean + 2.0)])
+            gamma, lam = reference_coded(s, big)
+        assert bits(profile.gamma) == bits(gamma)
+        assert_same_lam(profile.lam, lam, s.files)
+        total = float(np.sum(big))
+        resp_mean = float(np.sum(big / total * np.array(d)))
+        assert bits([coded_throughput(s)]) == bits([1.0 / (1.0 / total + resp_mean + 2.0)])
 
 
 class TestPaperClosedForms:
@@ -498,7 +499,7 @@ class TestPaperClosedForms:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(s=two_file_with_equilibrium(), alpha=ALPHA)
     def test_two_file_game(self, s, alpha):
-        profile = two_file_equilibrium(s, alpha=alpha)  # every draw has one
+        profile = require_nonnegative(two_file_equilibrium(s, alpha=alpha))  # every draw has one
         rates = np.concatenate((profile.gamma, profile.lam.ravel()))
         assert np.all(np.isfinite(rates)) and np.all(rates >= 0)
         costs = node_costs_at_ne(s)
@@ -509,7 +510,52 @@ class TestPaperClosedForms:
     @given(s=shuffled_scenarios(st.integers(3, 6)))
     def test_coded_game(self, s):
         try:
-            big = coded_equilibrium(s, allow_negative=True).gamma_by_file
+            big = coded_aggregates(s)
         except SingularSystemError:
             return
         assert np.abs(coded_residuals(*coded_system(s), big)).max() <= 1e-9
+
+
+class TestRequireNonnegative:
+    """The one existence check.  The solvers return raw closed forms, and a
+    profile is rejected exactly when the strict solvers used to raise: for two
+    files, when either group's response closed form has a negative entry, at
+    every alpha; for the coded game, when some node's initiation or response
+    rate does."""
+
+    def test_returns_the_profile(self):
+        # own-file entries are 0, and -0.0 (a silent group's 0 * rate) is not < 0
+        profile = StrategyProfile(gamma=np.array([-0.0, 1.0]), lam=np.array([[0.0, 1.0], [-0.0, 0.0]]))
+        assert require_nonnegative(profile) is profile
+
+    def test_names_every_node_id(self):
+        gamma = np.array([1.0, -1e-300, 1.0, 1.0])
+        lam = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [-2.0, 0.0]])
+        with pytest.raises(NegativeRateError, match=r"^nodes \[1, 3\] get negative rates"):
+            require_nonnegative(StrategyProfile(gamma=gamma, lam=lam))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(s=shuffled_scenarios(st.just(2)), alpha=ALPHA)
+    def test_two_file_matches_the_strict_rule(self, s, alpha):
+        strict = any(np.any(response_equilibrium(s.ratios[s.needs == x]) < 0) for x in (0, 1))
+        profile = two_file_equilibrium(s, alpha=alpha)
+        if strict:
+            with pytest.raises(NegativeRateError):
+                require_nonnegative(profile)
+        else:
+            assert require_nonnegative(profile) is profile
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(s=shuffled_scenarios(st.integers(3, 6)))
+    def test_coded_matches_the_strict_rule(self, s):
+        try:
+            profile = coded_equilibrium(s)
+        except SingularSystemError:
+            return
+        holders = (s.ratios[s.needs != x] for x in range(s.files))
+        strict = np.any(profile.gamma < 0) or any(np.any(response_equilibrium(r) < 0) for r in holders)
+        if strict:
+            with pytest.raises(NegativeRateError):
+                require_nonnegative(profile)
+        else:
+            assert require_nonnegative(profile) is profile

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bxsim.equilibrium import coded_equilibrium, coded_system, solve_coded_system
+from bxsim.equilibrium import coded_aggregates, coded_system, solve_coded_system, two_file_durations
 from bxsim.errors import SingularSystemError
 from bxsim.model import Scenario
 
@@ -39,9 +39,9 @@ def test_duplicated_row_family():
     s = two_file([1.0, 1.2, 1.5], [1.1, 0.9, 1.3, 1.0])
     c, d = coded_system(s)
     assert (c[0], d[0]) == (d[1], c[1])
-    eq = coded_equilibrium(s)
-    assert eq.degenerate
-    assert np.max(np.abs(coded_residuals(c, d, eq.gamma_by_file))) < 1e-9
+    big = coded_aggregates(s)
+    assert np.array_equal(big, 0.5 / two_file_durations(s))
+    assert np.max(np.abs(coded_residuals(c, d, big))) < 1e-9
 
 
 def test_inconsistent():
@@ -87,7 +87,7 @@ def test_family_nullspace_spans_solutions():
     # free: every point along it from the equilibrium solves both rows
     s = two_file([1.0, 1.2, 1.5], [1.1, 0.9, 1.3, 1.0])
     c, d = coded_system(s)
-    base = np.asarray(coded_equilibrium(s).gamma_by_file)
+    base = coded_aggregates(s)
     null = np.array([d[0], -c[0]])
     assert np.max(np.abs(dense(c, d) @ null)) < 1e-12
     for t in (-2.0, 0.0, 1.5):
@@ -107,17 +107,16 @@ def test_matches_exact_oracle(s):
     exact = exact_coded_solution(c, d)
     if exact is None:
         with pytest.raises(SingularSystemError):
-            coded_equilibrium(s, allow_negative=True)
+            coded_aggregates(s)
         return
-    big = coded_equilibrium(s, allow_negative=True).gamma_by_file
+    big = coded_aggregates(s)
     assert all(abs(float((got - want) / want)) <= 1e-10 for got, want in zip(big, exact))
     assert np.max(np.abs(coded_residuals(c, d, big))) <= 1e-9
 
 
 def test_equal_groups_are_exact():
     # c = 1/2 and d = 3/4 in every row: each Gamma is exactly 1/2
-    eq = coded_equilibrium(unit_costs([2, 2, 2]))
-    assert eq.gamma_by_file == (0.5, 0.5, 0.5)
+    assert coded_aggregates(unit_costs([2, 2, 2])).tolist() == [0.5, 0.5, 0.5]
 
 
 def test_half_group_needs_no_special_case():
@@ -127,7 +126,7 @@ def test_half_group_needs_no_special_case():
     assert c[2] == d[2]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        big = coded_equilibrium(s).gamma_by_file
+        big = coded_aggregates(s)
     assert np.all(np.isfinite(big))
     assert big == pytest.approx([float(v) for v in exact_coded_solution(c, d)], rel=1e-12, abs=0)
 

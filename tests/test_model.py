@@ -439,6 +439,28 @@ class TestAtomicOpen:
         assert got == ["row\n"]
         assert fifo.is_fifo() and list(tmp_path.iterdir()) == [fifo]
 
+    def test_write_failing_at_close_keeps_old_file_and_removes_partial(self, tmp_path, monkeypatch):
+        # a full disk fails a buffered write only when the file is closed
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+
+        class Full(io.StringIO):
+            def close(self):
+                super().close()
+                raise OSError(28, "No space left on device")
+
+        def full_partial(file, *args, **kwargs):
+            if str(file).endswith(".partial"):
+                open(file, *args, **kwargs).close()
+                return Full()
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(bxsim.model, "open", full_partial, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            with atomic_open(path) as fh:
+                fh.write("new\n")
+        assert path.read_text() == "old\n" and list(tmp_path.iterdir()) == [path]
+
     def test_no_new_file_allowed_beside_target(self, tmp_path, monkeypatch):
         path = tmp_path / "out.csv"
         path.write_text("old\n")

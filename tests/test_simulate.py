@@ -17,6 +17,7 @@ from bxsim.equilibrium import (
     coded_throughput,
     ne_round_duration,
     node_costs_at_ne,
+    require_nonnegative,
     throughput_at_ne,
     two_file_equilibrium,
 )
@@ -212,7 +213,7 @@ class TestRunRound:
 
     def test_coded_everyone_downloads(self):
         s = symmetric(3, 10)
-        engine = RoundEngine(s, one_seed(coded_equilibrium(s).profile), coded=True)
+        engine = RoundEngine(s, one_seed(coded_equilibrium(s)), coded=True)
         m = Metrics([s])
         engine.account(m, next(engine.run([rng(1)], 1)))
         assert (m.downloads == 1).all()
@@ -220,7 +221,7 @@ class TestRunRound:
 
     def test_plain_multifile_downloads_two_groups(self):
         s = symmetric(3, 10)
-        profile = coded_equilibrium(s).profile  # rates reused for a plain run
+        profile = coded_equilibrium(s)  # rates reused for a plain run
         engine = RoundEngine(s, one_seed(profile), coded=False)
         out = next(engine.run([rng(1)], 1))
         m = Metrics([s])
@@ -312,7 +313,7 @@ class TestRunSimulation:
 
     def test_coded_throughput_oracle(self):
         s = symmetric(3, 10)
-        profile = coded_equilibrium(s).profile
+        profile = coded_equilibrium(s)
         cfg = dict(scenario=s, profile=profile, rounds=30_000, seed=13, coded=True)
         m = run_simulation(**cfg)
         assert m.per_node_throughput()[0] == pytest.approx(coded_throughput(s), rel=0.02)
@@ -398,7 +399,7 @@ def engine_cases(draw):
         profile = two_file_equilibrium(s, alpha=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])))
     else:
         try:
-            profile = coded_equilibrium(s).profile
+            profile = require_nonnegative(coded_equilibrium(s))
         except NegativeRateError:
             assume(False)
     return s, profile, draw(st.booleans())
