@@ -12,10 +12,12 @@ simulation-coupled run that feeds the empirical epoch averages.  The state
 is one array per quantity over all nodes, in id order (with a leading seed
 axis for a batch of seeds), with the role groups taken from ``needs``.  The
 simulation-coupled run plays all its seeds side by side on one round engine,
-re-rated after every update; each seed keeps its own generator and stream,
-so a batch gives what its seeds give run one after another.  A batch that
-fails is replayed one seed at a time, so that it fails as those runs do.
-A batch's results are one ``AdaptiveRun``: arrays with a leading seed axis.
+re-rated after every update (only one group initiates, so every round reads
+the fixed stride of uniforms that a batch needs); each seed keeps its own
+generator and stream, so a batch gives what its seeds give run one after
+another.  A batch that fails is replayed one seed at a time, so that it
+fails as those runs do.  A batch's results are one ``AdaptiveRun``: arrays
+with a leading seed axis, and no accounting of downloads or costs.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BxsimError, DivergenceError, NonpositiveObservationError, StallError
-from .model import Metrics, Scenario, StrategyProfile, require_valid
+from .model import Scenario, StrategyProfile, require_valid
 from .simulate import RoundEngine, in_order_sum
 
 logger = logging.getLogger(__name__)
@@ -190,7 +192,6 @@ class AdaptiveRun(NamedTuple):
     observed: np.ndarray  # (seeds, epochs, 3): 1/That_A, 1/That_B, throughput
     node_states: np.ndarray  # (seeds, epochs, nodes, 2): That_guess and rate of each node, in id order
     floored: np.ndarray  # (seeds, epochs, 2), 0 at epoch 0
-    metrics: Metrics  # the whole run's counters and each seed's costs, with the seed axis
 
 
 def run_adaptive_simulation(scenarios: list[Scenario], cfg: AdaptConfig, seeds: list[int]) -> AdaptiveRun:
@@ -242,13 +243,11 @@ def _run_batch(scenarios: list[Scenario], cfg: AdaptConfig, seeds: list[int], fl
     state = AdaptState(np.array([st.ratios for st in states]), states[0].initiates, np.array([st.inv_guess for st in states]))
     engine = RoundEngine(scenarios[0], state.profile(), coded=False)
     rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
-    metrics = Metrics(scenarios)
     observed, node_states = [], []  # per epoch, of every seed
 
     for epoch in range(cfg.updates + 1):
         sums = np.zeros((3, len(seeds)))
         for chunk in engine.run(rngs, cfg.epoch_rounds):
-            engine.account(metrics, chunk)
             sums = in_order_sum(sums, np.stack((chunk.t_init, chunk.t_resp, chunk.duration)))
         init_mean, resp_mean = sums[:2] / cfg.epoch_rounds
         observed.append((1.0 / resp_mean, 1.0 / init_mean, cfg.epoch_rounds / sums[2]))
@@ -259,4 +258,4 @@ def _run_batch(scenarios: list[Scenario], cfg: AdaptConfig, seeds: list[int], fl
             engine.set_profile(state.profile())
 
     floored = np.stack([np.zeros((len(seeds), 2), dtype=np.int64), *floors], axis=1)
-    return AdaptiveRun(np.array(observed).transpose(2, 0, 1), np.stack(node_states, axis=1), floored, metrics)
+    return AdaptiveRun(np.array(observed).transpose(2, 0, 1), np.stack(node_states, axis=1), floored)

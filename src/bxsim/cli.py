@@ -245,6 +245,8 @@ FIG3_ANALYTIC_ROW = "%d,%.9g,%.9g,\r\n"  # without --simulate
 
 
 def cmd_fig3(args) -> tuple[list[str], list[str]]:
+    if args.rounds is not None and not args.simulate:
+        raise ValueError("--rounds applies only with --simulate")
     file_counts = [int(x) for x in args.files.split(",")]
     if len(set(file_counts)) < len(file_counts):  # one scenario dump entry per file count
         raise ValueError(f"file count list {args.files} names a file count twice")
@@ -259,7 +261,7 @@ def cmd_fig3(args) -> tuple[list[str], list[str]]:
         analytic = equilibrium.coded_throughput(s)
         if args.simulate:
             profile = equilibrium.require_nonnegative(equilibrium.coded_equilibrium(s))
-            metrics = simulate.run_simulation(s, profile, args.rounds, seed=args.seed, coded=True)
+            metrics = simulate.run_simulation(s, profile, 20000 if args.rounds is None else args.rounds, seed=args.seed, coded=True)
             lines.append(FIG3_ROW % (f, analytic, 1.0 / f, metrics.per_node_throughput()[0]))
         else:
             lines.append(FIG3_ANALYTIC_ROW % (f, analytic, 1.0 / f))
@@ -332,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig3.add_argument("--w-hi", type=float, default=1.0, dest="w_hi")
     p_fig3.add_argument("--g", type=float, default=1.0)
     p_fig3.add_argument("--simulate", action="store_true", help="cross-check each point by simulation")
-    p_fig3.add_argument("--rounds", type=int, default=20000)
+    p_fig3.add_argument("--rounds", type=int, help="rounds per simulated point (with --simulate; default 20000)")
     p_fig3.add_argument("--seed", type=int, default=0)
     add_out(p_fig3)
     p_fig3.set_defaults(func=cmd_fig3)

@@ -63,10 +63,9 @@ def two_file_equilibrium(s: Scenario, alpha: float = 0.5) -> StrategyProfile:
     """Closed-form equilibrium profile for a two-file scenario.
 
     Initiation rates scale the group response formula by alpha (group 0) and
-    1 - alpha (group 1).  The boundary values alpha in {0, 1} produce the
-    one-sided profile used by the distributed adaptation mechanism: the
-    silent group's response rates are zeroed as well, since it never gets to
-    respond.
+    1 - alpha (group 1).  The boundary values alpha in {0, 1} produce a
+    one-sided profile: the silent group's response rates are zeroed as well,
+    since it never gets to respond.
     """
     require_valid(s)
     if s.files != 2:

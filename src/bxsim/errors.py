@@ -1,7 +1,8 @@
 """Error types shared across the package.
 
-The CLI maps each error type onto its exit-code contract (2 = invalid
-scenario, 3 = equilibrium nonexistence, 4 = runtime stall or divergence).
+The CLI maps each onto its exit-code contract (2 = invalid scenario, 3 =
+equilibrium nonexistence, 4 = runtime stall or divergence) except
+NonpositiveObservationError, raised only by direct observe_and_update calls.
 """
 
 from __future__ import annotations

@@ -23,7 +23,11 @@ own, and every chunk of rounds has the same leading axis.  Each seed draws
 exactly the uniforms it would draw alone, so every seed's rounds, and the
 state its generator ends in, are those of a run of that seed alone.  A batch
 fails as a whole: it raises if any of its seeds would, without naming which,
-and a caller that needs the failure of each seed plays the seeds alone.
+and a caller that needs the failure of each seed plays the seeds alone.  A
+batch of several seeds needs a fixed stride (every node that can initiate
+faces as many responders, as in every adaptive epoch, where one group
+initiates); otherwise each round's uniforms start where the previous
+initiator's file left them, and the walk that finds them plays one seed.
 
 The uniforms are drawn in chunks of up to CHUNK_DOUBLES per ``rng.random``
 call.  This does not change the stream: after each chunk the generator is
@@ -133,13 +137,16 @@ class RoundEngine:
         round's worth) in one ``rng.random`` call, leaving its generator where
         round-by-round play would.  Raises StallError at a round nobody can
         initiate or answer, of any seed; for a batch of one, the message is
-        that of its first such round."""
+        that of its first such round; then ValueError for a walked batch of
+        more than one seed."""
         n, needs, initiators = self.scenario.n_nodes, self.scenario.needs, self.initiators
         gamma, resp_rate, step = self.gamma[:, None, initiators], self.resp_rate, self.fixed_step
         silent = gamma == 0
         audible = ~silent if silent.any() else True  # where a division by gamma is due
         if silent.all(axis=-1).any():
             raise StallError("no node can initiate: all initiation rates are zero")
+        if not step and len(rngs) > 1:
+            raise ValueError("a batch of seeds needs a fixed stride of uniforms per round: walk each seed alone")
         # Each round reads its seed's responder table of the file its initiator
         # needs; when every initiator needs one file, all rounds read that one.
         first = needs[initiators[:1]]
@@ -163,7 +170,7 @@ class RoundEngine:
                 _exponentials(e_init)
                 _exponentials(e_resp)
             else:  # every round has the longest step's uniforms from its start
-                e_init, e_resp = self._walk(rngs, rounds)
+                e_init, e_resp = self._walk(rngs[0], rounds)
             # Timers in place of the uniforms: e / rate, NEVER at a zero rate.
             t = np.divide(e_init, gamma, out=e_init, where=audible)
             if audible is not True:
@@ -186,39 +193,30 @@ class RoundEngine:
             rounds -= initiator.shape[1]
             yield Rounds(initiator, self.resp_id[x, pick], t_init, t_resp, duration)
 
-    def _walk(self, rngs: list, rounds: int):
-        """Initiation and response exponentials of each seed's next rounds,
-        walked one round at a time, as an offset depends on the file the
-        previous initiator needed; as many rounds for every seed as the
-        shortest walk holds.  Each seed draws for the worst case (the batch
-        at most CHUNK_DOUBLES uniforms, or one round's worth per seed), then
-        rewinds and advances by the number of uniforms it used."""
-        n, step = self.scenario.n_nodes, self.step.tolist()
+    def _walk(self, rng, rounds: int):
+        """Initiation and response exponentials of the seed's next rounds,
+        shape (1, count, ...), walked one round at a time, as an offset
+        depends on the file the previous initiator needed.  Draws for the
+        worst case (at most CHUNK_DOUBLES uniforms, or one round's worth),
+        then rewinds and advances by the number of uniforms it used."""
+        n, step, gamma = self.scenario.n_nodes, self.step.tolist(), self.gamma[0]
         longest = int(self.step.max())
-        draws, starts = [], []
-        for rng, gamma in zip(rngs, self.gamma):
-            state = rng.bit_generator.state
-            e = _exponentials(rng.random(min(rounds * longest, max(CHUNK_DOUBLES // len(rngs), longest))))
-            rng.bit_generator.state = state
-            positive = gamma > 0
-            dense = positive.all()
-            timers = np.full(n, NEVER)
-            start, offset = [], 0
-            while len(start) < rounds and offset + longest <= e.size:
-                start.append(offset)
-                window = e[offset : offset + n]
-                t = window / gamma if dense else np.divide(window, gamma, out=timers, where=positive)
-                offset += step[t.argmin()]
-            draws.append(e)
-            starts.append(start + [offset])
-        count = min(map(len, starts)) - 1
-        e_init, e_resp = np.empty((len(rngs), count, self.initiators.size)), np.empty((len(rngs), count, self.holds.shape[1]))
-        for row, (rng, e, start) in enumerate(zip(rngs, draws, starts)):
-            rng.bit_generator.advance(start[count])
-            start = np.array(start[:count])[:, None]
-            e.take(start + self.initiators, out=e_init[row], mode="clip")
-            e.take(start + n + np.arange(self.holds.shape[1]), out=e_resp[row], mode="clip")
-        return e_init, e_resp
+        state = rng.bit_generator.state
+        e = _exponentials(rng.random(min(rounds * longest, max(CHUNK_DOUBLES, longest))))
+        rng.bit_generator.state = state
+        positive = gamma > 0
+        dense = positive.all()
+        timers = np.full(n, NEVER)
+        start, offset = [], 0
+        while len(start) < rounds and offset + longest <= e.size:
+            start.append(offset)
+            window = e[offset : offset + n]
+            t = window / gamma if dense else np.divide(window, gamma, out=timers, where=positive)
+            offset += step[t.argmin()]
+        rng.bit_generator.advance(offset)
+        start = np.array(start)[:, None]
+        e_resp = e.take(start + n + np.arange(self.holds.shape[1]), mode="clip")
+        return e.take(start + self.initiators, mode="clip")[None], e_resp[None]
 
     def account(self, metrics: Metrics, rounds: Rounds) -> None:
         """Add each seed's downloads, uploads and elapsed time in a chunk to

@@ -21,7 +21,7 @@ from bxsim.adapt import (
 )
 from bxsim.equilibrium import throughput_at_ne
 from bxsim.errors import BxsimError, DivergenceError, NonpositiveObservationError, StallError
-from bxsim.model import Metrics, Scenario
+from bxsim.model import Scenario
 from bxsim.simulate import RoundEngine, in_order_sum
 
 from conftest import adaptive_run, one_seed, ref_group, reference_play, symmetric, two_file
@@ -203,9 +203,7 @@ class TestAdaptiveSimulation:
         cfg = mech_cfg(updates=3, epoch_rounds=50)
         run = adaptive_run(sym_10_10, cfg, seed=1)
         assert (run.observed.shape, run.node_states.shape, run.floored.shape) == ((1, 4, 3), (1, 4, 20, 2), (1, 4, 2))
-        assert run.metrics.rounds == 4 * 50
-        assert (run.metrics.downloads == 200).all()
-        assert run.metrics.downloads.shape == run.metrics.uploads.shape == (1, 20)
+        assert run._fields == ("observed", "node_states", "floored")
 
     def test_initial_guess_throughput_is_poor(self, sym_10_10):
         cfg = mech_cfg(updates=0)
@@ -235,7 +233,6 @@ class TestAdaptiveSimulation:
         r1 = adaptive_run(sym_10_10, cfg, seed=5)
         r2 = adaptive_run(sym_10_10, cfg, seed=5)
         assert r1.observed[0, :, 2].tolist() == r2.observed[0, :, 2].tolist()
-        assert r1.metrics.elapsed[0] == r2.metrics.elapsed[0]
 
     def test_observed_fields_feed_next_update(self, sym_10_10):
         # the state entering epoch k+1 must be the update of epoch k's observation
@@ -281,13 +278,11 @@ def replay_round_by_round(s, cfg, seed, run):
     gen = np.random.Generator(np.random.PCG64(seed))
     state = init_state(s, cfg)
     states = []
-    total = 0.0
     for epoch, (inv_that_a, inv_that_b, throughput) in enumerate(run.observed[0].tolist()):
         states.append(state)
         init_sum = resp_sum = elapsed = 0.0
         for _, _, t_init, t_resp in reference_play(s, state.profile(), gen, cfg.epoch_rounds):
             duration = t_init + t_resp + 2.0
-            total += duration
             init_sum += t_init
             resp_sum += t_resp
             elapsed += duration
@@ -296,7 +291,6 @@ def replay_round_by_round(s, cfg, seed, run):
         assert throughput == cfg.epoch_rounds / elapsed
         if epoch < cfg.updates:
             state = observe_and_update(state, resp_mean, init_mean, epoch + 1, cfg)
-    assert run.metrics.elapsed[0] == total
     return states
 
 
@@ -325,16 +319,15 @@ def sequential_runs(scenarios, cfg, seeds):
     another, on an engine and a generator of its own, with the per-seed epoch
     loop; each update's floor warnings are logged as soon as it is made.
     Returns per seed its per-epoch lists of observed values, node states and
-    floored counts, and its metrics."""
+    floored counts."""
     results = []
     for s, seed in zip(scenarios, seeds):
         state = init_state(s, cfg)
-        engine, rng, metrics = RoundEngine(s, one_seed(state.profile()), coded=False), np.random.Generator(np.random.PCG64(seed)), Metrics([s])
+        engine, rng = RoundEngine(s, one_seed(state.profile()), coded=False), np.random.Generator(np.random.PCG64(seed))
         observed, node_states, floored = [], [], [[0, 0]]
         for epoch in range(cfg.updates + 1):
             sums = np.zeros(3)
             for chunk in engine.run([rng], cfg.epoch_rounds):
-                engine.account(metrics, chunk)
                 sums = in_order_sum(sums, (chunk.t_init[0], chunk.t_resp[0], chunk.duration[0]))
             init_mean, resp_mean, elapsed = sums[0] / cfg.epoch_rounds, sums[1] / cfg.epoch_rounds, sums[2]
             observed.append([1.0 / resp_mean, 1.0 / init_mean, cfg.epoch_rounds / elapsed])
@@ -347,7 +340,7 @@ def sequential_runs(scenarios, cfg, seeds):
                 floored.append(state.floored.tolist())
                 log_floored(floored[-1])
                 engine.set_profile(one_seed(state.profile()))
-        results.append((observed, node_states, floored, metrics))
+        results.append((observed, node_states, floored))
     return results
 
 
@@ -372,7 +365,7 @@ def observed(run, *args):
 
 class TestSeedBatch:
     """Seeds played side by side give what each seed gives alone, one after
-    the other: epoch values, metrics, generator states, warnings and failures."""
+    the other: epoch values, generator states, warnings and failures."""
 
     @settings(derandomize=True, max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(batch=adapt_batches(), chunk=st.integers(16, 256))
@@ -387,15 +380,9 @@ class TestSeedBatch:
             return
         assert error is None and states == want_states
         assert len(run.observed) == len(want)
-        got_m = run.metrics
-        for row, (want_observed, want_nodes, want_floored, want_m) in enumerate(want):
+        for row, (want_observed, want_nodes, want_floored) in enumerate(want):
             assert run.observed[row].tolist() == want_observed
             assert (run.node_states[row].tolist(), run.floored[row].tolist()) == (want_nodes, want_floored)
-            assert (got_m.downloads[row].tolist(), got_m.uploads[row].tolist()) == (want_m.downloads[0].tolist(), want_m.uploads[0].tolist())
-            assert (got_m.elapsed[row], got_m.rounds) == (want_m.elapsed[0], want_m.rounds)
-            assert (got_m.w[row].tolist(), got_m.g[row].tolist()) == (want_m.w[0].tolist(), want_m.g[0].tolist())
-            assert got_m.avg_total_cost()[row].tolist() == want_m.avg_total_cost()[0].tolist()
-            assert got_m.per_node_throughput()[row] == want_m.per_node_throughput()[0]
 
     def test_update_fails_at_the_first_failing_seed(self, sym_10_10):
         cfg = mech_cfg()

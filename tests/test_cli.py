@@ -317,6 +317,19 @@ class TestAdapt:
         assert node_rows[0] == ["seed", "epoch", "node", "that_guess", "rate"]
         assert len(node_rows) == 1 + 3 * 20
 
+    @pytest.mark.parametrize("groups", [[12, 8], [5, 15]], ids=["12+8", "5+15"])
+    def test_unequal_groups_are_never_walked(self, tmp_path, groups):
+        # only the needers of file 1 initiate, so every epoch of a seed batch
+        # reads a fixed stride of uniforms, even where simulate walks its rounds
+        cfg = write_config(tmp_path, two_file([1.0] * groups[0], [1.0] * groups[1]))
+        walk = mock.patch.object(simulate.RoundEngine, "_walk", autospec=True, side_effect=simulate.RoundEngine._walk)
+        with walk as walked:
+            assert main(["adapt", "--config", cfg, "--seeds", "0-4", "--out", str(tmp_path / "a.csv")]) == 0
+        assert walked.call_count == 0
+        with walk as walked:
+            assert main(["simulate", "--config", cfg, "--rounds", "100", "--out", str(tmp_path / "s.csv")]) == 0
+        assert walked.call_count > 0
+
     def test_stall_exits_4(self, tmp_path, capsys):
         cfg = write_config(tmp_path, symmetric(2, 10))
         code = main(
@@ -650,6 +663,12 @@ class TestFig3:
         assert code == 0
         row = read_csv(out)[1]
         assert float(row[3]) == pytest.approx(float(row[1]), rel=0.02)
+
+    def test_rounds_without_simulate_exits_2(self, tmp_path, capsys):
+        # --rounds only sizes the simulated points
+        assert main(["fig3", "--rounds", "50", "--out", str(tmp_path / "fig3.csv")]) == 2
+        assert capsys.readouterr().err == "invalid arguments: --rounds applies only with --simulate\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("simulate,calls", [([], 0), (["--simulate", "--rounds", "50"], 6)])
     def test_solves_each_coded_game_once(self, tmp_path, simulate, calls):

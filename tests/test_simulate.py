@@ -584,6 +584,11 @@ class TestSeedBatch:
         engine = RoundEngine(s, batch, coded)
         assume((engine.fixed_step > 0) == fixed or engine.initiators.size == 0)
         gens = [rng(seed) for seed in seeds]
+        if not fixed and len(seeds) > 1:  # walked rounds: the walk plays one seed
+            silent_seed = (batch.gamma == 0).all(axis=1).any()
+            with pytest.raises(StallError if silent_seed else ValueError):
+                list(engine.run(gens, rounds))
+            return
         played = []  # each seed alone
         with small_chunks(chunk):
             for profile, seed in zip(profiles, seeds):
@@ -612,6 +617,43 @@ class TestSeedBatch:
             assert (batch_metrics.elapsed[row], batch_metrics.rounds) == (m.elapsed[0], m.rounds)
             assert batch_metrics.avg_total_cost()[row].tolist() == m.avg_total_cost()[0].tolist()
             assert batch_metrics.per_node_throughput()[row] == m.per_node_throughput()[0]
+
+    def test_walked_batch_is_refused_after_the_stall_check(self):
+        # unequal groups: each round's uniforms start where the previous
+        # initiator's file left them, so the rounds are walked, one seed at a time
+        s = two_file([1.0] * 3, [1.0] * 5)
+        good = two_file_equilibrium(s, alpha=0.5)
+        gamma, lam = np.stack([good.gamma] * 2), np.stack([good.lam] * 2)
+        engine = RoundEngine(s, StrategyProfile(gamma, lam), coded=False)
+        assert engine.fixed_step == 0
+        gens = [rng(0), rng(1)]
+        with pytest.raises(ValueError, match="fixed stride"):
+            list(engine.run(gens, 10))
+        assert [g.bit_generator.state for g in gens] == [rng(0).bit_generator.state, rng(1).bit_generator.state]
+        # a seed in which no node can initiate, or every seed, is still the stall
+        for silent in ([1], [0, 1]):
+            gamma[silent] = 0.0
+            engine.set_profile(StrategyProfile(gamma, lam))
+            with pytest.raises(StallError, match="initiate"):
+                list(engine.run(gens, 10))
+
+    def test_batch_prices_each_seed_with_its_own_costs(self):
+        # one layout, two cost draws: Metrics prices each row with its own w and g
+        scenarios = [
+            Scenario(files=2, w=[1.0, 1.3, 2.0, 1.1, 1.5, 1.2], g=[1.0, 0.8, 1.5, 1.0, 1.2, 0.9], needs=[0, 0, 0, 1, 1, 1]),
+            Scenario(files=2, w=[3.0, 0.5, 1.0, 2.5, 0.7, 1.8], g=[0.5, 2.0, 1.1, 1.4, 3.0, 0.6], needs=[0, 0, 0, 1, 1, 1]),
+        ]
+        profile = two_file_equilibrium(symmetric(2, 3), alpha=0.5)
+        engine = RoundEngine(scenarios[0], StrategyProfile(np.stack([profile.gamma] * 2), np.stack([profile.lam] * 2)), coded=False)
+        assert engine.fixed_step > 0
+        metrics = Metrics(scenarios)
+        for chunk in engine.run([rng(3), rng(4)], 500):
+            engine.account(metrics, chunk)
+        for row, (s, seed) in enumerate(zip(scenarios, [3, 4])):
+            want = run_simulation(s, profile, 500, seed)
+            assert metrics.avg_total_cost()[row].tolist() == want.avg_total_cost()[0].tolist()
+            assert metrics.per_node_throughput()[row] == want.per_node_throughput()[0]
+        assert metrics.avg_total_cost()[1].tolist() != run_simulation(scenarios[0], profile, 500, 4).avg_total_cost()[0].tolist()
 
     def test_batch_rejects_a_bad_row(self, sym_2_2):
         good = two_file_equilibrium(sym_2_2, alpha=0.5)
