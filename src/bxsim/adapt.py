@@ -241,7 +241,7 @@ def _run_batch(scenarios: list[Scenario], cfg: AdaptConfig, seeds: list[int], fl
     failure it meets, whichever seed it is of."""
     states = [init_state(s, cfg) for s in scenarios]
     state = AdaptState(np.array([st.ratios for st in states]), states[0].initiates, np.array([st.inv_guess for st in states]))
-    engine = RoundEngine(scenarios[0], state.profile(), coded=False)
+    engine = RoundEngine(scenarios[0], state.profile())
     rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
     observed, node_states = [], []  # per epoch, of every seed
 

@@ -56,19 +56,27 @@ def write_csv(path: str | Path | atomic_open, header: list[str], lines: list[str
         fh.write("".join(lines))
 
 
+def check_seed(seed: int) -> int:
+    """``seed``, or ValueError naming it when it is negative."""
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative; seeds are nonnegative integers")
+    return seed
+
+
 def parse_seeds(text: str) -> list[int]:
     """Comma-separated seeds; 'a-b' expands to the inclusive range.  An empty
-    range, or a seed given twice, is an error."""
+    range, a negative seed, or a seed given twice, is an error."""
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            if int(hi) < int(lo):
+            cut = part.index("-", 1)
+            lo, hi = int(part[:cut]), int(part[cut + 1 :])
+            if hi < lo:
                 raise ValueError(f"empty seed range {part}")
-            out.extend(range(int(lo), int(hi) + 1))
+            out.extend(range(check_seed(lo), hi + 1))
         else:
-            out.append(int(part))
+            out.append(check_seed(int(part)))
     if len(set(out)) < len(out):
         raise ValueError(f"seed list {text} names a seed twice")
     return out
@@ -185,9 +193,9 @@ def cmd_simulate(args) -> tuple[list[str], list[str]]:
     # batches nothing across seeds, and lockstep play measured slower there.
     for seed in seeds:
         metrics = simulate.run_simulation(s, profile, args.rounds, seed, args.coded, args.trace or None)
-        per_node = (metrics.downloads[0].tolist(), metrics.uploads[0].tolist(), metrics.avg_total_cost()[0].tolist())
+        per_node = (metrics.downloads.tolist(), metrics.uploads.tolist(), metrics.avg_total_cost().tolist())
         lines += format_rows(SIM_NODE_ROW, [seed] * s.n_nodes, range(s.n_nodes), columns, *per_node)
-        lines.append(SIM_SYSTEM_ROW % (seed, metrics.per_node_throughput()[0]))
+        lines.append(SIM_SYSTEM_ROW % (seed, metrics.per_node_throughput()))
     return SIM_HEADER, lines
 
 
@@ -247,6 +255,7 @@ FIG3_ANALYTIC_ROW = "%d,%.9g,%.9g,\r\n"  # without --simulate
 def cmd_fig3(args) -> tuple[list[str], list[str]]:
     if args.rounds is not None and not args.simulate:
         raise ValueError("--rounds applies only with --simulate")
+    check_seed(args.seed)
     file_counts = [int(x) for x in args.files.split(",")]
     if len(set(file_counts)) < len(file_counts):  # one scenario dump entry per file count
         raise ValueError(f"file count list {args.files} names a file count twice")
@@ -262,7 +271,7 @@ def cmd_fig3(args) -> tuple[list[str], list[str]]:
         if args.simulate:
             profile = equilibrium.require_nonnegative(equilibrium.coded_equilibrium(s))
             metrics = simulate.run_simulation(s, profile, 20000 if args.rounds is None else args.rounds, seed=args.seed, coded=True)
-            lines.append(FIG3_ROW % (f, analytic, 1.0 / f, metrics.per_node_throughput()[0]))
+            lines.append(FIG3_ROW % (f, analytic, 1.0 / f, metrics.per_node_throughput()))
         else:
             lines.append(FIG3_ANALYTIC_ROW % (f, analytic, 1.0 / f))
     dump_scenarios(args.scenarios_out, scenarios)

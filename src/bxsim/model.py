@@ -1,4 +1,6 @@
-"""Core domain types: scenarios, strategy profiles, metrics.
+"""Core domain types: scenarios and strategy profiles, and the scenario
+config and output files.  A simulation run's counts, one seed's, are
+``simulate.Metrics``.
 
 Conventions used throughout the package:
 
@@ -162,40 +164,6 @@ class StrategyProfile:
     lam: np.ndarray
 
 
-class Metrics:
-    """Cumulative per-node accounting for a batch of simulation runs, given
-    one scenario per seed, all with the same nodes (a single run is a batch
-    of one): ``downloads`` and ``uploads`` (seeds, nodes), ``elapsed``
-    (seeds,) and the costs ``w`` and ``g`` (seeds, nodes); ``rounds`` is
-    every seed's.
-
-    Counters are maintained incrementally by the simulator; the derived
-    quantities (average total cost, throughput) are recomputed from the raw
-    counters on demand.
-    """
-
-    def __init__(self, scenarios: list[Scenario]):
-        self.w, self.g = np.array([s.w for s in scenarios]), np.array([s.g for s in scenarios])
-        self.elapsed = np.zeros(len(scenarios))
-        self.downloads = np.zeros(self.w.shape, dtype=np.int64)
-        self.uploads = np.zeros(self.w.shape, dtype=np.int64)
-        self.rounds = 0
-
-    def avg_total_cost(self) -> np.ndarray:
-        """(uploads * g + elapsed * w) / downloads of every node of every
-        seed; inf for a node with no downloads."""
-        downloads = self.downloads
-        cost = self.uploads * self.g + self.elapsed[:, None] * self.w
-        return np.divide(cost, downloads, out=np.full(downloads.shape, np.inf), where=downloads > 0)
-
-    def per_node_throughput(self) -> np.ndarray:
-        """Per seed, the mean over nodes of downloads/elapsed; 0 before the
-        first round."""
-        elapsed = self.elapsed[:, None]
-        rates = np.divide(self.downloads, elapsed, out=np.zeros(self.downloads.shape), where=elapsed > 0)
-        return rates.mean(axis=1)
-
-
 def _json_number(value, integral: bool) -> int | float | None:
     """``value`` as an int (``integral``) or a float, or None when it is not
     a JSON number of that kind: a bool, a string, a non-integral value where
@@ -216,9 +184,10 @@ def scenario_from_dict(data: dict) -> tuple[Scenario, int | None]:
     Schema: {"files": int, "nodes": [{"w": float, "g": float, "needs": int},
     ...], "seed": optional int}.  Returns (scenario, seed or None).  Fields
     are never coerced: a missing field, a bool or string where a number is
-    due, or a non-integral ``files``, ``needs`` or ``seed`` is a BAD_CONFIG
-    violation, and all of them are reported together.  The values are not
-    validated here; call require_valid for that.
+    due, a non-integral ``files``, ``needs`` or ``seed``, or a negative
+    ``seed`` is a BAD_CONFIG violation, and all of them are reported
+    together.  The values are not validated here; call require_valid for
+    that.
     """
     problems: list[str] = []
 
@@ -247,6 +216,8 @@ def scenario_from_dict(data: dict) -> tuple[Scenario, int | None]:
             for column, key in zip(columns, ("w", "g", "needs")):
                 column.append(number(nd, key, f"node {n}", integral=key == "needs"))
     seed = number(data, "seed", "config", integral=True) if data.get("seed") is not None else None
+    if seed is not None and seed < 0:
+        problems.append(f"config has seed={data['seed']!r}; it must be a nonnegative integer")
     if problems:
         raise ScenarioError([Violation(BAD_CONFIG, f"malformed scenario config: {p}") for p in problems])
     return Scenario(files, *columns), seed

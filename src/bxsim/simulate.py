@@ -17,17 +17,20 @@ Randomness contract (golden traces depend on it):
 Ties in sampled timers (possible in floating point, probability zero in the
 model) are broken toward the lowest node id.
 
-The engine plays a batch of seeds side by side, and a single run is a batch
-of one: the rates have a leading seed axis, each seed has a generator of its
-own, and every chunk of rounds has the same leading axis.  Each seed draws
-exactly the uniforms it would draw alone, so every seed's rounds, and the
-state its generator ends in, are those of a run of that seed alone.  A batch
-fails as a whole: it raises if any of its seeds would, without naming which,
-and a caller that needs the failure of each seed plays the seeds alone.  A
-batch of several seeds needs a fixed stride (every node that can initiate
-faces as many responders, as in every adaptive epoch, where one group
-initiates); otherwise each round's uniforms start where the previous
-initiator's file left them, and the walk that finds them plays one seed.
+The engine only plays rounds, for a batch of seeds side by side: the rates
+have a leading seed axis, each seed has a generator of its own, and every
+chunk of rounds has the same leading axis.  Counting them is the caller's:
+``run_simulation`` plays one seed, a batch of one, and counts its rounds in
+a ``Metrics`` of that seed, where a coded round differs from a plain one
+only in who downloads.  Each seed draws exactly the uniforms it would draw
+alone, so every seed's rounds, and the state its generator ends in, are
+those of a run of that seed alone.  A batch fails as a whole: it raises if
+any of its seeds would, without naming which, and a caller that needs the
+failure of each seed plays the seeds alone.  A batch of several seeds needs
+a fixed stride (every node that can initiate faces as many responders, as
+in every adaptive epoch, where one group initiates); otherwise each round's
+uniforms start where the previous initiator's file left them, and the walk
+that finds them plays one seed.
 
 The uniforms are drawn in chunks of up to CHUNK_DOUBLES per ``rng.random``
 call.  This does not change the stream: after each chunk the generator is
@@ -49,7 +52,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import NegativeRateError, StallError
-from .model import Metrics, Scenario, StrategyProfile, as_output, require_valid
+from .model import Scenario, StrategyProfile, as_output, require_valid
 
 NEVER = math.inf
 
@@ -91,10 +94,9 @@ class RoundEngine:
     batch of seeds side by side; the rates can be swapped between runs with
     ``set_profile``."""
 
-    def __init__(self, scenario: Scenario, profile: StrategyProfile, coded: bool):
+    def __init__(self, scenario: Scenario, profile: StrategyProfile):
         require_valid(scenario)
         self.scenario = scenario
-        self.coded = coded
         n, files, needs = scenario.n_nodes, scenario.files, scenario.needs
         # Per file X, every node that possesses X (ascending ids, so entry j
         # answers with the round's j-th response uniform), padded: which
@@ -218,22 +220,31 @@ class RoundEngine:
         e_resp = e.take(start + n + np.arange(self.holds.shape[1]), mode="clip")
         return e.take(start + self.initiators, mode="clip")[None], e_resp[None]
 
-    def account(self, metrics: Metrics, rounds: Rounds) -> None:
-        """Add each seed's downloads, uploads and elapsed time in a chunk to
-        its row of metrics, and the chunk's rounds to their count."""
-        s = self.scenario
-        senders = np.concatenate((rounds.initiator, rounds.responder), axis=1)
-        row = np.arange(len(senders))[:, None]  # each seed counts in bins of its own
-        if self.coded:
-            metrics.downloads += rounds.initiator.shape[1]
-        else:
-            # A plain round serves the groups needing the two exchanged files.
-            served = np.bincount((s.needs[senders] + row * s.files).ravel(), minlength=row.size * s.files)
-            metrics.downloads += served.reshape(-1, s.files)[:, s.needs]
-        uploads = np.bincount((senders + row * s.n_nodes).ravel(), minlength=row.size * s.n_nodes)
-        metrics.uploads += uploads.reshape(-1, s.n_nodes)
-        metrics.elapsed = in_order_sum(metrics.elapsed, rounds.duration)
-        metrics.rounds += rounds.initiator.shape[1]
+
+class Metrics:
+    """Cumulative per-node accounting of one simulation run of ``scenario``:
+    ``downloads`` and ``uploads`` per node id, the ``elapsed`` time (a numpy
+    float, added in round order) and the ``rounds`` played.  The derived
+    quantities (average total cost, throughput) are recomputed from these
+    counters on demand."""
+
+    def __init__(self, scenario: Scenario):
+        self.w, self.g = scenario.w, scenario.g
+        self.elapsed = np.float64(0.0)
+        self.downloads = np.zeros(scenario.n_nodes, dtype=np.int64)
+        self.uploads = np.zeros(scenario.n_nodes, dtype=np.int64)
+        self.rounds = 0
+
+    def avg_total_cost(self) -> np.ndarray:
+        """(uploads * g + elapsed * w) / downloads of every node; inf for a
+        node with no downloads."""
+        downloads = self.downloads
+        cost = self.uploads * self.g + self.elapsed * self.w
+        return np.divide(cost, downloads, out=np.full(downloads.shape, np.inf), where=downloads > 0)
+
+    def per_node_throughput(self) -> float:
+        """The mean over nodes of downloads/elapsed; 0 before the first round."""
+        return float(np.mean(self.downloads / self.elapsed)) if self.elapsed > 0 else 0.0
 
 
 def run_simulation(
@@ -247,23 +258,29 @@ def run_simulation(
     """Play ``rounds`` rounds of ``profile`` (gamma (nodes,), lam (nodes,
     files)) from ``seed``, as a batch of one, and return its Metrics.
 
-    Identical seeds give identical metrics and traces.  When trace_path is
-    given, one CSV row per round is streamed out (columns: round, initiator,
-    responder, t_init, t_resp, duration); the file appears only once the
-    run completes.
+    Every round, the initiator and the responder upload one packet each.  A
+    ``coded`` round serves every node; a plain one serves the groups needing
+    the two exchanged files.  Identical seeds give identical metrics and
+    traces.  When trace_path is given, one CSV row per round is streamed out
+    (columns: round, initiator, responder, t_init, t_resp, duration); the
+    file appears only once the run completes.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    engine = RoundEngine(scenario, StrategyProfile(np.asarray(profile.gamma)[None], np.asarray(profile.lam)[None]), coded)
+    engine = RoundEngine(scenario, StrategyProfile(np.asarray(profile.gamma)[None], np.asarray(profile.lam)[None]))
     rngs = [np.random.Generator(np.random.PCG64(seed))]
-    metrics = Metrics([scenario])
+    metrics, needs = Metrics(scenario), scenario.needs
     with as_output(trace_path) if trace_path is not None else nullcontext() as trace:
         if trace is not None:
             trace.write(",".join(TRACE_HEADER) + "\r\n")
         for chunk in engine.run(rngs, rounds):
+            chunk = Rounds(*(col[0] for col in chunk))
             if trace is not None:
-                columns = [col[0].tolist() for col in chunk]
-                rows = zip(range(metrics.rounds, metrics.rounds + len(columns[0])), *columns)
+                rows = zip(range(metrics.rounds, metrics.rounds + chunk.initiator.size), *(col.tolist() for col in chunk))
                 trace.write("".join([TRACE_ROW % row for row in rows]))
-            engine.account(metrics, chunk)
+            senders = np.concatenate((chunk.initiator, chunk.responder))
+            metrics.downloads += chunk.initiator.size if coded else np.bincount(needs[senders], minlength=scenario.files)[needs]
+            metrics.uploads += np.bincount(senders, minlength=scenario.n_nodes)
+            metrics.elapsed = in_order_sum(metrics.elapsed, chunk.duration)
+            metrics.rounds += chunk.initiator.size
     return metrics

@@ -297,6 +297,8 @@ def reference_scenario_from_dict(data: dict) -> tuple:
         g.append(number(nd, "g", where))
         needs.append(number(nd, "needs", where, integral=True))
     seed = number(data, "seed", "config", integral=True) if data.get("seed") is not None else None
+    if seed is not None and seed < 0:
+        problems.append(f"config has seed={data['seed']!r}; it must be a nonnegative integer")
     if problems:
         raise ScenarioError([Violation(BAD_CONFIG, f"malformed scenario config: {p}") for p in problems])
     return files, w, g, needs, seed

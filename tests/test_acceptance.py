@@ -112,10 +112,10 @@ def test_03_simulation_vs_analytic():
         s = symmetric(2, 10)
         profile = two_file_equilibrium(s, alpha=0.5)
         metrics = run_simulation(scenario=s, profile=profile, rounds=100_000, seed=1)
-        mean_duration = metrics.elapsed[0] / metrics.rounds
+        mean_duration = metrics.elapsed / metrics.rounds
         assert mean_duration == pytest.approx(3.8, rel=0.02)
-        assert metrics.per_node_throughput()[0] == pytest.approx(0.263158, rel=0.02)
-        for cost in metrics.avg_total_cost()[0].tolist():
+        assert metrics.per_node_throughput() == pytest.approx(0.263158, rel=0.02)
+        for cost in metrics.avg_total_cost().tolist():
             assert cost == pytest.approx(3.9, rel=0.02)
         assert time.perf_counter() - start < 10.0
 
@@ -169,7 +169,7 @@ def test_06_fig3_reproduction():
             metrics = run_simulation(
                 scenario=s, profile=profile, rounds=20_000, seed=f, coded=True
             )
-            assert metrics.per_node_throughput()[0] == pytest.approx(analytic, rel=0.02)
+            assert metrics.per_node_throughput() == pytest.approx(analytic, rel=0.02)
         assert coded_throughput(symmetric(3, 10)) < 1 / 3
         for f in (4, 5, 6, 7, 8):
             assert coded_throughput(symmetric(f, 10)) > 1 / f

@@ -323,7 +323,7 @@ def sequential_runs(scenarios, cfg, seeds):
     results = []
     for s, seed in zip(scenarios, seeds):
         state = init_state(s, cfg)
-        engine, rng = RoundEngine(s, one_seed(state.profile()), coded=False), np.random.Generator(np.random.PCG64(seed))
+        engine, rng = RoundEngine(s, one_seed(state.profile())), np.random.Generator(np.random.PCG64(seed))
         observed, node_states, floored = [], [], [[0, 0]]
         for epoch in range(cfg.updates + 1):
             sums = np.zeros(3)

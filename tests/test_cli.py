@@ -47,7 +47,10 @@ def test_parse_seeds():
     assert parse_seeds("0,5,3") == [0, 5, 3]
     assert parse_seeds("0-3") == [0, 1, 2, 3]
     assert parse_seeds("7") == [7]
-    assert parse_seeds("-2") == [-2]
+    with pytest.raises(ValueError, match="^seed -2 is negative; seeds are nonnegative integers$"):
+        parse_seeds("-2")
+    with pytest.raises(ValueError, match="^seed -3 is negative"):  # a range from a negative seed
+        parse_seeds("0,-3-5")
 
 
 class TestNe:
@@ -227,6 +230,36 @@ class TestNoEquilibrium:
         cfg = write_config(tmp_path, s)
         assert main(["ne", "--alpha", str(group), "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
         assert f"nodes [{node}]" in capsys.readouterr().err
+
+
+class TestNegativeSeed:
+    """A negative seed exits 2 where it is read, naming it, before any
+    solve, and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "argv,seed",
+        [
+            ("simulate --config CFG --seeds=-3", -3),
+            ("adapt --config CFG --seeds 2,-1", -1),
+            ("fig2 --seeds=-4-2", -4),
+            ("fig3 --simulate --seed -1", -1),
+        ],
+    )
+    def test_argument(self, tmp_path, capsys, argv, seed):
+        cfg = write_config(tmp_path, symmetric(2, 4))
+        argv = [cfg if a == "CFG" else a for a in argv.split()]
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"invalid arguments: seed {seed} is negative; seeds are nonnegative integers\n"
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
+    @pytest.mark.parametrize("command", ["simulate --rounds 10", "adapt --updates 1"])
+    def test_config(self, tmp_path, capsys, command):
+        # the config has no equilibrium either: the seed is reported first
+        cfg = write_config(tmp_path, NO_EQUILIBRIUM, seed=-1)
+        assert main([*command.split(), "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "invalid scenario:\n  BAD_CONFIG: malformed scenario config: config has seed=-1; it must be a nonnegative integer\n"
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
 
 
 class TestSimulate:

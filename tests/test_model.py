@@ -25,7 +25,6 @@ from bxsim.errors import (
     ScenarioError,
 )
 from bxsim.model import (
-    Metrics,
     Scenario,
     atomic_open,
     load_scenario,
@@ -293,7 +292,7 @@ def malformed_configs(draw) -> dict:
     if draw(st.integers(0, 5)) == 0:
         data["files"] = draw(st.sampled_from(BAD_NUMBERS + [1e300] + ([] if numbers_only else WRONG_TYPES)))
     if draw(st.integers(0, 3)) == 0:
-        data["seed"] = draw(st.sampled_from([None, 7, 7.0] if numbers_only else [1.5, True, "7", 10**400]))
+        data["seed"] = draw(st.sampled_from([None, 7, 7.0] if numbers_only else [1.5, True, "7", 10**400, -1, -2.0]))
     if not numbers_only and draw(st.integers(0, 9)) == 0:
         data["nodes"] = draw(st.sampled_from([{}, "nodes", 4, None]))
     for key in ("files", "nodes"):
@@ -363,28 +362,6 @@ class TestMalformedConfigs:
                 assert err.getvalue().splitlines() == ["invalid scenario:"] + [f"  {v}" for v in violations]
             else:
                 assert code in (0, 2, 3)
-
-
-class TestMetrics:
-    def test_avg_cost_formula(self, sym_2_2):
-        m = Metrics([sym_2_2])
-        m.downloads += 4
-        m.uploads[0, 0] = 2
-        m.elapsed[0] = 10.0
-        m.rounds = 4
-        # (2 uploads * g + 10 time * w) / 4 downloads
-        assert m.avg_total_cost()[0, 0] == pytest.approx((2 * 1.0 + 10.0 * 1.0) / 4)
-
-    def test_throughput_is_mean_over_nodes(self, sym_2_2):
-        m = Metrics([sym_2_2])
-        m.downloads[0] = [4, 4, 2, 2]
-        m.elapsed[0] = 8.0
-        assert m.per_node_throughput()[0] == pytest.approx(np.mean([0.5, 0.5, 0.25, 0.25]))
-
-    def test_no_downloads_gives_inf(self, sym_2_2):
-        m = Metrics([sym_2_2])
-        m.elapsed[0] = 1.0
-        assert m.avg_total_cost()[0, 0] == float("inf")
 
 
 class TestAtomicOpen:

@@ -22,8 +22,8 @@ from bxsim.equilibrium import (
     two_file_equilibrium,
 )
 from bxsim.errors import NegativeRateError, StallError
-from bxsim.model import Metrics, Scenario, StrategyProfile
-from bxsim.simulate import CHUNK_DOUBLES, RoundEngine, Rounds, run_simulation
+from bxsim.model import Scenario, StrategyProfile
+from bxsim.simulate import CHUNK_DOUBLES, Metrics, RoundEngine, Rounds, run_simulation
 
 from conftest import dense_profile, one_seed, reference_play, symmetric, two_file
 
@@ -42,9 +42,9 @@ def alone(chunks) -> Rounds:
     return Rounds(*(col[0] for col in joined(chunks)))
 
 
-def play(s, profile, rounds, seed=0, coded=False) -> Rounds:
+def play(s, profile, rounds, seed=0) -> Rounds:
     """Every round of one engine run of one seed."""
-    return alone(RoundEngine(s, one_seed(profile), coded).run([rng(seed)], rounds))
+    return alone(RoundEngine(s, one_seed(profile)).run([rng(seed)], rounds))
 
 
 def small_chunks(doubles):
@@ -73,16 +73,15 @@ class ZeroStream:
 
 
 def reference_metrics(s, rows, coded) -> Metrics:
-    """Per-round accounting of reference_play rows, as the engine once did it,
-    in a batch of one."""
-    m = Metrics([s])
+    """Per-round accounting of reference_play rows, one round at a time."""
+    m = Metrics(s)
     for i0, j0, t_init, t_resp in rows:
         if coded:
             m.downloads += 1
         else:
-            m.downloads[0] += (s.needs == s.needs[i0]).astype(np.int64) + (s.needs == s.needs[j0])
-        m.uploads[0, i0] += 1
-        m.uploads[0, j0] += 1
+            m.downloads += (s.needs == s.needs[i0]).astype(np.int64) + (s.needs == s.needs[j0])
+        m.uploads[i0] += 1
+        m.uploads[j0] += 1
         m.elapsed += t_init + t_resp + 2.0
         m.rounds += 1
     return m
@@ -119,23 +118,23 @@ class TestSampling:
     def test_negative_rate(self, sym_2_2):
         lam = {(0, 1): 1.0, (1, 1): 1.0, (2, 0): 1.0, (3, 0): 1.0}
         with pytest.raises(NegativeRateError):
-            RoundEngine(sym_2_2, one_seed(dense_profile(gamma=(1.0, -1.0, 1.0, 1.0), lam=lam)), coded=False)
+            RoundEngine(sym_2_2, one_seed(dense_profile(gamma=(1.0, -1.0, 1.0, 1.0), lam=lam)))
         with pytest.raises(NegativeRateError):
-            RoundEngine(sym_2_2, one_seed(dense_profile(gamma=(1.0,) * 4, lam={**lam, (3, 0): -0.5})), coded=False)
+            RoundEngine(sym_2_2, one_seed(dense_profile(gamma=(1.0,) * 4, lam={**lam, (3, 0): -0.5})))
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_rate(self, sym_2_2, bad):
         lam = {(0, 1): 1.0, (1, 1): 1.0, (2, 0): 1.0, (3, 0): 1.0}
         with pytest.raises(NegativeRateError):
-            RoundEngine(sym_2_2, one_seed(dense_profile(gamma=(1.0, bad, 1.0, 1.0), lam=lam)), coded=False)
+            RoundEngine(sym_2_2, one_seed(dense_profile(gamma=(1.0, bad, 1.0, 1.0), lam=lam)))
         with pytest.raises(NegativeRateError):
-            RoundEngine(sym_2_2, one_seed(dense_profile(gamma=(1.0,) * 4, lam={**lam, (2, 0): bad})), coded=False)
+            RoundEngine(sym_2_2, one_seed(dense_profile(gamma=(1.0,) * 4, lam={**lam, (2, 0): bad})))
 
     def test_zero_rate_consumes_one_uniform(self, sym_2_2):
         # 4 initiation + 2 response uniforms per round, zero rates included
         profile = dense_profile(gamma=(0.0, 1.0, 0.0, 1.0), lam={(0, 1): 1.0, (2, 0): 1.0})
         gen = rng(5)
-        list(RoundEngine(sym_2_2, one_seed(profile), coded=False).run([gen], 1000))
+        list(RoundEngine(sym_2_2, one_seed(profile)).run([gen], 1000))
         ref = rng(5)
         ref.random(6 * 1000)
         assert gen.random() == ref.random()
@@ -156,7 +155,7 @@ class TestSampling:
         stub = SimpleNamespace(
             random=lambda k: np.full(k, 0.5), bit_generator=SimpleNamespace(state=None, advance=lambda k: None)
         )
-        (out,) = RoundEngine(s, one_seed(profile), coded=False).run([stub], 3)
+        (out,) = RoundEngine(s, one_seed(profile)).run([stub], 3)
         assert out.initiator[0].tolist() == [1, 1, 1]
         assert out.responder[0].tolist() == [groups[0]] * 3
 
@@ -170,7 +169,7 @@ class TestSampling:
         )
         got, want = ZeroStream(), ZeroStream()
         with small_chunks(64):
-            out = alone(RoundEngine(s, one_seed(profile), coded=False).run([got], 500))
+            out = alone(RoundEngine(s, one_seed(profile)).run([got], 500))
         assert_same_rounds(out, reference_play(s, profile, want, 500))
         assert got.state == want.state
 
@@ -200,36 +199,30 @@ class TestRunRound:
 
     def test_round_accounting(self, sym_10_10):
         profile = two_file_equilibrium(sym_10_10, alpha=0.5)
-        engine = RoundEngine(sym_10_10, one_seed(profile), coded=False)
         for seed in range(10):
-            (out,) = engine.run([rng(seed)], 1)
-            m = Metrics([sym_10_10])
-            engine.account(m, out)
+            out = play(sym_10_10, profile, 1, seed=seed)
+            m = run_simulation(sym_10_10, profile, 1, seed)
             assert m.uploads.sum() == 2
-            assert m.elapsed[0] >= 2.0
-            assert m.elapsed[0] == out.t_init[0, 0] + out.t_resp[0, 0] + 2.0 == out.duration[0, 0]
+            assert m.elapsed >= 2.0
+            assert m.elapsed == out.t_init[0] + out.t_resp[0] + 2.0 == out.duration[0]
             # two-file plain mode: everyone downloads each round
             assert (m.downloads == 1).all()
 
     def test_coded_everyone_downloads(self):
         s = symmetric(3, 10)
-        engine = RoundEngine(s, one_seed(coded_equilibrium(s)), coded=True)
-        m = Metrics([s])
-        engine.account(m, next(engine.run([rng(1)], 1)))
+        m = run_simulation(s, coded_equilibrium(s), 1, 1, coded=True)
         assert (m.downloads == 1).all()
         assert m.uploads.sum() == 2
 
     def test_plain_multifile_downloads_two_groups(self):
         s = symmetric(3, 10)
         profile = coded_equilibrium(s)  # rates reused for a plain run
-        engine = RoundEngine(s, one_seed(profile), coded=False)
-        out = next(engine.run([rng(1)], 1))
-        m = Metrics([s])
-        engine.account(m, out)
-        x = s.needs[out.initiator[0, 0]]
-        y = s.needs[out.responder[0, 0]]
+        out = play(s, profile, 1, seed=1)
+        m = run_simulation(s, profile, 1, 1)
+        x = s.needs[out.initiator[0]]
+        y = s.needs[out.responder[0]]
         expect = np.array([1 if needs in (x, y) else 0 for needs in s.needs])
-        np.testing.assert_array_equal(m.downloads[0], expect)
+        np.testing.assert_array_equal(m.downloads, expect)
 
     def test_stall_no_initiator(self, sym_2_2):
         profile = dense_profile(gamma=(0.0,) * 4, lam={(0, 1): 1.0, (1, 1): 1.0})
@@ -261,7 +254,7 @@ class TestRunSimulation:
         profile = two_file_equilibrium(sym_10_10, alpha=0.5)
         cfg = dict(scenario=sym_10_10, profile=profile, rounds=2000, seed=11)
         m1, m2 = run_simulation(**cfg), run_simulation(**cfg)
-        assert m1.elapsed.tolist() == m2.elapsed.tolist()
+        assert m1.elapsed == m2.elapsed
         np.testing.assert_array_equal(m1.downloads, m2.downloads)
         np.testing.assert_array_equal(m1.uploads, m2.uploads)
 
@@ -279,8 +272,8 @@ class TestRunSimulation:
         ref = reference_metrics(sym_10_10, reference_play(sym_10_10, profile, rng(9), 300), coded=False)
         np.testing.assert_array_equal(m.downloads, ref.downloads)
         np.testing.assert_array_equal(m.uploads, ref.uploads)
-        assert m.elapsed[0] == pytest.approx(ref.elapsed[0], abs=1e-9)
-        for cost, want in zip(m.avg_total_cost()[0].tolist(), ref.avg_total_cost()[0].tolist(), strict=True):
+        assert m.elapsed == pytest.approx(ref.elapsed, abs=1e-9)
+        for cost, want in zip(m.avg_total_cost().tolist(), ref.avg_total_cost().tolist(), strict=True):
             assert cost == pytest.approx(want, abs=1e-12)
 
     def test_winner_distribution(self, sym_2_2):
@@ -306,9 +299,9 @@ class TestRunSimulation:
         profile = two_file_equilibrium(sym_10_10, alpha=0.5)
         cfg = dict(scenario=sym_10_10, profile=profile, rounds=30_000, seed=12)
         m = run_simulation(**cfg)
-        assert m.per_node_throughput()[0] == pytest.approx(throughput_at_ne(sym_10_10), rel=0.02)
+        assert m.per_node_throughput() == pytest.approx(throughput_at_ne(sym_10_10), rel=0.02)
         expected = node_costs_at_ne(sym_10_10).avg_cost[0]
-        for cost in m.avg_total_cost()[0].tolist():
+        for cost in m.avg_total_cost().tolist():
             assert cost == pytest.approx(expected, rel=0.02)
 
     def test_coded_throughput_oracle(self):
@@ -316,14 +309,14 @@ class TestRunSimulation:
         profile = coded_equilibrium(s)
         cfg = dict(scenario=s, profile=profile, rounds=30_000, seed=13, coded=True)
         m = run_simulation(**cfg)
-        assert m.per_node_throughput()[0] == pytest.approx(coded_throughput(s), rel=0.02)
+        assert m.per_node_throughput() == pytest.approx(coded_throughput(s), rel=0.02)
 
     def test_deterministic_bounds(self, sym_10_10):
         # duration >= 2 per round makes these hard bounds, not limits
         profile = two_file_equilibrium(sym_10_10, alpha=0.5)
         m = run_simulation(scenario=sym_10_10, profile=profile, rounds=1000, seed=3)
-        assert m.per_node_throughput()[0] <= 0.5
-        assert all(m.avg_total_cost()[0] >= 2 * sym_10_10.w)
+        assert m.per_node_throughput() <= 0.5
+        assert all(m.avg_total_cost() >= 2 * sym_10_10.w)
 
     def test_trace_csv(self, tmp_path, sym_2_2):
         profile = two_file_equilibrium(sym_2_2, alpha=0.5)
@@ -335,7 +328,7 @@ class TestRunSimulation:
         assert rows[0] == ["round", "initiator", "responder", "t_init", "t_resp", "duration"]
         assert len(rows) == 51
         total = sum(float(r[5]) for r in rows[1:])
-        assert total == pytest.approx(m.elapsed[0], rel=1e-6)
+        assert total == pytest.approx(m.elapsed, rel=1e-6)
         expected = reference_play(sym_2_2, profile, rng(1), 50)
         want = [
             [str(k), str(i), str(j)] + [f"{v:.9g}" for v in (t_init, t_resp, t_init + t_resp + 2.0)]
@@ -348,6 +341,88 @@ class TestRunSimulation:
         profile = two_file_equilibrium(sym_2_2, alpha=0.5)
         with pytest.raises(ValueError):
             run_simulation(scenario=sym_2_2, profile=profile, rounds=0, seed=1)
+
+
+class TestCodedCount:
+    """``coded`` changes only who downloads: both runs play the same rounds."""
+
+    @pytest.mark.parametrize("groups", [[10, 10], [12, 8]], ids=["10+10", "12+8"])
+    def test_coded_changes_only_the_count(self, tmp_path, groups):
+        s = two_file([1.0] * groups[0], [1.0] * groups[1])
+        profile = two_file_equilibrium(s, alpha=0.5)
+        walk = mock.patch.object(RoundEngine, "_walk", autospec=True, side_effect=RoundEngine._walk)
+        with walk as walked:
+            plain, coded = (run_simulation(s, profile, 3000, 17, c, tmp_path / f"{c}.csv") for c in (False, True))
+        assert (walked.call_count > 0) == (groups == [12, 8])  # unequal groups take the per-round walk
+        assert (tmp_path / "True.csv").read_bytes() == (tmp_path / "False.csv").read_bytes()
+        np.testing.assert_array_equal(coded.uploads, plain.uploads)
+        assert (coded.elapsed, coded.rounds) == (plain.elapsed, plain.rounds)
+        assert coded.downloads.tolist() == [3000] * s.n_nodes
+
+
+def groups_of(sizes, w, g) -> Scenario:
+    """Groups of ``sizes`` nodes, needing file 0, 1, ... in turn."""
+    return Scenario(files=len(sizes), w=w, g=g, needs=np.repeat(np.arange(len(sizes)), sizes))
+
+
+class TestBatchMeans:
+    """Batch means (Law & Kelton, ch. 9): over 20 fixed seeds of 5000 rounds,
+    the mean of each run's estimate lies within 4 standard errors of the
+    analytic value, for equal and unequal groups of both games."""
+
+    SEEDS, ROUNDS, BOUND = range(20), 5000, 4.0
+
+    def assert_within(self, estimates, analytic):
+        """Each column's mean over seeds is within BOUND standard errors."""
+        estimates = np.asarray(estimates)
+        se = estimates.std(axis=0, ddof=1) / math.sqrt(len(self.SEEDS))
+        assert np.all(np.abs(estimates.mean(axis=0) - analytic) <= self.BOUND * se)
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            groups_of([10, 10], np.ones(20), np.ones(20)),
+            groups_of([12, 8], np.linspace(1.0, 1.15, 20), np.ones(20)),
+            groups_of([5, 9], np.linspace(1.1, 1.0, 14), np.linspace(0.9, 1.0, 14)),
+        ],
+        ids=["10+10", "12+8", "5+9"],
+    )
+    def test_plain_cost_and_throughput(self, s):
+        profile = require_nonnegative(two_file_equilibrium(s, alpha=0.5))
+        runs = [run_simulation(s, profile, self.ROUNDS, seed) for seed in self.SEEDS]
+        self.assert_within([m.avg_total_cost() for m in runs], node_costs_at_ne(s).avg_cost)
+        self.assert_within([m.per_node_throughput() for m in runs], throughput_at_ne(s))
+
+    @pytest.mark.parametrize(
+        "sizes", [[10] * 3, [6, 9, 7, 8], [5] * 5, [4, 6, 5, 7, 4, 6], [4] * 7, [3, 4, 5, 3, 4, 5, 3, 4]], ids=str
+    )
+    def test_coded_throughput(self, sizes):
+        s = groups_of(sizes, np.ones(sum(sizes)), np.ones(sum(sizes)))
+        profile = require_nonnegative(coded_equilibrium(s))
+        runs = [run_simulation(s, profile, self.ROUNDS, seed, coded=True) for seed in self.SEEDS]
+        self.assert_within([m.per_node_throughput() for m in runs], coded_throughput(s))
+
+
+class TestMetrics:
+    def test_avg_cost_formula(self, sym_2_2):
+        m = Metrics(sym_2_2)
+        m.downloads += 4
+        m.uploads[0] = 2
+        m.elapsed = np.float64(10.0)
+        m.rounds = 4
+        # (2 uploads * g + 10 time * w) / 4 downloads
+        assert m.avg_total_cost()[0] == pytest.approx((2 * 1.0 + 10.0 * 1.0) / 4)
+
+    def test_throughput_is_mean_over_nodes(self, sym_2_2):
+        m = Metrics(sym_2_2)
+        m.downloads[:] = [4, 4, 2, 2]
+        m.elapsed = np.float64(8.0)
+        assert m.per_node_throughput() == pytest.approx(np.mean([0.5, 0.5, 0.25, 0.25]))
+
+    def test_no_downloads_gives_inf(self, sym_2_2):
+        m = Metrics(sym_2_2)
+        m.elapsed = np.float64(1.0)
+        assert m.avg_total_cost()[0] == float("inf")
 
 
 class TestStallAcrossChunks:
@@ -364,7 +439,7 @@ class TestStallAcrossChunks:
         # nodes 0 and 1 initiate about once in 10^4 rounds, and nobody
         # answers their file: the first such round stalls the run
         profile = dense_profile(gamma=(1e-4, 1e-4, 1.0, 1.0), lam={(0, 1): 1.0, (1, 1): 1.0})
-        engine = RoundEngine(sym_2_2, one_seed(profile), coded=False)
+        engine = RoundEngine(sym_2_2, one_seed(profile))
         played = []
         with pytest.raises(StallError, match="file 0"):
             for chunk in engine.run([rng(0)], 10 * CHUNK_DOUBLES):
@@ -416,7 +491,7 @@ class TestBatchedEngineOracle:
            chunk=st.integers(1, 400))
     def test_matches_round_by_round_play(self, case, seed, rounds, chunk):
         s, profile, coded = case
-        engine = RoundEngine(s, one_seed(profile), coded)
+        engine = RoundEngine(s, one_seed(profile))
         gen, ref = rng(seed), rng(seed)
         try:
             expected = reference_play(s, profile, ref, rounds)
@@ -428,20 +503,19 @@ class TestBatchedEngineOracle:
             chunks = list(engine.run([gen], rounds))
         assert_same_rounds(alone(chunks), expected)
         assert gen.random() == ref.random()  # the generator ends where per-round play leaves it
-        m = Metrics([s])
-        for c in chunks:
-            engine.account(m, c)
+        with small_chunks(chunk):
+            m = run_simulation(s, profile, rounds, seed, coded)
         want = reference_metrics(s, expected, coded)
         np.testing.assert_array_equal(m.downloads, want.downloads)
         np.testing.assert_array_equal(m.uploads, want.uploads)
-        assert (m.elapsed.tolist(), m.rounds) == (want.elapsed.tolist(), want.rounds)
+        assert (m.elapsed, m.rounds) == (want.elapsed, want.rounds)
 
     @ORACLE
     @given(case=engine_cases(), seed=st.integers(0, 2**32 - 1),
            parts=st.lists(st.integers(1, 80), min_size=1, max_size=5), chunk=st.integers(1, 300))
     def test_successive_runs_continue_one_stream(self, case, seed, parts, chunk):
-        s, profile, coded = case
-        engine = RoundEngine(s, one_seed(profile), coded)
+        s, profile, _ = case
+        engine = RoundEngine(s, one_seed(profile))
         whole, pieces = rng(seed), rng(seed)
         try:
             with small_chunks(chunk):
@@ -461,7 +535,7 @@ class TestBatchedEngineOracle:
         s = two_file([1.0] * groups[0], [1.0] * groups[1])
         profile = two_file_equilibrium(s, alpha=0.5)
         gen, ref = rng(21), rng(21)
-        chunks = list(RoundEngine(s, one_seed(profile), coded=False).run([gen], 3000))
+        chunks = list(RoundEngine(s, one_seed(profile)).run([gen], 3000))
         assert len(chunks) >= 3
         assert_same_rounds(alone(chunks), reference_play(s, profile, ref, 3000))
         assert gen.random() == ref.random()
@@ -485,7 +559,7 @@ def reuse_cases(draw):
         gamma[needs == gen.integers(files + 1)] = 0.0  # no file, or one file's initiators
         lam[np.arange(needs.size), needs] = draw(st.sampled_from([0.0, math.nan, -1.0]))
         profiles.append(StrategyProfile(gamma=gamma, lam=lam))
-    return s, profiles, draw(st.booleans())
+    return s, profiles
 
 
 def chunk_lists(chunks) -> list:
@@ -505,14 +579,14 @@ class TestEngineReuse:
     @given(case=reuse_cases(), seed=st.integers(0, 2**32 - 1), rounds=st.integers(1, 60),
            chunk=st.integers(1, 300))
     def test_rerated_engine_matches_fresh_engines(self, case, seed, rounds, chunk):
-        s, profiles, coded = case
-        engine = RoundEngine(s, one_seed(profiles[-1]), coded)
+        s, profiles = case
+        engine = RoundEngine(s, one_seed(profiles[-1]))
         reused, fresh = rng(seed), rng(seed)
         for profile in map(one_seed, profiles):
             engine.set_profile(profile)
             with small_chunks(chunk):
                 try:
-                    want = chunk_lists(RoundEngine(s, profile, coded).run([fresh], rounds))
+                    want = chunk_lists(RoundEngine(s, profile).run([fresh], rounds))
                 except StallError:
                     with pytest.raises(StallError):
                         list(engine.run([reused], rounds))
@@ -523,24 +597,24 @@ class TestEngineReuse:
     @REUSE
     @given(case=reuse_cases(), bad=st.sampled_from([-1.0, -5e-324, math.nan, math.inf]), data=st.data())
     def test_swap_rejects_what_the_constructor_rejects(self, case, bad, data):
-        s, (good, *_), coded = case
+        s, (good, *_) = case
         gamma, lam = good.gamma.copy(), good.lam.copy()
         n = data.draw(st.integers(0, s.n_nodes - 1))
         if data.draw(st.booleans()):
             gamma[n] = bad
         else:  # a response rate the engine reads: for a file the node holds
             lam[n, data.draw(st.sampled_from([x for x in range(s.files) if x != s.needs[n]]))] = bad
-        engine = RoundEngine(s, one_seed(good), coded)
+        engine = RoundEngine(s, one_seed(good))
         broken = [(one_seed(StrategyProfile(gamma, lam)), NegativeRateError)]
         broken += [(one_seed(StrategyProfile(*p)), ValueError) for p in [(gamma[1:], lam), (gamma, lam[:, 1:]), (gamma[:, None], lam)]]
         for profile, error in broken:
             with pytest.raises(error):
-                RoundEngine(s, profile, coded)
+                RoundEngine(s, profile)
             with pytest.raises(error):
                 engine.set_profile(profile)
         # a rejected swap leaves the engine at the rates it had
         try:
-            want = chunk_lists(RoundEngine(s, one_seed(good), coded).run([rng(1)], 30))
+            want = chunk_lists(RoundEngine(s, one_seed(good)).run([rng(1)], 30))
         except StallError:
             with pytest.raises(StallError):
                 list(engine.run([rng(1)], 30))
@@ -568,7 +642,7 @@ def batch_cases(draw, fixed: bool):
         if draw(st.booleans()):
             gamma[needs == gen.integers(files)] = 0.0
         profiles.append(StrategyProfile(gamma=gamma, lam=lam))
-    return s, profiles, draw(st.booleans())
+    return s, profiles
 
 
 class TestSeedBatch:
@@ -578,10 +652,10 @@ class TestSeedBatch:
     @REUSE
     @given(data=st.data(), fixed=st.booleans(), rounds=st.integers(1, 60), chunk=st.integers(1, 300))
     def test_batch_matches_seeds_alone(self, data, fixed, rounds, chunk):
-        s, profiles, coded = data.draw(batch_cases(fixed))
+        s, profiles = data.draw(batch_cases(fixed))
         seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(profiles), max_size=len(profiles)))
         batch = StrategyProfile(np.stack([p.gamma for p in profiles]), np.stack([p.lam for p in profiles]))
-        engine = RoundEngine(s, batch, coded)
+        engine = RoundEngine(s, batch)
         assume((engine.fixed_step > 0) == fixed or engine.initiators.size == 0)
         gens = [rng(seed) for seed in seeds]
         if not fixed and len(seeds) > 1:  # walked rounds: the walk plays one seed
@@ -594,7 +668,7 @@ class TestSeedBatch:
             for profile, seed in zip(profiles, seeds):
                 try:
                     gen = rng(seed)
-                    played.append((list(RoundEngine(s, one_seed(profile), coded).run([gen], rounds)), gen))
+                    played.append((list(RoundEngine(s, one_seed(profile)).run([gen], rounds)), gen))
                 except StallError:
                     played.append(None)
             if None in played:
@@ -602,21 +676,10 @@ class TestSeedBatch:
                     list(engine.run(gens, rounds))
                 return
             got = list(engine.run(gens, rounds))
-        batch_metrics = Metrics([s] * len(seeds))
-        for chunk_rounds in got:
-            engine.account(batch_metrics, chunk_rounds)
         for row, (chunks, gen) in enumerate(played):
             want = alone(chunks)
             assert [col[row].tolist() for col in joined(got)] == [col.tolist() for col in want]
             assert gens[row].bit_generator.state == gen.bit_generator.state
-            m = Metrics([s])
-            for c in chunks:
-                RoundEngine(s, one_seed(profiles[row]), coded).account(m, c)
-            assert batch_metrics.downloads[row].tolist() == m.downloads[0].tolist()
-            assert batch_metrics.uploads[row].tolist() == m.uploads[0].tolist()
-            assert (batch_metrics.elapsed[row], batch_metrics.rounds) == (m.elapsed[0], m.rounds)
-            assert batch_metrics.avg_total_cost()[row].tolist() == m.avg_total_cost()[0].tolist()
-            assert batch_metrics.per_node_throughput()[row] == m.per_node_throughput()[0]
 
     def test_walked_batch_is_refused_after_the_stall_check(self):
         # unequal groups: each round's uniforms start where the previous
@@ -624,7 +687,7 @@ class TestSeedBatch:
         s = two_file([1.0] * 3, [1.0] * 5)
         good = two_file_equilibrium(s, alpha=0.5)
         gamma, lam = np.stack([good.gamma] * 2), np.stack([good.lam] * 2)
-        engine = RoundEngine(s, StrategyProfile(gamma, lam), coded=False)
+        engine = RoundEngine(s, StrategyProfile(gamma, lam))
         assert engine.fixed_step == 0
         gens = [rng(0), rng(1)]
         with pytest.raises(ValueError, match="fixed stride"):
@@ -637,34 +700,16 @@ class TestSeedBatch:
             with pytest.raises(StallError, match="initiate"):
                 list(engine.run(gens, 10))
 
-    def test_batch_prices_each_seed_with_its_own_costs(self):
-        # one layout, two cost draws: Metrics prices each row with its own w and g
-        scenarios = [
-            Scenario(files=2, w=[1.0, 1.3, 2.0, 1.1, 1.5, 1.2], g=[1.0, 0.8, 1.5, 1.0, 1.2, 0.9], needs=[0, 0, 0, 1, 1, 1]),
-            Scenario(files=2, w=[3.0, 0.5, 1.0, 2.5, 0.7, 1.8], g=[0.5, 2.0, 1.1, 1.4, 3.0, 0.6], needs=[0, 0, 0, 1, 1, 1]),
-        ]
-        profile = two_file_equilibrium(symmetric(2, 3), alpha=0.5)
-        engine = RoundEngine(scenarios[0], StrategyProfile(np.stack([profile.gamma] * 2), np.stack([profile.lam] * 2)), coded=False)
-        assert engine.fixed_step > 0
-        metrics = Metrics(scenarios)
-        for chunk in engine.run([rng(3), rng(4)], 500):
-            engine.account(metrics, chunk)
-        for row, (s, seed) in enumerate(zip(scenarios, [3, 4])):
-            want = run_simulation(s, profile, 500, seed)
-            assert metrics.avg_total_cost()[row].tolist() == want.avg_total_cost()[0].tolist()
-            assert metrics.per_node_throughput()[row] == want.per_node_throughput()[0]
-        assert metrics.avg_total_cost()[1].tolist() != run_simulation(scenarios[0], profile, 500, 4).avg_total_cost()[0].tolist()
-
     def test_batch_rejects_a_bad_row(self, sym_2_2):
         good = two_file_equilibrium(sym_2_2, alpha=0.5)
         gamma, lam = np.stack([good.gamma] * 3), np.stack([good.lam] * 3)
         gamma[1, 2] = -1.0
         with pytest.raises(NegativeRateError, match="negative or non-finite rate"):
-            RoundEngine(sym_2_2, StrategyProfile(gamma, lam), coded=False)
+            RoundEngine(sym_2_2, StrategyProfile(gamma, lam))
         # no seed, and a profile without the seed axis
         for profile in [StrategyProfile(gamma[:0], lam[:0]), good]:
             with pytest.raises(ValueError, match=r"shape \(seeds, nodes\)"):
-                RoundEngine(sym_2_2, profile, coded=False)
+                RoundEngine(sym_2_2, profile)
 
 
 class TestGoldenPrefix:
