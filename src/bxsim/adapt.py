@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BxsimError, DivergenceError, NonpositiveObservationError, StallError
-from .model import Scenario, StrategyProfile, require_valid
+from .model import Scenario, StrategyProfile
 from .simulate import RoundEngine, in_order_sum
 
 logger = logging.getLogger(__name__)
@@ -46,6 +46,9 @@ class AdaptConfig:
     guess_factor: initial group-size overestimate; each node assumes its
         group has guess_factor times its true size, all with its own costs.
     updates: number of update epochs to run.
+
+    Building a config checks the knobs and raises ValueError for the first
+    one out of its range.
     """
 
     epoch_rounds: int = 100
@@ -58,7 +61,7 @@ class AdaptConfig:
             raise ValueError("update index k starts at 1")
         return self.epsilon / k
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.epoch_rounds < 1:
             raise ValueError("epoch_rounds must be >= 1")
         if not 0 < self.epsilon < float("inf"):
@@ -114,8 +117,6 @@ def init_state(s: Scenario, cfg: AdaptConfig) -> AdaptState:
     1/That_{n,0} - r = r / (G - 1), a factor G - 1 below its share at the
     converged point.
     """
-    require_valid(s)
-    cfg.validate()
     if s.files != 2:
         raise ValueError("the adaptation mechanism is defined for two-file scenarios")
     assumed = cfg.guess_factor * s.group_sizes()[s.needs]
@@ -212,7 +213,6 @@ def run_adaptive_simulation(scenarios: list[Scenario], cfg: AdaptConfig, seeds: 
     seed's warnings logged as it ends, until one fails (one does: a batch
     fails only where one of its seeds fails alone).
     """
-    cfg.validate()
     if len(seeds) != len(scenarios) or any(
         s.files != scenarios[0].files or not np.array_equal(s.needs, scenarios[0].needs) for s in scenarios
     ):

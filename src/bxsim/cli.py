@@ -33,7 +33,7 @@ from .errors import (
     SingularSystemError,
     StallError,
 )
-from .model import Scenario, as_output, atomic_open, load_scenario, require_valid
+from .model import Scenario, as_output, atomic_open, load_scenario
 
 
 NODE_COLUMNS = "%.9g,%.9g,%d"  # w, g, needs
@@ -113,8 +113,8 @@ NODE_JSON = '\n      {\n        "g": %r,\n        "needs": %d,\n        "w": %r\
 
 def dump_scenarios(path: str | Path | atomic_open, scenarios: dict[str, Scenario]) -> None:
     """Write the generated scenarios to ``path`` for reproducibility: the bytes of
-    ``json.dump(..., sort_keys=True, indent=2)`` on their ``scenario_to_dict`` forms, as long as
-    each has a node and finite costs, which every dumped scenario has (``%r`` is json's float form)."""
+    ``json.dump(..., sort_keys=True, indent=2)`` on their ``scenario_to_dict`` forms, since
+    every built scenario has nodes and finite costs (``%r`` is json's form of a finite float)."""
     with as_output(path) as fh:
         fh.write("{")
         for i, key in enumerate(sorted(scenarios)):
@@ -141,7 +141,6 @@ def two_file_alpha(args) -> float:
 def cmd_ne(args) -> tuple[list[str], list[str]]:
     alpha = two_file_alpha(args)
     s, _ = load_scenario(args.config)
-    require_valid(s)
     profile = equilibrium.coded_equilibrium(s) if args.coded else equilibrium.two_file_equilibrium(s, alpha=alpha)
     equilibrium.require_nonnegative(profile)
     lines: list[str] = []
@@ -163,7 +162,6 @@ POA_NODE_ROW = "node,%d,%s,%.9g,%.9g,%.9g,,\r\n"
 
 def cmd_poa(args) -> tuple[list[str], list[str]]:
     s, _ = load_scenario(args.config)
-    require_valid(s)
     system = (equilibrium.poa_system(s), equilibrium.throughput_at_ne(s), equilibrium.ne_round_duration(s))
     costs = equilibrium.node_costs_at_ne(s)  # avg_cost, transmit_prob, poa
     lines = [POA_SYSTEM_ROW % system]
@@ -179,7 +177,6 @@ SIM_SYSTEM_ROW = "%d,system,,,,,,,,%.9g\r\n"
 def cmd_simulate(args) -> tuple[list[str], list[str]]:
     alpha = two_file_alpha(args)
     s, cfg_seed = load_scenario(args.config)
-    require_valid(s)
     if not args.coded and s.files != 2:
         raise ValueError("plain (uncoded) simulation requires a two-file scenario")
     profile = equilibrium.coded_equilibrium(s) if args.coded else equilibrium.two_file_equilibrium(s, alpha=alpha)
@@ -211,9 +208,8 @@ ADAPT_NODE_ROW = "%d,%d,%d,%.9g,%.9g\r\n"
 
 def cmd_adapt(args) -> tuple[list[str], list[str]]:
     s, cfg_seed = load_scenario(args.config)
-    require_valid(s)
-    cfg = adapt_config(args)
     seeds = run_seeds(args, cfg_seed)
+    cfg = adapt_config(args)
     run = adapt.run_adaptive_simulation([s] * len(seeds), cfg, seeds)
     epochs = range(cfg.updates + 1)
     deltas = [0.0] + [cfg.delta(k) for k in epochs[1:]]  # the step of the update before each epoch
@@ -232,10 +228,10 @@ FIG2_ROW = "%d,%.9g,%.9g,%.9g\r\n"
 
 def cmd_fig2(args) -> tuple[list[str], list[str]]:
     seeds = parse_seeds(args.seeds)
-    cfg = adapt_config(args)
     generated = [gen_two_file(args.group_size, args.group_size, args.w_lo, args.w_hi, args.g, gen_rng(seed, 1)) for seed in seeds]
+    cfg = adapt_config(args)
     throughput = adapt.run_adaptive_simulation(generated, cfg, seeds).observed[..., 2]  # (seeds, epochs)
-    # A scenario the adaptive run accepted has an equilibrium throughput.
+    # Every built scenario has an equilibrium throughput.
     ne_mean = float(np.mean([equilibrium.throughput_at_ne(s) for s in generated]))
     # One 1-d mean and std per epoch: a reduction along axis 0 adds in
     # another order and can differ in the last bits.
@@ -264,7 +260,6 @@ def cmd_fig3(args) -> tuple[list[str], list[str]]:
     for f in file_counts:
         s = gen_groups([args.group_size] * f, args.w_lo, args.w_hi, args.g, gen_rng(args.seed, f))
         scenarios[f"files_{f}"] = s
-        require_valid(s)
         # Throughput only needs the per-file aggregates, which exist even
         # when the per-node split would go negative.
         analytic = equilibrium.coded_throughput(s)

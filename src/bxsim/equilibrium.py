@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NegativeRateError, SingularSystemError
-from .model import Scenario, StrategyProfile, require_valid
+from .model import Scenario, StrategyProfile
 
 
 def response_equilibrium(ratios) -> np.ndarray:
@@ -67,7 +67,6 @@ def two_file_equilibrium(s: Scenario, alpha: float = 0.5) -> StrategyProfile:
     one-sided profile: the silent group's response rates are zeroed as well,
     since it never gets to respond.
     """
-    require_valid(s)
     if s.files != 2:
         raise ValueError("two_file_equilibrium requires exactly 2 files")
     if not 0.0 <= alpha <= 1.0:
@@ -101,7 +100,6 @@ def two_file_durations(s: Scenario) -> np.ndarray:
     """(That_A, That_B): the expected response-phase durations of the two
     groups at equilibrium, for every alpha (group 0 responds when file 1 is
     announced, and vice versa)."""
-    require_valid(s)
     if s.files != 2:
         raise ValueError("two_file_durations requires exactly 2 files")
     return np.array([response_phase_mean(s.ratios[s.needs == x]) for x in (0, 1)])
@@ -157,7 +155,6 @@ def coded_system(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
     X's complement (the nodes that hold X).  The matrix is thus
     diag(c - d) + d 1^T.
     """
-    require_valid(s)
     sums = np.bincount(s.needs, weights=s.ratios, minlength=s.files)
     # The holders' sum is that of the groups before X plus that of the groups
     # after it, never a difference that could cancel to 0.
@@ -222,7 +219,6 @@ def coded_equilibrium(s: Scenario) -> StrategyProfile:
     holding each announced file via response_equilibrium over the file's
     complement group.
     """
-    require_valid(s)
     if s.files == 2:
         return two_file_equilibrium(s, alpha=0.5)
 

@@ -44,9 +44,11 @@ class Scenario:
     sent) and the file it ``needs``.
 
     The columns are stored as read-only float64 (``w``, ``g``) and int64
-    (``needs``) arrays.  A ``needs`` beyond int64 is kept exactly, in an
-    object array, so that validation can name it.  Scenarios are equal when
-    their file counts and columns are.
+    (``needs``) arrays, and then checked: a population outside the closed
+    forms' domain raises ScenarioError listing every violation, so a built
+    scenario is valid.  A ``needs`` beyond int64 is kept exactly, in an
+    object array, so that its violation can name it.  Scenarios are equal
+    when their file counts and columns are.
     """
 
     files: int
@@ -65,6 +67,9 @@ class Scenario:
         for name, column in columns.items():
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+        violations = _violations(self)
+        if violations:
+            raise ScenarioError(violations)
 
     def __eq__(self, other):
         if not isinstance(other, Scenario):
@@ -78,30 +83,25 @@ class Scenario:
 
     @cached_property
     def ratios(self) -> np.ndarray:
-        """w/g per node; inf where the division overflows (validation rejects it)."""
+        """w/g per node; inf where the division overflows (building rejects it)."""
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return self.w / self.g
 
-    @cached_property
-    def violations(self) -> tuple[Violation, ...]:
-        """validate_scenario(self), checked once: a scenario never changes."""
-        return tuple(validate_scenario(self))
-
     def group_sizes(self) -> np.ndarray:
-        """Nodes needing each file; a ``needs`` outside 0..files-1 is not counted."""
-        valid = self.needs[(0 <= self.needs) & (self.needs < self.files)]
-        return np.bincount(valid.astype(np.int64), minlength=self.files)
+        """Nodes needing each file."""
+        return np.bincount(self.needs, minlength=self.files)
 
 
-def validate_scenario(s: Scenario) -> list[Violation]:
-    """Check all scenario invariants; return the complete violation list.
+def _violations(s: Scenario) -> list[Violation]:
+    """Every violation of the scenario invariants by the columns ``s`` has
+    stored, in a fixed order; ``Scenario`` raises them all when it is built.
 
-    An empty list means the scenario is valid.  The checks mirror what the
-    closed forms require: at least 2 files, finite positive costs whose
-    ratio w/g is finite, every file group of size >= 2 (group sums are
-    divided by size minus one), and a finite response duration for every
-    group and complement.  More files than nodes is a single violation, so
-    no check does per-file work beyond the node count.
+    The checks mirror what the closed forms require: at least 2 files,
+    finite positive costs whose ratio w/g is finite, every file group of
+    size >= 2 (group sums are divided by size minus one), and a finite
+    response duration for every group and complement.  More files than
+    nodes is a single violation, so no check does per-file work beyond the
+    node count.
     """
     out: list[Violation] = []
     inf = float("inf")
@@ -121,7 +121,7 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     if s.files > s.n_nodes:
         out.append(Violation(GROUP_TOO_SMALL, f"{s.files} files need 2 nodes each; the scenario has {s.n_nodes}"))
     elif s.files > 0:
-        for f, size in enumerate(s.group_sizes().tolist()):
+        for f, size in enumerate(np.bincount(s.needs[needs_ok].astype(np.int64), minlength=s.files).tolist()):
             if size < 2:
                 out.append(Violation(GROUP_TOO_SMALL, f"file {f} is needed by {size} node(s); need at least 2"))
     if out:
@@ -136,13 +136,6 @@ def validate_scenario(s: Scenario) -> list[Violation]:
             why = f"the {ratios.size} nodes that {kind} file {x} have sum(w/g) = {total}"
             out.append(Violation(NONFINITE_COST, f"{why}; (count - 1) / sum(w/g) must be finite and > 0"))
     return out
-
-
-def require_valid(s: Scenario) -> Scenario:
-    """Return ``s`` unchanged, or raise ScenarioError with all violations."""
-    if s.violations:
-        raise ScenarioError(list(s.violations))
-    return s
 
 
 @dataclass(frozen=True)
@@ -186,8 +179,7 @@ def scenario_from_dict(data: dict) -> tuple[Scenario, int | None]:
     are never coerced: a missing field, a bool or string where a number is
     due, a non-integral ``files``, ``needs`` or ``seed``, or a negative
     ``seed`` is a BAD_CONFIG violation, and all of them are reported
-    together.  The values are not validated here; call require_valid for
-    that.
+    together, before the scenario is built; building it checks the values.
     """
     problems: list[str] = []
 

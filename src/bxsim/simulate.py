@@ -52,7 +52,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import NegativeRateError, StallError
-from .model import Scenario, StrategyProfile, as_output, require_valid
+from .model import Scenario, StrategyProfile, as_output
 
 NEVER = math.inf
 
@@ -95,7 +95,6 @@ class RoundEngine:
     ``set_profile``."""
 
     def __init__(self, scenario: Scenario, profile: StrategyProfile):
-        require_valid(scenario)
         self.scenario = scenario
         n, files, needs = scenario.n_nodes, scenario.files, scenario.needs
         # Per file X, every node that possesses X (ascending ids, so entry j

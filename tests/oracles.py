@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from bxsim.errors import BxsimError
-from bxsim.model import Scenario, StrategyProfile, require_valid
+from bxsim.model import Scenario, StrategyProfile
 
 
 class DegenerateProfileError(BxsimError):
@@ -67,7 +67,6 @@ def expected_initiation_cost(
     At equilibrium initiation rates the exponential coefficient vanishes and
     the value is independent of t.
     """
-    require_valid(s)
     if s.files != 2:
         raise ValueError("initiation-cost closed form is defined for two-file scenarios")
     w, g = float(s.w[node]), float(s.g[node])

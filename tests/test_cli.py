@@ -13,8 +13,8 @@ import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout, suppress
-from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import bxsim
@@ -91,8 +91,9 @@ class TestNe:
         assert "invalid scenario" in capsys.readouterr().err
 
     def test_invalid_scenario_lists_violations(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, two_file([1.0], [1.0]))
-        assert main(["ne", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        cfg = tmp_path / "scenario.json"  # two_file([1.0], [1.0]), which cannot be built
+        cfg.write_text(json.dumps({"files": 2, "nodes": [{"w": 1.0, "g": 1.0, "needs": x} for x in (0, 1)]}))
+        assert main(["ne", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert "GROUP_TOO_SMALL" in err
 
@@ -415,6 +416,23 @@ class TestAdapt:
         assert not out.exists() and not (tmp_path / "x.csv.scenarios.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,config,message",
+    [
+        (["adapt", "--guess-factor", "0.1"], scenario_to_dict(symmetric(2, 10)),
+         "invalid arguments: guess_factor * group size must exceed 1"),
+        (["adapt", "--updates", "-1"], scenario_to_dict(symmetric(2, 10)), "invalid arguments: updates must be >= 0"),
+        (["ne"], [], "invalid scenario:\n  BAD_CONFIG: scenario config must be a JSON object"),
+    ],
+)
+def test_input_check_exits_2(tmp_path, capsys, argv, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 class TestFailClosed:
     """Argument lists that would be silently wrong, outputs that cannot be
     written, and a diverging adaptation all fail before any output exists."""
@@ -666,11 +684,13 @@ class TestFig2:
         assert len(read_csv(out)) == 2
 
     def test_failing_dump_leaves_no_partial_json(self, tmp_path):
-        # the second scenario cannot be serialized (its file count is not a
-        # number), so the dump fails after the first one has been written out
+        # the second entry cannot be serialized (a stand-in for a scenario
+        # whose file count is not a number: no Scenario has one), so the dump
+        # fails after the first one has been written out
         path = tmp_path / "fig2.csv.scenarios.json"
         path.write_text("old\n")
-        broken = replace(symmetric(2, 3), files=None)
+        s = symmetric(2, 3)
+        broken = SimpleNamespace(files=None, w=s.w, g=s.g, needs=s.needs)
         with pytest.raises(TypeError):
             dump_scenarios(str(path), {"seed_0": symmetric(2, 2), "seed_1": broken})
         assert path.read_text() == "old\n" and list(tmp_path.iterdir()) == [path]
@@ -720,6 +740,13 @@ class TestFig3:
         assert all(0 < float(r[1]) < 0.5 for r in rows[1:])
 
 
+# (w, g) of one node: g from subnormal to near the largest float, and w/g in
+# [0.5, 2], so that every ratio and group sum is finite.
+NODE_COSTS = st.tuples(st.floats(5e-324, 1e308), st.floats(0.5, 1.0)).map(
+    lambda g_r: (g_r[0] * g_r[1] if g_r[0] > 1 else g_r[0] / g_r[1], g_r[0])
+)
+
+
 class TestGeneratedScenarios:
     @pytest.mark.parametrize(
         "argv",
@@ -752,10 +779,8 @@ class TestGeneratedScenarios:
     @given(
         st.dictionaries(
             st.text(min_size=1, max_size=6),
-            st.tuples(
-                st.integers(2, 4),
-                st.lists(st.tuples(st.floats(5e-324, 1e308), st.floats(5e-324, 1e308), st.integers(0, 10**6)),
-                         min_size=1, max_size=6),
+            st.integers(2, 4).flatmap(
+                lambda files: st.tuples(st.just(files), st.lists(NODE_COSTS, min_size=2 * files, max_size=2 * files + 4))
             ),
             min_size=1,
             max_size=4,
@@ -763,7 +788,10 @@ class TestGeneratedScenarios:
     )
     @settings(max_examples=100, derandomize=True, deadline=None)
     def test_dump_matches_json_dump(self, specs):
-        scenarios = {key: Scenario(files, *zip(*nodes)) for key, (files, nodes) in specs.items()}
+        # node n needs file n % files, so that every group has 2 nodes or more
+        scenarios = {
+            key: Scenario(files, *zip(*nodes), [n % files for n in range(len(nodes))]) for key, (files, nodes) in specs.items()
+        }
         with tempfile.TemporaryDirectory() as tmp:
             dump_scenarios(str(Path(tmp) / "out.csv.scenarios.json"), scenarios)
             got = (Path(tmp) / "out.csv.scenarios.json").read_text()

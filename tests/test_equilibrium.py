@@ -136,6 +136,18 @@ class TestResponsePhaseMean:
             lam = response_equilibrium(r)
             assert response_phase_mean(r) == pytest.approx(1 / np.sum(lam), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "solve,ratios,message",
+        [
+            (response_equilibrium, [1.0], "need at least 2 eligible responders"),
+            (response_phase_mean, [1.0], "need at least 2 eligible responders"),
+            (response_phase_mean, [0.0, 0.0], "sum of ratios must be positive"),
+        ],
+    )
+    def test_outside_the_domain(self, solve, ratios, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve(ratios)
+
 
 class TestExpectedResponseCost:
     def test_immediate_transmission_pays_g(self):

@@ -28,10 +28,8 @@ from bxsim.model import (
     Scenario,
     atomic_open,
     load_scenario,
-    require_valid,
     scenario_from_dict,
     scenario_to_dict,
-    validate_scenario,
 )
 
 from bxsim.cli import main
@@ -47,72 +45,70 @@ def with_first_node(w, g, needs, s: Scenario) -> Scenario:
     return Scenario(files=s.files, w=[w, *s.w], g=[g, *s.g], needs=[needs, *s.needs])
 
 
+def raised(build) -> list:
+    """The violations of the ScenarioError that ``build()`` raises."""
+    with pytest.raises(ScenarioError) as exc_info:
+        build()
+    return exc_info.value.violations
+
+
 class TestValidation:
     def test_symmetric_scenario_is_valid(self):
-        assert validate_scenario(symmetric(2, 10)) == []
+        assert symmetric(2, 10).n_nodes == 20  # building raises on any violation
 
     def test_group_of_one(self):
-        s = two_file([1.0], [1.0, 1.0])
-        assert codes(validate_scenario(s)) == [GROUP_TOO_SMALL]
+        assert codes(raised(lambda: two_file([1.0], [1.0, 1.0]))) == [GROUP_TOO_SMALL]
 
     def test_zero_transmission_cost(self):
-        s = Scenario(files=2, w=[1.0, 1.0, 1.0, 1.0], g=[0.0, 1.0, 1.0, 1.0], needs=[0, 0, 1, 1])
-        assert codes(validate_scenario(s)) == [NONPOSITIVE_COST]
+        violations = raised(
+            lambda: Scenario(files=2, w=[1.0, 1.0, 1.0, 1.0], g=[0.0, 1.0, 1.0, 1.0], needs=[0, 0, 1, 1])
+        )
+        assert codes(violations) == [NONPOSITIVE_COST]
 
     @pytest.mark.parametrize("w,g", [(float("inf"), 1.0), (1.0, float("inf")), (float("nan"), 1.0)])
     def test_non_finite_cost(self, w, g):
-        s = with_first_node(w, g, 0, symmetric(2, 2))
-        assert codes(validate_scenario(s)) == [NONFINITE_COST]
+        assert codes(raised(lambda: with_first_node(w, g, 0, symmetric(2, 2)))) == [NONFINITE_COST]
 
     def test_overflowing_ratio(self):
         # w and g are finite and positive, but w/g overflows to inf
-        s = with_first_node(1.0, 1e-320, 0, symmetric(2, 2))
-        violations = validate_scenario(s)
+        violations = raised(lambda: with_first_node(1.0, 1e-320, 0, symmetric(2, 2)))
         assert codes(violations) == [NONFINITE_COST]
         assert "node 0" in violations[0].message and "overflows" in violations[0].message
 
     def test_single_file(self):
-        s = Scenario(files=1, w=[1, 1], g=[1, 1], needs=[0, 0])
-        assert TOO_FEW_FILES in codes(validate_scenario(s))
+        assert TOO_FEW_FILES in codes(raised(lambda: Scenario(files=1, w=[1, 1], g=[1, 1], needs=[0, 0])))
 
     def test_needs_out_of_range(self):
-        s = with_first_node(1, 1, 5, symmetric(2, 2))
-        assert BAD_FILE_ID in codes(validate_scenario(s))
+        assert BAD_FILE_ID in codes(raised(lambda: with_first_node(1, 1, 5, symmetric(2, 2))))
 
     def test_all_violations_reported_together(self):
-        s = Scenario(files=1, w=[-1.0, 1.0], g=[1.0, 1.0], needs=[0, 0])
-        got = codes(validate_scenario(s))
+        got = codes(raised(lambda: Scenario(files=1, w=[-1.0, 1.0], g=[1.0, 1.0], needs=[0, 0])))
         assert TOO_FEW_FILES in got and NONPOSITIVE_COST in got
 
     def test_empty_group(self):
         # file 2 exists but nobody needs it
-        s = replace(symmetric(2, 2), files=3)
-        assert codes(validate_scenario(s)) == [GROUP_TOO_SMALL]
+        assert codes(raised(lambda: replace(symmetric(2, 2), files=3))) == [GROUP_TOO_SMALL]
 
     def test_require_valid_raises_with_all_violations(self):
-        s = two_file([1.0], [1.0])
-        with pytest.raises(ScenarioError) as exc_info:
-            require_valid(s)
-        assert len(exc_info.value.violations) == 2
-
-    def test_require_valid_passthrough(self, sym_10_10):
-        assert require_valid(sym_10_10) is sym_10_10
+        assert len(raised(lambda: two_file([1.0], [1.0]))) == 2
 
     def test_more_files_than_nodes_is_one_violation(self):
         # no per-file work: a billion files on 4 nodes is one violation
-        s = replace(symmetric(2, 2), files=10**9)
-        violations = validate_scenario(s)
+        violations = raised(lambda: replace(symmetric(2, 2), files=10**9))
         assert codes(violations) == [GROUP_TOO_SMALL]
         assert "1000000000 files" in violations[0].message and "has 4" in violations[0].message
 
     def test_group_sizes_skip_invalid_needs(self):
-        s = Scenario(files=3, w=[1] * 5, g=[1] * 5, needs=[2, -1, 0, 10**30, 2])
-        assert s.group_sizes().tolist() == [1, 0, 2]
+        # group sizes [1, 0, 2]: nodes 1 and 3 need no file of the 3
+        violations = raised(lambda: Scenario(files=3, w=[1] * 5, g=[1] * 5, needs=[2, -1, 0, 10**30, 2]))
+        assert [v.message for v in violations if v.code == GROUP_TOO_SMALL] == [
+            "file 0 is needed by 1 node(s); need at least 2",
+            "file 1 is needed by 0 node(s); need at least 2",
+        ]
 
     def test_overflowing_group_response_duration(self):
         # finite w/g, but (2 - 1) / (2e-320) overflows: the group never answers in finite time
-        s = two_file([1e-320, 1e-320], [1.0, 1.0])
-        violations = validate_scenario(s)
+        violations = raised(lambda: two_file([1e-320, 1e-320], [1.0, 1.0]))
         assert codes(violations) == [NONFINITE_COST]
         assert "2 nodes that need file 0" in violations[0].message and "2e-320" in violations[0].message
 
@@ -120,15 +116,13 @@ class TestValidation:
         # groups 1 and 2 each have a finite duration 1 / (2r), but the four
         # nodes holding file 0 have 3 / (4r) > the largest float
         r = 3.5e-309
-        s = Scenario(files=3, w=[1.0, 1.0, r, r, r, r], g=[1.0] * 6, needs=[0, 0, 1, 1, 2, 2])
-        violations = validate_scenario(s)
+        violations = raised(lambda: Scenario(files=3, w=[1.0, 1.0, r, r, r, r], g=[1.0] * 6, needs=[0, 0, 1, 1, 2, 2]))
         assert codes(violations) == [NONFINITE_COST]
         assert "the 4 nodes that hold file 0" in violations[0].message
 
     def test_overflowing_ratio_sum(self):
         # each w/g is finite, their sum is not: the duration would be 0
-        s = two_file([1e308, 1e308], [1.0, 1.0])
-        assert codes(validate_scenario(s)) == [NONFINITE_COST]
+        assert codes(raised(lambda: two_file([1e308, 1e308], [1.0, 1.0]))) == [NONFINITE_COST]
 
 
 def group_ratio_sum(s: Scenario, f: int) -> tuple[int, float]:
@@ -154,9 +148,10 @@ class TestGroupRatioSums:
 
 class TestArrays:
     def test_per_node_arrays(self):
-        s = Scenario(files=2, w=[3.0, 1.0], g=[2.0, 4.0], needs=[1, 0])
-        assert s.w.tolist() == [3.0, 1.0] and s.g.tolist() == [2.0, 4.0]
-        assert s.ratios.tolist() == [1.5, 0.25] and s.needs.tolist() == [1, 0]
+        # the two nodes twice over, so that each group has the 2 it needs
+        s = Scenario(files=2, w=[3.0, 1.0] * 2, g=[2.0, 4.0] * 2, needs=[1, 0] * 2)
+        assert s.w.tolist() == [3.0, 1.0] * 2 and s.g.tolist() == [2.0, 4.0] * 2
+        assert s.ratios.tolist() == [1.5, 0.25] * 2 and s.needs.tolist() == [1, 0] * 2
 
     def test_columns_are_read_only_copies(self):
         w = np.array([1.0, 2.0, 1.0, 2.0])
@@ -170,22 +165,22 @@ class TestArrays:
     def test_equality_is_on_files_and_columns(self):
         s = symmetric(2, 2)
         assert s == Scenario(files=2, w=[1, 1, 1, 1], g=[1.0] * 4, needs=np.array([0, 0, 1, 1]))
-        assert s != replace(s, files=3) and s != replace(s, w=[1.0, 1.0, 1.0, 2.0]) and s != symmetric(2, 3)
+        assert s != replace(s, w=[1.0, 1.0, 1.0, 2.0]) and s != symmetric(2, 3)
         assert s != replace(s, needs=[0, 1, 0, 1]) and s != "scenario"
+        # the same columns with another file count leave file 2 unneeded, so no such scenario is built
+        assert codes(raised(lambda: replace(s, files=3))) == [GROUP_TOO_SMALL]
 
     def test_columns_must_have_one_length(self):
         with pytest.raises(ValueError):
             Scenario(files=2, w=[1.0, 1.0], g=[1.0], needs=[0, 1])
 
     def test_needs_beyond_int64_is_kept_exactly(self):
-        s = with_first_node(1.0, 1.0, 10**30, symmetric(2, 2))
-        assert s.needs.tolist()[0] == 10**30
-        (violation,) = validate_scenario(s)
+        (violation,) = raised(lambda: with_first_node(1.0, 1.0, 10**30, symmetric(2, 2)))
         assert str(violation) == f"{BAD_FILE_ID}: node 0 needs file {10**30}, valid range is 0..1"
 
     def test_messages_carry_python_numbers(self):
-        s = with_first_node(float("nan"), 2.5, 7, symmetric(2, 2))
-        assert [v.message for v in validate_scenario(s)] == [
+        violations = raised(lambda: with_first_node(float("nan"), 2.5, 7, symmetric(2, 2)))
+        assert [v.message for v in violations] == [
             "node 0 needs file 7, valid range is 0..1",
             "node 0 has w=nan, g=2.5; both must be finite and > 0",
         ]
@@ -226,7 +221,9 @@ class TestConfig:
         assert all(part in v.message for part, v in zip(expected, exc_info.value.violations))
 
     def test_integral_numbers_are_kept(self):
-        s, seed = scenario_from_dict({**node_config(needs=1.0, w=2), "files": 2.0, "seed": 7.0})
+        data = {**node_config(needs=1.0, w=2), "files": 2.0, "seed": 7.0}
+        data["nodes"].append({"w": 1.0, "g": 1.0, "needs": 0})  # file 0 keeps 2 needers
+        s, seed = scenario_from_dict(data)
         assert (s.files, s.needs[1], seed) == (2, 1, 7)
         assert s.needs.dtype == np.int64 and s.w.dtype == np.float64 and type(s.files) is type(seed) is int
 
@@ -307,12 +304,12 @@ def float_bits(values) -> list[str]:
 
 def read_and_validate(data: dict) -> tuple:
     """(violations, columns) from the column reader; columns is None when
-    the config itself is malformed."""
+    the config is malformed or its scenario is not valid."""
     try:
         s, seed = scenario_from_dict(data)
     except ScenarioError as exc:
         return exc.violations, None
-    return validate_scenario(s), (s.files, float_bits(s.w), float_bits(s.g), s.needs.tolist(), seed)
+    return [], (s.files, float_bits(s.w), float_bits(s.g), s.needs.tolist(), seed)
 
 
 def reference_read_and_validate(data: dict) -> tuple:
@@ -320,7 +317,8 @@ def reference_read_and_validate(data: dict) -> tuple:
         files, w, g, needs, seed = reference_scenario_from_dict(data)
     except ScenarioError as exc:
         return exc.violations, None
-    return reference_violations(files, w, g, needs), (files, float_bits(w), float_bits(g), needs, seed)
+    violations = reference_violations(files, w, g, needs)
+    return violations, None if violations else (files, float_bits(w), float_bits(g), needs, seed)
 
 
 class TestMalformedConfigs:

@@ -1,18 +1,26 @@
 """The README's "Library use" example runs as written and prints the values
-its comments give."""
+its comments give, and its "Command line" usage block names each
+subcommand's options with their defaults."""
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import re
 from pathlib import Path
 
+from bxsim.cli import build_parser
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def readme_section(title: str) -> str:
+    return README.read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_library_use_runs_as_documented():
-    section = README.read_text().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    section = readme_section("Library use")
     blocks = re.findall(r"```python\n(.*?)```", section, re.S)
     assert len(blocks) == 2
     namespace: dict = {}
@@ -23,3 +31,21 @@ def test_library_use_runs_as_documented():
     out = printed.getvalue()
     assert out.startswith("0.263")
     assert re.search(r"^3\.9 0\.0999\d* 1\.95$", out, re.M)
+
+
+def test_usage_block_matches_the_parser():
+    # The usage block's first code block: "bxsim COMMAND" starts each
+    # command, whose options may continue on the lines below it.
+    block = re.search(r"```\n(bxsim .*?)```", readme_section("Command line"), re.S).group(1)
+    usage = dict(re.findall(r"^bxsim (\w+)(.*?)(?=^bxsim |\Z)", block, re.S | re.M))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(usage) == sorted(sub.choices)
+    for command, text in usage.items():
+        shown = re.findall(r"(--[\w-]+)(?: ([^\s\[\]|-][^\s\[\]|]*))?", text)  # (option, value shown or "")
+        actions = {a.option_strings[0]: a for a in sub.choices[command]._actions if a.option_strings and a.dest != "help"}
+        assert sorted(option for option, _ in shown) == sorted(actions), command
+        for option, value in shown:
+            action = actions[option]
+            # An upper-case value (N, LIST) is a placeholder, not a default.
+            if action.default is not None and value and not value.isupper():
+                assert (action.type or str)(value) == action.default, (command, option)
