@@ -118,7 +118,7 @@ def init_state(s: Scenario, cfg: AdaptConfig) -> AdaptState:
     converged point.
     """
     if s.files != 2:
-        raise ValueError("the adaptation mechanism is defined for two-file scenarios")
+        raise ValueError(f"the adaptation mechanism needs a two-file scenario; this one has {s.files} files")
     assumed = cfg.guess_factor * s.group_sizes()[s.needs]
     if np.any(assumed <= 1):
         raise ValueError("guess_factor * group size must exceed 1")

@@ -19,7 +19,7 @@ import argparse
 import functools
 import json
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, nullcontext
 from dataclasses import fields
 from itertools import product
 from pathlib import Path
@@ -33,7 +33,7 @@ from .errors import (
     SingularSystemError,
     StallError,
 )
-from .model import Scenario, as_output, atomic_open, load_scenario
+from .model import Scenario, atomic_open, load_scenario
 
 
 NODE_COLUMNS = "%.9g,%.9g,%d"  # w, g, needs
@@ -49,9 +49,9 @@ def format_rows(template: str, *columns) -> list[str]:
     return [template % row for row in zip(*columns)]
 
 
-def write_csv(path: str | Path | atomic_open, header: list[str], lines: list[str]) -> None:
-    """Write the header and the preformatted ``lines`` to ``path``."""
-    with as_output(path) as fh:
+def write_csv(out: atomic_open, header: list[str], lines: list[str]) -> None:
+    """Write the header and the preformatted ``lines`` to the output ``out``."""
+    with out as fh:
         fh.write(",".join(header) + "\r\n")
         fh.write("".join(lines))
 
@@ -111,11 +111,11 @@ SCENARIO_JSON = '%s\n  %s: {\n    "files": %d,\n    "nodes": [%s\n    ]\n  }'  #
 NODE_JSON = '\n      {\n        "g": %r,\n        "needs": %d,\n        "w": %r\n      }'  # g, needs, w
 
 
-def dump_scenarios(path: str | Path | atomic_open, scenarios: dict[str, Scenario]) -> None:
-    """Write the generated scenarios to ``path`` for reproducibility: the bytes of
+def dump_scenarios(out: atomic_open, scenarios: dict[str, Scenario]) -> None:
+    """Write the generated scenarios to the output ``out`` for reproducibility: the bytes of
     ``json.dump(..., sort_keys=True, indent=2)`` on their ``scenario_to_dict`` forms, since
     every built scenario has nodes and finite costs (``%r`` is json's form of a finite float)."""
-    with as_output(path) as fh:
+    with out as fh:
         fh.write("{")
         for i, key in enumerate(sorted(scenarios)):
             s = scenarios[key]
@@ -177,8 +177,6 @@ SIM_SYSTEM_ROW = "%d,system,,,,,,,,%.9g\r\n"
 def cmd_simulate(args) -> tuple[list[str], list[str]]:
     alpha = two_file_alpha(args)
     s, cfg_seed = load_scenario(args.config)
-    if not args.coded and s.files != 2:
-        raise ValueError("plain (uncoded) simulation requires a two-file scenario")
     profile = equilibrium.coded_equilibrium(s) if args.coded else equilibrium.two_file_equilibrium(s, alpha=alpha)
     equilibrium.require_nonnegative(profile)
     seeds = run_seeds(args, cfg_seed)
@@ -188,11 +186,12 @@ def cmd_simulate(args) -> tuple[list[str], list[str]]:
     columns = node_columns(s)
     # One seed at a time: unequal groups take the per-round walk, which
     # batches nothing across seeds, and lockstep play measured slower there.
-    for seed in seeds:
-        metrics = simulate.run_simulation(s, profile, args.rounds, seed, args.coded, args.trace or None)
-        per_node = (metrics.downloads.tolist(), metrics.uploads.tolist(), metrics.avg_total_cost().tolist())
-        lines += format_rows(SIM_NODE_ROW, [seed] * s.n_nodes, range(s.n_nodes), columns, *per_node)
-        lines.append(SIM_SYSTEM_ROW % (seed, metrics.per_node_throughput()))
+    with args.trace or nullcontext() as trace:  # a failed run discards the trace
+        for seed in seeds:
+            metrics = simulate.run_simulation(s, profile, args.rounds, seed, args.coded, trace)
+            per_node = (metrics.downloads.tolist(), metrics.uploads.tolist(), metrics.avg_total_cost().tolist())
+            lines += format_rows(SIM_NODE_ROW, [seed] * s.n_nodes, range(s.n_nodes), columns, *per_node)
+            lines.append(SIM_SYSTEM_ROW % (seed, metrics.per_node_throughput()))
     return SIM_HEADER, lines
 
 

@@ -68,7 +68,7 @@ def two_file_equilibrium(s: Scenario, alpha: float = 0.5) -> StrategyProfile:
     since it never gets to respond.
     """
     if s.files != 2:
-        raise ValueError("two_file_equilibrium requires exactly 2 files")
+        raise ValueError(f"the plain (uncoded) game needs a two-file scenario; this one has {s.files} files")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
 
@@ -101,7 +101,7 @@ def two_file_durations(s: Scenario) -> np.ndarray:
     groups at equilibrium, for every alpha (group 0 responds when file 1 is
     announced, and vice versa)."""
     if s.files != 2:
-        raise ValueError("two_file_durations requires exactly 2 files")
+        raise ValueError(f"the plain (uncoded) game needs a two-file scenario; this one has {s.files} files")
     return np.array([response_phase_mean(s.ratios[s.needs == x]) for x in (0, 1)])
 
 

@@ -317,12 +317,6 @@ class atomic_open:
                 self.tmp.unlink(missing_ok=True)
 
 
-def as_output(path: str | Path | atomic_open) -> atomic_open:
-    """``path`` itself when it is an output already opened through
-    atomic_open, else ``atomic_open(path)``."""
-    return path if isinstance(path, atomic_open) else atomic_open(path)
-
-
 def load_scenario(path: str | Path) -> tuple[Scenario, int | None]:
     """Load a scenario config file (JSON text)."""
     try:

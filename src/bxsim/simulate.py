@@ -45,14 +45,12 @@ bit-identical to adding one round at a time.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
-from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import IO, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import NegativeRateError, StallError
-from .model import Scenario, StrategyProfile, as_output
+from .model import Scenario, StrategyProfile
 
 NEVER = math.inf
 
@@ -252,7 +250,7 @@ def run_simulation(
     rounds: int,
     seed: int = 0,
     coded: bool = False,
-    trace_path: str | Path | None = None,
+    trace: IO[str] | None = None,
 ) -> Metrics:
     """Play ``rounds`` rounds of ``profile`` (gamma (nodes,), lam (nodes,
     files)) from ``seed``, as a batch of one, and return its Metrics.
@@ -260,26 +258,25 @@ def run_simulation(
     Every round, the initiator and the responder upload one packet each.  A
     ``coded`` round serves every node; a plain one serves the groups needing
     the two exchanged files.  Identical seeds give identical metrics and
-    traces.  When trace_path is given, one CSV row per round is streamed out
-    (columns: round, initiator, responder, t_init, t_resp, duration); the
-    file appears only once the run completes.
+    traces.  Given ``trace``, an open text stream, the header and one CSV
+    row per round (round, initiator, responder, t_init, t_resp, duration)
+    are written to it as the rounds are played; no file is opened here.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     engine = RoundEngine(scenario, StrategyProfile(np.asarray(profile.gamma)[None], np.asarray(profile.lam)[None]))
     rngs = [np.random.Generator(np.random.PCG64(seed))]
     metrics, needs = Metrics(scenario), scenario.needs
-    with as_output(trace_path) if trace_path is not None else nullcontext() as trace:
+    if trace is not None:
+        trace.write(",".join(TRACE_HEADER) + "\r\n")
+    for chunk in engine.run(rngs, rounds):
+        chunk = Rounds(*(col[0] for col in chunk))
         if trace is not None:
-            trace.write(",".join(TRACE_HEADER) + "\r\n")
-        for chunk in engine.run(rngs, rounds):
-            chunk = Rounds(*(col[0] for col in chunk))
-            if trace is not None:
-                rows = zip(range(metrics.rounds, metrics.rounds + chunk.initiator.size), *(col.tolist() for col in chunk))
-                trace.write("".join([TRACE_ROW % row for row in rows]))
-            senders = np.concatenate((chunk.initiator, chunk.responder))
-            metrics.downloads += chunk.initiator.size if coded else np.bincount(needs[senders], minlength=scenario.files)[needs]
-            metrics.uploads += np.bincount(senders, minlength=scenario.n_nodes)
-            metrics.elapsed = in_order_sum(metrics.elapsed, chunk.duration)
-            metrics.rounds += chunk.initiator.size
+            rows = zip(range(metrics.rounds, metrics.rounds + chunk.initiator.size), *(col.tolist() for col in chunk))
+            trace.write("".join([TRACE_ROW % row for row in rows]))
+        senders = np.concatenate((chunk.initiator, chunk.responder))
+        metrics.downloads += chunk.initiator.size if coded else np.bincount(needs[senders], minlength=scenario.files)[needs]
+        metrics.uploads += np.bincount(senders, minlength=scenario.n_nodes)
+        metrics.elapsed = in_order_sum(metrics.elapsed, chunk.duration)
+        metrics.rounds += chunk.initiator.size
     return metrics

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from bxsim import adapt, equilibrium, simulate
 from bxsim.cli import adapt_config, build_parser, dump_scenarios, gen_groups, gen_rng, main, parse_seeds, write_csv
 from bxsim.equilibrium import coded_throughput
-from bxsim.model import Scenario, scenario_to_dict
+from bxsim.model import Scenario, atomic_open, scenario_to_dict
 
 from conftest import SINGULAR_CODED_ROWS, symmetric, two_file
 
@@ -433,6 +433,18 @@ def test_input_check_exits_2(tmp_path, capsys, argv, config, message):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("command", ["ne", "poa", "simulate", "adapt"])
+def test_two_file_games_refuse_three_files(tmp_path, capsys, command):
+    # the plain game and the adaptation mechanism are defined for two files;
+    # the message says so in the user's terms, not by a function's name
+    cfg = write_config(tmp_path, symmetric(3, 4))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("invalid arguments: ")
+    assert "needs a two-file scenario; this one has 3 files" in err and "two_file_" not in err
+    assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
+
 class TestFailClosed:
     """Argument lists that would be silently wrong, outputs that cannot be
     written, and a diverging adaptation all fail before any output exists."""
@@ -692,7 +704,7 @@ class TestFig2:
         s = symmetric(2, 3)
         broken = SimpleNamespace(files=None, w=s.w, g=s.g, needs=s.needs)
         with pytest.raises(TypeError):
-            dump_scenarios(str(path), {"seed_0": symmetric(2, 2), "seed_1": broken})
+            dump_scenarios(atomic_open(str(path)), {"seed_0": symmetric(2, 2), "seed_1": broken})
         assert path.read_text() == "old\n" and list(tmp_path.iterdir()) == [path]
 
 
@@ -793,7 +805,7 @@ class TestGeneratedScenarios:
             key: Scenario(files, *zip(*nodes), [n % files for n in range(len(nodes))]) for key, (files, nodes) in specs.items()
         }
         with tempfile.TemporaryDirectory() as tmp:
-            dump_scenarios(str(Path(tmp) / "out.csv.scenarios.json"), scenarios)
+            dump_scenarios(atomic_open(str(Path(tmp) / "out.csv.scenarios.json")), scenarios)
             got = (Path(tmp) / "out.csv.scenarios.json").read_text()
         data = {key: scenario_to_dict(s) for key, s in scenarios.items()}
         assert got == json.dumps(data, sort_keys=True, indent=2) + "\n"
@@ -968,7 +980,7 @@ class TestRowTemplates:
 
     def test_write_csv_matches_csv_writer(self, tmp_path):
         rows = [["0", "1.5", "", "inf"], ["-3", "nan", "-0", "5e-324"]]
-        write_csv(tmp_path / "out.csv", ["a", "b", "c", "d"], [",".join(r) + "\r\n" for r in rows])
+        write_csv(atomic_open(tmp_path / "out.csv"), ["a", "b", "c", "d"], [",".join(r) + "\r\n" for r in rows])
         want = "".join(csv_line(r) for r in [["a", "b", "c", "d"], *rows])
         assert (tmp_path / "out.csv").read_bytes() == want.encode()
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import csv
+import io
+import json
 import math
 from types import SimpleNamespace
 from unittest import mock
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from bxsim import simulate
 from bxsim.adapt import AdaptConfig, init_state
+from bxsim.cli import main
 from bxsim.equilibrium import (
     coded_equilibrium,
     coded_throughput,
@@ -22,7 +25,7 @@ from bxsim.equilibrium import (
     two_file_equilibrium,
 )
 from bxsim.errors import NegativeRateError, StallError
-from bxsim.model import Scenario, StrategyProfile
+from bxsim.model import Scenario, StrategyProfile, atomic_open, scenario_to_dict
 from bxsim.simulate import CHUNK_DOUBLES, Metrics, RoundEngine, Rounds, run_simulation
 
 from conftest import dense_profile, one_seed, reference_play, symmetric, two_file
@@ -50,6 +53,12 @@ def play(s, profile, rounds, seed=0) -> Rounds:
 def small_chunks(doubles):
     """Within the block, the engine draws at most ``doubles`` uniforms per chunk."""
     return mock.patch.object(simulate, "CHUNK_DOUBLES", doubles)
+
+
+def small_batches(doubles):
+    """Within the block, a batch of seeds keeps at most ``doubles`` uniforms
+    per chunk, over all seeds (or one round's worth)."""
+    return mock.patch.object(simulate, "BATCH_DOUBLES", doubles)
 
 
 class ZeroStream:
@@ -322,7 +331,8 @@ class TestRunSimulation:
         profile = two_file_equilibrium(sym_2_2, alpha=0.5)
         cfg = dict(scenario=sym_2_2, profile=profile, rounds=50, seed=1)
         path = tmp_path / "trace.csv"
-        m = run_simulation(**cfg, trace_path=path)
+        with atomic_open(path) as trace:
+            m = run_simulation(**cfg, trace=trace)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["round", "initiator", "responder", "t_init", "t_resp", "duration"]
@@ -336,6 +346,15 @@ class TestRunSimulation:
         ]
         assert rows[1:] == want
         assert list(tmp_path.iterdir()) == [path]
+        # any open text stream takes the bytes that `simulate --trace` writes
+        stream = io.StringIO()
+        run_simulation(**cfg, trace=stream)
+        cli = tmp_path / "cli"
+        cli.mkdir()
+        (cli / "cfg.json").write_text(json.dumps(scenario_to_dict(sym_2_2)))
+        argv = ["simulate", "--config", str(cli / "cfg.json"), "--rounds", "50", "--seeds", "1"]
+        assert main([*argv, "--trace", str(cli / "trace.csv"), "--out", str(cli / "out.csv")]) == 0
+        assert stream.getvalue().encode() == (cli / "trace.csv").read_bytes() == path.read_bytes()
 
     def test_rounds_must_be_positive(self, sym_2_2):
         profile = two_file_equilibrium(sym_2_2, alpha=0.5)
@@ -347,14 +366,15 @@ class TestCodedCount:
     """``coded`` changes only who downloads: both runs play the same rounds."""
 
     @pytest.mark.parametrize("groups", [[10, 10], [12, 8]], ids=["10+10", "12+8"])
-    def test_coded_changes_only_the_count(self, tmp_path, groups):
+    def test_coded_changes_only_the_count(self, groups):
         s = two_file([1.0] * groups[0], [1.0] * groups[1])
         profile = two_file_equilibrium(s, alpha=0.5)
         walk = mock.patch.object(RoundEngine, "_walk", autospec=True, side_effect=RoundEngine._walk)
+        traces = {c: io.StringIO() for c in (False, True)}
         with walk as walked:
-            plain, coded = (run_simulation(s, profile, 3000, 17, c, tmp_path / f"{c}.csv") for c in (False, True))
+            plain, coded = (run_simulation(s, profile, 3000, 17, c, traces[c]) for c in (False, True))
         assert (walked.call_count > 0) == (groups == [12, 8])  # unequal groups take the per-round walk
-        assert (tmp_path / "True.csv").read_bytes() == (tmp_path / "False.csv").read_bytes()
+        assert traces[True].getvalue() == traces[False].getvalue()
         np.testing.assert_array_equal(coded.uploads, plain.uploads)
         assert (coded.elapsed, coded.rounds) == (plain.elapsed, plain.rounds)
         assert coded.downloads.tolist() == [3000] * s.n_nodes
@@ -431,8 +451,8 @@ class TestStallAcrossChunks:
     def test_no_initiator(self, tmp_path, sym_2_2):
         profile = dense_profile(gamma=(0.0,) * 4, lam={(0, 1): 1.0, (1, 1): 1.0})
         cfg = dict(scenario=sym_2_2, profile=profile, rounds=10 * CHUNK_DOUBLES, seed=0)
-        with pytest.raises(StallError, match="initiate"):
-            run_simulation(**cfg, trace_path=tmp_path / "trace.csv")
+        with pytest.raises(StallError, match="initiate"), atomic_open(tmp_path / "trace.csv") as trace:
+            run_simulation(**cfg, trace=trace)
         assert list(tmp_path.iterdir()) == []
 
     def test_no_responder_in_a_later_chunk(self, tmp_path, sym_2_2):
@@ -448,8 +468,8 @@ class TestStallAcrossChunks:
         with pytest.raises(StallError, match="file 0"):
             reference_play(sym_2_2, profile, rng(0), 10 * CHUNK_DOUBLES)
         cfg = dict(scenario=sym_2_2, profile=profile, rounds=10 * CHUNK_DOUBLES, seed=0)
-        with pytest.raises(StallError):
-            run_simulation(**cfg, trace_path=tmp_path / "trace.csv")
+        with pytest.raises(StallError), atomic_open(tmp_path / "trace.csv") as trace:
+            run_simulation(**cfg, trace=trace)
         assert list(tmp_path.iterdir()) == []
 
 
@@ -650,8 +670,9 @@ class TestSeedBatch:
     play what each seed plays alone."""
 
     @REUSE
-    @given(data=st.data(), fixed=st.booleans(), rounds=st.integers(1, 60), chunk=st.integers(1, 300))
-    def test_batch_matches_seeds_alone(self, data, fixed, rounds, chunk):
+    @given(data=st.data(), fixed=st.booleans(), rounds=st.integers(1, 60), chunk=st.integers(1, 300),
+           budget=st.integers(1, 512))
+    def test_batch_matches_seeds_alone(self, data, fixed, rounds, chunk, budget):
         s, profiles = data.draw(batch_cases(fixed))
         seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(profiles), max_size=len(profiles)))
         batch = StrategyProfile(np.stack([p.gamma for p in profiles]), np.stack([p.lam for p in profiles]))
@@ -664,7 +685,7 @@ class TestSeedBatch:
                 list(engine.run(gens, rounds))
             return
         played = []  # each seed alone
-        with small_chunks(chunk):
+        with small_chunks(chunk), small_batches(budget):
             for profile, seed in zip(profiles, seeds):
                 try:
                     gen = rng(seed)
