@@ -33,7 +33,7 @@ from .errors import (
     SingularSystemError,
     StallError,
 )
-from .model import Scenario, atomic_open, load_scenario
+from .model import Scenario, StrategyProfile, atomic_open, load_scenario
 
 
 NODE_COLUMNS = "%.9g,%.9g,%d"  # w, g, needs
@@ -64,19 +64,20 @@ def check_seed(seed: int) -> int:
 
 
 def parse_seeds(text: str) -> list[int]:
-    """Comma-separated seeds; 'a-b' expands to the inclusive range.  An empty
-    range, a negative seed, or a seed given twice, is an error."""
+    """Comma-separated seeds; 'a-b' expands to the inclusive range.  An item
+    that is not an integer or a range of two, an empty range, a negative
+    seed, or a seed given twice, is an error."""
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
-        if "-" in part[1:]:
-            cut = part.index("-", 1)
-            lo, hi = int(part[:cut]), int(part[cut + 1 :])
-            if hi < lo:
-                raise ValueError(f"empty seed range {part}")
-            out.extend(range(check_seed(lo), hi + 1))
-        else:
-            out.append(check_seed(int(part)))
+        cut = part.find("-", 1)  # a range's dash; a leading one is a sign
+        try:
+            lo, hi = (int(part[:cut]), int(part[cut + 1 :])) if cut > 0 else (int(part),) * 2
+        except ValueError:
+            raise ValueError(f"seed list {text!r} must be comma-separated integers or ranges a-b of them") from None
+        if hi < lo:
+            raise ValueError(f"empty seed range {part}")
+        out.extend(range(check_seed(lo), hi + 1))
     if len(set(out)) < len(out):
         raise ValueError(f"seed list {text} names a seed twice")
     return out
@@ -131,18 +132,20 @@ NE_GAMMA_ROW = "gamma,%d,,%s,%.9g\r\n"
 NE_LAMBDA_ROW = "lambda,%d,%d,%s,%.9g\r\n"
 
 
-def two_file_alpha(args) -> float:
-    """--alpha, which only the plain two-file game has (default 0.5)."""
+def load_equilibrium(args) -> tuple[Scenario, int | None, StrategyProfile]:
+    """The --config scenario, its config seed, and its equilibrium, which must
+    be nonnegative: of the coded game with --coded, else of the plain
+    two-file game at --alpha (default 0.5), which only that game has."""
     if args.coded and args.alpha is not None:
         raise ValueError("--alpha applies only to the plain two-file game, not with --coded")
-    return 0.5 if args.alpha is None else args.alpha
+    s, cfg_seed = load_scenario(args.config)
+    alpha = 0.5 if args.alpha is None else args.alpha
+    profile = equilibrium.coded_equilibrium(s) if args.coded else equilibrium.two_file_equilibrium(s, alpha=alpha)
+    return s, cfg_seed, equilibrium.require_nonnegative(profile)
 
 
 def cmd_ne(args) -> tuple[list[str], list[str]]:
-    alpha = two_file_alpha(args)
-    s, _ = load_scenario(args.config)
-    profile = equilibrium.coded_equilibrium(s) if args.coded else equilibrium.two_file_equilibrium(s, alpha=alpha)
-    equilibrium.require_nonnegative(profile)
+    s, _, profile = load_equilibrium(args)
     lines: list[str] = []
     if args.coded:
         lines += format_rows(NE_AGGREGATE_ROW, range(s.files), equilibrium.coded_aggregates(s).tolist())
@@ -175,10 +178,7 @@ SIM_SYSTEM_ROW = "%d,system,,,,,,,,%.9g\r\n"
 
 
 def cmd_simulate(args) -> tuple[list[str], list[str]]:
-    alpha = two_file_alpha(args)
-    s, cfg_seed = load_scenario(args.config)
-    profile = equilibrium.coded_equilibrium(s) if args.coded else equilibrium.two_file_equilibrium(s, alpha=alpha)
-    equilibrium.require_nonnegative(profile)
+    s, cfg_seed, profile = load_equilibrium(args)
     seeds = run_seeds(args, cfg_seed)
     if args.trace and len(seeds) > 1:
         raise ValueError("--trace requires a single seed")
@@ -251,7 +251,10 @@ def cmd_fig3(args) -> tuple[list[str], list[str]]:
     if args.rounds is not None and not args.simulate:
         raise ValueError("--rounds applies only with --simulate")
     check_seed(args.seed)
-    file_counts = [int(x) for x in args.files.split(",")]
+    try:
+        file_counts = [int(x) for x in args.files.split(",")]
+    except ValueError:
+        raise ValueError(f"file count list {args.files!r} must be comma-separated integers") from None
     if len(set(file_counts)) < len(file_counts):  # one scenario dump entry per file count
         raise ValueError(f"file count list {args.files} names a file count twice")
     lines: list[str] = []

@@ -97,12 +97,11 @@ class RoundEngine:
         n, files, needs = scenario.n_nodes, scenario.files, scenario.needs
         # Per file X, every node that possesses X (ascending ids, so entry j
         # answers with the round's j-th response uniform), padded: which
-        # entries are holders, their ids, and where lam keeps their rates.
+        # entries are holders, and their ids.
         responders = n - np.bincount(needs, minlength=files)
         self.holds = np.arange(int(responders.max())) < responders[:, None]
         self.resp_id = np.zeros(self.holds.shape, dtype=np.int64)
         self.resp_id[self.holds] = np.nonzero(needs != np.arange(files)[:, None])[1]
-        self.lam_index = self.resp_id * files + np.arange(files)[:, None]
         # Uniforms a round consumes, by initiator.
         self.step = n + responders[needs]
         self.set_profile(profile)
@@ -115,10 +114,10 @@ class RoundEngine:
         gamma, lam = np.array(profile.gamma, dtype=float), np.asarray(profile.lam, dtype=float)
         if gamma.ndim != 2 or not gamma.size or gamma.shape[1] != n or lam.shape != gamma.shape + (files,):
             raise ValueError("profile gamma must have shape (seeds, nodes) and lam (seeds, nodes, files)")
-        resp_rate = np.where(self.holds, lam.reshape(len(gamma), -1)[:, self.lam_index], 0.0)
-        rates = np.concatenate((gamma, resp_rate.reshape(len(gamma), -1)), axis=1)
-        if not (0 <= rates.min() and rates.max() < NEVER):  # NaN fails both
-            raise NegativeRateError("profile has a negative or non-finite rate")
+        resp_rate = np.where(self.holds, lam[:, self.resp_id, np.arange(files)[:, None]], 0.0)
+        for rates in (gamma, resp_rate):
+            if not (0 <= rates.min() and rates.max() < NEVER):  # NaN fails both
+                raise NegativeRateError("profile has a negative or non-finite rate")
         self.gamma, self.resp_rate = gamma, resp_rate
         # Any seed's positive-rate nodes; a seed's zero rates draw NEVER.
         self.initiators = (gamma > 0).any(axis=0).nonzero()[0]
@@ -146,22 +145,16 @@ class RoundEngine:
             raise StallError("no node can initiate: all initiation rates are zero")
         if not step and len(rngs) > 1:
             raise ValueError("a batch of seeds needs a fixed stride of uniforms per round: walk each seed alone")
-        # Each round reads its seed's responder table of the file its initiator
-        # needs; when every initiator needs one file, all rounds read that one.
-        first = needs[initiators[:1]]
-        one_file = bool((needs[initiators] == first).all())
         seeds = np.arange(len(rngs))[:, None]
-        rows = slice(None) if one_file else seeds
         if step:
             # A round reads its initiators' uniforms and the response uniforms
             # from its n-th on (past the needed file's holders the rates are 0,
             # so what those entries read is unused); only these are kept.
             size = min(rounds, max(1, min(CHUNK_DOUBLES // step, BATCH_DOUBLES // (len(rngs) * (initiators.size + step - n)))))
-            init_buf, resp_buf = np.empty((len(rngs), size, initiators.size)), np.empty((len(rngs), size, step - n))
         while rounds > 0:
             if step:
                 count = min(rounds, size)
-                e_init, e_resp = init_buf[:, :count], resp_buf[:, :count]
+                e_init, e_resp = np.empty((len(rngs), count, initiators.size)), np.empty((len(rngs), count, step - n))
                 for row, rng in enumerate(rngs):
                     u = rng.random(count * step).reshape(count, step)
                     u.take(initiators, axis=1, out=e_init[row], mode="clip")
@@ -177,8 +170,8 @@ class RoundEngine:
             at = seeds, np.arange(t.shape[1])  # each round of each seed
             pick = t.argmin(axis=-1)
             initiator, t_init = initiators[pick], t[(*at, pick)]
-            x = needs[initiator]
-            rates = resp_rate[rows, first if one_file else x, : e_resp.shape[-1]]
+            x = needs[initiator]  # the file each round's initiator needs
+            rates = resp_rate[seeds, x, : e_resp.shape[-1]]
             t = np.divide(e_resp, rates, out=e_resp, where=rates > 0)
             np.copyto(t, NEVER, where=rates == 0)
             pick = t.argmin(axis=-1)

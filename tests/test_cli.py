@@ -481,6 +481,25 @@ class TestFailClosed:
         self.assert_nothing_written(tmp_path)
 
     @pytest.mark.parametrize(
+        "argv,listed",
+        [
+            ("fig2 --seeds 5-", "seed list '5-'"),
+            ("fig2 --seeds a", "seed list 'a'"),
+            ("fig2 --seeds=", "seed list ''"),  # as --seeds ""
+            ("fig2 --seeds 1,,2", "seed list '1,,2'"),
+            ("fig2 --seeds 0-3x", "seed list '0-3x'"),
+            ("simulate --config CFG --seeds 1-", "seed list '1-'"),
+            ("fig3 --files 3,x", "file count list '3,x'"),
+        ],
+    )
+    def test_unparsable_list_is_quoted(self, tmp_path, capsys, argv, listed):
+        # the message names the list and what it must be, not int()'s complaint
+        assert self.run(tmp_path, [*argv.split(), "--out", "y.csv"]) == 2
+        what = "integers" if "file" in listed else "integers or ranges a-b of them"
+        assert capsys.readouterr().err == f"invalid arguments: {listed} must be comma-separated {what}\n"
+        self.assert_nothing_written(tmp_path)
+
+    @pytest.mark.parametrize(
         "argv,path",
         [
             ("simulate --config CFG --rounds 50 --out missing/y.csv", "missing/y.csv"),
