@@ -6,18 +6,16 @@ its group's mean backoff time, derives its rate as (1 / guess) - w/g, and
 every M rounds nudges its inverse guess toward the observed mean winning
 backoff of its phase with a diminishing step delta_k = epsilon / k.
 
-Two modes are provided: an analytic iteration that feeds the exact expected
-backoff (1 over the current aggregate rate) back into the update, and a
-simulation-coupled run that feeds the empirical epoch averages.  The state
-is one array per quantity over all nodes, in id order (with a leading seed
-axis for a batch of seeds), with the role groups taken from ``needs``.  The
-simulation-coupled run plays all its seeds side by side on one round engine,
+Each update is fed the empirical epoch averages of the winning backoffs.
+The state is one array per quantity over all nodes, in id order (with a
+leading seed axis for a batch of seeds), with the role groups taken from
+``needs``.  A run plays all its seeds side by side on one round engine,
 re-rated after every update (only one group initiates, so every round reads
 the fixed stride of uniforms that a batch needs); each seed keeps its own
 generator and stream, so a batch gives what its seeds give run one after
 another.  A batch that fails is replayed one seed at a time, so that it
 fails as those runs do.  A batch's results are one ``AdaptiveRun``: arrays
-with a leading seed axis, and no accounting of downloads or costs.
+with a leading seed axis, and no accounting of packets or costs.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BxsimError, DivergenceError, NonpositiveObservationError, StallError
+from .errors import BxsimError, DivergenceError
 from .model import Scenario, StrategyProfile
 from .simulate import RoundEngine, in_order_sum
 
@@ -89,12 +87,6 @@ class AdaptState:
         return np.maximum(0.0, self.inv_guess - self.ratios)
 
     @property
-    def aggregate_rates(self) -> tuple:
-        """Rate sums of the responders and of the initiators."""
-        rates = self.rates
-        return rates[..., ~self.initiates].sum(axis=-1), rates[..., self.initiates].sum(axis=-1)
-
-    @property
     def floored(self) -> np.ndarray:
         """Counts of the responders and of the initiators whose rate is
         floored at zero, shape (..., 2)."""
@@ -138,16 +130,16 @@ def observe_and_update(
     Each node's new inverse guess is (1 + delta_k) / That_{n,k-1} -
     delta_k / observed, with its own group's observed mean; its rate is the
     inverse guess minus its own w/g, floored at zero (counted by the new
-    state's ``floored``).  Raises NonpositiveObservationError for a mean
-    that is not positive (in a batch, any seed's), else DivergenceError when
-    an inverse guess is not finite.
+    state's ``floored``).  Raises ValueError for a mean that is not
+    positive (in a batch, any seed's), else DivergenceError when an inverse
+    guess is not finite.
     """
     delta = cfg.delta(k)
     means = np.array((observed_response_mean, observed_initiation_mean), dtype=float)
     for label, mean in zip(ROLES, means.reshape(2, -1).tolist()):
         nonpositive = [m for m in mean if m <= 0]
         if nonpositive:
-            raise NonpositiveObservationError(f"observed mean {label} backoff must be positive, got {nonpositive[0]}")
+            raise ValueError(f"observed mean {label} backoff must be positive, got {nonpositive[0]}")
     observed = np.where(state.initiates, means[1][..., None], means[0][..., None])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv_guess = (1.0 + delta) * state.inv_guess - delta / observed
@@ -161,25 +153,6 @@ def log_floored(counts) -> None:
     for label, count in zip(ROLES, counts):
         if count:
             logger.warning("%s update floored %d rate(s) at zero", label, count)
-
-
-def analytic_iterate(s: Scenario, cfg: AdaptConfig) -> list[tuple[int, float, float]]:
-    """Iterate the exact expectation recursion (no sampling).
-
-    Feeds each group the true mean winning backoff implied by its current
-    rates, 1 / sum(rates).  Returns rows (k, 1/That_A_k, 1/That_B_k) for
-    k = 0..updates, where the aggregates are the group rate sums.
-    """
-    state = init_state(s, cfg)
-    rows = [(0, *state.aggregate_rates)]
-    for k in range(1, cfg.updates + 1):
-        resp_rate, init_rate = state.aggregate_rates
-        if resp_rate <= 0 or init_rate <= 0:
-            raise StallError("a whole role group hit the zero-rate floor")
-        state = observe_and_update(state, 1.0 / resp_rate, 1.0 / init_rate, k, cfg)
-        log_floored(state.floored.tolist())
-        rows.append((k, *state.aggregate_rates))
-    return rows
 
 
 class AdaptiveRun(NamedTuple):

@@ -114,7 +114,7 @@ NODE_JSON = '\n      {\n        "g": %r,\n        "needs": %d,\n        "w": %r\
 
 def dump_scenarios(out: atomic_open, scenarios: dict[str, Scenario]) -> None:
     """Write the generated scenarios to the output ``out`` for reproducibility: the bytes of
-    ``json.dump(..., sort_keys=True, indent=2)`` on their ``scenario_to_dict`` forms, since
+    ``json.dump(..., sort_keys=True, indent=2)`` on each one's scenario config form, since
     every built scenario has nodes and finite costs (``%r`` is json's form of a finite float)."""
     with out as fh:
         fh.write("{")
@@ -188,8 +188,8 @@ def cmd_simulate(args) -> tuple[list[str], list[str]]:
     # batches nothing across seeds, and lockstep play measured slower there.
     with args.trace or nullcontext() as trace:  # a failed run discards the trace
         for seed in seeds:
-            metrics = simulate.run_simulation(s, profile, args.rounds, seed, args.coded, trace)
-            per_node = (metrics.downloads.tolist(), metrics.uploads.tolist(), metrics.avg_total_cost().tolist())
+            metrics = simulate.run_simulation(s, profile, args.rounds, seed, trace)
+            per_node = ([metrics.rounds] * s.n_nodes, metrics.uploads.tolist(), metrics.avg_total_cost().tolist())
             lines += format_rows(SIM_NODE_ROW, [seed] * s.n_nodes, range(s.n_nodes), columns, *per_node)
             lines.append(SIM_SYSTEM_ROW % (seed, metrics.per_node_throughput()))
     return SIM_HEADER, lines
@@ -262,12 +262,10 @@ def cmd_fig3(args) -> tuple[list[str], list[str]]:
     for f in file_counts:
         s = gen_groups([args.group_size] * f, args.w_lo, args.w_hi, args.g, gen_rng(args.seed, f))
         scenarios[f"files_{f}"] = s
-        # Throughput only needs the per-file aggregates, which exist even
-        # when the per-node split would go negative.
+        profile = equilibrium.require_nonnegative(equilibrium.coded_equilibrium(s))
         analytic = equilibrium.coded_throughput(s)
         if args.simulate:
-            profile = equilibrium.require_nonnegative(equilibrium.coded_equilibrium(s))
-            metrics = simulate.run_simulation(s, profile, 20000 if args.rounds is None else args.rounds, seed=args.seed, coded=True)
+            metrics = simulate.run_simulation(s, profile, 20000 if args.rounds is None else args.rounds, seed=args.seed)
             lines.append(FIG3_ROW % (f, analytic, 1.0 / f, metrics.per_node_throughput()))
         else:
             lines.append(FIG3_ANALYTIC_ROW % (f, analytic, 1.0 / f))

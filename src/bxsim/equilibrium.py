@@ -236,8 +236,8 @@ def coded_equilibrium(s: Scenario) -> StrategyProfile:
 
 
 def coded_throughput(s: Scenario) -> float:
-    """Per-node throughput of the coded game: every node downloads once per
-    round, so it is 1 over the expected round duration.  That is the
+    """Per-node throughput of the coded game: every round serves every node,
+    so it is 1 over the expected round duration.  That is the
     initiation mean, 1 over the total aggregate rate, plus the response
     mean, which weights each file's complement duration by the chance that
     file is announced, plus 2."""

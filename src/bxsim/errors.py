@@ -1,8 +1,7 @@
 """Error types shared across the package.
 
 The CLI maps each onto its exit-code contract (2 = invalid scenario, 3 =
-equilibrium nonexistence, 4 = runtime stall or divergence) except
-NonpositiveObservationError, raised only by direct observe_and_update calls.
+equilibrium nonexistence, 4 = runtime stall or divergence).
 """
 
 from __future__ import annotations
@@ -54,10 +53,6 @@ class StallError(BxsimError):
 
 class DivergenceError(StallError):
     """The adaptation update diverged: an inverse guess is no longer finite."""
-
-
-class NonpositiveObservationError(BxsimError):
-    """An adaptation update was fed a non-positive observed backoff mean."""
 
 
 # Violation codes used by scenario loading and validation.

@@ -230,14 +230,6 @@ def _node_columns(entries) -> tuple | None:
         return None
 
 
-def scenario_to_dict(s: Scenario, seed: int | None = None) -> dict:
-    columns = zip(s.w.tolist(), s.g.tolist(), s.needs.tolist())
-    data: dict = {"files": s.files, "nodes": [{"w": w, "g": g, "needs": x} for w, g, x in columns]}
-    if seed is not None:
-        data["seed"] = seed
-    return data
-
-
 def _std_stream_fd(path: Path) -> int | None:
     """1 or 2 when ``path`` is the file open as stdout or stderr, else None."""
     with suppress(OSError):

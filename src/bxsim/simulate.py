@@ -21,9 +21,8 @@ The engine only plays rounds, for a batch of seeds side by side: the rates
 have a leading seed axis, each seed has a generator of its own, and every
 chunk of rounds has the same leading axis.  Counting them is the caller's:
 ``run_simulation`` plays one seed, a batch of one, and counts its rounds in
-a ``Metrics`` of that seed, where a coded round differs from a plain one
-only in who downloads.  Each seed draws exactly the uniforms it would draw
-alone, so every seed's rounds, and the state its generator ends in, are
+a ``Metrics`` of that seed.  Each seed draws exactly the uniforms it would
+draw alone, so every seed's rounds, and the state its generator ends in, are
 those of a run of that seed alone.  A batch fails as a whole: it raises if
 any of its seeds would, without naming which, and a caller that needs the
 failure of each seed plays the seeds alone.  A batch of several seeds needs
@@ -213,28 +212,26 @@ class RoundEngine:
 
 class Metrics:
     """Cumulative per-node accounting of one simulation run of ``scenario``:
-    ``downloads`` and ``uploads`` per node id, the ``elapsed`` time (a numpy
-    float, added in round order) and the ``rounds`` played.  The derived
-    quantities (average total cost, throughput) are recomputed from these
-    counters on demand."""
+    ``uploads`` per node id, the ``elapsed`` time (a numpy float, added in
+    round order) and the ``rounds`` played.  Every round serves every node,
+    so each node has downloaded ``rounds`` packets.  The derived quantities
+    (average total cost, throughput) are recomputed from these counters on
+    demand."""
 
     def __init__(self, scenario: Scenario):
         self.w, self.g = scenario.w, scenario.g
         self.elapsed = np.float64(0.0)
-        self.downloads = np.zeros(scenario.n_nodes, dtype=np.int64)
         self.uploads = np.zeros(scenario.n_nodes, dtype=np.int64)
         self.rounds = 0
 
     def avg_total_cost(self) -> np.ndarray:
-        """(uploads * g + elapsed * w) / downloads of every node; inf for a
-        node with no downloads."""
-        downloads = self.downloads
-        cost = self.uploads * self.g + self.elapsed * self.w
-        return np.divide(cost, downloads, out=np.full(downloads.shape, np.inf), where=downloads > 0)
+        """(uploads * g + elapsed * w) / rounds of every node."""
+        return (self.uploads * self.g + self.elapsed * self.w) / self.rounds
 
     def per_node_throughput(self) -> float:
-        """The mean over nodes of downloads/elapsed; 0 before the first round."""
-        return float(np.mean(self.downloads / self.elapsed)) if self.elapsed > 0 else 0.0
+        """rounds / elapsed, the packets each node gets per unit time; 0
+        before the first round."""
+        return float(self.rounds / self.elapsed) if self.rounds else 0.0
 
 
 def run_simulation(
@@ -242,24 +239,22 @@ def run_simulation(
     profile: StrategyProfile,
     rounds: int,
     seed: int = 0,
-    coded: bool = False,
     trace: IO[str] | None = None,
 ) -> Metrics:
     """Play ``rounds`` rounds of ``profile`` (gamma (nodes,), lam (nodes,
     files)) from ``seed``, as a batch of one, and return its Metrics.
 
-    Every round, the initiator and the responder upload one packet each.  A
-    ``coded`` round serves every node; a plain one serves the groups needing
-    the two exchanged files.  Identical seeds give identical metrics and
-    traces.  Given ``trace``, an open text stream, the header and one CSV
-    row per round (round, initiator, responder, t_init, t_resp, duration)
-    are written to it as the rounds are played; no file is opened here.
+    Every round, the initiator and the responder upload one packet each.
+    Identical seeds give identical metrics and traces.  Given ``trace``, an
+    open text stream, the header and one CSV row per round (round,
+    initiator, responder, t_init, t_resp, duration) are written to it as
+    the rounds are played; no file is opened here.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     engine = RoundEngine(scenario, StrategyProfile(np.asarray(profile.gamma)[None], np.asarray(profile.lam)[None]))
     rngs = [np.random.Generator(np.random.PCG64(seed))]
-    metrics, needs = Metrics(scenario), scenario.needs
+    metrics = Metrics(scenario)
     if trace is not None:
         trace.write(",".join(TRACE_HEADER) + "\r\n")
     for chunk in engine.run(rngs, rounds):
@@ -267,9 +262,7 @@ def run_simulation(
         if trace is not None:
             rows = zip(range(metrics.rounds, metrics.rounds + chunk.initiator.size), *(col.tolist() for col in chunk))
             trace.write("".join([TRACE_ROW % row for row in rows]))
-        senders = np.concatenate((chunk.initiator, chunk.responder))
-        metrics.downloads += chunk.initiator.size if coded else np.bincount(needs[senders], minlength=scenario.files)[needs]
-        metrics.uploads += np.bincount(senders, minlength=scenario.n_nodes)
+        metrics.uploads += np.bincount(np.concatenate((chunk.initiator, chunk.responder)), minlength=scenario.n_nodes)
         metrics.elapsed = in_order_sum(metrics.elapsed, chunk.duration)
         metrics.rounds += chunk.initiator.size
     return metrics

@@ -44,15 +44,14 @@ def random_coded(rng: np.random.Generator, files: int, group_size: int = 10) -> 
 
 
 @st.composite
-def shuffled_scenarios(draw, files, max_group: int = 7, unequal: bool = False):
+def shuffled_scenarios(draw, files, max_group: int = 7, unequal: bool = False, cost=st.floats(0.05, 20.0)):
     """Groups of 2-``max_group`` nodes, not all of one size if ``unequal``, in
     shuffled order, one per file of a count drawn from ``files``, with w and g
-    drawn apart."""
+    drawn apart from ``cost``."""
     f = draw(files)
     sizes = st.lists(st.integers(2, max_group), min_size=f, max_size=f)
     sizes = draw(sizes.filter(lambda v: len(set(v)) > 1) if unequal else sizes)
     needs = draw(st.permutations(np.repeat(np.arange(f), sizes).tolist()))
-    cost = st.floats(0.05, 20.0)
     w, g = zip(*((draw(cost), draw(cost)) for _ in needs))
     return Scenario(files=f, w=w, g=g, needs=needs)
 
@@ -73,6 +72,16 @@ def two_file_with_equilibrium(draw, max_group: int = 7):
     g = [draw(cost) for _ in needs]
     w = [base[x] * draw(st.floats(1.0, spread[x])) * gn for x, gn in zip(needs, g)]
     return Scenario(files=2, w=w, g=g, needs=needs)
+
+
+def scenario_to_dict(s: Scenario, seed: int | None = None) -> dict:
+    """The scenario config that ``load_scenario`` reads back as ``s``, with
+    ``seed`` as the config seed if one is given."""
+    columns = zip(s.w.tolist(), s.g.tolist(), s.needs.tolist())
+    data: dict = {"files": s.files, "nodes": [{"w": w, "g": g, "needs": x} for w, g, x in columns]}
+    if seed is not None:
+        data["seed"] = seed
+    return data
 
 
 def dense_profile(gamma, lam: dict, files: int = 2) -> StrategyProfile:

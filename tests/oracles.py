@@ -1,8 +1,13 @@
-"""Expected-cost oracles for the two-file game: the closed forms of a
-node's expected cost as a function of its own timer choice.  The
-equilibrium tests check the solved profiles against them; the package
-itself never evaluates them.  The exponential integrals have elementary
-closed forms, which is what makes the 1e-9 identity tolerances attainable.
+"""Oracles for the two-file game.
+
+The expected-cost oracles are the closed forms of a node's expected cost as
+a function of its own timer choice.  The equilibrium tests check the solved
+profiles against them; the package itself never evaluates them.  The
+exponential integrals have elementary closed forms, which is what makes the
+1e-9 identity tolerances attainable.
+
+``analytic_iterate`` is the adaptation mechanism without sampling: the
+exact expectation recursion that the simulation-coupled runs approximate.
 """
 
 from __future__ import annotations
@@ -11,7 +16,8 @@ import math
 
 import numpy as np
 
-from bxsim.errors import BxsimError
+from bxsim.adapt import AdaptConfig, AdaptState, init_state, log_floored, observe_and_update
+from bxsim.errors import BxsimError, StallError
 from bxsim.model import Scenario, StrategyProfile
 
 
@@ -92,3 +98,28 @@ def expected_initiation_cost(
     const = w / gamma_rest + p_own * w * that_resp + p_other * g + 2.0 * w
     coeff = p_other * w * that_resp + p_own * g - w / gamma_rest
     return const + math.exp(-gamma_rest * t) * coeff
+
+
+def aggregate_rates(state: AdaptState) -> tuple:
+    """Rate sums of the responders and of the initiators."""
+    rates = state.rates
+    return rates[..., ~state.initiates].sum(axis=-1), rates[..., state.initiates].sum(axis=-1)
+
+
+def analytic_iterate(s: Scenario, cfg: AdaptConfig) -> list[tuple[int, float, float]]:
+    """Iterate the exact expectation recursion (no sampling).
+
+    Feeds each group the true mean winning backoff implied by its current
+    rates, 1 / sum(rates).  Returns rows (k, 1/That_A_k, 1/That_B_k) for
+    k = 0..updates, where the aggregates are the group rate sums.
+    """
+    state = init_state(s, cfg)
+    rows = [(0, *aggregate_rates(state))]
+    for k in range(1, cfg.updates + 1):
+        resp_rate, init_rate = aggregate_rates(state)
+        if resp_rate <= 0 or init_rate <= 0:
+            raise StallError("a whole role group hit the zero-rate floor")
+        state = observe_and_update(state, 1.0 / resp_rate, 1.0 / init_rate, k, cfg)
+        log_floored(state.floored.tolist())
+        rows.append((k, *aggregate_rates(state)))
+    return rows

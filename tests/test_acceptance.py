@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from bxsim.adapt import AdaptConfig, analytic_iterate
+from bxsim.adapt import AdaptConfig
 from bxsim.cli import gen_rng, gen_two_file, main
 from bxsim.equilibrium import (
     coded_aggregates,
@@ -27,7 +27,6 @@ from bxsim.equilibrium import (
     two_file_durations,
     two_file_equilibrium,
 )
-from bxsim.model import scenario_to_dict
 from bxsim.simulate import run_simulation
 
 from conftest import (
@@ -39,9 +38,10 @@ from conftest import (
     ref_complement,
     ref_group,
     ref_ratio,
+    scenario_to_dict,
     symmetric,
 )
-from oracles import expected_initiation_cost, expected_response_cost, expected_response_cost_under_rate
+from oracles import analytic_iterate, expected_initiation_cost, expected_response_cost, expected_response_cost_under_rate
 
 T_GRID = [0.0, 0.1, 1.0, 5.0, 20.0]
 ALPHAS = [0.25, 0.5, 0.75]
@@ -166,9 +166,7 @@ def test_06_fig3_reproduction():
             analytic = coded_throughput(s)
             assert analytic == pytest.approx(value, abs=1e-6)
             profile = require_nonnegative(coded_equilibrium(s))
-            metrics = run_simulation(
-                scenario=s, profile=profile, rounds=20_000, seed=f, coded=True
-            )
+            metrics = run_simulation(scenario=s, profile=profile, rounds=20_000, seed=f)
             assert metrics.per_node_throughput() == pytest.approx(analytic, rel=0.02)
         assert coded_throughput(symmetric(3, 10)) < 1 / 3
         for f in (4, 5, 6, 7, 8):

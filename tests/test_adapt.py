@@ -13,19 +13,18 @@ from bxsim import simulate
 from bxsim.adapt import (
     AdaptConfig,
     AdaptState,
-    analytic_iterate,
     init_state,
     log_floored,
     observe_and_update,
     run_adaptive_simulation,
 )
 from bxsim.equilibrium import throughput_at_ne
-from bxsim.errors import BxsimError, DivergenceError, NonpositiveObservationError, StallError
+from bxsim.errors import BxsimError, DivergenceError, StallError
 from bxsim.model import Scenario
 from bxsim.simulate import RoundEngine, in_order_sum
 
 from conftest import adaptive_run, one_seed, ref_group, reference_play, symmetric, two_file
-from oracles import expected_response_cost_under_rate
+from oracles import aggregate_rates, analytic_iterate, expected_response_cost_under_rate
 
 
 def mech_cfg(**kw):
@@ -72,7 +71,7 @@ class TestObserveAndUpdate:
     def test_per_node_first_step(self, sym_10_10):
         cfg = mech_cfg()
         st = init_state(sym_10_10, cfg)
-        observed = 1 / st.aggregate_rates[0]  # exact mean backoff, 9.9
+        observed = 1 / aggregate_rates(st)[0]  # exact mean backoff, 9.9
         st1 = observe_and_update(st, observed, observed, k=1, cfg=cfg)
         np.testing.assert_allclose(st1.inv_guess[~st1.initiates], 1.1 * (1 / 0.99) - 0.1 * (1 / 9.9))
         np.testing.assert_allclose(st1.inv_guess[~st1.initiates], 1.1010101010101, atol=1e-10)
@@ -81,11 +80,11 @@ class TestObserveAndUpdate:
     def test_aggregate_sequence(self, sym_10_10):
         cfg = mech_cfg()
         st = init_state(sym_10_10, cfg)
-        seen = [st.aggregate_rates[0]]
+        seen = [aggregate_rates(st)[0]]
         for k in (1, 2):
-            obs = 1 / st.aggregate_rates[0]
-            st = observe_and_update(st, obs, 1 / st.aggregate_rates[1], k, cfg)
-            seen.append(st.aggregate_rates[0])
+            obs = 1 / aggregate_rates(st)[0]
+            st = observe_and_update(st, obs, 1 / aggregate_rates(st)[1], k, cfg)
+            seen.append(aggregate_rates(st)[0])
         np.testing.assert_allclose(seen, [0.1010101, 1.0101010, 1.0555556], atol=1e-6)
 
     def test_observing_own_guess_is_noop(self, sym_10_10):
@@ -99,7 +98,7 @@ class TestObserveAndUpdate:
     def test_nonpositive_observation(self, sym_10_10):
         cfg = mech_cfg()
         st = init_state(sym_10_10, cfg)
-        with pytest.raises(NonpositiveObservationError):
+        with pytest.raises(ValueError):
             observe_and_update(st, 0.0, 1.0, k=1, cfg=cfg)
 
     def test_floor_logs_warning(self, sym_10_10, caplog):
@@ -109,7 +108,7 @@ class TestObserveAndUpdate:
             st1 = observe_and_update(st, 1e-9, 1e-9, k=1, cfg=cfg)
             log_floored(st1.floored)
         assert "floored" in caplog.text
-        assert st1.aggregate_rates[0] == 0.0
+        assert aggregate_rates(st1)[0] == 0.0
 
     def test_k_must_be_positive(self, sym_10_10):
         cfg = mech_cfg()
@@ -390,7 +389,7 @@ class TestSeedBatch:
         batch = AdaptState(st.ratios, st.initiates, np.array([st.inv_guess] * 4))
         with pytest.raises(DivergenceError, match="epoch 1"):  # rows 1 and 3 diverge
             observe_and_update(batch, np.ones(4), np.array([1.0, 1e-320, 1.0, 1e-320]), k=1, cfg=cfg)
-        with pytest.raises(NonpositiveObservationError, match="response backoff"):  # row 2 is 0
+        with pytest.raises(ValueError, match="response backoff"):  # row 2 is 0
             observe_and_update(batch, np.array([1.0, 1.0, 0.0, 1.0]), np.ones(4), k=1, cfg=cfg)
 
     def test_floored_counts_are_the_warnings(self, caplog):

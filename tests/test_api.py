@@ -1,0 +1,57 @@
+"""Every function, class and method the package defines is used: referenced
+by the package's own code or named in the README.  Code that only tests
+reach belongs with the tests."""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "bxsim").glob("*.py"))
+
+
+def definitions(tree: ast.Module) -> list[str]:
+    """Module-level functions and classes, and the methods of those classes;
+    dunder methods are called by Python itself."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f.name for f in node.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("__")]
+    return names
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Every name, attribute and imported name the code of ``tree`` reads."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def readme_code() -> str:
+    """The README's fenced code blocks and inline code spans."""
+    text = (ROOT / "README.md").read_text()
+    return "\n".join(re.findall(r"```.*?```|`[^`\n]+`", text, re.S))
+
+
+def test_every_definition_is_used():
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    assert {"adapt.py", "cli.py", "equilibrium.py", "model.py", "simulate.py"} <= set(trees)
+    used = set().union(*map(references, trees.values()))
+    documented = readme_code()
+    unused = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in definitions(tree)
+        if name not in used and not re.search(rf"\b{re.escape(name)}\b", documented)
+    ]
+    assert unused == []

@@ -27,9 +27,9 @@ from hypothesis import strategies as st
 from bxsim import adapt, equilibrium, simulate
 from bxsim.cli import adapt_config, build_parser, dump_scenarios, gen_groups, gen_rng, main, parse_seeds, write_csv
 from bxsim.equilibrium import coded_throughput
-from bxsim.model import Scenario, atomic_open, scenario_to_dict
+from bxsim.model import Scenario, atomic_open
 
-from conftest import SINGULAR_CODED_ROWS, symmetric, two_file
+from conftest import SINGULAR_CODED_ROWS, scenario_to_dict, symmetric, two_file
 
 
 def write_config(tmp_path, scenario, name="scenario.json", seed=None):
@@ -316,6 +316,22 @@ class TestSimulate:
         assert proc.returncode == 0, proc.stderr
         summary = f"wrote 9 rows to {tmp_path / 'sim.csv'}\n".encode()
         assert (tmp_path / "t.txt").read_bytes() == (tmp_path / "trace.csv").read_bytes() + summary
+
+    @pytest.mark.parametrize("groups", [[10, 10], [12, 8]], ids=["10+10", "12+8"])
+    def test_coded_flag_selects_only_the_profile(self, tmp_path, groups):
+        # on two files the coded profile is the plain one at alpha = 0.5, and
+        # every round serves every node either way: the same bytes
+        cfg = write_config(tmp_path, two_file([1.0] * groups[0], [1.0] * groups[1]))
+        walk = mock.patch.object(simulate.RoundEngine, "_walk", autospec=True, side_effect=simulate.RoundEngine._walk)
+        written = {}
+        with walk as walked:
+            for coded in ([], ["--coded"]):
+                out, trace = tmp_path / f"out{len(coded)}.csv", tmp_path / f"trace{len(coded)}.csv"
+                argv = ["simulate", *coded, "--config", cfg, "--rounds", "3000", "--seeds", "17"]
+                assert main([*argv, "--trace", str(trace), "--out", str(out)]) == 0
+                written[bool(coded)] = out.read_bytes(), trace.read_bytes()
+        assert (walked.call_count > 0) == (groups == [12, 8])  # unequal groups take the per-round walk
+        assert written[True] == written[False]
 
     def test_plain_multifile_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, symmetric(3, 4))
@@ -754,21 +770,21 @@ class TestFig3:
         assert capsys.readouterr().err == "invalid arguments: --rounds applies only with --simulate\n"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("simulate,calls", [([], 0), (["--simulate", "--rounds", "50"], 6)])
+    @pytest.mark.parametrize("simulate,calls", [([], 6), (["--simulate", "--rounds", "50"], 6)])
     def test_solves_each_coded_game_once(self, tmp_path, simulate, calls):
-        # the analytic column reads only the aggregates; a simulated point
-        # needs the per-node profile, solved once
+        # every point checks that the per-node profile is nonnegative, and a
+        # simulated point plays the profile it checked
         with mock.patch.object(equilibrium, "coded_equilibrium", wraps=equilibrium.coded_equilibrium) as solve:
             assert main(["fig3", *simulate, "--out", str(tmp_path / "y.csv")]) == 0
         assert solve.call_count == calls
 
-    def test_random_w_uses_aggregates(self, tmp_path):
-        # heterogeneous costs break per-node nonnegativity, but the analytic
-        # throughput only needs the per-file aggregates
-        out = tmp_path / "fig3.csv"
-        assert main(["fig3", "--files", "3,4", "--w-hi", "2.0", "--out", str(out)]) == 0
-        rows = read_csv(out)
-        assert all(0 < float(r[1]) < 0.5 for r in rows[1:])
+    @pytest.mark.parametrize("argv", ["--files 3,4 --w-hi 2.0", "--w-hi 3"], ids=["w-hi-2", "w-hi-3"])
+    def test_random_w_without_equilibrium_exits_3(self, tmp_path, capsys, argv):
+        # heterogeneous costs give some nodes a negative rate: the per-file
+        # aggregates exist, but no equilibrium has them, so no point is written
+        assert main(["fig3", *argv.split(), "--out", str(tmp_path / "fig3.csv")]) == 3
+        assert capsys.readouterr().err.startswith("equilibrium does not exist: nodes [")
+        assert list(tmp_path.iterdir()) == []
 
 
 # (w, g) of one node: g from subnormal to near the largest float, and w/g in

@@ -29,11 +29,10 @@ from bxsim.model import (
     atomic_open,
     load_scenario,
     scenario_from_dict,
-    scenario_to_dict,
 )
 
 from bxsim.cli import main
-from conftest import reference_scenario_from_dict, reference_violations, symmetric, two_file
+from conftest import reference_scenario_from_dict, reference_violations, scenario_to_dict, symmetric, two_file
 
 
 def codes(violations):
