@@ -11,6 +11,10 @@ Two settings are covered:
   solved exactly in closed form (Sherman-Morrison; two files give the
   alpha family instead).
 
+Every response rate sum/(count - 1) - w/g and duration (count - 1)/sum
+reads a group's sum of w/g from ``Scenario.group_sums``, taken once when
+the scenario is built.
+
 Every solver returns its raw closed form, whose rates go negative where
 the costs are too unequal.  Whether a nonnegative equilibrium exists is
 one separate check, ``require_nonnegative``.  Everything here is a pure
@@ -28,61 +32,36 @@ from .errors import NegativeRateError, SingularSystemError
 from .model import Scenario, StrategyProfile
 
 
-def response_equilibrium(ratios) -> np.ndarray:
-    """Equilibrium response rates for one contention group.
-
-    Given the w/g ratios of the nodes eligible to respond, returns the rate
-    vector lambda with lambda_i = (sum of ratios)/(count-1) - ratio_i.  At
-    these rates each node i faces an aggregate rate from the others equal to
-    its own ratio, which makes its expected response cost exactly g_i no
-    matter what timer it draws.  A node whose ratio exceeds the mean of the
-    others' gets a negative rate.
-    """
-    r = np.asarray(ratios, dtype=float)
-    if r.size < 2:
-        raise ValueError("need at least 2 eligible responders")
-    return np.sum(r) / (r.size - 1) - r
-
-
-def response_phase_mean(ratios) -> float:
-    """Expected response-phase duration at equilibrium: (count-1)/sum(w/g).
-
-    Equals 1/sum(lambda) for the rates from response_equilibrium.  A numpy
-    float, so that sums of durations that overflow obey np.errstate.
-    """
-    r = np.asarray(ratios, dtype=float)
-    if r.size < 2:
-        raise ValueError("need at least 2 eligible responders")
-    total = np.sum(r)
-    if total <= 0:
-        raise ValueError("sum of ratios must be positive")
-    return (r.size - 1) / total
+def _response_rates(s: Scenario) -> np.ndarray:
+    """lam, shape (n_nodes, files): each file's holders at their response
+    equilibrium sum(w/g)/(count - 1) - w_n/g_n, where the others' rate sum
+    is node n's own ratio, so its response costs g_n whatever timer it
+    draws (a rate is negative where no such equilibrium exists)."""
+    lam = np.zeros((s.n_nodes, s.files))
+    for x in range(s.files):
+        holders = s.needs != x
+        lam[holders, x] = s.group_sums[1, x] / (np.count_nonzero(holders) - 1) - s.ratios[holders]
+    return lam
 
 
 def two_file_equilibrium(s: Scenario, alpha: float = 0.5) -> StrategyProfile:
     """Closed-form equilibrium profile for a two-file scenario.
 
-    Initiation rates scale the group response formula by alpha (group 0) and
-    1 - alpha (group 1).  The boundary values alpha in {0, 1} produce a
-    one-sided profile: the silent group's response rates are zeroed as well,
-    since it never gets to respond.
+    Each group's initiation rates are its response rates scaled by alpha
+    (group 0) or 1 - alpha (group 1).  The boundary values alpha in {0, 1}
+    produce a one-sided profile: the silent group never announces its file,
+    so nobody's response rate for it is played and it is zeroed.
     """
     if s.files != 2:
         raise ValueError(f"the plain (uncoded) game needs a two-file scenario; this one has {s.files} files")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
 
-    lam_a = response_equilibrium(s.ratios[s.needs == 0])
-    lam_b = response_equilibrium(s.ratios[s.needs == 1])
-    gamma = np.empty(s.n_nodes)
-    gamma[s.needs == 0] = alpha * lam_a
-    gamma[s.needs == 1] = (1.0 - alpha) * lam_b
-    # Group 0 possesses file 1 and responds to its announcements, which only
-    # happen when group 1 initiates (weight 1 - alpha); mirrored for group 1.
-    # At a boundary alpha the never-announced context gets rate 0.
-    lam = np.zeros((s.n_nodes, 2))
-    lam[s.needs == 0, 1] = lam_a if alpha < 1.0 else 0.0
-    lam[s.needs == 1, 0] = lam_b if alpha > 0.0 else 0.0
+    lam = _response_rates(s)
+    # A node initiates at its rate for the file it holds, times its group's share.
+    gamma = np.where(s.needs == 0, alpha, 1.0 - alpha) * lam[np.arange(s.n_nodes), 1 - s.needs]
+    if alpha in (0.0, 1.0):  # group x = alpha never initiates, so file x is never announced
+        lam[:, int(alpha)] = 0.0
     return StrategyProfile(gamma=gamma, lam=lam)
 
 
@@ -102,14 +81,13 @@ def two_file_durations(s: Scenario) -> np.ndarray:
     announced, and vice versa)."""
     if s.files != 2:
         raise ValueError(f"the plain (uncoded) game needs a two-file scenario; this one has {s.files} files")
-    return np.array([response_phase_mean(s.ratios[s.needs == x]) for x in (0, 1)])
+    return (s.group_sizes() - 1) / s.group_sums[0]
 
 
 def ne_round_duration(s: Scenario) -> float:
     """Expected duration of one equilibrium round, That_A + That_B + 2; it
     does not depend on alpha."""
-    that_a, that_b = two_file_durations(s)
-    return that_a + that_b + 2.0
+    return two_file_durations(s).sum() + 2.0
 
 
 def throughput_at_ne(s: Scenario) -> float:
@@ -150,17 +128,12 @@ def poa_system(s: Scenario) -> float:
 def coded_system(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """The per-file aggregate-rate system, as its coefficient vectors (c, d).
 
-    Row X reads c_X * G_X + d_X * sum(G_Y for Y != X) = 1, where c_X is
-    group X's own response duration and d_X is the response duration of
-    X's complement (the nodes that hold X).  The matrix is thus
-    diag(c - d) + d 1^T.
+    Row X reads c_X * G_X + d_X * sum(G_Y for Y != X) = 1, where c_X is the
+    response duration of group X and d_X that of the nodes that hold X: the
+    matrix is diag(c - d) + d 1^T.
     """
-    sums = np.bincount(s.needs, weights=s.ratios, minlength=s.files)
-    # The holders' sum is that of the groups before X plus that of the groups
-    # after it, never a difference that could cancel to 0.
-    held = np.append(0.0, np.cumsum(sums[:-1])) + np.append(np.cumsum(sums[:0:-1])[::-1], 0.0)
     sizes = s.group_sizes()
-    return (sizes - 1) / sums, (s.n_nodes - sizes - 1) / held
+    return (sizes - 1) / s.group_sums[0], (s.n_nodes - sizes - 1) / s.group_sums[1]
 
 
 def solve_coded_system(c: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -214,10 +187,8 @@ def coded_equilibrium(s: Scenario) -> StrategyProfile:
     """Solve the network-coded game.
 
     Two files go straight to the alpha = 0.5 member of the bilateral family.
-    Otherwise solves the aggregate-rate system with solve_coded_system, recovers
-    per-node initiation rates, and fills the response rates of every node
-    holding each announced file via response_equilibrium over the file's
-    complement group.
+    Otherwise solves the aggregate-rate system with solve_coded_system and
+    recovers per-node initiation rates; responses are as in two files.
     """
     if s.files == 2:
         return two_file_equilibrium(s, alpha=0.5)
@@ -227,12 +198,7 @@ def coded_equilibrium(s: Scenario) -> StrategyProfile:
     total_gamma = float(np.sum(big_gamma))
     own, d = big_gamma[s.needs], d[s.needs]
     gamma = own - s.ratios * (1.0 - d * (total_gamma - own))
-
-    lam = np.zeros((s.n_nodes, s.files))
-    for x in range(s.files):
-        holders = s.needs != x
-        lam[holders, x] = response_equilibrium(s.ratios[holders])
-    return StrategyProfile(gamma=gamma, lam=lam)
+    return StrategyProfile(gamma=gamma, lam=_response_rates(s))
 
 
 def coded_throughput(s: Scenario) -> float:
@@ -242,6 +208,6 @@ def coded_throughput(s: Scenario) -> float:
     mean, which weights each file's complement duration by the chance that
     file is announced, plus 2."""
     big_gamma = coded_aggregates(s)
-    total = np.sum(big_gamma)  # numpy floats, as in response_phase_mean
+    total = np.sum(big_gamma)  # numpy floats, so an overflow obeys np.errstate
     resp_mean = np.sum(big_gamma / total * coded_system(s)[1])
     return 1.0 / (1.0 / total + resp_mean + 2.0)

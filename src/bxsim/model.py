@@ -46,9 +46,11 @@ class Scenario:
     The columns are stored as read-only float64 (``w``, ``g``) and int64
     (``needs``) arrays, and then checked: a population outside the closed
     forms' domain raises ScenarioError listing every violation, so a built
-    scenario is valid.  A ``needs`` beyond int64 is kept exactly, in an
-    object array, so that its violation can name it.  Scenarios are equal
-    when their file counts and columns are.
+    scenario is valid.  The check takes ``group_sums``, each group's and
+    each complement's sum(w/g), which every closed form then reads.  A
+    ``needs`` beyond int64 is kept exactly, in an object array, so that its
+    violation can name it.  Scenarios are equal when their file counts and
+    columns are.
     """
 
     files: int
@@ -91,6 +93,18 @@ class Scenario:
         """Nodes needing each file."""
         return np.bincount(self.needs, minlength=self.files)
 
+    @cached_property
+    def group_sums(self) -> np.ndarray:
+        """Read-only, shape (2, files): sum(w/g) over the nodes that need each
+        file, then over those that hold it, in node id order.  Taken once, by
+        the check that builds the scenario; inf where a sum overflows."""
+        with np.errstate(over="ignore"):
+            need = [np.sum(self.ratios[self.needs == x]) for x in range(self.files)]
+            hold = need[::-1] if self.files == 2 else [np.sum(self.ratios[self.needs != x]) for x in range(self.files)]
+        sums = np.array([need, hold])
+        sums.flags.writeable = False
+        return sums
+
 
 def _violations(s: Scenario) -> list[Violation]:
     """Every violation of the scenario invariants by the columns ``s`` has
@@ -121,19 +135,19 @@ def _violations(s: Scenario) -> list[Violation]:
     if s.files > s.n_nodes:
         out.append(Violation(GROUP_TOO_SMALL, f"{s.files} files need 2 nodes each; the scenario has {s.n_nodes}"))
     elif s.files > 0:
-        for f, size in enumerate(np.bincount(s.needs[needs_ok].astype(np.int64), minlength=s.files).tolist()):
+        sizes = np.bincount(s.needs[needs_ok].astype(np.int64), minlength=s.files).tolist()
+        for f, size in enumerate(sizes):
             if size < 2:
                 out.append(Violation(GROUP_TOO_SMALL, f"file {f} is needed by {size} node(s); need at least 2"))
     if out:
         return out
-    # Every response duration (count - 1) / sum(w/g) must be finite; with two
-    # files the nodes that hold one file are the group that needs the other.
-    for x, kind in product(range(s.files), ("need", "hold") if s.files > 2 else ("need",)):
-        ratios = s.ratios[s.needs == x if kind == "need" else s.needs != x]
-        with np.errstate(over="ignore"):
-            total = float(np.sum(ratios))
-        if not (0 < total < inf and (ratios.size - 1) / total < inf):
-            why = f"the {ratios.size} nodes that {kind} file {x} have sum(w/g) = {total}"
+    # Every response duration (count - 1) / sum(w/g) must be finite (``sizes``
+    # counts every node now); two files' holder sums repeat the needers'.
+    sums = s.group_sums.tolist()
+    for x, k in product(range(s.files), range(2 if s.files > 2 else 1)):
+        count, total = (sizes[x], s.n_nodes - sizes[x])[k], sums[k][x]
+        if not (0 < total < inf and (count - 1) / total < inf):
+            why = f"the {count} nodes that {('need', 'hold')[k]} file {x} have sum(w/g) = {total}"
             out.append(Violation(NONFINITE_COST, f"{why}; (count - 1) / sum(w/g) must be finite and > 0"))
     return out
 

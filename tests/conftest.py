@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from bxsim.adapt import run_adaptive_simulation
 from bxsim.cli import gen_groups
-from bxsim.equilibrium import response_equilibrium, response_phase_mean
 from bxsim.errors import (
     BAD_CONFIG,
     BAD_FILE_ID,
@@ -72,6 +71,21 @@ def two_file_with_equilibrium(draw, max_group: int = 7):
     g = [draw(cost) for _ in needs]
     w = [base[x] * draw(st.floats(1.0, spread[x])) * gn for x, gn in zip(needs, g)]
     return Scenario(files=2, w=w, g=g, needs=needs)
+
+
+@st.composite
+def coded_with_close_ratios(draw, files=st.integers(3, 6), max_group: int = 7):
+    """Groups of 2-``max_group`` nodes in shuffled order, one per file of a
+    count drawn from ``files``, with g drawn apart and every ratio w/g within
+    10% of a drawn base: most such games have a nonnegative coded
+    equilibrium."""
+    f = draw(files)
+    sizes = draw(st.lists(st.integers(2, max_group), min_size=f, max_size=f))
+    needs = draw(st.permutations(np.repeat(np.arange(f), sizes).tolist()))
+    base = draw(st.floats(0.05, 20.0))
+    g = [draw(st.floats(0.05, 20.0)) for _ in needs]
+    w = [base * draw(st.floats(1.0, 1.1)) * gn for gn in g]
+    return Scenario(files=f, w=w, g=g, needs=needs)
 
 
 def scenario_to_dict(s: Scenario, seed: int | None = None) -> dict:
@@ -140,6 +154,20 @@ def reference_play(s: Scenario, profile, rng: np.random.Generator, rounds: int) 
 # at a time as a Python scalar.  The array forms must match them bit for bit.
 
 
+def response_equilibrium(ratios) -> np.ndarray:
+    """Response rates of one contention group with these w/g ratios:
+    lambda_i = sum(ratios)/(count - 1) - ratio_i."""
+    r = np.asarray(ratios, dtype=float)
+    return np.sum(r) / (r.size - 1) - r
+
+
+def response_phase_mean(ratios):
+    """Expected response-phase duration of one contention group at
+    equilibrium, (count - 1)/sum(ratios), as a numpy float."""
+    r = np.asarray(ratios, dtype=float)
+    return (r.size - 1) / np.sum(r)
+
+
 def ref_ratio(s: Scenario, n: int) -> float:
     return float(s.w[n]) / float(s.g[n])
 
@@ -191,26 +219,9 @@ def reference_node_cost(node: int, s: Scenario) -> tuple[float, float, float]:
 
 def reference_coded_system(s: Scenario) -> tuple[list[float], list[float]]:
     """(c, d) of the coded aggregate system: per file, the response duration
-    of the group that needs it and of the nodes that hold it.  Group ratio
-    sums are added one node at a time; the holders' sum is that of the
-    groups before the file plus that of the groups after it, the latter
-    added from the last file down."""
-    sums = []
-    for x in range(s.files):
-        acc = 0.0
-        for n in ref_group(s, x):
-            acc += ref_ratio(s, n)
-        sums.append(acc)
-    c, d = [], []
-    for x in range(s.files):
-        before = after = 0.0
-        for y in range(x):
-            before += sums[y]
-        for y in range(s.files - 1, x, -1):
-            after += sums[y]
-        size = len(ref_group(s, x))
-        c.append((size - 1) / sums[x])
-        d.append((s.n_nodes - size - 1) / (before + after))
+    of the group that needs it and of the nodes that hold it."""
+    c = [response_phase_mean([ref_ratio(s, n) for n in ref_group(s, x)]) for x in range(s.files)]
+    d = [response_phase_mean([ref_ratio(s, m) for m in ref_complement(s, x)]) for x in range(s.files)]
     return c, d
 
 

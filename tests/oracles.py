@@ -1,4 +1,4 @@
-"""Oracles for the two-file game.
+"""Oracles for the two-file game and the network-coded game.
 
 The expected-cost oracles are the closed forms of a node's expected cost as
 a function of its own timer choice.  The equilibrium tests check the solved
@@ -98,6 +98,44 @@ def expected_initiation_cost(
     const = w / gamma_rest + p_own * w * that_resp + p_other * g + 2.0 * w
     coeff = p_other * w * that_resp + p_own * g - w / gamma_rest
     return const + math.exp(-gamma_rest * t) * coeff
+
+
+def expected_coded_round_cost(s: Scenario, profile: StrategyProfile, n: int, t: float) -> float:
+    """Expected total cost of one coded round for node ``n`` fixing its
+    initiation timer at t while every other node plays ``profile``; built
+    from the profile's rates and the costs alone, for any file count.
+
+    The others' initiation timers race n's at total rate Gamma, Gamma_X of
+    it from group X (the nodes needing X), and n waits for the earliest
+    firing: w (1 - e^{-Gamma t}) / Gamma.  If n fires first (e^{-Gamma t})
+    it announces its file x_n, waits for that file's holders, whose rates
+    sum to Lambda_{x_n}, and pays g for its packet:
+    A = w / Lambda_{x_n} + 2w + g.  If a group X node fires first, n
+    free-rides when it needs X too, B_X = w / Lambda_X + 2w, and otherwise
+    plays the response subgame at its own rate lam[n, X] against the other
+    holders', B_X = expected_response_cost_under_rate + 2w.  The 2w is the
+    wait for the round's two data packets, which serve every node.
+    """
+    w, g, x_n = float(s.w[n]), float(s.g[n]), int(s.needs[n])
+    others = np.asarray(profile.gamma, dtype=float).copy()
+    others[n] = 0.0
+    big = np.bincount(s.needs, weights=others, minlength=s.files)
+    total = float(np.sum(big))
+    if total <= 0:
+        raise DegenerateProfileError("all other initiation rates are zero")
+    lam = np.asarray(profile.lam, dtype=float)
+    holders = [float(np.sum(lam[s.needs != x, x])) for x in range(s.files)]
+    if min(holders) <= 0:
+        raise DegenerateProfileError("the holders of some file never respond")
+    initiated = w / holders[x_n] + 2.0 * w + g
+    announced = [
+        w / holders[x] + 2.0 * w
+        if x == x_n
+        else expected_response_cost_under_rate(w, g, lam[n, x], holders[x] - lam[n, x]) + 2.0 * w
+        for x in range(s.files)
+    ]
+    decay = math.exp(-total * t)
+    return w * (1.0 - decay) / total + decay * initiated + (1.0 - decay) * float(np.dot(big / total, announced))
 
 
 def aggregate_rates(state: AdaptState) -> tuple:

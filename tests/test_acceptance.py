@@ -21,8 +21,6 @@ from bxsim.equilibrium import (
     node_costs_at_ne,
     poa_system,
     require_nonnegative,
-    response_equilibrium,
-    response_phase_mean,
     throughput_at_ne,
     two_file_durations,
     two_file_equilibrium,
@@ -38,6 +36,8 @@ from conftest import (
     ref_complement,
     ref_group,
     ref_ratio,
+    response_equilibrium,
+    response_phase_mean,
     scenario_to_dict,
     symmetric,
 )

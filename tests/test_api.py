@@ -1,11 +1,15 @@
 """Every function, class and method the package defines is used: referenced
 by the package's own code or named in the README.  Code that only tests
-reach belongs with the tests."""
+reach belongs with the tests.  The command line imports nothing beyond
+numpy and the standard library."""
 
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,3 +59,17 @@ def test_every_definition_is_used():
         if name not in used and not re.search(rf"\b{re.escape(name)}\b", documented)
     ]
     assert unused == []
+
+
+def test_cli_imports_only_numpy_beyond_the_standard_library():
+    # every import recompiles where no bytecode is written, and comes before any work
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import bxsim.cli\n"
+        "print(sorted({name.split('.')[0] for name in set(sys.modules) - before}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    extra = set(ast.literal_eval(out)) - {"bxsim", "numpy"} - sys.stdlib_module_names
+    assert extra == set()

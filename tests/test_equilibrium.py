@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -18,8 +18,6 @@ from bxsim.equilibrium import (
     node_costs_at_ne,
     poa_system,
     require_nonnegative,
-    response_equilibrium,
-    response_phase_mean,
     throughput_at_ne,
     two_file_durations,
     two_file_equilibrium,
@@ -30,6 +28,7 @@ from bxsim.model import StrategyProfile
 from conftest import (
     SINGULAR_CODED_ROWS,
     coded_residuals,
+    coded_with_close_ratios,
     dense_profile,
     exact_coded_solution,
     random_coded,
@@ -41,6 +40,7 @@ from conftest import (
     reference_node_cost,
     reference_round_duration,
     reference_two_file,
+    response_equilibrium,
     shuffled_scenarios,
     symmetric,
     two_file,
@@ -48,6 +48,7 @@ from conftest import (
 )
 from oracles import (
     DegenerateProfileError,
+    expected_coded_round_cost,
     expected_initiation_cost,
     expected_response_cost,
     expected_response_cost_under_rate,
@@ -80,73 +81,94 @@ def initiation_cost_quadrature(t, w, g, gamma_rest, p_own, that_resp):
     return a + b
 
 
+def coded_round_cost_quadrature(s, profile, n, t):
+    """Independent oracle for the coded round cost: integrate over the
+    earliest other initiation, and a holder's response cost over its own
+    timer, node by node from the profile."""
+    w, g, x_n = float(s.w[n]), float(s.g[n]), int(s.needs[n])
+    others = [m for m in range(s.n_nodes) if m != n]
+    rate = [sum(profile.gamma[m] for m in others if s.needs[m] == x) for x in range(s.files)]
+    total = sum(rate)
+    holders = [sum(profile.lam[m, x] for m in range(s.n_nodes) if s.needs[m] != x) for x in range(s.files)]
+
+    def respond(x):  # n's response-phase cost once file x is announced
+        if x == x_n:
+            return w / holders[x]
+        own, rest = profile.lam[n, x], holders[x] - profile.lam[n, x]
+        cost, _ = integrate.quad(lambda u: expected_response_cost(u, w, g, rest) * own * math.exp(-own * u), 0, np.inf)
+        return cost
+
+    announced = sum(rate[x] / total * (respond(x) + 2 * w) for x in range(s.files))
+    early, _ = integrate.quad(lambda u: (w * u + announced) * total * math.exp(-total * u), 0, t)
+    late = (w * t + w / holders[x_n] + 2 * w + g) * math.exp(-total * t)
+    return early + late
+
+
+def group_response(ratios) -> tuple[np.ndarray, float]:
+    """The response rates and response-phase duration of a group with these
+    w/g ratios: group 0, which holds file 1, of the two-file scenario whose
+    groups both have them."""
+    s = two_file(ratios, ratios)
+    return two_file_equilibrium(s).lam[s.needs == 0, 1], two_file_durations(s)[0]
+
+
 class TestResponseEquilibrium:
     def test_symmetric_ten(self):
-        lam = response_equilibrium([1.0] * 10)
+        lam, _ = group_response([1.0] * 10)
         np.testing.assert_allclose(lam, np.full(10, 1 / 9), atol=1e-15)
 
     def test_two_nodes_swap(self):
-        np.testing.assert_allclose(response_equilibrium([1.0, 2.0]), [2.0, 1.0])
+        np.testing.assert_allclose(group_response([1.0, 2.0])[0], [2.0, 1.0])
 
     def test_strong_heterogeneity_two_nodes(self):
-        np.testing.assert_allclose(response_equilibrium([1.0, 10.0]), [10.0, 1.0])
+        np.testing.assert_allclose(group_response([1.0, 10.0])[0], [10.0, 1.0])
 
     def test_nonexistent(self):
-        lam = response_equilibrium([1.0, 1.0, 5.0])
         with pytest.raises(NegativeRateError, match=r"nodes \[2\]"):
-            require_nonnegative(StrategyProfile(gamma=np.zeros(3), lam=lam[:, None]))
+            require_nonnegative(two_file_equilibrium(two_file([1.0, 1.0, 5.0], [1.0, 1.0])))
 
     def test_returns_raw_closed_form(self):
-        lam = response_equilibrium([1.0, 1.0, 5.0])
-        np.testing.assert_allclose(lam, [2.5, 2.5, -1.5])
+        np.testing.assert_allclose(group_response([1.0, 1.0, 5.0])[0], [2.5, 2.5, -1.5])
 
     def test_zero_rate_is_allowed(self):
         # boundary node exactly at the group mean threshold
-        lam = response_equilibrium([1.0, 1.0, 2.0])
-        assert lam[2] == 0.0
+        assert group_response([1.0, 1.0, 2.0])[0][2] == 0.0
 
     def test_others_sum_equals_own_ratio(self):
         rng = np.random.default_rng(42)
         for _ in range(30):
             r = rng.uniform(0.5, 3.0, size=int(rng.integers(2, 15)))
-            lam = response_equilibrium(r)
+            lam, _ = group_response(r)
             for i in range(r.size):
                 assert np.sum(lam) - lam[i] == pytest.approx(r[i], abs=1e-12)
 
-    def test_too_few(self):
-        with pytest.raises(ValueError):
-            response_equilibrium([1.0])
+    def test_coded_others_sum_equals_own_ratio(self):
+        # every file's holders, in games of 3 to 8 files
+        rng = np.random.default_rng(42)
+        for files in range(3, 9):
+            s = random_coded(rng, files)
+            lam = coded_equilibrium(s).lam
+            for x in range(files):
+                rates, ratios = lam[s.needs != x, x], s.ratios[s.needs != x]
+                np.testing.assert_allclose(np.sum(rates) - rates, ratios, rtol=0, atol=1e-12)
 
 
 class TestResponsePhaseMean:
     def test_symmetric_ten(self):
         # matches the homogeneous shortcut (I-1)(g/w)/I
-        assert response_phase_mean([1.0] * 10) == pytest.approx(0.9)
+        assert group_response([1.0] * 10)[1] == pytest.approx(0.9)
 
     def test_heterogeneous(self):
-        assert response_phase_mean([1.0, 2.0]) == pytest.approx(1 / 3)
+        assert group_response([1.0, 2.0])[1] == pytest.approx(1 / 3)
 
     def test_two_ones(self):
-        assert response_phase_mean([1.0, 1.0]) == pytest.approx(0.5)
+        assert group_response([1.0, 1.0])[1] == pytest.approx(0.5)
 
     def test_equals_inverse_rate_sum(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            r = rng.uniform(0.5, 2.0, size=int(rng.integers(2, 12)))
-            lam = response_equilibrium(r)
-            assert response_phase_mean(r) == pytest.approx(1 / np.sum(lam), abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "solve,ratios,message",
-        [
-            (response_equilibrium, [1.0], "need at least 2 eligible responders"),
-            (response_phase_mean, [1.0], "need at least 2 eligible responders"),
-            (response_phase_mean, [0.0, 0.0], "sum of ratios must be positive"),
-        ],
-    )
-    def test_outside_the_domain(self, solve, ratios, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            solve(ratios)
+            lam, duration = group_response(rng.uniform(0.5, 2.0, size=int(rng.integers(2, 12))))
+            assert duration == pytest.approx(1 / np.sum(lam), abs=1e-12)
 
 
 class TestExpectedResponseCost:
@@ -255,6 +277,40 @@ class TestExpectedInitiationCost:
         silent = type(profile)(gamma=np.array([0.5, 0.0, 0.0, 0.0]), lam=profile.lam)
         with pytest.raises(DegenerateProfileError):
             expected_initiation_cost(1.0, 0, silent, sym_2_2)
+
+
+class TestExpectedCodedRoundCost:
+    def test_against_quadrature(self):
+        # at arbitrary positive profiles, where the cost depends on t
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            s = random_coded(rng, int(rng.integers(3, 6)), group_size=int(rng.integers(2, 5)))
+            lam = np.where(s.needs[:, None] != np.arange(s.files), rng.uniform(0.1, 2.0, (s.n_nodes, s.files)), 0.0)
+            profile = StrategyProfile(gamma=rng.uniform(0.1, 2.0, s.n_nodes), lam=lam)
+            node = int(rng.integers(0, s.n_nodes))
+            for t in (0.0, 0.7, 3.0):
+                oracle = coded_round_cost_quadrature(s, profile, node, t)
+                assert expected_coded_round_cost(s, profile, node, t) == pytest.approx(oracle, abs=1e-8)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(s=coded_with_close_ratios())
+    def test_constant_in_t_at_equilibrium_only(self, s):
+        try:
+            profile = require_nonnegative(coded_equilibrium(s))
+        except (NegativeRateError, SingularSystemError):
+            assume(False)
+
+        def spread(profile, n):
+            values = [expected_coded_round_cost(s, profile, n, t) for t in T_GRID]
+            return (max(values) - min(values)) / abs(values[0])
+
+        assert max(spread(profile, n) for n in range(s.n_nodes)) <= 1e-9
+        # a 5% faster initiator moves every other node's cost with its timer
+        bumped = int(np.argmax(profile.gamma))
+        gamma = profile.gamma.copy()
+        gamma[bumped] *= 1.05
+        perturbed = StrategyProfile(gamma=gamma, lam=profile.lam)
+        assert min(spread(perturbed, n) for n in range(s.n_nodes) if n != bumped) > 1e-5
 
 
 class TestTwoFileEquilibrium:
@@ -517,6 +573,12 @@ class TestPaperClosedForms:
         costs = node_costs_at_ne(s)
         assert np.abs(np.bincount(s.needs, weights=costs.transmit_prob) - 1.0).max() <= 1e-9
         assert np.all(costs.poa >= 1.0) and poa_system(s) >= 1.0
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(s=shuffled_scenarios(st.just(2)))
+    def test_two_file_games_agree(self, s):
+        # with two files the coded game is the alpha = 0.5 bilateral game
+        assert coded_throughput(s) == pytest.approx(throughput_at_ne(s), rel=1e-12, abs=0)
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(s=shuffled_scenarios(st.integers(3, 6)))

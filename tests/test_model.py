@@ -32,7 +32,14 @@ from bxsim.model import (
 )
 
 from bxsim.cli import main
-from conftest import reference_scenario_from_dict, reference_violations, scenario_to_dict, symmetric, two_file
+from conftest import (
+    reference_scenario_from_dict,
+    reference_violations,
+    scenario_to_dict,
+    shuffled_scenarios,
+    symmetric,
+    two_file,
+)
 
 
 def codes(violations):
@@ -125,9 +132,8 @@ class TestValidation:
 
 
 def group_ratio_sum(s: Scenario, f: int) -> tuple[int, float]:
-    """(group size, sum of w/g over the nodes needing f) from the arrays."""
-    ratios = s.ratios[s.needs == f]
-    return ratios.size, float(np.sum(ratios))
+    """(group size, sum of w/g over the nodes needing f) as the scenario keeps them."""
+    return int(s.group_sizes()[f]), float(s.group_sums[0, f])
 
 
 class TestGroupRatioSums:
@@ -143,6 +149,17 @@ class TestGroupRatioSums:
         sums = [group_ratio_sum(s, f)[1] for f in range(3)]
         for f in range(3):
             assert sum(sums) - sums[f] == pytest.approx(20.0, abs=1e-12)
+            assert s.group_sums[1, f] == pytest.approx(20.0, abs=1e-12)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(s=shuffled_scenarios(st.integers(2, 6)))
+    def test_sums_of_each_group_and_its_holders(self, s):
+        # np.sum over each node set in id order, bit for bit; read-only
+        want = [[np.sum(s.ratios[(s.needs == x) == need]) for x in range(s.files)] for need in (True, False)]
+        assert s.group_sums.shape == (2, s.files) and s.group_sums.tolist() == np.array(want).tolist()
+        assert not s.group_sums.flags.writeable
+        if s.files == 2:
+            assert s.group_sums[1].tolist() == s.group_sums[0, ::-1].tolist()
 
 
 class TestArrays:

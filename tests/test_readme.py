@@ -31,6 +31,7 @@ def test_library_use_runs_as_documented():
     out = printed.getvalue()
     assert out.startswith("0.263")
     assert re.search(r"^3\.9 0\.0999\d* 1\.95$", out, re.M)
+    assert "\n[[10.0, 10.0], [10.0, 10.0]]\n" in out
 
 
 def test_usage_block_matches_the_parser():
