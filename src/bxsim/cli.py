@@ -19,7 +19,7 @@ import argparse
 import functools
 import json
 import sys
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack
 from dataclasses import fields
 from itertools import product
 from pathlib import Path
@@ -50,10 +50,10 @@ def format_rows(template: str, *columns) -> list[str]:
 
 
 def write_csv(out: atomic_open, header: list[str], lines: list[str]) -> None:
-    """Write the header and the preformatted ``lines`` to the output ``out``."""
-    with out as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.write("".join(lines))
+    """Write the header and the preformatted ``lines`` to ``out``, any object
+    with a text ``write`` (``main`` passes the ``atomic_open`` output)."""
+    out.write(",".join(header) + "\r\n")
+    out.write("".join(lines))
 
 
 def check_seed(seed: int) -> int:
@@ -113,16 +113,16 @@ NODE_JSON = '\n      {\n        "g": %r,\n        "needs": %d,\n        "w": %r\
 
 
 def dump_scenarios(out: atomic_open, scenarios: dict[str, Scenario]) -> None:
-    """Write the generated scenarios to the output ``out`` for reproducibility: the bytes of
-    ``json.dump(..., sort_keys=True, indent=2)`` on each one's scenario config form, since
-    every built scenario has nodes and finite costs (``%r`` is json's form of a finite float)."""
-    with out as fh:
-        fh.write("{")
-        for i, key in enumerate(sorted(scenarios)):
-            s = scenarios[key]
-            nodes = ",".join(format_rows(NODE_JSON, s.g.tolist(), s.needs.tolist(), s.w.tolist()))
-            fh.write(SCENARIO_JSON % ("," if i else "", json.dumps(key), s.files, nodes))
-        fh.write("\n}\n")
+    """Write the generated scenarios to ``out``, any object with a text ``write``, for
+    reproducibility: the bytes of ``json.dump(..., sort_keys=True, indent=2)`` on each one's
+    scenario config form, since every built scenario has nodes and finite costs (``%r`` is
+    json's form of a finite float)."""
+    out.write("{")
+    for i, key in enumerate(sorted(scenarios)):
+        s = scenarios[key]
+        nodes = ",".join(format_rows(NODE_JSON, s.g.tolist(), s.needs.tolist(), s.w.tolist()))
+        out.write(SCENARIO_JSON % ("," if i else "", json.dumps(key), s.files, nodes))
+    out.write("\n}\n")
 
 
 NE_HEADER = ["kind", "node", "context", "w", "g", "needs", "value"]
@@ -186,12 +186,11 @@ def cmd_simulate(args) -> tuple[list[str], list[str]]:
     columns = node_columns(s)
     # One seed at a time: unequal groups take the per-round walk, which
     # batches nothing across seeds, and lockstep play measured slower there.
-    with args.trace or nullcontext() as trace:  # a failed run discards the trace
-        for seed in seeds:
-            metrics = simulate.run_simulation(s, profile, args.rounds, seed, trace)
-            per_node = ([metrics.rounds] * s.n_nodes, metrics.uploads.tolist(), metrics.avg_total_cost().tolist())
-            lines += format_rows(SIM_NODE_ROW, [seed] * s.n_nodes, range(s.n_nodes), columns, *per_node)
-            lines.append(SIM_SYSTEM_ROW % (seed, metrics.per_node_throughput()))
+    for seed in seeds:
+        metrics = simulate.run_simulation(s, profile, args.rounds, seed, args.trace or None)
+        per_node = ([metrics.rounds] * s.n_nodes, metrics.uploads.tolist(), metrics.avg_total_cost().tolist())
+        lines += format_rows(SIM_NODE_ROW, [seed] * s.n_nodes, range(s.n_nodes), columns, *per_node)
+        lines.append(SIM_SYSTEM_ROW % (seed, metrics.per_node_throughput()))
     return SIM_HEADER, lines
 
 
@@ -351,8 +350,9 @@ OUTPUTS = ("out", "trace", "per_node_out", "scenarios_out")  # every output a co
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command, which returns the header and rows of ``--out`` (it
-    writes its side outputs itself).  A numpy overflow, division by zero or
-    invalid value raises, so that no output gets a non-finite number."""
+    writes its side outputs, opened here, itself); keep every output only
+    once all are written.  A numpy overflow, division by zero or invalid
+    value raises, so that no output gets a non-finite number."""
     args = build_parser().parse_args(argv)
     try:
         if args.func in (cmd_fig2, cmd_fig3):  # they dump the scenarios they generate beside the results
@@ -365,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
                 path = getattr(args, dest, None)
                 if path or dest == "out":  # an empty --trace or --per-node-out asks for none
                     try:
-                        out = atomic_open(path, hold=True)
+                        out = atomic_open(path)
                     except OSError as exc:
                         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
                     opened.callback(out.close)
@@ -374,10 +374,12 @@ def main(argv: list[str] | None = None) -> int:
                     outputs.append(out)
                     setattr(args, dest, out)
             header, lines = args.func(args)
+            for out in outputs[1:]:  # the side outputs, before --out: none interleaves with it on one std stream
+                out.fh.flush()  # a write that fails late fails here, before any output is kept
             write_csv(args.out, header, lines)
+            args.out.fh.flush()
             for out in outputs:
-                if out.written:
-                    out.close(keep=True)
+                out.close(keep=True)
             print(f"wrote {len(lines)} rows to {args.out}")
             return 0
     except ScenarioError as exc:

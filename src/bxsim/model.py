@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -257,56 +257,41 @@ def _std_stream_fd(path: Path) -> int | None:
 
 class atomic_open:
     """Open ``path`` for writing text, at once, so a target that cannot be
-    written fails before any work is done; ``with`` the object to write it.
+    written fails before any work is done; ``write`` writes to it.
 
     A missing or regular file (symlinks followed) is written to a temporary
-    file beside it, which takes its place and mode only when the ``with``
-    block completes, so an exception, or ``close()`` before the block,
-    leaves no output.  The file open as stdout or stderr (``/dev/stdout``,
-    or a file that stdout is redirected to) is written through that stream
-    at its current position, so the program's later messages follow the
-    data.  Other targets (a FIFO), and files in a directory where no new
-    file may be made, are written in place; such a file is emptied only
-    when the block starts.  The object is path-like: its path is ``path``.
-
-    With ``hold``, a block that completes only flushes (``written`` is then
-    set), and the owner keeps the output with ``close(keep=True)``: so
-    several outputs are kept only once every one of them is written.
+    file beside it, which takes its place and mode only on
+    ``close(keep=True)``, so ``close()`` leaves no output; where no file may
+    be made beside it, opening fails.  The file open as stdout or stderr
+    (``/dev/stdout``, or a file that stdout is redirected to) is written
+    through that stream at its current position, after both streams are
+    flushed, so the program's earlier messages precede the data and later
+    ones follow it.  Other targets (a FIFO, ``/dev/null``) are written in
+    place.  The object is path-like: its path is ``path``.
     """
 
-    def __init__(self, path: str | Path, hold: bool = False):
-        self.hold, self.written = hold, False
-        self.name, path, self.tmp, fh = os.fspath(path), Path(path), None, None
-        self.std = _std_stream_fd(path)
-        if self.std is not None:
-            fh = open(os.dup(self.std), "w", newline="")
+    def __init__(self, path: str | Path):
+        self.name, path, self.tmp = os.fspath(path), Path(path), None
+        std = _std_stream_fd(path)
+        if std is not None:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+            self.fh = open(os.dup(std), "w", newline="")
         elif path.is_file() or not path.exists():
             self.target = path.resolve()
-            tmp = self.target.with_name(f".{self.target.name}.partial")
-            with suppress(PermissionError):
-                fh, self.tmp = open(tmp, "w", newline=""), tmp
-        self.fh = fh or open(path, "a", newline="")
+            self.tmp = self.target.with_name(f".{self.target.name}.partial")
+            self.fh = open(self.tmp, "w", newline="")
+        else:
+            self.fh = open(path, "a", newline="")
+
+    def write(self, text: str) -> int:
+        return self.fh.write(text)
 
     def __fspath__(self) -> str:
         return self.name
 
     __str__ = __fspath__
-
-    def __enter__(self) -> IO[str]:
-        if self.std is not None:
-            for stream in (sys.stdout, sys.stderr):
-                if stream is not None:
-                    stream.flush()
-        elif self.tmp is None and os.path.isfile(self.name):
-            self.fh.truncate(0)
-        return self.fh
-
-    def __exit__(self, exc_type, *_) -> None:
-        if exc_type is None and self.hold:
-            self.fh.flush()  # a write that fails late fails here
-            self.written = True
-        else:
-            self.close(keep=exc_type is None)
 
     def close(self, keep: bool = False) -> None:
         """Close; the target takes a temporary file's place only if ``keep``."""
@@ -334,10 +319,8 @@ def load_scenario(path: str | Path) -> tuple[Scenario, int | None]:
     return scenario_from_dict(data)
 
 
-def make_two_file(
-    ratios_a: Iterable[float], ratios_b: Iterable[float], g: float = 1.0
-) -> Scenario:
-    """Two-file scenario from w/g ratios (g fixed): group 0 needs file 0."""
+def make_two_file(ratios_a: Iterable[float], ratios_b: Iterable[float]) -> Scenario:
+    """Two-file scenario from w/g ratios, with g = 1: group 0 needs file 0."""
     a, b = list(ratios_a), list(ratios_b)
     needs = [0] * len(a) + [1] * len(b)
-    return Scenario(files=2, w=np.array(a + b, dtype=float) * g, g=np.full(len(needs), g), needs=needs)
+    return Scenario(files=2, w=np.array(a + b, dtype=float), g=np.ones(len(needs)), needs=needs)

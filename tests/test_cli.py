@@ -317,6 +317,23 @@ class TestSimulate:
         summary = f"wrote 9 rows to {tmp_path / 'sim.csv'}\n".encode()
         assert (tmp_path / "t.txt").read_bytes() == (tmp_path / "trace.csv").read_bytes() + summary
 
+    def test_trace_and_out_to_one_redirected_stdout(self, tmp_path):
+        # both outputs go through the one stream, whole and in turn: the
+        # trace, then the CSV, then the summary line
+        cfg = write_config(tmp_path, symmetric(2, 4))
+        args = ["simulate", "--config", cfg, "--rounds", "50", "--seeds", "3"]
+        assert main([*args, "--trace", str(tmp_path / "trace.csv"), "--out", str(tmp_path / "sim.csv")]) == 0
+        src = str(Path(bxsim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        with open(tmp_path / "t.txt", "w") as stdout:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bxsim.cli", *args, "--trace", "/dev/stdout", "--out", "/dev/stdout"],
+                stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            )
+        assert proc.returncode == 0, proc.stderr
+        want = (tmp_path / "trace.csv").read_bytes() + (tmp_path / "sim.csv").read_bytes() + b"wrote 9 rows to /dev/stdout\n"
+        assert (tmp_path / "t.txt").read_bytes() == want
+
     @pytest.mark.parametrize("groups", [[10, 10], [12, 8]], ids=["10+10", "12+8"])
     def test_coded_flag_selects_only_the_profile(self, tmp_path, groups):
         # on two files the coded profile is the plain one at alpha = 0.5, and
@@ -562,6 +579,25 @@ class TestFailClosed:
         assert capsys.readouterr().err == "invalid arguments: cannot write an output: No space left on device\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "dir", "full.csv", "x.csv.scenarios.json"]
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_no_new_file_beside_one_output_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # --out is written in place, and no .partial may be made beside
+        # nodes.csv: the command fails at open, and nodes.csv keeps its bytes
+        (tmp_path / "full.csv").symlink_to("/dev/full")
+        (tmp_path / "nodes.csv").write_text("old\n")
+
+        def no_partial(file, *args, **kwargs):
+            if str(file).endswith(".nodes.csv.partial"):
+                raise PermissionError(13, "Permission denied", str(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(bxsim.model, "open", no_partial, raising=False)
+        assert self.run(tmp_path, "adapt --config CFG --updates 1 --per-node-out nodes.csv --out full.csv".split()) == 2
+        assert capsys.readouterr().err == f"invalid arguments: cannot write {tmp_path / 'nodes.csv'}: Permission denied\n"
+        assert (tmp_path / "nodes.csv").read_text() == "old\n"
+        names = ["cfg.json", "dir", "full.csv", "nodes.csv", "x.csv.scenarios.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+
     def test_two_outputs_naming_one_file_exit_2(self, tmp_path, capsys):
         argv = "adapt --config CFG --updates 1 --per-node-out y.csv --out y.csv"
         assert self.run(tmp_path, argv.split()) == 2
@@ -738,8 +774,10 @@ class TestFig2:
         path.write_text("old\n")
         s = symmetric(2, 3)
         broken = SimpleNamespace(files=None, w=s.w, g=s.g, needs=s.needs)
+        out = atomic_open(str(path))
         with pytest.raises(TypeError):
-            dump_scenarios(atomic_open(str(path)), {"seed_0": symmetric(2, 2), "seed_1": broken})
+            dump_scenarios(out, {"seed_0": symmetric(2, 2), "seed_1": broken})
+        out.close()
         assert path.read_text() == "old\n" and list(tmp_path.iterdir()) == [path]
 
 
@@ -839,9 +877,9 @@ class TestGeneratedScenarios:
         scenarios = {
             key: Scenario(files, *zip(*nodes), [n % files for n in range(len(nodes))]) for key, (files, nodes) in specs.items()
         }
-        with tempfile.TemporaryDirectory() as tmp:
-            dump_scenarios(atomic_open(str(Path(tmp) / "out.csv.scenarios.json")), scenarios)
-            got = (Path(tmp) / "out.csv.scenarios.json").read_text()
+        out = io.StringIO()
+        dump_scenarios(out, scenarios)
+        got = out.getvalue()
         data = {key: scenario_to_dict(s) for key, s in scenarios.items()}
         assert got == json.dumps(data, sort_keys=True, indent=2) + "\n"
 
@@ -1013,11 +1051,12 @@ class TestRowTemplates:
         assert template % tuple(values) == csv_line(fields)
         assert len(fields) == len(header)
 
-    def test_write_csv_matches_csv_writer(self, tmp_path):
+    def test_write_csv_matches_csv_writer(self):
         rows = [["0", "1.5", "", "inf"], ["-3", "nan", "-0", "5e-324"]]
-        write_csv(atomic_open(tmp_path / "out.csv"), ["a", "b", "c", "d"], [",".join(r) + "\r\n" for r in rows])
+        out = io.StringIO()
+        write_csv(out, ["a", "b", "c", "d"], [",".join(r) + "\r\n" for r in rows])
         want = "".join(csv_line(r) for r in [["a", "b", "c", "d"], *rows])
-        assert (tmp_path / "out.csv").read_bytes() == want.encode()
+        assert out.getvalue().encode() == want.encode()
 
 
 HUGE = str(10**30)

@@ -382,19 +382,19 @@ class TestAtomicOpen:
     def test_replaces_on_success(self, tmp_path):
         path = tmp_path / "out.csv"
         path.write_text("old\n")
-        with atomic_open(path) as fh:
-            fh.write("new\r\n")
-            assert path.read_text() == "old\n"
+        out = atomic_open(path)
+        out.write("new\r\n")
+        assert path.read_text() == "old\n"
+        out.close(keep=True)
         assert path.read_bytes() == b"new\r\n"
         assert list(tmp_path.iterdir()) == [path]
 
     def test_error_keeps_old_file_and_removes_partial(self, tmp_path):
         path = tmp_path / "out.csv"
         path.write_text("old\n")
-        with pytest.raises(RuntimeError):
-            with atomic_open(path) as fh:
-                fh.write("partial")
-                raise RuntimeError("stalled")
+        out = atomic_open(path)
+        out.write("partial")
+        out.close()
         assert path.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [path]
 
@@ -402,8 +402,9 @@ class TestAtomicOpen:
         path = tmp_path / "out.csv"
         path.write_text("old\n")
         path.chmod(0o640)
-        with atomic_open(path) as fh:
-            fh.write("new\n")
+        out = atomic_open(path)
+        out.write("new\n")
+        out.close(keep=True)
         assert (path.stat().st_mode & 0o777, path.read_text()) == (0o640, "new\n")
 
     def test_writes_through_symlink(self, tmp_path):
@@ -412,8 +413,9 @@ class TestAtomicOpen:
         target.write_text("old\n")
         link = tmp_path / "link.csv"
         link.symlink_to(target)
-        with atomic_open(link) as fh:
-            fh.write("new\n")
+        out = atomic_open(link)
+        out.write("new\n")
+        out.close(keep=True)
         assert link.is_symlink() and target.read_text() == "new\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real"]
         assert list(target.parent.iterdir()) == [target]
@@ -424,8 +426,9 @@ class TestAtomicOpen:
         got = []
         reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
         reader.start()
-        with atomic_open(fifo) as fh:
-            fh.write("row\n")
+        out = atomic_open(fifo)
+        out.write("row\n")
+        out.close()
         reader.join(timeout=10)
         assert got == ["row\n"]
         assert fifo.is_fifo() and list(tmp_path.iterdir()) == [fifo]
@@ -447,9 +450,10 @@ class TestAtomicOpen:
             return open(file, *args, **kwargs)
 
         monkeypatch.setattr(bxsim.model, "open", full_partial, raising=False)
+        out = atomic_open(path)
+        out.write("new\n")
         with pytest.raises(OSError, match="No space left"):
-            with atomic_open(path) as fh:
-                fh.write("new\n")
+            out.close(keep=True)
         assert path.read_text() == "old\n" and list(tmp_path.iterdir()) == [path]
 
     def test_no_new_file_allowed_beside_target(self, tmp_path, monkeypatch):
@@ -462,6 +466,6 @@ class TestAtomicOpen:
             return open(file, *args, **kwargs)
 
         monkeypatch.setattr(bxsim.model, "open", no_partial, raising=False)
-        with atomic_open(path) as fh:
-            fh.write("new\n")
-        assert path.read_text() == "new\n" and list(tmp_path.iterdir()) == [path]
+        with pytest.raises(PermissionError):
+            atomic_open(path)
+        assert path.read_text() == "old\n" and list(tmp_path.iterdir()) == [path]

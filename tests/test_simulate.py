@@ -315,7 +315,7 @@ class TestRunSimulation:
         profile = two_file_equilibrium(sym_2_2, alpha=0.5)
         cfg = dict(scenario=sym_2_2, profile=profile, rounds=50, seed=1)
         path = tmp_path / "trace.csv"
-        with atomic_open(path) as trace:
+        with open(path, "w", newline="") as trace:
             m = run_simulation(**cfg, trace=trace)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -405,8 +405,10 @@ class TestStallAcrossChunks:
     def test_no_initiator(self, tmp_path, sym_2_2):
         profile = dense_profile(gamma=(0.0,) * 4, lam={(0, 1): 1.0, (1, 1): 1.0})
         cfg = dict(scenario=sym_2_2, profile=profile, rounds=10 * CHUNK_DOUBLES, seed=0)
-        with pytest.raises(StallError, match="initiate"), atomic_open(tmp_path / "trace.csv") as trace:
+        trace = atomic_open(tmp_path / "trace.csv")
+        with pytest.raises(StallError, match="initiate"):
             run_simulation(**cfg, trace=trace)
+        trace.close()
         assert list(tmp_path.iterdir()) == []
 
     def test_no_responder_in_a_later_chunk(self, tmp_path, sym_2_2):
@@ -422,8 +424,10 @@ class TestStallAcrossChunks:
         with pytest.raises(StallError, match="file 0"):
             reference_play(sym_2_2, profile, rng(0), 10 * CHUNK_DOUBLES)
         cfg = dict(scenario=sym_2_2, profile=profile, rounds=10 * CHUNK_DOUBLES, seed=0)
-        with pytest.raises(StallError), atomic_open(tmp_path / "trace.csv") as trace:
+        trace = atomic_open(tmp_path / "trace.csv")
+        with pytest.raises(StallError):
             run_simulation(**cfg, trace=trace)
+        trace.close()
         assert list(tmp_path.iterdir()) == []
 
 
