@@ -92,20 +92,18 @@ def gen_rng(seed: int, purpose: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, purpose])))
 
 
-def gen_groups(sizes: list[int], w_lo: float, w_hi: float, g: float, rng: np.random.Generator) -> Scenario:
-    """sizes[f] nodes needing file f, with g fixed and w drawn uniformly from
+def gen_groups(sizes: list[int], w_lo: float, w_hi: float, rng: np.random.Generator) -> Scenario:
+    """sizes[f] nodes needing file f, with g = 1 and w drawn uniformly from
     [w_lo, w_hi], file by file."""
     if min(sizes, default=0) < 0 or not 0 < w_lo <= w_hi < float("inf"):
         raise ValueError("need group sizes >= 0 and finite 0 < w_lo <= w_hi")
     w = rng.uniform(w_lo, w_hi, size=sum(sizes))
-    return Scenario(files=len(sizes), w=w, g=np.full(w.size, g), needs=np.repeat(np.arange(len(sizes)), sizes))
+    return Scenario(files=len(sizes), w=w, g=np.ones(w.size), needs=np.repeat(np.arange(len(sizes)), sizes))
 
 
-def gen_two_file(
-    size_a: int, size_b: int, w_lo: float, w_hi: float, g: float, rng: np.random.Generator
-) -> Scenario:
-    """Two groups with g fixed and w drawn uniformly from [w_lo, w_hi]."""
-    return gen_groups([size_a, size_b], w_lo, w_hi, g, rng)
+def gen_two_file(size_a: int, size_b: int, w_lo: float, w_hi: float, rng: np.random.Generator) -> Scenario:
+    """Two groups with g = 1 and w drawn uniformly from [w_lo, w_hi]."""
+    return gen_groups([size_a, size_b], w_lo, w_hi, rng)
 
 
 SCENARIO_JSON = '%s\n  %s: {\n    "files": %d,\n    "nodes": [%s\n    ]\n  }'  # separator, key, files, nodes
@@ -135,12 +133,9 @@ NE_LAMBDA_ROW = "lambda,%d,%d,%s,%.9g\r\n"
 def load_equilibrium(args) -> tuple[Scenario, int | None, StrategyProfile]:
     """The --config scenario, its config seed, and its equilibrium, which must
     be nonnegative: of the coded game with --coded, else of the plain
-    two-file game at --alpha (default 0.5), which only that game has."""
-    if args.coded and args.alpha is not None:
-        raise ValueError("--alpha applies only to the plain two-file game, not with --coded")
+    two-file game at --alpha, which only that game has."""
     s, cfg_seed = load_scenario(args.config)
-    alpha = 0.5 if args.alpha is None else args.alpha
-    profile = equilibrium.coded_equilibrium(s) if args.coded else equilibrium.two_file_equilibrium(s, alpha=alpha)
+    profile = equilibrium.coded_equilibrium(s) if args.coded else equilibrium.two_file_equilibrium(s, alpha=args.alpha)
     return s, cfg_seed, equilibrium.require_nonnegative(profile)
 
 
@@ -187,7 +182,7 @@ def cmd_simulate(args) -> tuple[list[str], list[str]]:
     # One seed at a time: unequal groups take the per-round walk, which
     # batches nothing across seeds, and lockstep play measured slower there.
     for seed in seeds:
-        metrics = simulate.run_simulation(s, profile, args.rounds, seed, args.trace or None)
+        metrics = simulate.run_simulation(s, profile, args.rounds, seed, args.trace)
         per_node = ([metrics.rounds] * s.n_nodes, metrics.uploads.tolist(), metrics.avg_total_cost().tolist())
         lines += format_rows(SIM_NODE_ROW, [seed] * s.n_nodes, range(s.n_nodes), columns, *per_node)
         lines.append(SIM_SYSTEM_ROW % (seed, metrics.per_node_throughput()))
@@ -226,10 +221,10 @@ FIG2_ROW = "%d,%.9g,%.9g,%.9g\r\n"
 
 def cmd_fig2(args) -> tuple[list[str], list[str]]:
     seeds = parse_seeds(args.seeds)
-    generated = [gen_two_file(args.group_size, args.group_size, args.w_lo, args.w_hi, args.g, gen_rng(seed, 1)) for seed in seeds]
+    generated = [gen_two_file(args.group_size, args.group_size, args.w_lo, args.w_hi, gen_rng(seed, 1)) for seed in seeds]
     cfg = adapt_config(args)
     throughput = adapt.run_adaptive_simulation(generated, cfg, seeds).observed[..., 2]  # (seeds, epochs)
-    # Every built scenario has an equilibrium throughput.
+    # Unchecked, unlike fig3: a game with no nonnegative equilibrium still gets its closed form's throughput.
     ne_mean = float(np.mean([equilibrium.throughput_at_ne(s) for s in generated]))
     # One 1-d mean and std per epoch: a reduction along axis 0 adds in
     # another order and can differ in the last bits.
@@ -243,12 +238,10 @@ def cmd_fig2(args) -> tuple[list[str], list[str]]:
 
 FIG3_HEADER = ["num_files", "coded_throughput", "baseline_throughput", "simulated_throughput"]
 FIG3_ROW = "%d,%.9g,%.9g,%.9g\r\n"
-FIG3_ANALYTIC_ROW = "%d,%.9g,%.9g,\r\n"  # without --simulate
+FIG3_ANALYTIC_ROW = "%d,%.9g,%.9g,\r\n"  # without --rounds
 
 
 def cmd_fig3(args) -> tuple[list[str], list[str]]:
-    if args.rounds is not None and not args.simulate:
-        raise ValueError("--rounds applies only with --simulate")
     check_seed(args.seed)
     try:
         file_counts = [int(x) for x in args.files.split(",")]
@@ -259,12 +252,12 @@ def cmd_fig3(args) -> tuple[list[str], list[str]]:
     lines: list[str] = []
     scenarios: dict[str, Scenario] = {}
     for f in file_counts:
-        s = gen_groups([args.group_size] * f, args.w_lo, args.w_hi, args.g, gen_rng(args.seed, f))
+        s = gen_groups([args.group_size] * f, args.w_lo, args.w_hi, gen_rng(args.seed, f))
         scenarios[f"files_{f}"] = s
         profile = equilibrium.require_nonnegative(equilibrium.coded_equilibrium(s))
         analytic = equilibrium.coded_throughput(s)
-        if args.simulate:
-            metrics = simulate.run_simulation(s, profile, 20000 if args.rounds is None else args.rounds, seed=args.seed)
+        if args.rounds is not None:
+            metrics = simulate.run_simulation(s, profile, args.rounds, seed=args.seed)
             lines.append(FIG3_ROW % (f, analytic, 1.0 / f, metrics.per_node_throughput()))
         else:
             lines.append(FIG3_ANALYTIC_ROW % (f, analytic, 1.0 / f))
@@ -277,8 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bxsim",
         description="Equilibrium analysis and simulation of the broadcast exchange protocol",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_command = functools.partial(sub.add_parser, allow_abbrev=False)  # so each option has one spelling
 
     def add_out(p):
         p.add_argument("--out", required=True, help="output CSV path")
@@ -290,29 +285,32 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=float, default=defaults.epsilon)
         p.add_argument("--guess-factor", type=float, default=defaults.guess_factor)
 
-    p_ne = sub.add_parser("ne", help="closed-form equilibrium rates")
+    def add_game(p):
+        game = p.add_mutually_exclusive_group()  # the coded game has no alpha
+        game.add_argument("--alpha", type=float, default=0.5, help="initiation share of group 0 (plain two-file game)")
+        game.add_argument("--coded", action="store_true", help="the network-coded game")
+
+    p_ne = add_command("ne", help="closed-form equilibrium rates")
     p_ne.add_argument("--config", required=True, help="scenario config (JSON)")
-    p_ne.add_argument("--alpha", type=float, help="initiation share of group 0 (plain two-file game; default 0.5)")
-    p_ne.add_argument("--coded", action="store_true", help="solve the network-coded game")
+    add_game(p_ne)
     add_out(p_ne)
     p_ne.set_defaults(func=cmd_ne)
 
-    p_poa = sub.add_parser("poa", help="prices of anarchy and node costs (two-file)")
+    p_poa = add_command("poa", help="prices of anarchy and node costs (two-file)")
     p_poa.add_argument("--config", required=True)
     add_out(p_poa)
     p_poa.set_defaults(func=cmd_poa)
 
-    p_sim = sub.add_parser("simulate", help="simulate rounds under the equilibrium profile")
+    p_sim = add_command("simulate", help="simulate rounds under the equilibrium profile")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--rounds", type=int, default=100000)
     p_sim.add_argument("--seeds", help="comma-separated seeds (default: config seed or 0)")
-    p_sim.add_argument("--alpha", type=float, help="as for ne")
-    p_sim.add_argument("--coded", action="store_true")
+    add_game(p_sim)
     p_sim.add_argument("--trace", help="per-round trace CSV (single seed only)")
     add_out(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_adapt = sub.add_parser("adapt", help="simulation-coupled distributed adaptation")
+    p_adapt = add_command("adapt", help="simulation-coupled distributed adaptation")
     p_adapt.add_argument("--config", required=True)
     add_adapt_knobs(p_adapt)
     p_adapt.add_argument("--seeds")
@@ -320,24 +318,21 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p_adapt)
     p_adapt.set_defaults(func=cmd_adapt)
 
-    p_fig2 = sub.add_parser("fig2", help="adaptation convergence experiment (generated scenarios)")
+    p_fig2 = add_command("fig2", help="adaptation convergence experiment (generated scenarios)")
     p_fig2.add_argument("--group-size", type=int, default=10, dest="group_size")
     p_fig2.add_argument("--w-lo", type=float, default=1.0, dest="w_lo")
     p_fig2.add_argument("--w-hi", type=float, default=2.0, dest="w_hi")
-    p_fig2.add_argument("--g", type=float, default=1.0)
     p_fig2.add_argument("--seeds", default="0-19")
     add_adapt_knobs(p_fig2)
     add_out(p_fig2)
     p_fig2.set_defaults(func=cmd_fig2)
 
-    p_fig3 = sub.add_parser("fig3", help="coded throughput vs file count (generated scenarios)")
+    p_fig3 = add_command("fig3", help="coded throughput vs file count (generated scenarios)")
     p_fig3.add_argument("--files", default="3,4,5,6,7,8", help="comma-separated file counts")
     p_fig3.add_argument("--group-size", type=int, default=10, dest="group_size")
     p_fig3.add_argument("--w-lo", type=float, default=1.0, dest="w_lo")
     p_fig3.add_argument("--w-hi", type=float, default=1.0, dest="w_hi")
-    p_fig3.add_argument("--g", type=float, default=1.0)
-    p_fig3.add_argument("--simulate", action="store_true", help="cross-check each point by simulation")
-    p_fig3.add_argument("--rounds", type=int, help="rounds per simulated point (with --simulate; default 20000)")
+    p_fig3.add_argument("--rounds", type=int, help="cross-check each point by a simulation of this many rounds")
     p_fig3.add_argument("--seed", type=int, default=0)
     add_out(p_fig3)
     p_fig3.set_defaults(func=cmd_fig3)
@@ -363,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
             outputs: list[atomic_open] = []
             for dest in OUTPUTS:
                 path = getattr(args, dest, None)
-                if path or dest == "out":  # an empty --trace or --per-node-out asks for none
+                if path is not None:
                     try:
                         out = atomic_open(path)
                     except OSError as exc:

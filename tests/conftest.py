@@ -39,7 +39,7 @@ def random_two_file(rng: np.random.Generator, max_group: int = 20) -> Scenario:
 
 
 def random_coded(rng: np.random.Generator, files: int, group_size: int = 10) -> Scenario:
-    return gen_groups([group_size] * files, 1.0, 2.0, 1.0, rng)
+    return gen_groups([group_size] * files, 1.0, 2.0, rng)
 
 
 @st.composite

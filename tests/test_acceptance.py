@@ -127,7 +127,7 @@ def test_04_fig2_reproduction():
         trajectories = []
         ne_values = []
         for seed in range(20):
-            s = gen_two_file(10, 10, 1.0, 2.0, 1.0, gen_rng(seed, 1))
+            s = gen_two_file(10, 10, 1.0, 2.0, gen_rng(seed, 1))
             trajectories.append(adaptive_run(s, cfg, seed=seed).observed[0, :, 2])
             ne_values.append(throughput_at_ne(s))
         data = np.array(trajectories)

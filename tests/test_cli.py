@@ -243,7 +243,7 @@ class TestNegativeSeed:
             ("simulate --config CFG --seeds=-3", -3),
             ("adapt --config CFG --seeds 2,-1", -1),
             ("fig2 --seeds=-4-2", -4),
-            ("fig3 --simulate --seed -1", -1),
+            ("fig3 --seed -1", -1),
         ],
     )
     def test_argument(self, tmp_path, capsys, argv, seed):
@@ -550,6 +550,15 @@ class TestFailClosed:
         self.assert_nothing_written(tmp_path)
 
     @pytest.mark.parametrize(
+        "argv", ["simulate --config CFG --rounds 50 --trace", "adapt --config CFG --updates 1 --per-node-out"]
+    )
+    def test_empty_side_output_path_exits_2(self, tmp_path, capsys, argv):
+        # an empty path names no file to write, like an empty --out
+        assert self.run(tmp_path, [*argv.split(), "", "--out", "y.csv"]) == 2
+        assert capsys.readouterr().err == "invalid arguments: cannot write : Is a directory\n"
+        self.assert_nothing_written(tmp_path)
+
+    @pytest.mark.parametrize(
         "argv",
         [
             f"fig3 --files {10**30} --out y.csv",  # beyond an index
@@ -622,8 +631,10 @@ class TestFailClosed:
     )
     def test_alpha_with_coded_exits_2(self, tmp_path, capsys, argv):
         # the coded game has no alpha; a flag that would be ignored is an error
-        assert self.run(tmp_path, argv.split()) == 2
-        assert capsys.readouterr().err == "invalid arguments: --alpha applies only to the plain two-file game, not with --coded\n"
+        with pytest.raises(SystemExit) as exc:
+            self.run(tmp_path, argv.split())
+        assert exc.value.code == 2
+        assert "error: argument --alpha: not allowed with argument --coded\n" in capsys.readouterr().err
         self.assert_nothing_written(tmp_path)
 
 
@@ -797,18 +808,12 @@ class TestFig3:
 
     def test_simulate_cross_check(self, tmp_path):
         out = tmp_path / "fig3.csv"
-        code = main(["fig3", "--files", "3", "--simulate", "--rounds", "5000", "--out", str(out)])
+        code = main(["fig3", "--files", "3", "--rounds", "5000", "--out", str(out)])
         assert code == 0
         row = read_csv(out)[1]
         assert float(row[3]) == pytest.approx(float(row[1]), rel=0.02)
 
-    def test_rounds_without_simulate_exits_2(self, tmp_path, capsys):
-        # --rounds only sizes the simulated points
-        assert main(["fig3", "--rounds", "50", "--out", str(tmp_path / "fig3.csv")]) == 2
-        assert capsys.readouterr().err == "invalid arguments: --rounds applies only with --simulate\n"
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("simulate,calls", [([], 6), (["--simulate", "--rounds", "50"], 6)])
+    @pytest.mark.parametrize("simulate,calls", [([], 6), (["--rounds", "50"], 6)])
     def test_solves_each_coded_game_once(self, tmp_path, simulate, calls):
         # every point checks that the per-node profile is nonnegative, and a
         # simulated point plays the profile it checked
@@ -856,9 +861,9 @@ class TestGeneratedScenarios:
             sizes = [2 + seed % 5, 3, 2 + seed % 3]
             scalar, vector = gen_rng(seed, 1), gen_rng(seed, 1)
             w = [float(scalar.uniform(1.0, 2.0)) for f, size in enumerate(sizes) for _ in range(size)]
-            s = gen_groups(sizes, 1.0, 2.0, 0.5, vector)
+            s = gen_groups(sizes, 1.0, 2.0, vector)
             assert [v.hex() for v in s.w.tolist()] == [v.hex() for v in w]
-            assert s.g.tolist() == [0.5] * len(w) and s.needs.tolist() == [f for f, k in enumerate(sizes) for _ in range(k)]
+            assert s.g.tolist() == [1.0] * len(w) and s.needs.tolist() == [f for f, k in enumerate(sizes) for _ in range(k)]
             assert scalar.bit_generator.state == vector.bit_generator.state
 
     @given(
@@ -964,7 +969,7 @@ class TestPinnedOutputs:
             },
         ),
         "fig3": (
-            "fig3 --simulate --files 3,4 --rounds 2000 --out out.csv",
+            "fig3 --files 3,4 --rounds 2000 --out out.csv",
             {
                 "out.csv": "06f87274f09dfb33507ed9e4890a870962ca54410941d8c80d7b120caf615445",
                 "out.csv.scenarios.json": "c7f6bcf96cd41c32ce2b7c56c334da875cb042908b25f02f1c71d11a89af50a2",

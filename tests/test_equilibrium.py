@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from bxsim import equilibrium
+from bxsim.adapt import AdaptConfig, run_adaptive_simulation
 from bxsim.equilibrium import (
     coded_aggregates,
     coded_equilibrium,
@@ -23,7 +24,8 @@ from bxsim.equilibrium import (
     two_file_equilibrium,
 )
 from bxsim.errors import NegativeRateError, SingularSystemError
-from bxsim.model import StrategyProfile
+from bxsim.model import Scenario, StrategyProfile
+from bxsim.simulate import run_simulation
 
 from conftest import (
     SINGULAR_CODED_ROWS,
@@ -633,3 +635,46 @@ class TestRequireNonnegative:
                 require_nonnegative(profile)
         else:
             assert require_nonnegative(profile) is profile
+
+
+def scaled(s: Scenario, k: int) -> Scenario:
+    """``s`` with every w and g multiplied by 2**k, which is exact."""
+    return Scenario(s.files, s.w * 2.0**k, s.g * 2.0**k, s.needs)
+
+
+class TestCostScale:
+    """Costs enter only through w/g: multiplying every w and g by 2**k (no
+    product overflows or underflows) leaves every rate, duration, throughput
+    and played round bit-identical, and scales each cost by exactly 2**k.
+    So a generated scenario loses nothing with g = 1."""
+
+    @BIT_EXACT
+    @given(s=shuffled_scenarios(st.just(2)), k=st.integers(-8, 8), alpha=ALPHA)
+    def test_two_file_closed_forms(self, s, k, alpha):
+        t = scaled(s, k)
+        assert bits(t.ratios) == bits(s.ratios)
+        got, want = two_file_equilibrium(t, alpha=alpha), two_file_equilibrium(s, alpha=alpha)
+        assert bits(got.gamma) == bits(want.gamma) and bits(got.lam.ravel()) == bits(want.lam.ravel())
+        assert bits([throughput_at_ne(t)]) == bits([throughput_at_ne(s)])
+        got, want = node_costs_at_ne(t), node_costs_at_ne(s)
+        assert bits(got.transmit_prob) == bits(want.transmit_prob)
+        assert bits(got.avg_cost) == bits(want.avg_cost * 2.0**k)
+
+    @BIT_EXACT
+    @given(s=shuffled_scenarios(st.integers(2, 6)), k=st.integers(-8, 8))
+    def test_coded_closed_forms(self, s, k):
+        t = scaled(s, k)
+        assert bits(t.ratios) == bits(s.ratios)
+        got, want = coded_equilibrium(t), coded_equilibrium(s)
+        assert bits(got.gamma) == bits(want.gamma) and bits(got.lam.ravel()) == bits(want.lam.ravel())
+        assert bits([coded_throughput(t)]) == bits([coded_throughput(s)])
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(s=two_file_with_equilibrium(max_group=5), k=st.integers(-8, 8), alpha=ALPHA, seed=st.integers(0, 2**32))
+    def test_runs(self, s, k, alpha, seed):
+        t = scaled(s, k)
+        got, want = (run_simulation(x, two_file_equilibrium(x, alpha=alpha), 300, seed) for x in (t, s))
+        assert bits([got.elapsed]) == bits([want.elapsed]) and got.uploads.tolist() == want.uploads.tolist()
+        cfg = AdaptConfig(epoch_rounds=50, updates=3)
+        got, want = (run_adaptive_simulation([x], cfg, [seed]).observed for x in (t, s))
+        assert bits(got.ravel()) == bits(want.ravel())

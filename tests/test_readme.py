@@ -1,6 +1,7 @@
 """The README's "Library use" example runs as written and prints the values
 its comments give, and its "Command line" usage block names each
-subcommand's options with their defaults."""
+subcommand's options with their defaults, and shows exactly its mutually
+exclusive options as ``[A | B]``."""
 
 from __future__ import annotations
 
@@ -50,3 +51,6 @@ def test_usage_block_matches_the_parser():
             # An upper-case value (N, LIST) is a placeholder, not a default.
             if action.default is not None and value and not value.isupper():
                 assert (action.type or str)(value) == action.default, (command, option)
+        brackets = [sorted(re.findall(r"--[\w-]+", b)) for b in re.findall(r"\[([^\[\]]*\|[^\[\]]*)\]", text)]
+        groups = [sorted(a.option_strings[0] for a in g._group_actions) for g in sub.choices[command]._mutually_exclusive_groups]
+        assert sorted(brackets) == sorted(groups), command
