@@ -1,7 +1,8 @@
 """Command-line front end: equilibrium solving, simulation, adaptation runs,
 and the two experiment reproductions, all emitting plot-ready CSV.
 
-Exit codes: 0 success, 2 invalid scenario/arguments (a count too large to
+Exit codes: 0 success, 2 invalid scenario/arguments (an argument that a
+command does not take, reported with its usage line, a count too large to
 allocate, or an output that fails as it is written, too), 3 equilibrium
 nonexistence (negative rates, or a coded game of 3 or more files whose
 aggregate system is singular: two rows with c = d, or a zero denominator in
@@ -273,7 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    add_command = functools.partial(sub.add_parser, allow_abbrev=False)  # so each option has one spelling
+
+    def add_command(name, func, help):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)  # so each option has one spelling
+        p.set_defaults(func=func, parser=p)  # main reports an argument the command does not take with its usage
+        return p
 
     def add_out(p):
         p.add_argument("--out", required=True, help="output CSV path")
@@ -290,52 +295,46 @@ def build_parser() -> argparse.ArgumentParser:
         game.add_argument("--alpha", type=float, default=0.5, help="initiation share of group 0 (plain two-file game)")
         game.add_argument("--coded", action="store_true", help="the network-coded game")
 
-    p_ne = add_command("ne", help="closed-form equilibrium rates")
+    p_ne = add_command("ne", cmd_ne, "closed-form equilibrium rates")
     p_ne.add_argument("--config", required=True, help="scenario config (JSON)")
     add_game(p_ne)
     add_out(p_ne)
-    p_ne.set_defaults(func=cmd_ne)
 
-    p_poa = add_command("poa", help="prices of anarchy and node costs (two-file)")
+    p_poa = add_command("poa", cmd_poa, "prices of anarchy and node costs (two-file)")
     p_poa.add_argument("--config", required=True)
     add_out(p_poa)
-    p_poa.set_defaults(func=cmd_poa)
 
-    p_sim = add_command("simulate", help="simulate rounds under the equilibrium profile")
+    p_sim = add_command("simulate", cmd_simulate, "simulate rounds under the equilibrium profile")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--rounds", type=int, default=100000)
     p_sim.add_argument("--seeds", help="comma-separated seeds (default: config seed or 0)")
     add_game(p_sim)
     p_sim.add_argument("--trace", help="per-round trace CSV (single seed only)")
     add_out(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
 
-    p_adapt = add_command("adapt", help="simulation-coupled distributed adaptation")
+    p_adapt = add_command("adapt", cmd_adapt, "simulation-coupled distributed adaptation")
     p_adapt.add_argument("--config", required=True)
     add_adapt_knobs(p_adapt)
     p_adapt.add_argument("--seeds")
-    p_adapt.add_argument("--per-node-out", dest="per_node_out", help="optional per-node state CSV")
+    p_adapt.add_argument("--per-node-out", help="optional per-node state CSV")
     add_out(p_adapt)
-    p_adapt.set_defaults(func=cmd_adapt)
 
-    p_fig2 = add_command("fig2", help="adaptation convergence experiment (generated scenarios)")
-    p_fig2.add_argument("--group-size", type=int, default=10, dest="group_size")
-    p_fig2.add_argument("--w-lo", type=float, default=1.0, dest="w_lo")
-    p_fig2.add_argument("--w-hi", type=float, default=2.0, dest="w_hi")
+    p_fig2 = add_command("fig2", cmd_fig2, "adaptation convergence experiment (generated scenarios)")
+    p_fig2.add_argument("--group-size", type=int, default=10)
+    p_fig2.add_argument("--w-lo", type=float, default=1.0)
+    p_fig2.add_argument("--w-hi", type=float, default=2.0)
     p_fig2.add_argument("--seeds", default="0-19")
     add_adapt_knobs(p_fig2)
     add_out(p_fig2)
-    p_fig2.set_defaults(func=cmd_fig2)
 
-    p_fig3 = add_command("fig3", help="coded throughput vs file count (generated scenarios)")
+    p_fig3 = add_command("fig3", cmd_fig3, "coded throughput vs file count (generated scenarios)")
     p_fig3.add_argument("--files", default="3,4,5,6,7,8", help="comma-separated file counts")
-    p_fig3.add_argument("--group-size", type=int, default=10, dest="group_size")
-    p_fig3.add_argument("--w-lo", type=float, default=1.0, dest="w_lo")
-    p_fig3.add_argument("--w-hi", type=float, default=1.0, dest="w_hi")
+    p_fig3.add_argument("--group-size", type=int, default=10)
+    p_fig3.add_argument("--w-lo", type=float, default=1.0)
+    p_fig3.add_argument("--w-hi", type=float, default=1.0)
     p_fig3.add_argument("--rounds", type=int, help="cross-check each point by a simulation of this many rounds")
     p_fig3.add_argument("--seed", type=int, default=0)
     add_out(p_fig3)
-    p_fig3.set_defaults(func=cmd_fig3)
 
     return parser
 
@@ -348,7 +347,9 @@ def main(argv: list[str] | None = None) -> int:
     writes its side outputs, opened here, itself); keep every output only
     once all are written.  A numpy overflow, division by zero or invalid
     value raises, so that no output gets a non-finite number."""
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         if args.func in (cmd_fig2, cmd_fig3):  # they dump the scenarios they generate beside the results
             args.scenarios_out = Path(args.out).with_suffix(Path(args.out).suffix + ".scenarios.json")

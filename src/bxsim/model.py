@@ -100,7 +100,7 @@ class Scenario:
         the check that builds the scenario; inf where a sum overflows."""
         with np.errstate(over="ignore"):
             need = [np.sum(self.ratios[self.needs == x]) for x in range(self.files)]
-            hold = need[::-1] if self.files == 2 else [np.sum(self.ratios[self.needs != x]) for x in range(self.files)]
+            hold = [np.sum(self.ratios[self.needs != x]) for x in range(self.files)]
         sums = np.array([need, hold])
         sums.flags.writeable = False
         return sums
@@ -171,41 +171,34 @@ class StrategyProfile:
     lam: np.ndarray
 
 
-def _json_number(value, integral: bool) -> int | float | None:
-    """``value`` as an int (``integral``) or a float, or None when it is not
-    a JSON number of that kind: a bool, a string, a non-integral value where
-    an integer is due, or an integer too large for a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    if integral:
-        return int(value) if isinstance(value, int) or value.is_integer() else None
-    try:
-        return float(value)
-    except OverflowError:
-        return None
-
-
 def scenario_from_dict(data: dict) -> tuple[Scenario, int | None]:
     """Build a scenario from the JSON config schema.
 
     Schema: {"files": int, "nodes": [{"w": float, "g": float, "needs": int},
     ...], "seed": optional int}.  Returns (scenario, seed or None).  Fields
     are never coerced: a missing field, a bool or string where a number is
-    due, a non-integral ``files``, ``needs`` or ``seed``, or a negative
-    ``seed`` is a BAD_CONFIG violation, and all of them are reported
-    together, before the scenario is built; building it checks the values.
+    due, a non-integral ``files``, ``needs`` or ``seed``, a ``w`` or ``g``
+    too large for a float, or a negative ``seed`` is a BAD_CONFIG violation,
+    and all of them are reported together, before the scenario is built;
+    building it checks the values.
     """
     problems: list[str] = []
 
     def number(obj: dict, key: str, where: str, integral: bool = False):
+        """``obj[key]`` as an int (``integral``) or a float; None, with the
+        problem noted, when it is missing or not a JSON number of that kind."""
         if key not in obj:
             problems.append(f"{where} has no {key!r}")
             return None
-        value = _json_number(obj[key], integral)
-        if value is None:
-            kind = "an integer" if integral else "a number"
-            problems.append(f"{where} has {key}={obj[key]!r}; it must be {kind}")
-        return value
+        value = obj[key]
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            if not integral:
+                with suppress(OverflowError):
+                    return float(value)
+            elif isinstance(value, int) or value.is_integer():
+                return int(value)
+        problems.append(f"{where} has {key}={value!r}; it must be {'an integer' if integral else 'a number'}")
+        return None
 
     files = number(data, "files", "config", integral=True)
     entries = data.get("nodes")

@@ -13,6 +13,9 @@ Randomness contract (golden traces depend on it):
   (math.inf), which loses every minimum.  The logarithm is numpy's
   ``log1p`` (``math.log1p`` can differ in the last bit) and the timer is
   ``e / rate``, never ``e * (1 / rate)``.
+* numpy's ``log1p`` is its AVX512 kernel or libm's, by CPU, and they differ
+  in the last bit of some timers: raw floats (``elapsed``, the
+  ``AdaptiveRun`` arrays) are pinned per path, CSV bytes across both.
 
 Ties in sampled timers (possible in floating point, probability zero in the
 model) are broken toward the lowest node id.
@@ -97,7 +100,7 @@ class RoundEngine:
         # Per file X, every node that possesses X (ascending ids, so entry j
         # answers with the round's j-th response uniform), padded: which
         # entries are holders, and their ids.
-        responders = n - np.bincount(needs, minlength=files)
+        responders = n - scenario.group_sizes()
         self.holds = np.arange(int(responders.max())) < responders[:, None]
         self.resp_id = np.zeros(self.holds.shape, dtype=np.int64)
         self.resp_id[self.holds] = np.nonzero(needs != np.arange(files)[:, None])[1]
@@ -229,9 +232,9 @@ class Metrics:
         return (self.uploads * self.g + self.elapsed * self.w) / self.rounds
 
     def per_node_throughput(self) -> float:
-        """rounds / elapsed, the packets each node gets per unit time; 0
-        before the first round."""
-        return float(self.rounds / self.elapsed) if self.rounds else 0.0
+        """rounds / elapsed, the packets each node gets per unit time; needs
+        at least one played round."""
+        return float(self.rounds / self.elapsed)
 
 
 def run_simulation(

@@ -456,6 +456,8 @@ class TestAdapt:
          "invalid arguments: guess_factor * group size must exceed 1"),
         (["adapt", "--updates", "-1"], scenario_to_dict(symmetric(2, 10)), "invalid arguments: updates must be >= 0"),
         (["ne"], [], "invalid scenario:\n  BAD_CONFIG: scenario config must be a JSON object"),
+        (["adapt", "--epoch-rounds", "0"], scenario_to_dict(symmetric(2, 10)),
+         "invalid arguments: epoch_rounds must be >= 1"),
     ],
 )
 def test_input_check_exits_2(tmp_path, capsys, argv, config, message):
@@ -635,6 +637,25 @@ class TestFailClosed:
             self.run(tmp_path, argv.split())
         assert exc.value.code == 2
         assert "error: argument --alpha: not allowed with argument --coded\n" in capsys.readouterr().err
+        self.assert_nothing_written(tmp_path)
+
+    @pytest.mark.parametrize(
+        "argv,extra",
+        [
+            ("fig3 --g 2 --out x.csv", "--g 2"),  # a removed option
+            ("simulate --config CFG --round 5 --out x.csv", "--round 5"),  # an abbreviation
+            ("ne extra --config CFG --out x.csv", "extra"),
+        ],
+    )
+    def test_unknown_argument_exits_2_with_the_command_usage(self, tmp_path, capsys, argv, extra):
+        # the command's own usage line lists the options it does take
+        command = argv.split()[0]
+        with pytest.raises(SystemExit) as exc:
+            self.run(tmp_path, argv.split())
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"usage: bxsim {command} [-h] ")
+        assert err.endswith(f"\nbxsim {command}: error: unrecognized arguments: {extra}\n")
         self.assert_nothing_written(tmp_path)
 
 

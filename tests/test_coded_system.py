@@ -52,6 +52,12 @@ def test_inconsistent():
         solve_coded_system(np.array(c), np.array(d))
 
 
+def test_rows_with_c_equal_d_are_named():
+    c, d = SINGULAR_CODED_ROWS[0]
+    with pytest.raises(SingularSystemError, match=r"^singular aggregate system: rows \[0, 1\] have c = d$"):
+        solve_coded_system(np.array(c), np.array(d))
+
+
 def test_zero_matrix():
     for f in (2, 3):
         with pytest.raises(SingularSystemError):
