@@ -84,11 +84,6 @@ def parse_seeds(text: str) -> list[int]:
     return out
 
 
-def run_seeds(args, cfg_seed: int | None) -> list[int]:
-    """--seeds, else the config's seed, else 0."""
-    return parse_seeds(args.seeds) if args.seeds is not None else [cfg_seed if cfg_seed is not None else 0]
-
-
 def gen_rng(seed: int, purpose: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, purpose])))
 
@@ -100,11 +95,6 @@ def gen_groups(sizes: list[int], w_lo: float, w_hi: float, rng: np.random.Genera
         raise ValueError("need group sizes >= 0 and finite 0 < w_lo <= w_hi")
     w = rng.uniform(w_lo, w_hi, size=sum(sizes))
     return Scenario(files=len(sizes), w=w, g=np.ones(w.size), needs=np.repeat(np.arange(len(sizes)), sizes))
-
-
-def gen_two_file(size_a: int, size_b: int, w_lo: float, w_hi: float, rng: np.random.Generator) -> Scenario:
-    """Two groups with g = 1 and w drawn uniformly from [w_lo, w_hi]."""
-    return gen_groups([size_a, size_b], w_lo, w_hi, rng)
 
 
 SCENARIO_JSON = '%s\n  %s: {\n    "files": %d,\n    "nodes": [%s\n    ]\n  }'  # separator, key, files, nodes
@@ -131,17 +121,17 @@ NE_GAMMA_ROW = "gamma,%d,,%s,%.9g\r\n"
 NE_LAMBDA_ROW = "lambda,%d,%d,%s,%.9g\r\n"
 
 
-def load_equilibrium(args) -> tuple[Scenario, int | None, StrategyProfile]:
-    """The --config scenario, its config seed, and its equilibrium, which must
-    be nonnegative: of the coded game with --coded, else of the plain
-    two-file game at --alpha, which only that game has."""
-    s, cfg_seed = load_scenario(args.config)
+def load_equilibrium(args) -> tuple[Scenario, StrategyProfile]:
+    """The --config scenario and its equilibrium, which must be nonnegative:
+    of the coded game with --coded, else of the plain two-file game at
+    --alpha, which only that game has."""
+    s = load_scenario(args.config)
     profile = equilibrium.coded_equilibrium(s) if args.coded else equilibrium.two_file_equilibrium(s, alpha=args.alpha)
-    return s, cfg_seed, equilibrium.require_nonnegative(profile)
+    return s, equilibrium.require_nonnegative(profile)
 
 
 def cmd_ne(args) -> tuple[list[str], list[str]]:
-    s, _, profile = load_equilibrium(args)
+    s, profile = load_equilibrium(args)
     lines: list[str] = []
     if args.coded:
         lines += format_rows(NE_AGGREGATE_ROW, range(s.files), equilibrium.coded_aggregates(s).tolist())
@@ -160,7 +150,7 @@ POA_NODE_ROW = "node,%d,%s,%.9g,%.9g,%.9g,,\r\n"
 
 
 def cmd_poa(args) -> tuple[list[str], list[str]]:
-    s, _ = load_scenario(args.config)
+    s = load_scenario(args.config)
     system = (equilibrium.poa_system(s), equilibrium.throughput_at_ne(s), equilibrium.ne_round_duration(s))
     costs = equilibrium.node_costs_at_ne(s)  # avg_cost, transmit_prob, poa
     lines = [POA_SYSTEM_ROW % system]
@@ -174,8 +164,8 @@ SIM_SYSTEM_ROW = "%d,system,,,,,,,,%.9g\r\n"
 
 
 def cmd_simulate(args) -> tuple[list[str], list[str]]:
-    s, cfg_seed, profile = load_equilibrium(args)
-    seeds = run_seeds(args, cfg_seed)
+    seeds = parse_seeds(args.seeds)  # before the solve, so that a bad seed is named first
+    s, profile = load_equilibrium(args)
     if args.trace and len(seeds) > 1:
         raise ValueError("--trace requires a single seed")
     lines: list[str] = []
@@ -201,8 +191,8 @@ ADAPT_NODE_ROW = "%d,%d,%d,%.9g,%.9g\r\n"
 
 
 def cmd_adapt(args) -> tuple[list[str], list[str]]:
-    s, cfg_seed = load_scenario(args.config)
-    seeds = run_seeds(args, cfg_seed)
+    seeds = parse_seeds(args.seeds)
+    s = load_scenario(args.config)
     cfg = adapt_config(args)
     run = adapt.run_adaptive_simulation([s] * len(seeds), cfg, seeds)
     epochs = range(cfg.updates + 1)
@@ -222,7 +212,7 @@ FIG2_ROW = "%d,%.9g,%.9g,%.9g\r\n"
 
 def cmd_fig2(args) -> tuple[list[str], list[str]]:
     seeds = parse_seeds(args.seeds)
-    generated = [gen_two_file(args.group_size, args.group_size, args.w_lo, args.w_hi, gen_rng(seed, 1)) for seed in seeds]
+    generated = [gen_groups([args.group_size] * 2, args.w_lo, args.w_hi, gen_rng(seed, 1)) for seed in seeds]
     cfg = adapt_config(args)
     throughput = adapt.run_adaptive_simulation(generated, cfg, seeds).observed[..., 2]  # (seeds, epochs)
     # Unchecked, unlike fig3: a game with no nonnegative equilibrium still gets its closed form's throughput.
@@ -307,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = add_command("simulate", cmd_simulate, "simulate rounds under the equilibrium profile")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--rounds", type=int, default=100000)
-    p_sim.add_argument("--seeds", help="comma-separated seeds (default: config seed or 0)")
+    p_sim.add_argument("--seeds", default="0", help="comma-separated seeds")
     add_game(p_sim)
     p_sim.add_argument("--trace", help="per-round trace CSV (single seed only)")
     add_out(p_sim)
@@ -315,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_adapt = add_command("adapt", cmd_adapt, "simulation-coupled distributed adaptation")
     p_adapt.add_argument("--config", required=True)
     add_adapt_knobs(p_adapt)
-    p_adapt.add_argument("--seeds")
+    p_adapt.add_argument("--seeds", default="0")
     p_adapt.add_argument("--per-node-out", help="optional per-node state CSV")
     add_out(p_adapt)
 

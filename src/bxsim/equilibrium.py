@@ -36,11 +36,10 @@ def _response_rates(s: Scenario) -> np.ndarray:
     """lam, shape (n_nodes, files): each file's holders at their response
     equilibrium sum(w/g)/(count - 1) - w_n/g_n, where the others' rate sum
     is node n's own ratio, so its response costs g_n whatever timer it
-    draws (a rate is negative where no such equilibrium exists)."""
-    lam = np.zeros((s.n_nodes, s.files))
-    for x in range(s.files):
-        holders = s.needs != x
-        lam[holders, x] = s.group_sums[1, x] / (np.count_nonzero(holders) - 1) - s.ratios[holders]
+    draws (a rate is negative where no such equilibrium exists).  A node's
+    own needed file gets 0."""
+    lam = s.group_sums[1] / (s.n_nodes - s.group_sizes() - 1) - s.ratios[:, None]
+    lam[np.arange(s.n_nodes), s.needs] = 0.0
     return lam
 
 

@@ -171,14 +171,14 @@ class StrategyProfile:
     lam: np.ndarray
 
 
-def scenario_from_dict(data: dict) -> tuple[Scenario, int | None]:
+def scenario_from_dict(data: dict) -> Scenario:
     """Build a scenario from the JSON config schema.
 
     Schema: {"files": int, "nodes": [{"w": float, "g": float, "needs": int},
-    ...], "seed": optional int}.  Returns (scenario, seed or None).  Fields
-    are never coerced: a missing field, a bool or string where a number is
-    due, a non-integral ``files``, ``needs`` or ``seed``, a ``w`` or ``g``
-    too large for a float, or a negative ``seed`` is a BAD_CONFIG violation,
+    ...]}; a config holds the game only, and a run's seeds are given apart
+    from it.  Fields are never coerced: a missing field, a bool or string
+    where a number is due, a non-integral ``files`` or ``needs``, a ``w`` or
+    ``g`` too large for a float, or any other key is a BAD_CONFIG violation,
     and all of them are reported together, before the scenario is built;
     building it checks the values.
     """
@@ -214,12 +214,11 @@ def scenario_from_dict(data: dict) -> tuple[Scenario, int | None]:
                 continue
             for column, key in zip(columns, ("w", "g", "needs")):
                 column.append(number(nd, key, f"node {n}", integral=key == "needs"))
-    seed = number(data, "seed", "config", integral=True) if data.get("seed") is not None else None
-    if seed is not None and seed < 0:
-        problems.append(f"config has seed={data['seed']!r}; it must be a nonnegative integer")
+    stray = [key for key in data if key not in ("files", "nodes")]  # in config order
+    problems += [f"config has {key!r}; it holds only 'files' and 'nodes' (seeds are given with --seeds)" for key in stray]
     if problems:
         raise ScenarioError([Violation(BAD_CONFIG, f"malformed scenario config: {p}") for p in problems])
-    return Scenario(files, *columns), seed
+    return Scenario(files, *columns)
 
 
 def _node_columns(entries) -> tuple | None:
@@ -301,7 +300,7 @@ class atomic_open:
                 self.tmp.unlink(missing_ok=True)
 
 
-def load_scenario(path: str | Path) -> tuple[Scenario, int | None]:
+def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario config file (JSON text)."""
     try:
         data = json.loads(Path(path).read_text())

@@ -88,14 +88,10 @@ def coded_with_close_ratios(draw, files=st.integers(3, 6), max_group: int = 7):
     return Scenario(files=f, w=w, g=g, needs=needs)
 
 
-def scenario_to_dict(s: Scenario, seed: int | None = None) -> dict:
-    """The scenario config that ``load_scenario`` reads back as ``s``, with
-    ``seed`` as the config seed if one is given."""
+def scenario_to_dict(s: Scenario) -> dict:
+    """The scenario config that ``load_scenario`` reads back as ``s``."""
     columns = zip(s.w.tolist(), s.g.tolist(), s.needs.tolist())
-    data: dict = {"files": s.files, "nodes": [{"w": w, "g": g, "needs": x} for w, g, x in columns]}
-    if seed is not None:
-        data["seed"] = seed
-    return data
+    return {"files": s.files, "nodes": [{"w": w, "g": g, "needs": x} for w, g, x in columns]}
 
 
 def dense_profile(gamma, lam: dict, files: int = 2) -> StrategyProfile:
@@ -279,7 +275,7 @@ def coded_residuals(c, d, big_gamma) -> np.ndarray:
 
 
 def reference_scenario_from_dict(data: dict) -> tuple:
-    """(files, w, g, needs, seed) as Python values, or ScenarioError with every
+    """(files, w, g, needs) as Python values, or ScenarioError with every
     BAD_CONFIG problem in config order."""
     problems: list[str] = []
 
@@ -316,12 +312,12 @@ def reference_scenario_from_dict(data: dict) -> tuple:
         w.append(number(nd, "w", where))
         g.append(number(nd, "g", where))
         needs.append(number(nd, "needs", where, integral=True))
-    seed = number(data, "seed", "config", integral=True) if data.get("seed") is not None else None
-    if seed is not None and seed < 0:
-        problems.append(f"config has seed={data['seed']!r}; it must be a nonnegative integer")
+    for key in data:
+        if key not in ("files", "nodes"):
+            problems.append(f"config has {key!r}; it holds only 'files' and 'nodes' (seeds are given with --seeds)")
     if problems:
         raise ScenarioError([Violation(BAD_CONFIG, f"malformed scenario config: {p}") for p in problems])
-    return files, w, g, needs, seed
+    return files, w, g, needs
 
 
 def reference_violations(files: int, w: list, g: list, needs: list) -> list[Violation]:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bxsim.adapt import AdaptConfig
-from bxsim.cli import gen_rng, gen_two_file, main
+from bxsim.cli import gen_groups, gen_rng, main
 from bxsim.equilibrium import (
     coded_aggregates,
     coded_equilibrium,
@@ -127,7 +127,7 @@ def test_04_fig2_reproduction():
         trajectories = []
         ne_values = []
         for seed in range(20):
-            s = gen_two_file(10, 10, 1.0, 2.0, gen_rng(seed, 1))
+            s = gen_groups([10, 10], 1.0, 2.0, gen_rng(seed, 1))
             trajectories.append(adaptive_run(s, cfg, seed=seed).observed[0, :, 2])
             ne_values.append(throughput_at_ne(s))
         data = np.array(trajectories)
@@ -232,7 +232,7 @@ def test_10_determinism_regression(tmp_path):
         import json
 
         cfg_path = tmp_path / "scenario.json"
-        cfg_path.write_text(json.dumps(scenario_to_dict(symmetric(2, 10), seed=7)))
+        cfg_path.write_text(json.dumps(scenario_to_dict(symmetric(2, 10))))
         pairs = []
         for name, args in {
             "simulate": ["simulate", "--config", str(cfg_path), "--rounds", "2000", "--seeds", "7"],

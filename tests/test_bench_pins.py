@@ -86,6 +86,7 @@ def test_pinned_digests_hold_on_the_libm_log1p_path():
 # Traced boundaries gone from bxsim, which the benchmark's repair repoints or
 # drops; every other boundary must resolve.
 STALE_BOUNDARIES = {
+    "bxsim.cli.gen_two_file",
     "bxsim.model.require_valid",
     "bxsim.simulate.RoundEngine.play",
     "bxsim.simulate.sample_exponentials",

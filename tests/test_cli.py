@@ -32,9 +32,9 @@ from bxsim.model import Scenario, atomic_open
 from conftest import SINGULAR_CODED_ROWS, scenario_to_dict, symmetric, two_file
 
 
-def write_config(tmp_path, scenario, name="scenario.json", seed=None):
+def write_config(tmp_path, scenario, name="scenario.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(scenario_to_dict(scenario, seed=seed)))
+    path.write_text(json.dumps(scenario_to_dict(scenario)))
     return str(path)
 
 
@@ -253,21 +253,55 @@ class TestNegativeSeed:
         assert capsys.readouterr().err == f"invalid arguments: seed {seed} is negative; seeds are nonnegative integers\n"
         assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
 
+    def test_argument_before_the_solve(self, tmp_path, capsys):
+        # the config has no equilibrium: the seed is named, not the solve's failure
+        cfg = write_config(tmp_path, NO_EQUILIBRIUM)
+        assert main(["simulate", "--config", cfg, "--seeds=-3", "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "invalid arguments: seed -3 is negative; seeds are nonnegative integers\n"
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
     @pytest.mark.parametrize("command", ["simulate --rounds 10", "adapt --updates 1"])
     def test_config(self, tmp_path, capsys, command):
-        # the config has no equilibrium either: the seed is reported first
-        cfg = write_config(tmp_path, NO_EQUILIBRIUM, seed=-1)
-        assert main([*command.split(), "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        # a config holds no seed; it has no equilibrium either: the seed key is reported first
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({**scenario_to_dict(NO_EQUILIBRIUM), "seed": -1}))
+        assert main([*command.split(), "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
-        assert err == "invalid scenario:\n  BAD_CONFIG: malformed scenario config: config has seed=-1; it must be a nonnegative integer\n"
+        assert err == f"invalid scenario:\n  {stray_key_line('seed')}\n"
         assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
+
+def stray_key_line(key: str) -> str:
+    return f"BAD_CONFIG: malformed scenario config: config has {key!r}; it holds only 'files' and 'nodes' (seeds are given with --seeds)"
+
+
+class TestConfigHoldsTheGame:
+    """A config holds the game, ``files`` and ``nodes``; a run's seeds are
+    given with --seeds, which defaults to 0."""
+
+    @pytest.mark.parametrize("key,value", [("seed", 7), ("sede", 3)])
+    @pytest.mark.parametrize("command", ["ne", "poa", "simulate --rounds 10", "adapt --updates 1"])
+    def test_any_other_key_exits_2(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({**scenario_to_dict(symmetric(2, 4)), key: value}))
+        assert main([*command.split(), "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"invalid scenario:\n  {stray_key_line(key)}\n"
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
+    @pytest.mark.parametrize("command", ["simulate --rounds 200", "adapt --updates 2"])
+    def test_seeds_default_to_0(self, tmp_path, command):
+        cfg = write_config(tmp_path, symmetric(2, 4))
+        default, zero = tmp_path / "default.csv", tmp_path / "zero.csv"
+        assert main([*command.split(), "--config", cfg, "--out", str(default)]) == 0
+        assert main([*command.split(), "--config", cfg, "--seeds", "0", "--out", str(zero)]) == 0
+        assert default.read_bytes() == zero.read_bytes()
 
 
 class TestSimulate:
     def test_metrics_csv(self, tmp_path):
-        cfg = write_config(tmp_path, symmetric(2, 4), seed=3)
+        cfg = write_config(tmp_path, symmetric(2, 4))
         out = tmp_path / "sim.csv"
-        assert main(["simulate", "--config", cfg, "--rounds", "500", "--out", str(out)]) == 0
+        assert main(["simulate", "--config", cfg, "--rounds", "500", "--seeds", "3", "--out", str(out)]) == 0
         rows = read_csv(out)
         assert rows[0][:4] == ["seed", "kind", "node", "w"]
         node_rows = [r for r in rows if r[1] == "node"]

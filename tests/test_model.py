@@ -227,29 +227,25 @@ class TestConfig:
         assert codes(exc_info.value.violations) == [BAD_CONFIG]
 
     def test_bad_fields_reported_together(self):
-        data = node_config(needs=0.7, w=True)
+        data = {"seed": 1.5, **node_config(needs=0.7, w=True)}  # a stray key is reported after the nodes
         data["nodes"][3] = {"w": 1.0, "g": 1.0}
-        data["seed"] = 1.5
         with pytest.raises(ScenarioError) as exc_info:
             scenario_from_dict(data)
         assert codes(exc_info.value.violations) == [BAD_CONFIG] * 4
-        expected = ["node 1 has w=True", "node 1 has needs=0.7", "node 3 has no 'needs'", "config has seed=1.5"]
+        expected = ["node 1 has w=True", "node 1 has needs=0.7", "node 3 has no 'needs'", "config has 'seed'"]
         assert all(part in v.message for part, v in zip(expected, exc_info.value.violations))
 
     def test_integral_numbers_are_kept(self):
-        data = {**node_config(needs=1.0, w=2), "files": 2.0, "seed": 7.0}
+        data = {**node_config(needs=1.0, w=2), "files": 2.0}
         data["nodes"].append({"w": 1.0, "g": 1.0, "needs": 0})  # file 0 keeps 2 needers
-        s, seed = scenario_from_dict(data)
-        assert (s.files, s.needs[1], seed) == (2, 1, 7)
-        assert s.needs.dtype == np.int64 and s.w.dtype == np.float64 and type(s.files) is type(seed) is int
-
+        s = scenario_from_dict(data)
+        assert (s.files, s.needs[1]) == (2, 1)
+        assert s.needs.dtype == np.int64 and s.w.dtype == np.float64 and type(s.files) is int
 
     def test_round_trip(self, tmp_path, sym_2_2):
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario_to_dict(sym_2_2, seed=42)))
-        loaded, seed = load_scenario(path)
-        assert loaded == sym_2_2
-        assert seed == 42
+        path.write_text(json.dumps(scenario_to_dict(sym_2_2)))
+        assert load_scenario(path) == sym_2_2
 
     def test_missing_field(self):
         with pytest.raises(ScenarioError):
@@ -262,8 +258,15 @@ class TestConfig:
             load_scenario(path)
 
     def test_no_seed(self, sym_2_2):
-        s, seed = scenario_from_dict(scenario_to_dict(sym_2_2))
-        assert seed is None and s == sym_2_2
+        # a config is the game: a seed, or any key but files and nodes, is reported in config order
+        assert scenario_from_dict(scenario_to_dict(sym_2_2)) == sym_2_2
+        with pytest.raises(ScenarioError) as exc_info:
+            scenario_from_dict({"sede": 3, **scenario_to_dict(sym_2_2), "seed": 0})
+        assert [str(v) for v in exc_info.value.violations] == [
+            f"{BAD_CONFIG}: malformed scenario config: config has {key!r}; it holds only 'files' and 'nodes'"
+            " (seeds are given with --seeds)"
+            for key in ("sede", "seed")
+        ]
 
 
 # Values that no field accepts, and values that some field accepts but
@@ -304,8 +307,8 @@ def malformed_configs(draw) -> dict:
     data = {"files": files, "nodes": [draw(config_node(n, files, bad_share, kinds)) for n in range(size)]}
     if draw(st.integers(0, 5)) == 0:
         data["files"] = draw(st.sampled_from(BAD_NUMBERS + [1e300] + ([] if numbers_only else WRONG_TYPES)))
-    if draw(st.integers(0, 3)) == 0:
-        data["seed"] = draw(st.sampled_from([None, 7, 7.0] if numbers_only else [1.5, True, "7", 10**400, -1, -2.0]))
+    if not numbers_only and draw(st.integers(0, 3)) == 0:  # a key beyond files and nodes, such as a run seed
+        data[draw(st.sampled_from(["seed", "sede", ""]))] = draw(st.sampled_from([None, 7, 7.0, 1.5, "7", -1]))
     if not numbers_only and draw(st.integers(0, 9)) == 0:
         data["nodes"] = draw(st.sampled_from([{}, "nodes", 4, None]))
     for key in ("files", "nodes"):
@@ -322,19 +325,19 @@ def read_and_validate(data: dict) -> tuple:
     """(violations, columns) from the column reader; columns is None when
     the config is malformed or its scenario is not valid."""
     try:
-        s, seed = scenario_from_dict(data)
+        s = scenario_from_dict(data)
     except ScenarioError as exc:
         return exc.violations, None
-    return [], (s.files, float_bits(s.w), float_bits(s.g), s.needs.tolist(), seed)
+    return [], (s.files, float_bits(s.w), float_bits(s.g), s.needs.tolist())
 
 
 def reference_read_and_validate(data: dict) -> tuple:
     try:
-        files, w, g, needs, seed = reference_scenario_from_dict(data)
+        files, w, g, needs = reference_scenario_from_dict(data)
     except ScenarioError as exc:
         return exc.violations, None
     violations = reference_violations(files, w, g, needs)
-    return violations, None if violations else (files, float_bits(w), float_bits(g), needs, seed)
+    return violations, None if violations else (files, float_bits(w), float_bits(g), needs)
 
 
 class TestMalformedConfigs:
@@ -346,7 +349,7 @@ class TestMalformedConfigs:
         assert violations == ref_violations
         assert columns == ref_columns
         if columns is not None:
-            assert type(columns[0]) is int and type(columns[4]) in (int, type(None))
+            assert type(columns[0]) is int
 
     def test_generator_covers_every_outcome(self):
         # the suite above must see clean configs and each kind of violation

@@ -1,17 +1,20 @@
 """The README's "Library use" example runs as written and prints the values
-its comments give, and its "Command line" usage block names each
-subcommand's options with their defaults, and shows exactly its mutually
-exclusive options as ``[A | B]``."""
+its comments give, its "Command line" usage block names each subcommand's
+options with their defaults, and shows exactly its mutually exclusive
+options as ``[A | B]``, and every config in its "Scenario config" section
+loads."""
 
 from __future__ import annotations
 
 import argparse
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
 
 from bxsim.cli import build_parser
+from bxsim.model import Scenario, scenario_from_dict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -54,3 +57,10 @@ def test_usage_block_matches_the_parser():
         brackets = [sorted(re.findall(r"--[\w-]+", b)) for b in re.findall(r"\[([^\[\]]*\|[^\[\]]*)\]", text)]
         groups = [sorted(a.option_strings[0] for a in g._group_actions) for g in sub.choices[command]._mutually_exclusive_groups]
         assert sorted(brackets) == sorted(groups), command
+
+
+def test_scenario_configs_load():
+    blocks = re.findall(r"```json\n(.*?)```", readme_section("Scenario config"), re.S)
+    assert blocks
+    for block in blocks:
+        assert isinstance(scenario_from_dict(json.loads(block)), Scenario)
