@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BxsimError, DivergenceError
+from .errors import BxsimError, DivergenceError, StallError
 from .model import Scenario, StrategyProfile
 from .simulate import RoundEngine, in_order_sum
 
@@ -184,7 +184,8 @@ def run_adaptive_simulation(scenarios: list[Scenario], cfg: AdaptConfig, seeds: 
     fails, after the warnings logged up to it.  The batch is played once; if
     it fails, its seeds are replayed one at a time, in list order, each
     seed's warnings logged as it ends, until one fails (one does: a batch
-    fails only where one of its seeds fails alone).
+    fails only where one of its seeds fails alone).  A stall, a divergence
+    or a numeric error then names its seed.
     """
     if len(seeds) != len(scenarios) or any(
         s.files != scenarios[0].files or not np.array_equal(s.needs, scenarios[0].needs) for s in scenarios
@@ -197,7 +198,7 @@ def run_adaptive_simulation(scenarios: list[Scenario], cfg: AdaptConfig, seeds: 
             floors: list[np.ndarray] = []
             try:
                 _run_batch([s], cfg, [seed], floors)
-            except (DivergenceError, FloatingPointError) as exc:
+            except (StallError, FloatingPointError) as exc:
                 raise type(exc)(f"seed {seed}: {exc}") from None
             finally:
                 for counts in floors:

@@ -57,17 +57,17 @@ def write_csv(out: atomic_open, header: list[str], lines: list[str]) -> None:
     out.write("".join(lines))
 
 
-def check_seed(seed: int) -> int:
-    """``seed``, or ValueError naming it when it is negative."""
-    if seed < 0:
-        raise ValueError(f"seed {seed} is negative; seeds are nonnegative integers")
-    return seed
+def check_nonnegative(value: int, noun: str) -> int:
+    """``value``, or ValueError naming it when it is negative."""
+    if value < 0:
+        raise ValueError(f"{noun} {value} is negative; {noun}s are nonnegative integers")
+    return value
 
 
-def parse_seeds(text: str) -> list[int]:
-    """Comma-separated seeds; 'a-b' expands to the inclusive range.  An item
-    that is not an integer or a range of two, an empty range, a negative
-    seed, or a seed given twice, is an error."""
+def parse_list(text: str, noun: str) -> list[int]:
+    """Comma-separated integers; 'a-b' expands to the inclusive range.  An
+    item that is not an integer or a range of two, an empty range, a negative
+    value, or a value given twice, is an error naming ``noun``."""
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
@@ -75,12 +75,12 @@ def parse_seeds(text: str) -> list[int]:
         try:
             lo, hi = (int(part[:cut]), int(part[cut + 1 :])) if cut > 0 else (int(part),) * 2
         except ValueError:
-            raise ValueError(f"seed list {text!r} must be comma-separated integers or ranges a-b of them") from None
+            raise ValueError(f"{noun} list {text!r} must be comma-separated integers or ranges a-b of them") from None
         if hi < lo:
-            raise ValueError(f"empty seed range {part}")
-        out.extend(range(check_seed(lo), hi + 1))
+            raise ValueError(f"empty {noun} range {part}")
+        out.extend(range(check_nonnegative(lo, noun), hi + 1))
     if len(set(out)) < len(out):
-        raise ValueError(f"seed list {text} names a seed twice")
+        raise ValueError(f"{noun} list {text} names a {noun} twice")
     return out
 
 
@@ -164,10 +164,10 @@ SIM_SYSTEM_ROW = "%d,system,,,,,,,,%.9g\r\n"
 
 
 def cmd_simulate(args) -> tuple[list[str], list[str]]:
-    seeds = parse_seeds(args.seeds)  # before the solve, so that a bad seed is named first
-    s, profile = load_equilibrium(args)
+    seeds = parse_list(args.seeds, "seed")  # before the solve, so that a bad seed list is named first
     if args.trace and len(seeds) > 1:
         raise ValueError("--trace requires a single seed")
+    s, profile = load_equilibrium(args)
     lines: list[str] = []
     columns = node_columns(s)
     # One seed at a time: unequal groups take the per-round walk, which
@@ -191,7 +191,7 @@ ADAPT_NODE_ROW = "%d,%d,%d,%.9g,%.9g\r\n"
 
 
 def cmd_adapt(args) -> tuple[list[str], list[str]]:
-    seeds = parse_seeds(args.seeds)
+    seeds = parse_list(args.seeds, "seed")
     s = load_scenario(args.config)
     cfg = adapt_config(args)
     run = adapt.run_adaptive_simulation([s] * len(seeds), cfg, seeds)
@@ -211,7 +211,7 @@ FIG2_ROW = "%d,%.9g,%.9g,%.9g\r\n"
 
 
 def cmd_fig2(args) -> tuple[list[str], list[str]]:
-    seeds = parse_seeds(args.seeds)
+    seeds = parse_list(args.seeds, "seed")
     generated = [gen_groups([args.group_size] * 2, args.w_lo, args.w_hi, gen_rng(seed, 1)) for seed in seeds]
     cfg = adapt_config(args)
     throughput = adapt.run_adaptive_simulation(generated, cfg, seeds).observed[..., 2]  # (seeds, epochs)
@@ -233,13 +233,8 @@ FIG3_ANALYTIC_ROW = "%d,%.9g,%.9g,\r\n"  # without --rounds
 
 
 def cmd_fig3(args) -> tuple[list[str], list[str]]:
-    check_seed(args.seed)
-    try:
-        file_counts = [int(x) for x in args.files.split(",")]
-    except ValueError:
-        raise ValueError(f"file count list {args.files!r} must be comma-separated integers") from None
-    if len(set(file_counts)) < len(file_counts):  # one scenario dump entry per file count
-        raise ValueError(f"file count list {args.files} names a file count twice")
+    check_nonnegative(args.seed, "seed")
+    file_counts = parse_list(args.files, "file count")  # distinct: one scenario dump entry each
     lines: list[str] = []
     scenarios: dict[str, Scenario] = {}
     for f in file_counts:

@@ -318,27 +318,27 @@ def sequential_runs(scenarios, cfg, seeds):
     another, on an engine and a generator of its own, with the per-seed epoch
     loop; each update's floor warnings are logged as soon as it is made.
     Returns per seed its per-epoch lists of observed values, node states and
-    floored counts."""
+    floored counts; a stall or a divergence is raised naming its seed."""
     results = []
     for s, seed in zip(scenarios, seeds):
         state = init_state(s, cfg)
         engine, rng = RoundEngine(s, one_seed(state.profile())), np.random.Generator(np.random.PCG64(seed))
         observed, node_states, floored = [], [], [[0, 0]]
-        for epoch in range(cfg.updates + 1):
-            sums = np.zeros(3)
-            for chunk in engine.run([rng], cfg.epoch_rounds):
-                sums = in_order_sum(sums, (chunk.t_init[0], chunk.t_resp[0], chunk.duration[0]))
-            init_mean, resp_mean, elapsed = sums[0] / cfg.epoch_rounds, sums[1] / cfg.epoch_rounds, sums[2]
-            observed.append([1.0 / resp_mean, 1.0 / init_mean, cfg.epoch_rounds / elapsed])
-            node_states.append(np.column_stack((1.0 / state.inv_guess, state.rates)).tolist())
-            if epoch < cfg.updates:
-                try:
+        try:
+            for epoch in range(cfg.updates + 1):
+                sums = np.zeros(3)
+                for chunk in engine.run([rng], cfg.epoch_rounds):
+                    sums = in_order_sum(sums, (chunk.t_init[0], chunk.t_resp[0], chunk.duration[0]))
+                init_mean, resp_mean, elapsed = sums[0] / cfg.epoch_rounds, sums[1] / cfg.epoch_rounds, sums[2]
+                observed.append([1.0 / resp_mean, 1.0 / init_mean, cfg.epoch_rounds / elapsed])
+                node_states.append(np.column_stack((1.0 / state.inv_guess, state.rates)).tolist())
+                if epoch < cfg.updates:
                     state = observe_and_update(state, resp_mean, init_mean, epoch + 1, cfg)
-                except DivergenceError as exc:
-                    raise DivergenceError(f"seed {seed}: {exc}") from None
-                floored.append(state.floored.tolist())
-                log_floored(floored[-1])
-                engine.set_profile(one_seed(state.profile()))
+                    floored.append(state.floored.tolist())
+                    log_floored(floored[-1])
+                    engine.set_profile(one_seed(state.profile()))
+        except StallError as exc:  # an engine stall or a divergence, named with its seed
+            raise type(exc)(f"seed {seed}: {exc}") from None
         results.append((observed, node_states, floored))
     return results
 

@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bxsim import adapt, equilibrium, simulate
-from bxsim.cli import adapt_config, build_parser, dump_scenarios, gen_groups, gen_rng, main, parse_seeds, write_csv
+from bxsim.cli import adapt_config, build_parser, dump_scenarios, gen_groups, gen_rng, main, parse_list, write_csv
 from bxsim.equilibrium import coded_throughput
 from bxsim.model import Scenario, atomic_open
 
@@ -44,13 +44,24 @@ def read_csv(path):
 
 
 def test_parse_seeds():
-    assert parse_seeds("0,5,3") == [0, 5, 3]
-    assert parse_seeds("0-3") == [0, 1, 2, 3]
-    assert parse_seeds("7") == [7]
+    assert parse_list("0,5,3", "seed") == [0, 5, 3]
+    assert parse_list("0-3", "seed") == [0, 1, 2, 3]
+    assert parse_list("7", "seed") == [7]
     with pytest.raises(ValueError, match="^seed -2 is negative; seeds are nonnegative integers$"):
-        parse_seeds("-2")
+        parse_list("-2", "seed")
     with pytest.raises(ValueError, match="^seed -3 is negative"):  # a range from a negative seed
-        parse_seeds("0,-3-5")
+        parse_list("0,-3-5", "seed")
+
+
+def test_parse_file_counts():
+    # the grammar of --seeds, with its messages naming file counts
+    assert parse_list("3-5,8", "file count") == [3, 4, 5, 8]
+    with pytest.raises(ValueError, match="^file count -3 is negative; file counts are nonnegative integers$"):
+        parse_list("-3", "file count")
+    with pytest.raises(ValueError, match="^empty file count range 5-3$"):
+        parse_list("5-3", "file count")
+    with pytest.raises(ValueError, match="^file count list 3-5,4 names a file count twice$"):
+        parse_list("3-5,4", "file count")
 
 
 class TestNe:
@@ -259,6 +270,20 @@ class TestNegativeSeed:
         assert main(["simulate", "--config", cfg, "--seeds=-3", "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == "invalid arguments: seed -3 is negative; seeds are nonnegative integers\n"
         assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
+    def test_trace_before_the_solve(self, tmp_path, capsys):
+        # the seed list alone refuses a trace, whether or not the config has an equilibrium
+        cfg = write_config(tmp_path, NO_EQUILIBRIUM)
+        argv = ["simulate", "--config", cfg, "--seeds", "0,1", "--trace", str(tmp_path / "t.csv")]
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "invalid arguments: --trace requires a single seed\n"
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
+    def test_file_count(self, tmp_path, capsys):
+        assert main(["fig3", "--files=-3", "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "invalid arguments: file count -3 is negative; file counts are nonnegative integers\n"
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("command", ["simulate --rounds 10", "adapt --updates 1"])
     def test_config(self, tmp_path, capsys, command):
@@ -564,8 +589,7 @@ class TestFailClosed:
     def test_unparsable_list_is_quoted(self, tmp_path, capsys, argv, listed):
         # the message names the list and what it must be, not int()'s complaint
         assert self.run(tmp_path, [*argv.split(), "--out", "y.csv"]) == 2
-        what = "integers" if "file" in listed else "integers or ranges a-b of them"
-        assert capsys.readouterr().err == f"invalid arguments: {listed} must be comma-separated {what}\n"
+        assert capsys.readouterr().err == f"invalid arguments: {listed} must be comma-separated integers or ranges a-b of them\n"
         self.assert_nothing_written(tmp_path)
 
     @pytest.mark.parametrize(
@@ -803,9 +827,10 @@ class TestReplayCost:
         assert self.engines_built(tmp_path, "0-19") == (0, 1)
 
     def test_a_failed_batch_is_replayed_up_to_its_first_failing_seed(self, tmp_path, capsys):
-        # with one-round epochs, seed 1 runs through, and seeds 0 and 2 stall alone
+        # with one-round epochs, seed 1 runs through, and seeds 0 and 2 stall
+        # alone: the error names seed 0, the first of them in list order
         assert self.engines_built(tmp_path, "1,0,2", "--epoch-rounds", "1") == (4, 1 + 2)
-        assert capsys.readouterr().err.startswith("simulation stalled: ")
+        assert capsys.readouterr().err == "simulation stalled: seed 0: no node can initiate: all initiation rates are zero\n"
 
 
 class TestFig2:
@@ -860,6 +885,15 @@ class TestFig3:
         # crossover: below the baseline at 3 files, above from 4 on
         assert float(by_f[3][1]) < 1 / 3
         assert float(by_f[4][1]) > 1 / 4
+
+    def test_file_count_range(self, tmp_path):
+        # --files reads the --seeds grammar: a range writes the bytes of its list
+        ranged, listed = tmp_path / "ranged.csv", tmp_path / "listed.csv"
+        assert main(["fig3", "--files", "3-5", "--out", str(ranged)]) == 0
+        assert main(["fig3", "--files", "3,4,5", "--out", str(listed)]) == 0
+        assert ranged.read_bytes() == listed.read_bytes()
+        dumps = [tmp_path / f"{name}.csv.scenarios.json" for name in ("ranged", "listed")]
+        assert dumps[0].read_bytes() == dumps[1].read_bytes()
 
     def test_simulate_cross_check(self, tmp_path):
         out = tmp_path / "fig3.csv"

@@ -24,7 +24,8 @@ from bxsim.equilibrium import (
     two_file_equilibrium,
 )
 from bxsim.errors import NegativeRateError, SingularSystemError
-from bxsim.model import Scenario, StrategyProfile
+from bxsim.cli import gen_groups, gen_rng
+from bxsim.model import Scenario, StrategyProfile, make_two_file
 from bxsim.simulate import run_simulation
 
 from conftest import (
@@ -635,6 +636,36 @@ class TestRequireNonnegative:
                 require_nonnegative(profile)
         else:
             assert require_nonnegative(profile) is profile
+
+
+def existence_bound(n: int) -> float:
+    """The largest w_hi / w_lo for which every draw of a group of n >= 3
+    nodes has a nonnegative response rate."""
+    return (n - 1) / (n - 2)
+
+
+class TestExistenceRule:
+    """Generated two-file games (g = 1, w ~ U[w_lo, w_hi]) have a nonnegative
+    equilibrium at every draw exactly when w_hi / w_lo is at most (N - 1)/(N - 2)
+    for each group of N >= 3 nodes: the worst draw is one node at w_hi and the
+    rest at w_lo.  Two groups of 2 have one at any spread."""
+
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(sizes=st.lists(st.integers(2, 1000), min_size=2, max_size=2), seed=st.integers(0, 2**32 - 1))
+    def test_draws_within_the_bound_have_an_equilibrium(self, sizes, seed):
+        bounds = [existence_bound(n) for n in sizes if n >= 3]
+        w_hi = min(bounds) * (1 - 1e-9) if bounds else 4.0
+        s = gen_groups(sizes, 1.0, w_hi, gen_rng(seed, 1))
+        for alpha in (0.0, 0.5, 1.0):
+            require_nonnegative(two_file_equilibrium(s, alpha=alpha))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(n_a=st.integers(3, 1000), n_b=st.integers(2, 1000))
+    def test_the_worst_draw_above_the_bound_has_none(self, n_a, n_b):
+        s = make_two_file([existence_bound(n_a) * (1 + 1e-6)] + [1.0] * (n_a - 1), [1.0] * n_b)
+        for alpha in (0.0, 0.5, 1.0):
+            with pytest.raises(NegativeRateError, match=r"^nodes \[0\] get negative rates"):
+                require_nonnegative(two_file_equilibrium(s, alpha=alpha))
 
 
 def scaled(s: Scenario, k: int) -> Scenario:
