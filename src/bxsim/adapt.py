@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BxsimError, DivergenceError, StallError
+from .errors import BxsimError, StallError
 from .model import Scenario, StrategyProfile
 from .simulate import RoundEngine, in_order_sum
 
@@ -131,8 +131,8 @@ def observe_and_update(
     delta_k / observed, with its own group's observed mean; its rate is the
     inverse guess minus its own w/g, floored at zero (counted by the new
     state's ``floored``).  Raises ValueError for a mean that is not
-    positive (in a batch, any seed's), else DivergenceError when an inverse
-    guess is not finite.
+    positive (in a batch, any seed's), else StallError when an inverse guess
+    is not finite: the update diverged.
     """
     delta = cfg.delta(k)
     means = np.array((observed_response_mean, observed_initiation_mean), dtype=float)
@@ -144,7 +144,7 @@ def observe_and_update(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv_guess = (1.0 + delta) * state.inv_guess - delta / observed
     if not np.isfinite(inv_guess).all():
-        raise DivergenceError(f"the update to epoch {k} diverged: an inverse guess is not finite")
+        raise StallError(f"the update to epoch {k} diverged: an inverse guess is not finite")
     return AdaptState(state.ratios, state.initiates, inv_guess)
 
 

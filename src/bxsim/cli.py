@@ -28,12 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adapt, equilibrium, simulate
-from .errors import (
-    NegativeRateError,
-    ScenarioError,
-    SingularSystemError,
-    StallError,
-)
+from .errors import NoEquilibriumError, ScenarioError, StallError
 from .model import Scenario, StrategyProfile, atomic_open, load_scenario
 
 
@@ -374,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # an output that fails as it is written, such as /dev/full
         print(f"invalid arguments: cannot write an output: {exc.strerror or exc}", file=sys.stderr)
         return 2
-    except (NegativeRateError, SingularSystemError) as exc:
+    except NoEquilibriumError as exc:
         print(f"equilibrium does not exist: {exc}", file=sys.stderr)
         return 3
     except StallError as exc:

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NegativeRateError, SingularSystemError
+from .errors import NoEquilibriumError
 from .model import Scenario, StrategyProfile
 
 
@@ -65,12 +65,12 @@ def two_file_equilibrium(s: Scenario, alpha: float = 0.5) -> StrategyProfile:
 
 
 def require_nonnegative(profile: StrategyProfile) -> StrategyProfile:
-    """Return ``profile``, or raise NegativeRateError naming every node id
+    """Return ``profile``, or raise NoEquilibriumError naming every node id
     with a negative ``gamma`` or ``lam`` entry: then no nonnegative
     exponential-timer equilibrium exists.  Rates are never clamped."""
     bad = np.flatnonzero((profile.gamma < 0) | (profile.lam < 0).any(axis=1)).tolist()
     if bad:
-        raise NegativeRateError(f"nodes {bad} get negative rates; no nonnegative equilibrium exists")
+        raise NoEquilibriumError(f"nodes {bad} get negative rates; no nonnegative equilibrium exists")
     return profile
 
 
@@ -143,7 +143,7 @@ def solve_coded_system(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     row k then fixes the total S, and G_k = S - sum of the others.  So e_k = 0
     (w = g = 1 and group k holds half the nodes) needs no special case; the
     system is singular exactly when a second e_Y or the denominator of S is
-    0, and SingularSystemError is raised.
+    0, and NoEquilibriumError is raised.
 
     The rows (c, d) scaled by s have the solution G / s, so the system is
     solved at the power of two s that brings the largest |c|, |d| to [0.5,
@@ -158,11 +158,11 @@ def solve_coded_system(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     rest = np.arange(e.size) != k
     if not np.all(e[rest]):
         rows = np.flatnonzero(e == 0).tolist()
-        raise SingularSystemError(f"singular aggregate system: rows {rows} have c = d")
+        raise NoEquilibriumError(f"singular aggregate system: rows {rows} have c = d")
     q = 1.0 / e[rest]
     denom = c[k] + e[k] * float(np.sum(d[rest] * q))
     if denom == 0.0:
-        raise SingularSystemError(f"singular aggregate system of {e.size} files: the total rate divides by 0")
+        raise NoEquilibriumError(f"singular aggregate system of {e.size} files: the total rate divides by 0")
     total = (1.0 + e[k] * float(np.sum(q))) / denom
     big_gamma = np.empty(e.size)
     big_gamma[rest] = (1.0 - d[rest] * total) * q

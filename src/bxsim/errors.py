@@ -1,7 +1,8 @@
 """Error types shared across the package.
 
-The CLI maps each onto its exit-code contract (2 = invalid scenario, 3 =
-equilibrium nonexistence, 4 = runtime stall or divergence).
+One class per way a run fails, each with its own exit code on the command
+line: ScenarioError 2 (invalid scenario), NoEquilibriumError 3 (no
+nonnegative equilibrium) and StallError 4 (the mechanism cannot go on).
 """
 
 from __future__ import annotations
@@ -32,27 +33,16 @@ class ScenarioError(BxsimError):
         super().__init__("; ".join(str(v) for v in violations))
 
 
-class NegativeRateError(BxsimError):
-    """The closed-form equilibrium assigns a negative rate to some node.
-
-    The exponential-timer equilibrium does not exist for the given cost
-    heterogeneity.  Rates are never clamped: the solvers return the raw
-    closed form, and ``equilibrium.require_nonnegative`` raises this.
-    """
-
-
-class SingularSystemError(BxsimError):
-    """The coded game's aggregate-rate system with 3 or more files has no
-    unique solution: two of its rows have c = d, or the closed form's
-    denominator for the total rate is 0."""
+class NoEquilibriumError(BxsimError):
+    """The game has no nonnegative equilibrium: the closed form assigns a
+    negative rate to some node (``equilibrium.require_nonnegative``; rates
+    are never clamped), or the coded game's aggregate-rate system with 3 or
+    more files has no unique solution (``equilibrium.solve_coded_system``)."""
 
 
 class StallError(BxsimError):
-    """No node can win a protocol phase (all relevant rates are zero)."""
-
-
-class DivergenceError(StallError):
-    """The adaptation update diverged: an inverse guess is no longer finite."""
+    """The distributed mechanism cannot go on: no node can win a protocol
+    phase, or an adaptation update diverged."""
 
 
 # Violation codes used by scenario loading and validation.

@@ -51,7 +51,7 @@ from typing import IO, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import NegativeRateError, StallError
+from .errors import StallError
 from .model import Scenario, StrategyProfile
 
 NEVER = math.inf
@@ -119,7 +119,7 @@ class RoundEngine:
         resp_rate = np.where(self.holds, lam[:, self.resp_id, np.arange(files)[:, None]], 0.0)
         for rates in (gamma, resp_rate):
             if not (0 <= rates.min() and rates.max() < NEVER):  # NaN fails both
-                raise NegativeRateError("profile has a negative or non-finite rate")
+                raise ValueError("profile has a negative or non-finite rate")
         self.gamma, self.resp_rate = gamma, resp_rate
         # Any seed's positive-rate nodes; a seed's zero rates draw NEVER.
         self.initiators = (gamma > 0).any(axis=0).nonzero()[0]

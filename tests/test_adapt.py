@@ -19,7 +19,7 @@ from bxsim.adapt import (
     run_adaptive_simulation,
 )
 from bxsim.equilibrium import throughput_at_ne
-from bxsim.errors import BxsimError, DivergenceError, StallError
+from bxsim.errors import BxsimError, StallError
 from bxsim.model import Scenario
 from bxsim.simulate import RoundEngine, in_order_sum
 
@@ -159,8 +159,8 @@ class TestAnalyticIterate:
             analytic_iterate(sym_10_10, mech_cfg(epsilon=5.0, guess_factor=0.2, updates=3))
 
     def test_divergence_is_its_own_error(self, sym_10_10):
-        # the second step overflows; no numpy warning, a named epoch instead
-        with pytest.raises(DivergenceError, match="epoch 2"):
+        # the second step overflows; no numpy warning, a stall naming the diverged epoch instead
+        with pytest.raises(StallError, match="epoch 2 diverged"):
             analytic_iterate(sym_10_10, mech_cfg(epsilon=1e300, updates=3))
 
 
@@ -387,7 +387,7 @@ class TestSeedBatch:
         cfg = mech_cfg()
         st = init_state(sym_10_10, cfg)
         batch = AdaptState(st.ratios, st.initiates, np.array([st.inv_guess] * 4))
-        with pytest.raises(DivergenceError, match="epoch 1"):  # rows 1 and 3 diverge
+        with pytest.raises(StallError, match="epoch 1 diverged"):  # rows 1 and 3 diverge
             observe_and_update(batch, np.ones(4), np.array([1.0, 1e-320, 1.0, 1e-320]), k=1, cfg=cfg)
         with pytest.raises(ValueError, match="response backoff"):  # row 2 is 0
             observe_and_update(batch, np.array([1.0, 1.0, 0.0, 1.0]), np.ones(4), k=1, cfg=cfg)

@@ -1,7 +1,8 @@
 """Every function, class and method the package defines is used: referenced
 by the package's own code or named in the README.  Code that only tests
 reach belongs with the tests.  The command line imports nothing beyond
-numpy and the standard library."""
+numpy and the standard library, and gives each package error its own
+``except`` clause."""
 
 from __future__ import annotations
 
@@ -59,6 +60,22 @@ def test_every_definition_is_used():
         if name not in used and not re.search(rf"\b{re.escape(name)}\b", documented)
     ]
     assert unused == []
+
+
+def test_one_except_clause_per_package_error():
+    # one class per way a run fails, so each maps to one exit code
+    errors: list[str] = []
+    for node in ast.parse((ROOT / "src" / "bxsim" / "errors.py").read_text()).body:
+        if isinstance(node, ast.ClassDef) and any(isinstance(b, ast.Name) and b.id in {"Exception", *errors} for b in node.bases):
+            errors.append(node.name)
+    main = next(n for n in ast.parse((ROOT / "src" / "bxsim" / "cli.py").read_text()).body if getattr(n, "name", "") == "main")
+    outer = next(n for n in main.body if isinstance(n, ast.Try))
+    clauses = []
+    for handler in outer.handlers:
+        caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        clauses.append([name for name in (getattr(c, "id", None) or getattr(c, "attr", None) for c in caught) if name in errors])
+    assert all(len(names) <= 1 for names in clauses), clauses
+    assert sorted(name for names in clauses for name in names) == sorted(set(errors) - {"BxsimError"})
 
 
 def test_cli_imports_only_numpy_beyond_the_standard_library():

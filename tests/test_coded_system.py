@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bxsim.equilibrium import coded_aggregates, coded_system, solve_coded_system, two_file_durations
-from bxsim.errors import SingularSystemError
+from bxsim.errors import NoEquilibriumError
 from bxsim.model import Scenario
 
 from conftest import SINGULAR_CODED_ROWS, coded_residuals, exact_coded_solution, shuffled_scenarios, two_file
@@ -48,19 +48,19 @@ def test_inconsistent():
     # column 0 is 0 and rows 1, 2 fix G_1 = G_2 = 1, so row 0 reads -2 = 1
     c, d = SINGULAR_CODED_ROWS[1]
     assert exact_coded_solution(c, d) is None
-    with pytest.raises(SingularSystemError):
+    with pytest.raises(NoEquilibriumError, match="^singular aggregate system"):
         solve_coded_system(np.array(c), np.array(d))
 
 
 def test_rows_with_c_equal_d_are_named():
     c, d = SINGULAR_CODED_ROWS[0]
-    with pytest.raises(SingularSystemError, match=r"^singular aggregate system: rows \[0, 1\] have c = d$"):
+    with pytest.raises(NoEquilibriumError, match=r"^singular aggregate system: rows \[0, 1\] have c = d$"):
         solve_coded_system(np.array(c), np.array(d))
 
 
 def test_zero_matrix():
     for f in (2, 3):
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(NoEquilibriumError, match="^singular aggregate system"):
             solve_coded_system(np.zeros(f), np.zeros(f))
 
 
@@ -112,7 +112,7 @@ def test_matches_exact_oracle(s):
     c, d = coded_system(s)
     exact = exact_coded_solution(c, d)
     if exact is None:
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(NoEquilibriumError, match="^singular aggregate system"):
             coded_aggregates(s)
         return
     big = coded_aggregates(s)

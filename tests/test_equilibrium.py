@@ -23,7 +23,7 @@ from bxsim.equilibrium import (
     two_file_durations,
     two_file_equilibrium,
 )
-from bxsim.errors import NegativeRateError, SingularSystemError
+from bxsim.errors import NoEquilibriumError
 from bxsim.cli import gen_groups, gen_rng
 from bxsim.model import Scenario, StrategyProfile, make_two_file
 from bxsim.simulate import run_simulation
@@ -127,7 +127,7 @@ class TestResponseEquilibrium:
         np.testing.assert_allclose(group_response([1.0, 10.0])[0], [10.0, 1.0])
 
     def test_nonexistent(self):
-        with pytest.raises(NegativeRateError, match=r"nodes \[2\]"):
+        with pytest.raises(NoEquilibriumError, match=r"nodes \[2\]"):
             require_nonnegative(two_file_equilibrium(two_file([1.0, 1.0, 5.0], [1.0, 1.0])))
 
     def test_returns_raw_closed_form(self):
@@ -300,7 +300,7 @@ class TestExpectedCodedRoundCost:
     def test_constant_in_t_at_equilibrium_only(self, s):
         try:
             profile = require_nonnegative(coded_equilibrium(s))
-        except (NegativeRateError, SingularSystemError):
+        except NoEquilibriumError:
             assume(False)
 
         def spread(profile, n):
@@ -353,7 +353,7 @@ class TestTwoFileEquilibrium:
 
     def test_negative_rate_propagates(self):
         s = two_file([1.0, 1.0, 5.0], [1.0, 1.0])
-        with pytest.raises(NegativeRateError):
+        with pytest.raises(NoEquilibriumError, match="get negative rates"):
             require_nonnegative(two_file_equilibrium(s, alpha=0.5))
 
     def test_alpha_out_of_range(self, sym_2_2):
@@ -475,14 +475,14 @@ class TestCodedEquilibrium:
         for c, d in SINGULAR_CODED_ROWS:
             assert exact_coded_solution(c, d) is None
             monkeypatch.setattr(equilibrium, "coded_system", lambda s, c=c, d=d: (np.array(c), np.array(d)))
-            with pytest.raises(SingularSystemError):
+            with pytest.raises(NoEquilibriumError, match="^singular aggregate system"):
                 coded_equilibrium(s)
 
     def test_negative_gamma_raises(self):
         rng = np.random.default_rng(4)
         # heterogeneous 10-node groups essentially always break nonnegativity
         s = random_coded(rng, 3)
-        with pytest.raises(NegativeRateError):
+        with pytest.raises(NoEquilibriumError, match="get negative rates"):
             require_nonnegative(coded_equilibrium(s))
 
     def test_round_duration_and_throughput(self):
@@ -588,7 +588,7 @@ class TestPaperClosedForms:
     def test_coded_game(self, s):
         try:
             big = coded_aggregates(s)
-        except SingularSystemError:
+        except NoEquilibriumError:
             return
         assert np.abs(coded_residuals(*coded_system(s), big)).max() <= 1e-9
 
@@ -608,7 +608,7 @@ class TestRequireNonnegative:
     def test_names_every_node_id(self):
         gamma = np.array([1.0, -1e-300, 1.0, 1.0])
         lam = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [-2.0, 0.0]])
-        with pytest.raises(NegativeRateError, match=r"^nodes \[1, 3\] get negative rates"):
+        with pytest.raises(NoEquilibriumError, match=r"^nodes \[1, 3\] get negative rates"):
             require_nonnegative(StrategyProfile(gamma=gamma, lam=lam))
 
     @settings(derandomize=True, max_examples=200, deadline=None)
@@ -617,7 +617,7 @@ class TestRequireNonnegative:
         strict = any(np.any(response_equilibrium(s.ratios[s.needs == x]) < 0) for x in (0, 1))
         profile = two_file_equilibrium(s, alpha=alpha)
         if strict:
-            with pytest.raises(NegativeRateError):
+            with pytest.raises(NoEquilibriumError, match="get negative rates"):
                 require_nonnegative(profile)
         else:
             assert require_nonnegative(profile) is profile
@@ -627,12 +627,12 @@ class TestRequireNonnegative:
     def test_coded_matches_the_strict_rule(self, s):
         try:
             profile = coded_equilibrium(s)
-        except SingularSystemError:
+        except NoEquilibriumError:
             return
         holders = (s.ratios[s.needs != x] for x in range(s.files))
         strict = np.any(profile.gamma < 0) or any(np.any(response_equilibrium(r) < 0) for r in holders)
         if strict:
-            with pytest.raises(NegativeRateError):
+            with pytest.raises(NoEquilibriumError, match="get negative rates"):
                 require_nonnegative(profile)
         else:
             assert require_nonnegative(profile) is profile
@@ -664,7 +664,7 @@ class TestExistenceRule:
     def test_the_worst_draw_above_the_bound_has_none(self, n_a, n_b):
         s = make_two_file([existence_bound(n_a) * (1 + 1e-6)] + [1.0] * (n_a - 1), [1.0] * n_b)
         for alpha in (0.0, 0.5, 1.0):
-            with pytest.raises(NegativeRateError, match=r"^nodes \[0\] get negative rates"):
+            with pytest.raises(NoEquilibriumError, match=r"^nodes \[0\] get negative rates"):
                 require_nonnegative(two_file_equilibrium(s, alpha=alpha))
 
 

@@ -1,18 +1,20 @@
 """The README's "Library use" example runs as written and prints the values
 its comments give, its "Command line" usage block names each subcommand's
 options with their defaults, and shows exactly its mutually exclusive
-options as ``[A | B]``, and every config in its "Scenario config" section
-loads."""
+options as ``[A | B]``, every config in its "Scenario config" section
+loads, and every error its code spans name exists."""
 
 from __future__ import annotations
 
 import argparse
+import builtins
 import contextlib
 import io
 import json
 import re
 from pathlib import Path
 
+from bxsim import errors
 from bxsim.cli import build_parser
 from bxsim.model import Scenario, scenario_from_dict
 
@@ -64,3 +66,9 @@ def test_scenario_configs_load():
     assert blocks
     for block in blocks:
         assert isinstance(scenario_from_dict(json.loads(block)), Scenario)
+
+
+def test_code_spans_name_only_live_errors():
+    named = set(re.findall(r"\b\w+Error\b", " ".join(re.findall(r"`[^`\n]+`", README.read_text()))))
+    assert {"ValueError", "NoEquilibriumError", "StallError"} <= named
+    assert sorted(name for name in named if not hasattr(builtins, name) and not hasattr(errors, name)) == []
