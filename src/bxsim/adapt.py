@@ -39,20 +39,20 @@ ROLES = ("response", "initiation")  # the phase each role group adapts, by the f
 class AdaptConfig:
     """Knobs of the update mechanism.
 
+    updates: number of update epochs to run.
     epoch_rounds: rounds between updates (M).
     epsilon: scale of the step schedule delta_k = epsilon / k.
     guess_factor: initial group-size overestimate; each node assumes its
         group has guess_factor times its true size, all with its own costs.
-    updates: number of update epochs to run.
 
     Building a config checks the knobs and raises ValueError for the first
-    one out of its range.
+    one out of its range.  Each field is a CLI option, in this order.
     """
 
+    updates: int = 10
     epoch_rounds: int = 100
     epsilon: float = 0.1
     guess_factor: float = 10.0
-    updates: int = 10
 
     def delta(self, k: int) -> float:
         if k < 1:

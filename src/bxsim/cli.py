@@ -162,6 +162,8 @@ def cmd_simulate(args) -> tuple[list[str], list[str]]:
     seeds = parse_list(args.seeds, "seed")  # before the solve, so that a bad seed list is named first
     if args.trace and len(seeds) > 1:
         raise ValueError("--trace requires a single seed")
+    if args.rounds < 1:
+        raise ValueError("rounds must be >= 1")
     s, profile = load_equilibrium(args)
     lines: list[str] = []
     columns = node_columns(s)
@@ -230,6 +232,8 @@ FIG3_ANALYTIC_ROW = "%d,%.9g,%.9g,\r\n"  # without --rounds
 def cmd_fig3(args) -> tuple[list[str], list[str]]:
     check_nonnegative(args.seed, "seed")
     file_counts = parse_list(args.files, "file count")  # distinct: one scenario dump entry each
+    if args.rounds is not None and args.rounds < 1:  # before any solve, as in simulate
+        raise ValueError("rounds must be >= 1")
     lines: list[str] = []
     scenarios: dict[str, Scenario] = {}
     for f in file_counts:
@@ -264,11 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output CSV path")
 
     def add_adapt_knobs(p):
-        defaults = adapt.AdaptConfig()
-        p.add_argument("--updates", type=int, default=defaults.updates)
-        p.add_argument("--epoch-rounds", type=int, default=defaults.epoch_rounds)
-        p.add_argument("--epsilon", type=float, default=defaults.epsilon)
-        p.add_argument("--guess-factor", type=float, default=defaults.guess_factor)
+        for knob in fields(adapt.AdaptConfig):
+            p.add_argument("--" + knob.name.replace("_", "-"), type=type(knob.default), default=knob.default)
 
     def add_game(p):
         game = p.add_mutually_exclusive_group()  # the coded game has no alpha

@@ -25,14 +25,15 @@ have a leading seed axis, each seed has a generator of its own, and every
 chunk of rounds has the same leading axis.  Counting them is the caller's:
 ``run_simulation`` plays one seed, a batch of one, and counts its rounds in
 a ``Metrics`` of that seed.  Each seed draws exactly the uniforms it would
-draw alone, so every seed's rounds, and the state its generator ends in, are
-those of a run of that seed alone.  A batch fails as a whole: it raises if
-any of its seeds would, without naming which, and a caller that needs the
-failure of each seed plays the seeds alone.  A batch of several seeds needs
-a fixed stride (every node that can initiate faces as many responders, as
-in every adaptive epoch, where one group initiates); otherwise each round's
-uniforms start where the previous initiator's file left them, and the walk
-that finds them plays one seed.
+draw alone, in the same ``rng.random`` calls, so every seed's chunks of
+rounds, and the state its generator ends in, are those of a run of that seed
+alone.  A batch fails as a whole: it raises if any of its seeds would,
+without naming which, and a caller that needs the failure of each seed plays
+the seeds alone.  A batch of several seeds needs a fixed stride (every node
+that can initiate faces as many responders, as in every adaptive epoch,
+where one group initiates); otherwise each round's uniforms start where the
+previous initiator's file left them, and the walk that finds them plays one
+seed.
 
 The uniforms are drawn in chunks of up to CHUNK_DOUBLES per ``rng.random``
 call.  This does not change the stream: after each chunk the generator is
@@ -56,10 +57,8 @@ from .model import Scenario, StrategyProfile
 
 NEVER = math.inf
 
-# Uniforms drawn per chunk of rounds, by each seed; bounds the engine's working set.
+# Uniforms drawn per chunk of rounds, by each seed; bounds the engine's working set per seed.
 CHUNK_DOUBLES = 1 << 14
-# Uniforms a batch of seeds keeps per chunk, over all seeds; bounds a batch's working set.
-BATCH_DOUBLES = 1 << 16
 
 TRACE_HEADER = ["round", "initiator", "responder", "t_init", "t_resp", "duration"]
 # One trace row in the csv module's default dialect, floats at 9 digits.
@@ -132,13 +131,13 @@ class RoundEngine:
         """Play ``rounds`` rounds, yielding chunks of consecutive rounds of
         shape (seeds, count).
 
-        ``rngs`` holds one generator per seed of the batch.  Each seed draws
-        what it draws alone: at most CHUNK_DOUBLES uniforms per chunk (or one
-        round's worth) in one ``rng.random`` call, leaving its generator where
-        round-by-round play would.  Raises StallError at a round nobody can
-        initiate or answer, of any seed; for a batch of one, the message is
-        that of its first such round; then ValueError for a walked batch of
-        more than one seed."""
+        ``rngs`` holds one generator per seed of the batch.  Each seed makes,
+        chunk for chunk, the ``rng.random`` calls it makes alone, whatever the
+        batch size: one call of at most CHUNK_DOUBLES uniforms (or one round's
+        worth) per chunk, leaving its generator where round-by-round play
+        would.  Raises StallError at a round nobody can initiate or answer, of
+        any seed; for a batch of one, the message is that of its first such
+        round; then ValueError for a walked batch of more than one seed."""
         n, needs, initiators = self.scenario.n_nodes, self.scenario.needs, self.initiators
         gamma, resp_rate, step = self.gamma[:, None, initiators], self.resp_rate, self.fixed_step
         silent = gamma == 0
@@ -148,14 +147,12 @@ class RoundEngine:
         if not step and len(rngs) > 1:
             raise ValueError("a batch of seeds needs a fixed stride of uniforms per round: walk each seed alone")
         seeds = np.arange(len(rngs))[:, None]
-        if step:
-            # A round reads its initiators' uniforms and the response uniforms
-            # from its n-th on (past the needed file's holders the rates are 0,
-            # so what those entries read is unused); only these are kept.
-            size = min(rounds, max(1, min(CHUNK_DOUBLES // step, BATCH_DOUBLES // (len(rngs) * (initiators.size + step - n)))))
         while rounds > 0:
             if step:
-                count = min(rounds, size)
+                count = min(rounds, max(1, CHUNK_DOUBLES // step))
+                # A round reads its initiators' uniforms and the response uniforms
+                # from its n-th on (past the needed file's holders the rates are 0,
+                # so what those entries read is unused); only these are kept.
                 e_init, e_resp = np.empty((len(rngs), count, initiators.size)), np.empty((len(rngs), count, step - n))
                 for row, rng in enumerate(rngs):
                     u = rng.random(count * step).reshape(count, step)

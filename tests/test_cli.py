@@ -279,6 +279,15 @@ class TestNegativeSeed:
         assert capsys.readouterr().err == "invalid arguments: --trace requires a single seed\n"
         assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
 
+    @pytest.mark.parametrize("argv", ["simulate --config CFG --rounds 0", "fig3 --w-hi 3 --rounds -1"])
+    def test_rounds_before_the_solve(self, tmp_path, capsys, argv):
+        # neither game has an equilibrium: the rounds are named, not the solve's failure
+        cfg = write_config(tmp_path, NO_EQUILIBRIUM)
+        argv = [cfg if a == "CFG" else a for a in argv.split()]
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "invalid arguments: rounds must be >= 1\n"
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
     def test_file_count(self, tmp_path, capsys):
         assert main(["fig3", "--files=-3", "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err

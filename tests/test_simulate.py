@@ -50,15 +50,14 @@ def play(s, profile, rounds, seed=0) -> Rounds:
     return alone(RoundEngine(s, one_seed(profile)).run([rng(seed)], rounds))
 
 
+def chunk_lengths(chunks) -> list[int]:
+    """The number of rounds in each chunk of an engine run."""
+    return [chunk.duration.shape[-1] for chunk in chunks]
+
+
 def small_chunks(doubles):
     """Within the block, the engine draws at most ``doubles`` uniforms per chunk."""
     return mock.patch.object(simulate, "CHUNK_DOUBLES", doubles)
-
-
-def small_batches(doubles):
-    """Within the block, a batch of seeds keeps at most ``doubles`` uniforms
-    per chunk, over all seeds (or one round's worth)."""
-    return mock.patch.object(simulate, "BATCH_DOUBLES", doubles)
 
 
 class ZeroStream:
@@ -627,9 +626,8 @@ class TestSeedBatch:
     play what each seed plays alone."""
 
     @REUSE
-    @given(data=st.data(), fixed=st.booleans(), rounds=st.integers(1, 60), chunk=st.integers(1, 300),
-           budget=st.integers(1, 512))
-    def test_batch_matches_seeds_alone(self, data, fixed, rounds, chunk, budget):
+    @given(data=st.data(), fixed=st.booleans(), rounds=st.integers(1, 60), chunk=st.integers(1, 300))
+    def test_batch_matches_seeds_alone(self, data, fixed, rounds, chunk):
         s, profiles = data.draw(batch_cases(fixed))
         seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(profiles), max_size=len(profiles)))
         batch = StrategyProfile(np.stack([p.gamma for p in profiles]), np.stack([p.lam for p in profiles]))
@@ -642,7 +640,7 @@ class TestSeedBatch:
                 list(engine.run(gens, rounds))
             return
         played = []  # each seed alone
-        with small_chunks(chunk), small_batches(budget):
+        with small_chunks(chunk):
             for profile, seed in zip(profiles, seeds):
                 try:
                     gen = rng(seed)
@@ -656,8 +654,24 @@ class TestSeedBatch:
             got = list(engine.run(gens, rounds))
         for row, (chunks, gen) in enumerate(played):
             want = alone(chunks)
+            assert chunk_lengths(got) == chunk_lengths(chunks)  # the same rng.random calls
             assert [col[row].tolist() for col in joined(got)] == [col.tolist() for col in want]
             assert gens[row].bit_generator.state == gen.bit_generator.state
+
+    def test_batch_chunks_as_its_seeds_do(self):
+        # an adaptive epoch of fig2's groups: only the needers of file 1 initiate
+        s = two_file([1.0] * 10, [1.0] * 10)
+        good = two_file_equilibrium(s, alpha=0.5)
+        gamma = np.where(s.needs == 1, good.gamma, 0.0)
+        batch = StrategyProfile(np.stack([gamma] * 40), np.stack([good.lam] * 40))
+        gens = [rng(seed) for seed in range(40)]
+        got = list(RoundEngine(s, batch).run(gens, 100))
+        for seed in (0, 39):
+            gen = rng(seed)
+            chunks = list(RoundEngine(s, StrategyProfile(gamma[None], good.lam[None])).run([gen], 100))
+            assert chunk_lengths(got) == chunk_lengths(chunks) == [100]
+            assert [col[seed].tolist() for col in joined(got)] == [col.tolist() for col in alone(chunks)]
+            assert gens[seed].bit_generator.state == gen.bit_generator.state
 
     def test_walked_batch_is_refused_after_the_stall_check(self):
         # unequal groups: each round's uniforms start where the previous
