@@ -258,14 +258,21 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    list_help = "comma-separated nonnegative integers and ranges a-b of them"  # parse_list's grammar
 
-    def add_command(name, func, help):
+    def add_command(name, func, help, w_hi=None):
+        """A command reads its game from --config, or, given its default
+        --w-hi, generates it from a cost draw and dumps it beside --out.
+        main reports an argument that it does not take with its usage."""
         p = sub.add_parser(name, help=help, allow_abbrev=False)  # so each option has one spelling
-        p.set_defaults(func=func, parser=p)  # main reports an argument the command does not take with its usage
+        p.set_defaults(func=func, parser=p, dumps=w_hi is not None)
+        if w_hi is None:
+            p.add_argument("--config", required=True, help="scenario config (JSON)")
+        else:
+            p.add_argument("--group-size", type=int, default=10)
+            p.add_argument("--w-lo", type=float, default=1.0)
+            p.add_argument("--w-hi", type=float, default=w_hi)
         return p
-
-    def add_out(p):
-        p.add_argument("--out", required=True, help="output CSV path")
 
     def add_adapt_knobs(p):
         for knob in fields(adapt.AdaptConfig):
@@ -276,47 +283,32 @@ def build_parser() -> argparse.ArgumentParser:
         game.add_argument("--alpha", type=float, default=0.5, help="initiation share of group 0 (plain two-file game)")
         game.add_argument("--coded", action="store_true", help="the network-coded game")
 
-    p_ne = add_command("ne", cmd_ne, "closed-form equilibrium rates")
-    p_ne.add_argument("--config", required=True, help="scenario config (JSON)")
-    add_game(p_ne)
-    add_out(p_ne)
+    add_game(add_command("ne", cmd_ne, "closed-form equilibrium rates"))
 
-    p_poa = add_command("poa", cmd_poa, "prices of anarchy and node costs (two-file)")
-    p_poa.add_argument("--config", required=True)
-    add_out(p_poa)
+    add_command("poa", cmd_poa, "prices of anarchy and node costs (two-file)")
 
     p_sim = add_command("simulate", cmd_simulate, "simulate rounds under the equilibrium profile")
-    p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--rounds", type=int, default=100000)
-    p_sim.add_argument("--seeds", default="0", help="comma-separated seeds")
+    p_sim.add_argument("--seeds", default="0", help=list_help)
     add_game(p_sim)
     p_sim.add_argument("--trace", help="per-round trace CSV (single seed only)")
-    add_out(p_sim)
 
     p_adapt = add_command("adapt", cmd_adapt, "simulation-coupled distributed adaptation")
-    p_adapt.add_argument("--config", required=True)
     add_adapt_knobs(p_adapt)
-    p_adapt.add_argument("--seeds", default="0")
+    p_adapt.add_argument("--seeds", default="0", help=list_help)
     p_adapt.add_argument("--per-node-out", help="optional per-node state CSV")
-    add_out(p_adapt)
 
-    p_fig2 = add_command("fig2", cmd_fig2, "adaptation convergence experiment (generated scenarios)")
-    p_fig2.add_argument("--group-size", type=int, default=10)
-    p_fig2.add_argument("--w-lo", type=float, default=1.0)
-    p_fig2.add_argument("--w-hi", type=float, default=2.0)
-    p_fig2.add_argument("--seeds", default="0-19")
+    p_fig2 = add_command("fig2", cmd_fig2, "adaptation convergence experiment (generated scenarios)", w_hi=2.0)
+    p_fig2.add_argument("--seeds", default="0-19", help=list_help)
     add_adapt_knobs(p_fig2)
-    add_out(p_fig2)
 
-    p_fig3 = add_command("fig3", cmd_fig3, "coded throughput vs file count (generated scenarios)")
-    p_fig3.add_argument("--files", default="3,4,5,6,7,8", help="comma-separated file counts")
-    p_fig3.add_argument("--group-size", type=int, default=10)
-    p_fig3.add_argument("--w-lo", type=float, default=1.0)
-    p_fig3.add_argument("--w-hi", type=float, default=1.0)
+    p_fig3 = add_command("fig3", cmd_fig3, "coded throughput vs file count (generated scenarios)", w_hi=1.0)
+    p_fig3.add_argument("--files", default="3,4,5,6,7,8", help=list_help)
     p_fig3.add_argument("--rounds", type=int, help="cross-check each point by a simulation of this many rounds")
     p_fig3.add_argument("--seed", type=int, default=0)
-    add_out(p_fig3)
 
+    for p in sub.choices.values():  # last in every usage line
+        p.add_argument("--out", required=True, help="output CSV path")
     return parser
 
 
@@ -332,8 +324,8 @@ def main(argv: list[str] | None = None) -> int:
     if extra:
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        if args.func in (cmd_fig2, cmd_fig3):  # they dump the scenarios they generate beside the results
-            args.scenarios_out = Path(args.out).with_suffix(Path(args.out).suffix + ".scenarios.json")
+        if args.dumps:  # the scenarios a command generates, beside its results; a bad --out is named first
+            args.scenarios_out = f"{Path(args.out)}.scenarios.json"
         with np.errstate(over="raise", divide="raise", invalid="raise"), ExitStack() as opened:
             # Open every output before any work, so that an unwritable path fails at
             # once; keep them only once all are written, and discard any other.

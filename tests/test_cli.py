@@ -555,7 +555,8 @@ class TestFailClosed:
     @staticmethod
     def run(tmp_path, argv):
         cfg = write_config(tmp_path, symmetric(2, 4), name="cfg.json")
-        argv = [cfg if a == "CFG" else str(tmp_path / a) if "." in a or a == "dir" else a for a in argv]
+        # a name with a dot, or "dir", is a file in tmp_path; "." stays the working directory
+        argv = [cfg if a == "CFG" else str(tmp_path / a) if "." in a and a != "." or a == "dir" else a for a in argv]
         (tmp_path / "dir").mkdir()
         (tmp_path / "x.csv.scenarios.json").mkdir()  # fig2 and fig3 cannot dump here
         return main(argv)
@@ -625,6 +626,15 @@ class TestFailClosed:
         # an empty path names no file to write, like an empty --out
         assert self.run(tmp_path, [*argv.split(), "", "--out", "y.csv"]) == 2
         assert capsys.readouterr().err == "invalid arguments: cannot write : Is a directory\n"
+        self.assert_nothing_written(tmp_path)
+
+    @pytest.mark.parametrize("out", ["", "."])
+    @pytest.mark.parametrize("argv", ["fig2 --seeds 0 --updates 1", "fig3 --files 3"])
+    def test_empty_or_directory_out_of_a_generator_exits_2(self, tmp_path, capsys, monkeypatch, argv, out):
+        # named as on any other command, before the scenario dump beside it
+        monkeypatch.chdir(tmp_path)
+        assert self.run(tmp_path, [*argv.split(), "--out", out]) == 2
+        assert capsys.readouterr().err == f"invalid arguments: cannot write {out}: Is a directory\n"
         self.assert_nothing_written(tmp_path)
 
     @pytest.mark.parametrize(
@@ -947,6 +957,16 @@ class TestGeneratedScenarios:
         assert "invalid arguments: need group sizes >= 0 and finite 0 < w_lo <= w_hi" in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "out,dump", [("x.csv", "x.csv.scenarios.json"), ("x", "x.scenarios.json"), ("d/x.csv/", "d/x.csv.scenarios.json")]
+    )
+    def test_dump_is_named_after_out(self, tmp_path, monkeypatch, out, dump):
+        # the path of --out as written, a trailing slash dropped, plus .scenarios.json
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        assert main(["fig3", "--files", "3", "--out", out]) == 0
+        assert (tmp_path / out.rstrip("/")).is_file() and (tmp_path / dump).is_file()
 
     def test_zero_files_is_an_invalid_scenario(self, tmp_path, capsys):
         assert main(["fig3", "--files", "0", "--out", str(tmp_path / "x.csv")]) == 2

@@ -1,8 +1,8 @@
 """The README's "Library use" example runs as written and prints the values
 its comments give, its "Command line" usage block names each subcommand's
-options with their defaults, and shows exactly its mutually exclusive
-options as ``[A | B]``, every config in its "Scenario config" section
-loads, and every error its code spans name exists."""
+options in the parser's order with their defaults, and shows exactly its
+mutually exclusive options as ``[A | B]``, every config in its "Scenario
+config" section loads, and every error its code spans name exists."""
 
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ def test_usage_block_matches_the_parser():
     for command, text in usage.items():
         shown = re.findall(r"(--[\w-]+)(?: ([^\s\[\]|-][^\s\[\]|]*))?", text)  # (option, value shown or "")
         actions = {a.option_strings[0]: a for a in sub.choices[command]._actions if a.option_strings and a.dest != "help"}
-        assert sorted(option for option, _ in shown) == sorted(actions), command
+        assert [option for option, _ in shown] == list(actions), command  # in the parser's order
         for option, value in shown:
             action = actions[option]
             # An upper-case value (N, LIST) is a placeholder, not a default.
@@ -59,6 +59,8 @@ def test_usage_block_matches_the_parser():
         brackets = [sorted(re.findall(r"--[\w-]+", b)) for b in re.findall(r"\[([^\[\]]*\|[^\[\]]*)\]", text)]
         groups = [sorted(a.option_strings[0] for a in g._group_actions) for g in sub.choices[command]._mutually_exclusive_groups]
         assert sorted(brackets) == sorted(groups), command
+        for option in {"--seeds", "--files"} & actions.keys():  # the lists that one grammar reads
+            assert actions[option].help == "comma-separated nonnegative integers and ranges a-b of them", command
 
 
 def test_scenario_configs_load():
