@@ -6,16 +6,16 @@ its group's mean backoff time, derives its rate as (1 / guess) - w/g, and
 every M rounds nudges its inverse guess toward the observed mean winning
 backoff of its phase with a diminishing step delta_k = epsilon / k.
 
-Each update is fed the empirical epoch averages of the winning backoffs.
-The state is one array per quantity over all nodes, in id order (with a
-leading seed axis for a batch of seeds), with the role groups taken from
-``needs``.  A run plays all its seeds side by side on one round engine,
-re-rated after every update (only one group initiates, so every round reads
-the fixed stride of uniforms that a batch needs); each seed keeps its own
-generator and stream, so a batch gives what its seeds give run one after
-another.  A batch that fails is replayed one seed at a time, so that it
-fails as those runs do.  A batch's results are one ``AdaptiveRun``: arrays
-with a leading seed axis, and no accounting of packets or costs.
+Each update is fed the empirical epoch averages of the winning backoffs, in
+``ROLES`` order.  The state is one array per quantity over a batch of seeds
+and all nodes, in id order, with the role groups taken from ``needs``.  A
+run plays all its seeds side by side on one round engine, re-rated after
+every update (only one group initiates, so every round reads the fixed
+stride of uniforms that a batch needs); each seed keeps its own generator
+and stream, so a batch gives what its seeds give run one after another.  A
+batch that fails is replayed one seed at a time, so that it fails as those
+runs do.  A batch's results are one ``AdaptiveRun``: arrays with a leading
+seed axis, and no accounting of packets or costs.
 """
 
 from __future__ import annotations
@@ -72,14 +72,14 @@ class AdaptConfig:
 
 @dataclass(frozen=True)
 class AdaptState:
-    """Adaptation state of every node, in id order, for one seed or, with a
-    leading seed axis on ``ratios`` and ``inv_guess``, for a batch of seeds.
-    The needers of file 0 adapt their response rates to file 1; the others,
-    the initiators, adapt their initiation rates."""
+    """Adaptation state of a batch of seeds: ``ratios`` and ``inv_guess``
+    have shape (seeds, nodes), nodes in id order.  The needers of file 0
+    adapt their response rates to file 1; the others, the initiators, adapt
+    their initiation rates."""
 
-    ratios: np.ndarray  # w/g per node
-    initiates: np.ndarray  # True for the needers of file 1
-    inv_guess: np.ndarray  # 1 / That_{n,k} per node
+    ratios: np.ndarray  # w/g per seed and node
+    initiates: np.ndarray  # True for the needers of file 1, per node
+    inv_guess: np.ndarray  # 1 / That_{n,k} per seed and node
 
     @property
     def rates(self) -> np.ndarray:
@@ -89,7 +89,7 @@ class AdaptState:
     @property
     def floored(self) -> np.ndarray:
         """Counts of the responders and of the initiators whose rate is
-        floored at zero, shape (..., 2)."""
+        floored at zero, shape (seeds, 2)."""
         below = self.inv_guess < self.ratios
         return np.stack(((below & ~self.initiates).sum(axis=-1), (below & self.initiates).sum(axis=-1)), axis=-1)
 
@@ -101,46 +101,39 @@ class AdaptState:
         return StrategyProfile(gamma=np.where(self.initiates, rates, 0.0), lam=lam)
 
 
-def init_state(s: Scenario, cfg: AdaptConfig) -> AdaptState:
-    """Initial guesses and rates.
+def init_state(scenarios: list[Scenario], cfg: AdaptConfig) -> AdaptState:
+    """Initial guesses and rates of a batch, one seed per scenario; the
+    scenarios share their files and needs.
 
     With assumed group size G = guess_factor * true size, a node with ratio
     r guesses That_{n,0} = (G - 1) / (G r), so its starting rate is
     1/That_{n,0} - r = r / (G - 1), a factor G - 1 below its share at the
     converged point.
     """
+    s = scenarios[0]
     if s.files != 2:
         raise ValueError(f"the adaptation mechanism needs a two-file scenario; this one has {s.files} files")
     assumed = cfg.guess_factor * s.group_sizes()[s.needs]
     if np.any(assumed <= 1):
         raise ValueError("guess_factor * group size must exceed 1")
-    return AdaptState(ratios=s.ratios, initiates=s.needs == 1, inv_guess=assumed * s.ratios / (assumed - 1.0))
+    ratios = np.array([sc.ratios for sc in scenarios])
+    return AdaptState(ratios=ratios, initiates=s.needs == 1, inv_guess=assumed * ratios / (assumed - 1.0))
 
 
-def observe_and_update(
-    state: AdaptState,
-    observed_response_mean: np.typing.ArrayLike,
-    observed_initiation_mean: np.typing.ArrayLike,
-    k: int,
-    cfg: AdaptConfig,
-) -> AdaptState:
-    """Apply the k-th synchronized update to both role groups, of one seed
-    or, given one observed mean per seed, of every seed of a batch.
+def observe_and_update(state: AdaptState, means: np.typing.ArrayLike, k: int, cfg: AdaptConfig) -> AdaptState:
+    """Apply the k-th synchronized update to both role groups of every seed.
+    ``means`` holds the observed mean winning backoffs in ``ROLES`` order,
+    shape (2, seeds), or (2,) for the same means on every seed.
 
     Each node's new inverse guess is (1 + delta_k) / That_{n,k-1} -
     delta_k / observed, with its own group's observed mean; its rate is the
     inverse guess minus its own w/g, floored at zero (counted by the new
-    state's ``floored``).  Raises ValueError for a mean that is not
-    positive (in a batch, any seed's), else StallError when an inverse guess
-    is not finite: the update diverged.
+    state's ``floored``).  Raises StallError when any seed's inverse guess
+    is not finite, as a zero mean makes it: the update diverged.
     """
     delta = cfg.delta(k)
-    means = np.array((observed_response_mean, observed_initiation_mean), dtype=float)
-    for label, mean in zip(ROLES, means.reshape(2, -1).tolist()):
-        nonpositive = [m for m in mean if m <= 0]
-        if nonpositive:
-            raise ValueError(f"observed mean {label} backoff must be positive, got {nonpositive[0]}")
-    observed = np.where(state.initiates, means[1][..., None], means[0][..., None])
+    means = np.asarray(means, dtype=float)[..., None]
+    observed = np.where(state.initiates, means[1], means[0])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv_guess = (1.0 + delta) * state.inv_guess - delta / observed
     if not np.isfinite(inv_guess).all():
@@ -193,7 +186,7 @@ def run_adaptive_simulation(scenarios: list[Scenario], cfg: AdaptConfig, seeds: 
         raise ValueError("an adaptive batch needs one seed per scenario, and scenarios with the same files and needs")
     try:
         run = _run_batch(scenarios, cfg, seeds, [])
-    except (BxsimError, ValueError, FloatingPointError):
+    except (BxsimError, FloatingPointError):
         for s, seed in zip(scenarios, seeds):
             floors: list[np.ndarray] = []
             try:
@@ -213,8 +206,7 @@ def _run_batch(scenarios: list[Scenario], cfg: AdaptConfig, seeds: list[int], fl
     """Every seed's run, side by side, logging nothing; appends each
     update's floored counts (seeds, 2) to ``floors``.  Raises the first
     failure it meets, whichever seed it is of."""
-    states = [init_state(s, cfg) for s in scenarios]
-    state = AdaptState(np.array([st.ratios for st in states]), states[0].initiates, np.array([st.inv_guess for st in states]))
+    state = init_state(scenarios, cfg)
     engine = RoundEngine(scenarios[0], state.profile())
     rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
     observed, node_states = [], []  # per epoch, of every seed
@@ -222,12 +214,12 @@ def _run_batch(scenarios: list[Scenario], cfg: AdaptConfig, seeds: list[int], fl
     for epoch in range(cfg.updates + 1):
         sums = np.zeros((3, len(seeds)))
         for chunk in engine.run(rngs, cfg.epoch_rounds):
-            sums = in_order_sum(sums, np.stack((chunk.t_init, chunk.t_resp, chunk.duration)))
-        init_mean, resp_mean = sums[:2] / cfg.epoch_rounds
-        observed.append((1.0 / resp_mean, 1.0 / init_mean, cfg.epoch_rounds / sums[2]))
+            sums = in_order_sum(sums, np.stack((chunk.t_resp, chunk.t_init, chunk.duration)))
+        means = sums[:2] / cfg.epoch_rounds  # in ROLES order
+        observed.append(np.concatenate((1.0 / means, cfg.epoch_rounds / sums[2:])))
         node_states.append(np.stack((1.0 / state.inv_guess, state.rates), axis=-1))
         if epoch < cfg.updates:
-            state = observe_and_update(state, resp_mean, init_mean, epoch + 1, cfg)
+            state = observe_and_update(state, means, epoch + 1, cfg)
             floors.append(state.floored)
             engine.set_profile(state.profile())
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from contextlib import ExitStack
 from dataclasses import fields
@@ -333,6 +334,9 @@ def main(argv: list[str] | None = None) -> int:
             for dest in OUTPUTS:
                 path = getattr(args, dest, None)
                 if path is not None:
+                    if dest == "scenarios_out" and args.out.tmp is None and (args.out.std or not os.path.islink(args.out)):
+                        # a std stream, or a device or FIFO named directly, not through a link: the dump would be made in /dev
+                        raise ValueError(f"{args.command} writes <out>.scenarios.json beside --out, so --out must be a file: {args.out}")
                     try:
                         out = atomic_open(path)
                     except OSError as exc:

@@ -259,17 +259,18 @@ class atomic_open:
     through that stream at its current position, after both streams are
     flushed, so the program's earlier messages precede the data and later
     ones follow it.  Other targets (a FIFO, ``/dev/null``) are written in
-    place.  The object is path-like: its path is ``path``.
+    place.  The object is path-like: its path is ``path``.  ``tmp`` is the
+    temporary file, if any, and ``std`` the stream's descriptor, if any.
     """
 
     def __init__(self, path: str | Path):
         self.name, path, self.tmp = os.fspath(path), Path(path), None
-        std = _std_stream_fd(path)
-        if std is not None:
+        self.std = _std_stream_fd(path)
+        if self.std is not None:
             for stream in (sys.stdout, sys.stderr):
                 if stream is not None:
                     stream.flush()
-            self.fh = open(os.dup(std), "w", newline="")
+            self.fh = open(os.dup(self.std), "w", newline="")
         elif path.is_file() or not path.exists():
             self.target = path.resolve()
             self.tmp = self.target.with_name(f".{self.target.name}.partial")

@@ -108,6 +108,11 @@ def one_seed(profile) -> StrategyProfile:
     return StrategyProfile(np.asarray(profile.gamma)[None], np.asarray(profile.lam)[None])
 
 
+def first_seed(profile) -> StrategyProfile:
+    """Seed 0 of a batch's ``profile``, the shape reference_play plays."""
+    return StrategyProfile(profile.gamma[0], profile.lam[0])
+
+
 @pytest.fixture
 def sym_10_10() -> Scenario:
     return symmetric(2, 10)

@@ -138,10 +138,11 @@ def expected_coded_round_cost(s: Scenario, profile: StrategyProfile, n: int, t: 
     return w * (1.0 - decay) / total + decay * initiated + (1.0 - decay) * float(np.dot(big / total, announced))
 
 
-def aggregate_rates(state: AdaptState) -> tuple:
-    """Rate sums of the responders and of the initiators."""
+def aggregate_rates(state: AdaptState) -> np.ndarray:
+    """Rate sums of the responders and of the initiators (``ROLES`` order),
+    per seed: shape (2, seeds)."""
     rates = state.rates
-    return rates[..., ~state.initiates].sum(axis=-1), rates[..., state.initiates].sum(axis=-1)
+    return np.array((rates[:, ~state.initiates].sum(axis=-1), rates[:, state.initiates].sum(axis=-1)))
 
 
 def analytic_iterate(s: Scenario, cfg: AdaptConfig) -> list[tuple[int, float, float]]:
@@ -151,13 +152,13 @@ def analytic_iterate(s: Scenario, cfg: AdaptConfig) -> list[tuple[int, float, fl
     rates, 1 / sum(rates).  Returns rows (k, 1/That_A_k, 1/That_B_k) for
     k = 0..updates, where the aggregates are the group rate sums.
     """
-    state = init_state(s, cfg)
-    rows = [(0, *aggregate_rates(state))]
+    state = init_state([s], cfg)  # a batch of one seed
+    rows = [(0, *aggregate_rates(state)[:, 0].tolist())]
     for k in range(1, cfg.updates + 1):
-        resp_rate, init_rate = aggregate_rates(state)
-        if resp_rate <= 0 or init_rate <= 0:
+        rates = aggregate_rates(state)
+        if (rates <= 0).any():
             raise StallError("a whole role group hit the zero-rate floor")
-        state = observe_and_update(state, 1.0 / resp_rate, 1.0 / init_rate, k, cfg)
-        log_floored(state.floored.tolist())
-        rows.append((k, *aggregate_rates(state)))
+        state = observe_and_update(state, 1.0 / rates, k, cfg)
+        log_floored(state.floored[0].tolist())
+        rows.append((k, *aggregate_rates(state)[:, 0].tolist()))
     return rows

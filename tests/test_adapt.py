@@ -12,7 +12,6 @@ from bxsim import simulate
 
 from bxsim.adapt import (
     AdaptConfig,
-    AdaptState,
     init_state,
     log_floored,
     observe_and_update,
@@ -23,7 +22,7 @@ from bxsim.errors import BxsimError, StallError
 from bxsim.model import Scenario
 from bxsim.simulate import RoundEngine, in_order_sum
 
-from conftest import adaptive_run, one_seed, ref_group, reference_play, symmetric, two_file
+from conftest import adaptive_run, first_seed, ref_group, reference_play, symmetric, two_file
 from oracles import aggregate_rates, analytic_iterate, expected_response_cost_under_rate
 
 
@@ -35,16 +34,16 @@ def mech_cfg(**kw):
 
 class TestInitState:
     def test_overestimated_initial_guess(self, sym_10_10):
-        st = init_state(sym_10_10, mech_cfg())
+        st = init_state([sym_10_10], mech_cfg())
         # assumed group of 100 at w = g = 1: guess 0.99, rate 1/0.99 - 1
-        np.testing.assert_allclose(1 / st.inv_guess[~st.initiates], 0.99)
-        np.testing.assert_allclose(st.rates[~st.initiates], 1 / 0.99 - 1.0)
-        np.testing.assert_allclose(st.rates[st.initiates], 1 / 0.99 - 1.0)
+        np.testing.assert_allclose(1 / st.inv_guess[0, ~st.initiates], 0.99)
+        np.testing.assert_allclose(st.rates[0, ~st.initiates], 1 / 0.99 - 1.0)
+        np.testing.assert_allclose(st.rates[0, st.initiates], 1 / 0.99 - 1.0)
 
     def test_scaled_by_ratio(self):
         s = two_file([2.0] * 10, [1.0] * 10)
-        st = init_state(s, mech_cfg())
-        np.testing.assert_allclose(1 / st.inv_guess[~st.initiates], 99 / 200)
+        st = init_state([s], mech_cfg())
+        np.testing.assert_allclose(1 / st.inv_guess[0, ~st.initiates], 99 / 200)
 
     def test_true_size_guess_is_fixed_point(self, sym_10_10):
         rows = analytic_iterate(sym_10_10, mech_cfg(guess_factor=1.0, updates=5))
@@ -53,10 +52,10 @@ class TestInitState:
             assert inv_b == pytest.approx(10 / 9, abs=1e-12)
 
     def test_roles_follow_file_order(self, sym_10_10):
-        st = init_state(sym_10_10, mech_cfg())
+        st = init_state([sym_10_10], mech_cfg())
         assert tuple(np.flatnonzero(~st.initiates)) == ref_group(sym_10_10, 0)
         assert tuple(np.flatnonzero(st.initiates)) == ref_group(sym_10_10, 1)
-        profile = st.profile()
+        profile = first_seed(st.profile())
         assert all(profile.gamma[n] == 0.0 for n in ref_group(sym_10_10, 0))
         assert all(profile.gamma[n] > 0.0 for n in ref_group(sym_10_10, 1))
         assert all(profile.lam[(n, 1)] > 0.0 for n in ref_group(sym_10_10, 0))
@@ -64,57 +63,56 @@ class TestInitState:
 
     def test_requires_two_files(self):
         with pytest.raises(ValueError):
-            init_state(symmetric(3, 4), mech_cfg())
+            init_state([symmetric(3, 4)], mech_cfg())
 
 
 class TestObserveAndUpdate:
     def test_per_node_first_step(self, sym_10_10):
         cfg = mech_cfg()
-        st = init_state(sym_10_10, cfg)
+        st = init_state([sym_10_10], cfg)
         observed = 1 / aggregate_rates(st)[0]  # exact mean backoff, 9.9
-        st1 = observe_and_update(st, observed, observed, k=1, cfg=cfg)
-        np.testing.assert_allclose(st1.inv_guess[~st1.initiates], 1.1 * (1 / 0.99) - 0.1 * (1 / 9.9))
-        np.testing.assert_allclose(st1.inv_guess[~st1.initiates], 1.1010101010101, atol=1e-10)
-        np.testing.assert_allclose(st1.rates[~st1.initiates], 0.1010101010101, atol=1e-10)
+        st1 = observe_and_update(st, (observed, observed), k=1, cfg=cfg)
+        np.testing.assert_allclose(st1.inv_guess[0, ~st1.initiates], 1.1 * (1 / 0.99) - 0.1 * (1 / 9.9))
+        np.testing.assert_allclose(st1.inv_guess[0, ~st1.initiates], 1.1010101010101, atol=1e-10)
+        np.testing.assert_allclose(st1.rates[0, ~st1.initiates], 0.1010101010101, atol=1e-10)
 
     def test_aggregate_sequence(self, sym_10_10):
         cfg = mech_cfg()
-        st = init_state(sym_10_10, cfg)
-        seen = [aggregate_rates(st)[0]]
+        st = init_state([sym_10_10], cfg)
+        seen = [aggregate_rates(st)[0, 0]]
         for k in (1, 2):
-            obs = 1 / aggregate_rates(st)[0]
-            st = observe_and_update(st, obs, 1 / aggregate_rates(st)[1], k, cfg)
-            seen.append(aggregate_rates(st)[0])
+            st = observe_and_update(st, 1 / aggregate_rates(st), k, cfg)
+            seen.append(aggregate_rates(st)[0, 0])
         np.testing.assert_allclose(seen, [0.1010101, 1.0101010, 1.0555556], atol=1e-6)
 
     def test_observing_own_guess_is_noop(self, sym_10_10):
         cfg = mech_cfg()
-        st = init_state(sym_10_10, cfg)
-        own = float(1 / st.inv_guess[~st.initiates][0])  # homogeneous: same for all
-        st1 = observe_and_update(st, own, own, k=1, cfg=cfg)
-        np.testing.assert_allclose(st1.inv_guess[~st1.initiates], st.inv_guess[~st.initiates])
-        np.testing.assert_allclose(st1.inv_guess[st1.initiates], st.inv_guess[st.initiates])
+        st = init_state([sym_10_10], cfg)
+        own = float(1 / st.inv_guess[0, ~st.initiates][0])  # homogeneous: same for all
+        st1 = observe_and_update(st, (own, own), k=1, cfg=cfg)
+        np.testing.assert_allclose(st1.inv_guess[0, ~st1.initiates], st.inv_guess[0, ~st.initiates])
+        np.testing.assert_allclose(st1.inv_guess[0, st1.initiates], st.inv_guess[0, st.initiates])
 
     def test_nonpositive_observation(self, sym_10_10):
         cfg = mech_cfg()
-        st = init_state(sym_10_10, cfg)
-        with pytest.raises(ValueError):
-            observe_and_update(st, 0.0, 1.0, k=1, cfg=cfg)
+        st = init_state([sym_10_10], cfg)
+        with pytest.raises(StallError, match="epoch 1 diverged"):  # a zero mean makes the guess -inf
+            observe_and_update(st, (0.0, 1.0), k=1, cfg=cfg)
 
     def test_floor_logs_warning(self, sym_10_10, caplog):
         cfg = mech_cfg()
-        st = init_state(sym_10_10, cfg)
+        st = init_state([sym_10_10], cfg)
         with caplog.at_level(logging.WARNING, logger="bxsim.adapt"):
-            st1 = observe_and_update(st, 1e-9, 1e-9, k=1, cfg=cfg)
-            log_floored(st1.floored)
+            st1 = observe_and_update(st, (1e-9, 1e-9), k=1, cfg=cfg)
+            log_floored(st1.floored[0])
         assert "floored" in caplog.text
-        assert aggregate_rates(st1)[0] == 0.0
+        assert aggregate_rates(st1)[0, 0] == 0.0
 
     def test_k_must_be_positive(self, sym_10_10):
         cfg = mech_cfg()
-        st = init_state(sym_10_10, cfg)
+        st = init_state([sym_10_10], cfg)
         with pytest.raises(ValueError):
-            observe_and_update(st, 1.0, 1.0, k=0, cfg=cfg)
+            observe_and_update(st, (1.0, 1.0), k=0, cfg=cfg)
 
 
 class TestAnalyticIterate:
@@ -237,11 +235,11 @@ class TestAdaptiveSimulation:
         # the state entering epoch k+1 must be the update of epoch k's observation
         cfg = mech_cfg(updates=1, epoch_rounds=30)
         run = adaptive_run(sym_10_10, cfg, seed=7)
-        st0 = init_state(sym_10_10, cfg)
+        st0 = init_state([sym_10_10], cfg)
         inv_that_a, inv_that_b, _ = run.observed[0, 0]
-        st1 = observe_and_update(st0, 1 / inv_that_a, 1 / inv_that_b, 1, cfg)
+        st1 = observe_and_update(st0, (1 / inv_that_a, 1 / inv_that_b), 1, cfg)
         responders = np.flatnonzero(~st1.initiates)
-        expected = [(n, float(1 / st1.inv_guess[n]), float(st1.rates[n])) for n in responders]
+        expected = [(n, float(1 / st1.inv_guess[0, n]), float(st1.rates[0, n])) for n in responders]
         got = [(n, *run.node_states[0, 1, n].tolist()) for n in responders]
         for (en, eg, er), (gn, gg, gr) in zip(expected, got):
             assert en == gn
@@ -266,7 +264,7 @@ class TestAdaptiveSimulation:
         states = replay_round_by_round(s, cfg, 4, run)
         assert "response update floored" in caplog.text and "initiation update floored" in caplog.text
         for node_states, state in zip(run.node_states[0], states, strict=True):
-            assert node_states.tolist() == np.column_stack((1 / state.inv_guess, state.rates)).tolist()
+            assert node_states.tolist() == np.column_stack((1 / state.inv_guess[0], state.rates[0])).tolist()
         last = run.node_states[0, -1, :, 1]
         assert (last[s.needs == 0] == 0).any() and (last[s.needs == 1] == 0).any()
 
@@ -275,12 +273,12 @@ def replay_round_by_round(s, cfg, seed, run):
     """Check a one-seed adaptive run against the per-round epoch loop on the
     reference player, bit for bit; returns the state of each epoch."""
     gen = np.random.Generator(np.random.PCG64(seed))
-    state = init_state(s, cfg)
+    state = init_state([s], cfg)
     states = []
     for epoch, (inv_that_a, inv_that_b, throughput) in enumerate(run.observed[0].tolist()):
         states.append(state)
         init_sum = resp_sum = elapsed = 0.0
-        for _, _, t_init, t_resp in reference_play(s, state.profile(), gen, cfg.epoch_rounds):
+        for _, _, t_init, t_resp in reference_play(s, first_seed(state.profile()), gen, cfg.epoch_rounds):
             duration = t_init + t_resp + 2.0
             init_sum += t_init
             resp_sum += t_resp
@@ -289,7 +287,7 @@ def replay_round_by_round(s, cfg, seed, run):
         assert (inv_that_a, inv_that_b) == (1.0 / resp_mean, 1.0 / init_mean)
         assert throughput == cfg.epoch_rounds / elapsed
         if epoch < cfg.updates:
-            state = observe_and_update(state, resp_mean, init_mean, epoch + 1, cfg)
+            state = observe_and_update(state, (resp_mean, init_mean), epoch + 1, cfg)
     return states
 
 
@@ -321,22 +319,22 @@ def sequential_runs(scenarios, cfg, seeds):
     floored counts; a stall or a divergence is raised naming its seed."""
     results = []
     for s, seed in zip(scenarios, seeds):
-        state = init_state(s, cfg)
-        engine, rng = RoundEngine(s, one_seed(state.profile())), np.random.Generator(np.random.PCG64(seed))
+        state = init_state([s], cfg)
+        engine, rng = RoundEngine(s, state.profile()), np.random.Generator(np.random.PCG64(seed))
         observed, node_states, floored = [], [], [[0, 0]]
         try:
             for epoch in range(cfg.updates + 1):
                 sums = np.zeros(3)
                 for chunk in engine.run([rng], cfg.epoch_rounds):
-                    sums = in_order_sum(sums, (chunk.t_init[0], chunk.t_resp[0], chunk.duration[0]))
-                init_mean, resp_mean, elapsed = sums[0] / cfg.epoch_rounds, sums[1] / cfg.epoch_rounds, sums[2]
+                    sums = in_order_sum(sums, (chunk.t_resp[0], chunk.t_init[0], chunk.duration[0]))
+                resp_mean, init_mean, elapsed = sums[0] / cfg.epoch_rounds, sums[1] / cfg.epoch_rounds, sums[2]
                 observed.append([1.0 / resp_mean, 1.0 / init_mean, cfg.epoch_rounds / elapsed])
-                node_states.append(np.column_stack((1.0 / state.inv_guess, state.rates)).tolist())
+                node_states.append(np.column_stack((1.0 / state.inv_guess[0], state.rates[0])).tolist())
                 if epoch < cfg.updates:
-                    state = observe_and_update(state, resp_mean, init_mean, epoch + 1, cfg)
-                    floored.append(state.floored.tolist())
+                    state = observe_and_update(state, (resp_mean, init_mean), epoch + 1, cfg)
+                    floored.append(state.floored[0].tolist())
                     log_floored(floored[-1])
-                    engine.set_profile(one_seed(state.profile()))
+                    engine.set_profile(state.profile())
         except StallError as exc:  # an engine stall or a divergence, named with its seed
             raise type(exc)(f"seed {seed}: {exc}") from None
         results.append((observed, node_states, floored))
@@ -385,12 +383,11 @@ class TestSeedBatch:
 
     def test_update_fails_at_the_first_failing_seed(self, sym_10_10):
         cfg = mech_cfg()
-        st = init_state(sym_10_10, cfg)
-        batch = AdaptState(st.ratios, st.initiates, np.array([st.inv_guess] * 4))
+        batch = init_state([sym_10_10] * 4, cfg)
         with pytest.raises(StallError, match="epoch 1 diverged"):  # rows 1 and 3 diverge
-            observe_and_update(batch, np.ones(4), np.array([1.0, 1e-320, 1.0, 1e-320]), k=1, cfg=cfg)
-        with pytest.raises(ValueError, match="response backoff"):  # row 2 is 0
-            observe_and_update(batch, np.array([1.0, 1.0, 0.0, 1.0]), np.ones(4), k=1, cfg=cfg)
+            observe_and_update(batch, (np.ones(4), [1.0, 1e-320, 1.0, 1e-320]), k=1, cfg=cfg)
+        with pytest.raises(StallError, match="epoch 1 diverged"):  # row 2 is 0
+            observe_and_update(batch, ([1.0, 1.0, 0.0, 1.0], np.ones(4)), k=1, cfg=cfg)
 
     def test_floored_counts_are_the_warnings(self, caplog):
         s = two_file([1.0, 1.2, 1.7], [1.1, 1.3, 1.5, 2.0, 2.4])
@@ -398,7 +395,7 @@ class TestSeedBatch:
         with caplog.at_level(logging.WARNING, logger="bxsim.adapt"):
             run = adaptive_run(s, cfg, seed=4)
         states = replay_round_by_round(s, cfg, 4, run)
-        assert run.floored[0].tolist() == [[0, 0]] + [st.floored.tolist() for st in states[1:]]
+        assert run.floored[0].tolist() == [[0, 0]] + [st.floored[0].tolist() for st in states[1:]]
         want = [f"{label} update floored {count} rate(s) at zero"
                 for floored in run.floored[0].tolist() for label, count in zip(("response", "initiation"), floored) if count]
         assert caplog.messages == want and len(want) >= 2

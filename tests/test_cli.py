@@ -637,6 +637,31 @@ class TestFailClosed:
         assert capsys.readouterr().err == f"invalid arguments: cannot write {out}: Is a directory\n"
         self.assert_nothing_written(tmp_path)
 
+    @pytest.mark.parametrize("out", [os.devnull, "/dev/stdout"])
+    @pytest.mark.parametrize("argv", ["fig2 --seeds 0 --updates 1", "fig3 --files 3"])
+    def test_generator_out_must_be_a_file(self, tmp_path, capsys, monkeypatch, argv, out):
+        # a device or a std stream has no file beside it for the scenario dump
+        # (it would be made in /dev); the stand-in opens --out alone and
+        # refuses any other path, so that no dump is made even where one is tried
+        if not os.path.exists(out):
+            pytest.skip(f"needs {out}")
+        opened = []
+
+        def open_out_only(path):
+            opened.append(str(path))
+            if str(path) != out:
+                raise OSError(13, "refused by the test")
+            return atomic_open(path)
+
+        monkeypatch.setattr(bxsim.cli, "atomic_open", open_out_only)
+        assert self.run(tmp_path, [*argv.split(), "--out", out]) == 2
+        command = argv.split()[0]
+        assert capsys.readouterr().err == (
+            f"invalid arguments: {command} writes <out>.scenarios.json beside --out, so --out must be a file: {out}\n"
+        )
+        assert opened == [out]
+        self.assert_nothing_written(tmp_path)
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -28,7 +28,7 @@ from bxsim.errors import NoEquilibriumError, StallError
 from bxsim.model import Scenario, StrategyProfile, atomic_open
 from bxsim.simulate import CHUNK_DOUBLES, Metrics, RoundEngine, Rounds, run_simulation
 
-from conftest import dense_profile, one_seed, reference_play, scenario_to_dict, shuffled_scenarios, symmetric, two_file
+from conftest import dense_profile, first_seed, one_seed, reference_play, scenario_to_dict, shuffled_scenarios, symmetric, two_file
 
 
 def rng(seed=0):
@@ -446,7 +446,7 @@ def engine_cases(draw):
         lam = {(n, x): draw(rate) for n in range(len(needs)) for x in range(files) if x != needs[n]}
         profile = dense_profile(gamma=gamma, lam=lam, files=files)
     elif kind == "adapt":
-        profile = init_state(s, AdaptConfig(guess_factor=draw(st.floats(1.0, 10.0)))).profile()
+        profile = first_seed(init_state([s], AdaptConfig(guess_factor=draw(st.floats(1.0, 10.0)))).profile())
     elif files == 2:
         profile = two_file_equilibrium(s, alpha=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])))
     else:
